@@ -25,6 +25,7 @@ from .analytic import (
     peltzman_regions,
 )
 from .contracts import (
+    CertificateError,
     Contract,
     ContractSweepRow,
     RegionReport,
@@ -67,6 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "CaseClassification",
+    "CertificateError",
     "Contract",
     "ContractSweepRow",
     "LinearCoverage",

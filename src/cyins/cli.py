@@ -2,8 +2,8 @@
 
 Subcommands: solve, sweep, analytic, simulate, reproduce.  Coverage
 specifications use the grammar ``none``, ``linear:R`` or
-``threshold:XR,R0,R1``.  Exit codes: 0 success, 1 validation error, 2 usage
-error.
+``threshold:XR,R0,R1``.  Exit codes: 0 success, 1 validation error or
+uncertified contract solve, 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import analytic, contracts, harness, montecarlo
+from .harness import format_number
 from .model import Coverage, LinearCoverage, ThresholdCoverage, ZeroCoverage
 from .solvers import solve_value_iteration
 
@@ -54,18 +53,14 @@ def parse_coverage_spec(spec: str) -> Coverage:
     raise UsageError(f"bad coverage spec {spec!r}: unknown family {kind!r}")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.10g}"
-
-
 def _cmd_solve(args) -> int:
     coverage = parse_coverage_spec(args.coverage)
     model = harness.load_model(args.model)
     result = solve_value_iteration(model, coverage, tol=args.tol)
     print(f"policy: {harness.policy_label(model, result.policy)}")
     for state, value in zip(model.states, result.values):
-        print(f"value[{state.name}] = {_fmt(value)}")
-    print(f"iterations: {result.iterations}  residual: {_fmt(result.residual)}")
+        print(f"value[{state.name}] = {format_number(value)}")
+    print(f"iterations: {result.iterations}  residual: {format_number(result.residual)}")
     if not result.converged:
         print("warning: value iteration did not converge", file=sys.stderr)
         return 1
@@ -75,11 +70,9 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     model = harness.load_model(args.model)
     if args.family == "linear":
-        grid = np.linspace(0.0, 1.0, args.grid)
-        rows = contracts.sweep_linear(model, grid)
+        rows = contracts.sweep_linear(model, contracts.default_linear_grid(args.grid))
     else:
-        top = float(model.losses.max()) * contracts.THRESHOLD_GRID_MARGIN
-        grid = np.linspace(0.0, top if top > 0.0 else 1.0, args.grid)
+        grid = contracts.default_threshold_grid(model, args.grid)
         rows = contracts.sweep_threshold(model, args.low_level, args.high_level, grid)
     harness.write_sweep_csv(model, rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -93,7 +86,7 @@ def _cmd_analytic(args) -> int:
     classification = analytic.classify_case(ts)
     contract = analytic.optimal_contract(ts)
 
-    print(f"transition shift (rho) = {_fmt(classification.rho)}")
+    print(f"transition shift (rho) = {format_number(classification.rho)}")
     names = {s: model.states[s].name for s in (ts.good, ts.bad)}
     anames = {a: model.actions[a].name for a in (ts.weak, ts.strong)}
     for state in (ts.good, ts.bad):
@@ -101,17 +94,17 @@ def _cmd_analytic(args) -> int:
             gap = analytic.action_value_gap(ts, state, other_action, level)
             print(
                 f"action value gap at {names[state]} given other-state "
-                f"{anames[other_action]} (R={_fmt(level)}) = {_fmt(gap)}"
+                f"{anames[other_action]} (R={format_number(level)}) = {format_number(gap)}"
             )
     print(f"case: {classification.case_id}")
     for name, value in sorted(classification.thresholds.items()):
-        print(f"threshold {name} = {_fmt(value)}")
+        print(f"threshold {name} = {format_number(value)}")
     policy = analytic.closed_form_policy(ts, level)
-    print(f"optimal policy at R={_fmt(level)}: {harness.policy_label(model, policy)}")
+    print(f"optimal policy at R={format_number(level)}: {harness.policy_label(model, policy)}")
     closing = "]" if contract.sup_included else ")"
     print(
-        f"optimal contract: level in [0, {_fmt(contract.level_sup)}{closing}, "
-        f"premium = {_fmt(contract.premium_rate)} * level, profit = 0"
+        f"optimal contract: level in [0, {format_number(contract.level_sup)}{closing}, "
+        f"premium = {format_number(contract.premium_rate)} * level, profit = 0"
     )
     return 0
 
@@ -123,14 +116,14 @@ def _cmd_simulate(args) -> int:
     config = montecarlo.config_for(model, samples=args.samples, seed=args.seed)
     mean, stderr = montecarlo.simulate_value(model, policy, coverage, config)
     print(f"horizon: {config.horizon}  samples: {config.samples}  seed: {config.seed}")
-    print(f"estimate = {_fmt(mean)} +/- {_fmt(stderr)} (1 sigma)")
+    print(f"estimate = {format_number(mean)} +/- {format_number(stderr)} (1 sigma)")
     return 0
 
 
 def _cmd_reproduce(args) -> int:
     summary = harness.reproduce(args.study, args.out)
     print(f"wrote {args.study} outputs to {args.out}")
-    print(f"max_profit = {_fmt(summary['max_profit'])}")
+    print(f"max_profit = {format_number(summary['max_profit'])}")
     if summary.get("case"):
         print(f"case = {summary['case']}")
     return 0
@@ -190,7 +183,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (harness.ModelFileError, ValueError) as exc:
+    except (harness.ModelFileError, ValueError, contracts.CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

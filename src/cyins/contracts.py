@@ -9,15 +9,16 @@ best achievable profit is zero, attained exactly on the contracts that leave
 the user's no-insurance policy unchanged.  ``optimal_region`` extracts that
 zero-profit set from a sweep.
 
-Sweep rows are independent pure computations; ``CYINS_THREADS`` (environment
-variable) enables a thread pool, and results are identical serial or
-parallel because rows are collected in grid order.
+Every solve in this module is value iteration certified by the exact Bellman
+residual eps of the returned policy's values: ||V_pi - V*|| <= eps / (1 -
+discount) (Puterman 1994, section 6).  A solve that did not converge or whose
+bound exceeds ``tol * (1 + ||V||)`` raises :class:`CertificateError`, so no
+uncertified policy reaches a premium, a profit or a sweep row.  The other
+solvers stay in :mod:`cyins.solvers` as test oracles.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,9 +34,10 @@ from .model import (
     decompose_value,
     evaluate_policy,
 )
-from .solvers import SolveResult, solve_policy_enumeration, solve_value_iteration
+from .solvers import SolveResult, solve_value_iteration
 
 __all__ = [
+    "CertificateError",
     "Contract",
     "ContractSweepRow",
     "RegionInterval",
@@ -51,8 +53,6 @@ __all__ = [
 ]
 
 PROFIT_ZERO_TOL = 1e-7
-CROSS_CHECK_LIMIT = 10**4
-CROSS_CHECK_TOL = 1e-6
 BISECTION_WIDTH = 1e-6
 
 LINEAR_GRID_POINTS = 201
@@ -65,6 +65,10 @@ BOUNDARY_NOTE = (
     "so the insurer's profit at the exact switch is negative; "
     "closed-interval reporting conventions would include it"
 )
+
+
+class CertificateError(RuntimeError):
+    """A solve whose optimality the Bellman-residual certificate does not prove."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,18 @@ class RegionReport:
 
 
 def _solve(model: MdpModel, coverage: Coverage, tol: float) -> SolveResult:
-    return solve_value_iteration(model, coverage, tol=tol)
+    """Certified optimal response to ``coverage`` (see the module docstring)."""
+    solved = solve_value_iteration(model, coverage, tol=tol)
+    bound = solved.residual / (1.0 - model.discount)
+    # Relative, because the floating-point floor of the residual grows with ||V||.
+    limit = tol * (1.0 + float(np.abs(solved.values).max()))
+    if not solved.converged or not bound <= limit:
+        raise CertificateError(
+            f"uncertified solve for {coverage!r} at discount {model.discount}: "
+            f"converged={solved.converged} after {solved.iterations} iterations, "
+            f"certificate bound {bound:.3g}, limit {limit:.3g}"
+        )
+    return solved
 
 
 def max_premium(
@@ -198,71 +213,47 @@ def insurer_profit(
     return float(baseline.values[s0] - uninsured[s0])
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CYINS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _sweep_row(
-    model: MdpModel,
-    parameter: float,
-    coverage: Coverage,
-    baseline: SolveResult,
-    tol: float,
-) -> ContractSweepRow:
-    solved = _solve(model, coverage, tol)
-    if model.n_actions ** model.n_states <= CROSS_CHECK_LIMIT:
-        check = solve_policy_enumeration(model, coverage)
-        gap = float(np.abs(check.values - solved.values).max())
-        if gap > CROSS_CHECK_TOL:
-            raise RuntimeError(
-                f"solver cross-check failed at parameter {parameter}: "
-                f"value iteration and enumeration differ by {gap}"
-            )
-    s0 = model.initial_state
-    direct, cost = decompose_value(model, solved.policy)
-    # Single solve for the uninsured value so rows whose policy matches the
-    # baseline report a profit of exactly zero.
-    uninsured = evaluate_policy(model, solved.policy, ZeroCoverage())
-    return ContractSweepRow(
-        parameter=float(parameter),
-        policy=solved.policy,
-        user_value=float(solved.values[s0]),
-        max_premium=max(0.0, float(baseline.values[s0] - solved.values[s0])),
-        profit=float(baseline.values[s0] - uninsured[s0]),
-        direct_losses=float(direct[s0]),
-        protection_cost=float(cost[s0]),
-    )
-
-
 def _run_sweep(
     model: MdpModel,
     parameters: Sequence[float],
     coverage_at: Callable[[float], Coverage],
     tol: float,
 ) -> list[ContractSweepRow]:
+    s0 = model.initial_state
     baseline = _solve(model, ZeroCoverage(), tol)
 
-    def one(parameter: float) -> ContractSweepRow:
-        return _sweep_row(model, parameter, coverage_at(parameter), baseline, tol)
+    def uninsured_parts(policy: ProtectionPolicy) -> tuple[float, float]:
+        direct, cost = decompose_value(model, policy)
+        return float(direct[s0]), float(cost[s0])
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, parameters))
-    return [one(p) for p in parameters]
+    # Rows share this arithmetic, so a row on the baseline policy reports a
+    # profit of exactly zero.
+    baseline_uninsured = sum(uninsured_parts(baseline.policy))
+    rows = []
+    for parameter in parameters:
+        solved = _solve(model, coverage_at(parameter), tol)
+        direct, cost = uninsured_parts(solved.policy)
+        rows.append(
+            ContractSweepRow(
+                parameter=float(parameter),
+                policy=solved.policy,
+                user_value=float(solved.values[s0]),
+                max_premium=max(0.0, float(baseline.values[s0] - solved.values[s0])),
+                profit=baseline_uninsured - (direct + cost),
+                direct_losses=direct,
+                protection_cost=cost,
+            )
+        )
+    return rows
 
 
-def default_linear_grid() -> np.ndarray:
-    return np.linspace(0.0, 1.0, LINEAR_GRID_POINTS)
+def default_linear_grid(points: int = LINEAR_GRID_POINTS) -> np.ndarray:
+    return np.linspace(0.0, 1.0, points)
 
 
-def default_threshold_grid(model: MdpModel) -> np.ndarray:
+def default_threshold_grid(model: MdpModel, points: int = THRESHOLD_GRID_POINTS) -> np.ndarray:
     top = float(model.losses.max()) * THRESHOLD_GRID_MARGIN
-    return np.linspace(0.0, top if top > 0.0 else 1.0, THRESHOLD_GRID_POINTS)
+    return np.linspace(0.0, top if top > 0.0 else 1.0, points)
 
 
 def sweep_linear(

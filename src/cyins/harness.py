@@ -114,7 +114,8 @@ def parse_policy_label(model: MdpModel, label: str) -> ProtectionPolicy:
     return ProtectionPolicy(actions)
 
 
-def _fmt(value: float) -> str:
+def format_number(value: float) -> str:
+    """Render a number at 10 significant digits, as in sweep CSVs and CLI reports."""
     return f"{value:.10g}"
 
 
@@ -128,13 +129,13 @@ def _sweep_lines(
     lines = [header]
     for row in rows:
         fields = [
-            _fmt(row.parameter),
+            format_number(row.parameter),
             policy_label(model, row.policy),
-            _fmt(row.user_value),
-            _fmt(row.max_premium),
-            _fmt(row.profit),
-            _fmt(row.direct_losses),
-            _fmt(row.protection_cost),
+            format_number(row.user_value),
+            format_number(row.max_premium),
+            format_number(row.profit),
+            format_number(row.direct_losses),
+            format_number(row.protection_cost),
         ]
         if extra_values is not None:
             fields.extend(extra_values(row))
@@ -205,7 +206,7 @@ def reproduce(study: str, out_dir: str | Path) -> dict:
                 policy.actions[1 - model.initial_state],
                 row.parameter,
             )
-            return [policy_label(model, policy), _fmt(value), classification.case_id]
+            return [policy_label(model, policy), format_number(value), classification.case_id]
 
         lines = _sweep_lines(
             model, rows, ("analytic_policy", "analytic_value", "case_id"), overlay

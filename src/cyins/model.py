@@ -85,7 +85,8 @@ class ThresholdCoverage:
     """Two-tier coverage keyed on the loss size.
 
     Losses at or below ``cutoff`` are reimbursed at ``low_level``; losses
-    strictly above it at ``high_level``.  Ties pay the low tier.
+    strictly above it at ``high_level``.  Ties pay the low tier.  The cutoff is
+    finite: one at or above the largest loss already means "never high".
     """
 
     cutoff: float
@@ -93,8 +94,8 @@ class ThresholdCoverage:
     high_level: float
 
     def __post_init__(self):
-        if self.cutoff < 0.0:
-            raise ValueError(f"cutoff must be non-negative, got {self.cutoff}")
+        if not np.isfinite(self.cutoff) or self.cutoff < 0.0:
+            raise ValueError(f"cutoff must be finite and non-negative, got {self.cutoff}")
         for label, level in (("low_level", self.low_level), ("high_level", self.high_level)):
             if not 0.0 <= level <= 1.0:
                 raise ValueError(f"{label} must be in [0, 1], got {level}")
@@ -240,20 +241,19 @@ def validate_model(raw: Mapping) -> MdpModel:
     n, m = len(states), len(actions)
     trans = _validate_transitions(raw["transitions"], states, actions, errors)
     if trans is not None and n and m:
-        for a in range(m):
-            for s in range(n):
-                row = trans[a, s]
-                if np.any(row < -ROW_SUM_TOL) or np.any(row > 1.0 + ROW_SUM_TOL):
-                    errors.append(
-                        f"transition row for action {actions[a].name!r} from state "
-                        f"{states[s].name!r} has entries outside [0, 1]"
-                    )
-                total = float(row.sum())
-                if abs(total - 1.0) > ROW_SUM_TOL:
-                    errors.append(
-                        f"transition row for action {actions[a].name!r} from state "
-                        f"{states[s].name!r} sums to {total!r}, expected 1"
-                    )
+        finite = np.isfinite(trans).all(axis=2)
+        in_range = ((trans >= -ROW_SUM_TOL) & (trans <= 1.0 + ROW_SUM_TOL)).all(axis=2)
+        totals = trans.sum(axis=2)
+        sums_to_one = np.abs(totals - 1.0) <= ROW_SUM_TOL
+        for a, s in zip(*np.nonzero(~(finite & in_range & sums_to_one))):
+            where = f"transition row for action {actions[a].name!r} from state {states[s].name!r}"
+            if not finite[a, s]:
+                errors.append(f"{where} has non-finite entries")
+                continue
+            if not in_range[a, s]:
+                errors.append(f"{where} has entries outside [0, 1]")
+            if not sums_to_one[a, s]:
+                errors.append(f"{where} sums to {float(totals[a, s])!r}, expected 1")
 
     initial = raw.get("initial_state", 0)
     initial_index = 0
@@ -266,13 +266,14 @@ def validate_model(raw: Mapping) -> MdpModel:
     else:
         try:
             initial_index = int(initial)
-        except (TypeError, ValueError):
-            errors.append(f"initial_state must be a state name or index, got {initial!r}")
+        except (TypeError, ValueError, OverflowError):
+            initial_index = None
+        if isinstance(initial, bool) or initial_index is None or initial_index != initial:
+            errors.append(f"initial_state must be a state name or integer index, got {initial!r}")
             initial_index = 0
-        else:
-            if not 0 <= initial_index < max(n, 1):
-                errors.append(f"initial_state index {initial_index} out of range")
-                initial_index = 0
+        elif not 0 <= initial_index < max(n, 1):
+            errors.append(f"initial_state index {initial_index} out of range")
+            initial_index = 0
 
     if errors:
         raise fail()
@@ -384,12 +385,12 @@ def decompose_value(
     Returns ``(direct, cost)`` where each is the policy value computed with
     only that stage term; their sum equals ``evaluate_policy`` under zero
     coverage.  The direct part is the user's cyber-risk exposure, which is
-    what rises when insurance induces weaker protection.
+    what rises when insurance induces weaker protection.  Both streams come
+    from one factorisation of the policy's system.
     """
     model.check_policy(policy)
     idx = np.asarray(policy.actions)
     p_pi = model.transitions[idx, np.arange(model.n_states)]
     system = np.eye(model.n_states) - model.discount * p_pi
-    direct = np.linalg.solve(system, model.losses)
-    cost = np.linalg.solve(system, model.costs[idx])
-    return direct, cost
+    both = np.linalg.solve(system, np.column_stack([model.losses, model.costs[idx]]))
+    return both[:, 0], both[:, 1]

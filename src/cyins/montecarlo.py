@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Coverage, MdpModel, ProtectionPolicy, ZeroCoverage, apply_coverage, effective_loss
+from .model import Coverage, MdpModel, ProtectionPolicy, ZeroCoverage, apply_coverage, stage_loss_matrix
 
 __all__ = [
     "BATCH_SIZE",
@@ -74,12 +74,6 @@ def config_for(
         samples=samples,
         seed=seed,
         truncation_tol=rel_tol * scale,
-    )
-
-
-def _stage_values_effective(model, policy, coverage):
-    return np.array(
-        [effective_loss(model, s, policy.actions[s], coverage) for s in range(model.n_states)]
     )
 
 
@@ -145,7 +139,8 @@ def simulate_value(
 
     Returns (mean, standard error).  Deterministic given the seed.
     """
-    stage = _stage_values_effective(model, policy, coverage)
+    model.check_policy(policy)
+    stage = stage_loss_matrix(model, coverage)[np.arange(model.n_states), policy.actions]
     return _simulate_discounted_sum(model, policy, stage, config)
 
 

@@ -3,7 +3,9 @@ import copy
 import numpy as np
 import pytest
 
+from cyins import contracts
 from cyins.contracts import (
+    CertificateError,
     Contract,
     expected_cumulative_coverage,
     insurer_profit,
@@ -14,8 +16,14 @@ from cyins.contracts import (
     sweep_linear,
     sweep_threshold,
 )
-from cyins.model import LinearCoverage, ZeroCoverage, validate_model
-from cyins.solvers import solve_value_iteration
+from cyins.model import (
+    LinearCoverage,
+    ProtectionPolicy,
+    ZeroCoverage,
+    evaluate_policy,
+    validate_model,
+)
+from cyins.solvers import SolveResult, bellman_update, solve_value_iteration
 
 from helpers import TWO_STATE_RAW, random_coverage, random_model
 
@@ -167,13 +175,29 @@ def test_threshold_sweep_reference(four_state):
     assert max(r.profit for r in rows) == pytest.approx(0.0, abs=1e-7)
 
 
-def test_sweep_parallel_matches_serial(two_state, monkeypatch):
-    grid = list(np.linspace(0.0, 1.0, 41))
-    monkeypatch.delenv("CYINS_THREADS", raising=False)
-    serial = sweep_linear(two_state, grid)
-    monkeypatch.setenv("CYINS_THREADS", "4")
-    parallel = sweep_linear(two_state, grid)
-    assert serial == parallel
+# --------------------------------------------------------------- certificate
+
+def test_sweep_raises_when_value_iteration_does_not_converge():
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["discount"] = 0.9999
+    model = validate_model(raw)
+    with pytest.raises(CertificateError, match="converged=False"):
+        sweep_linear(model, [0.0, 0.5])
+
+
+def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
+    coverage = LinearCoverage(0.5)
+    optimal = solve_value_iteration(two_state, coverage)
+    worse = ProtectionPolicy(tuple(1 - a for a in optimal.policy.actions))
+    values = evaluate_policy(two_state, worse, coverage)
+    residual = float(np.abs(values - bellman_update(two_state, coverage, values)).max())
+
+    def suboptimal(model, coverage, tol):
+        return SolveResult(policy=worse, values=values, iterations=1, residual=residual)
+
+    monkeypatch.setattr(contracts, "solve_value_iteration", suboptimal)
+    with pytest.raises(CertificateError, match="converged=True"):
+        max_premium(two_state, coverage, optimal)
 
 
 # ------------------------------------------------------------ region report

@@ -244,6 +244,31 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_threshold_sweep_uses_the_default_grid_span(tmp_path, four_state, capsys):
+    out = tmp_path / "steps.csv"
+    model_path = str(bundled_model_path("four_state.model"))
+    args = ["sweep", "--model", model_path, "--family", "threshold", "--grid", "9"]
+    assert main(args + ["--low-level", "0", "--high-level", "0.9", "--out", str(out)]) == 0
+    grid = contracts.default_threshold_grid(four_state, 9)
+    expected = tmp_path / "expected.csv"
+    write_sweep_csv(four_state, contracts.sweep_threshold(four_state, 0.0, 0.9, grid), expected)
+    assert out.read_bytes() == expected.read_bytes()
+    capsys.readouterr()
+
+
+def test_cli_sweep_reports_an_uncertified_solve(tmp_path, capsys):
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["discount"] = 0.9999
+    model_path = tmp_path / "slow.model"
+    model_path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--model", str(model_path), "--family", "linear", "--grid", "2"]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: uncertified solve") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_simulate_and_reproduce(tmp_path, capsys):
     code = main(
         [

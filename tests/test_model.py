@@ -35,12 +35,33 @@ def test_validate_reference_model(two_state):
 
 
 def test_row_sum_violation_names_action_and_state():
+    for row, complaint in (
+        ([0.7, 0.2], "sums to"),
+        ([float("nan"), 0.5], "non-finite"),
+        ([float("inf"), 0.0], "non-finite"),
+    ):
+        raw = copy.deepcopy(TWO_STATE_RAW)
+        raw["transitions"][1][0] = row
+        with pytest.raises(ModelValidationError) as exc:
+            validate_model(raw)
+        assert len(exc.value.errors) == 1
+        message = str(exc.value)
+        assert "A_H" in message and "S_G" in message and complaint in message
+
+
+@pytest.mark.parametrize("initial", [True, False, 1.7, float("inf"), float("nan"), None])
+def test_initial_state_must_be_a_name_or_integer(initial):
     raw = copy.deepcopy(TWO_STATE_RAW)
-    raw["transitions"][1][0] = [0.7, 0.2]
-    with pytest.raises(ModelValidationError) as exc:
+    raw["initial_state"] = initial
+    with pytest.raises(ModelValidationError, match="initial_state"):
         validate_model(raw)
-    message = str(exc.value)
-    assert "A_H" in message and "S_G" in message and "sums to" in message
+
+
+def test_integral_initial_state_index_accepted():
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    for initial in (1, 1.0, np.int64(1), "S_B"):
+        raw["initial_state"] = initial
+        assert validate_model(raw).initial_state == 1
 
 
 def test_discount_one_rejected():
@@ -98,6 +119,9 @@ def test_coverage_level_bounds_enforced():
         ThresholdCoverage(cutoff=-1.0, low_level=0.0, high_level=0.5)
     with pytest.raises(ValueError):
         ThresholdCoverage(cutoff=1.0, low_level=0.0, high_level=1.2)
+    for cutoff in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdCoverage(cutoff=cutoff, low_level=0.0, high_level=0.5)
 
 
 def test_coverage_stays_within_loss():
