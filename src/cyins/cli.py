@@ -14,7 +14,6 @@ import sys
 from . import analytic, contracts, harness, montecarlo
 from .harness import format_number
 from .model import Coverage, LinearCoverage, ThresholdCoverage, ZeroCoverage
-from .solvers import solve_value_iteration
 
 __all__ = ["entrypoint", "main", "parse_coverage_spec"]
 
@@ -56,14 +55,15 @@ def parse_coverage_spec(spec: str) -> Coverage:
 def _cmd_solve(args) -> int:
     coverage = parse_coverage_spec(args.coverage)
     model = harness.load_model(args.model)
-    result = solve_value_iteration(model, coverage, tol=args.tol)
+    result = contracts._solve(model, coverage, args.tol)
+    bound = contracts._certificate_bound(model, result)
     print(f"policy: {harness.policy_label(model, result.policy)}")
     for state, value in zip(model.states, result.values):
         print(f"value[{state.name}] = {format_number(value)}")
-    print(f"iterations: {result.iterations}  residual: {format_number(result.residual)}")
-    if not result.converged:
-        print("warning: value iteration did not converge", file=sys.stderr)
-        return 1
+    print(
+        f"iterations: {result.iterations}  residual: {format_number(result.residual)}  "
+        f"certificate bound: {format_number(bound)}"
+    )
     return 0
 
 

@@ -140,10 +140,15 @@ class RegionReport:
     note: str = BOUNDARY_NOTE
 
 
+def _certificate_bound(model: MdpModel, solved: SolveResult) -> float:
+    """Bound eps / (1 - discount) on the sup-norm error of ``solved.values``."""
+    return solved.residual / (1.0 - model.discount)
+
+
 def _solve(model: MdpModel, coverage: Coverage, tol: float) -> SolveResult:
     """Certified optimal response to ``coverage`` (see the module docstring)."""
     solved = solve_value_iteration(model, coverage, tol=tol)
-    bound = solved.residual / (1.0 - model.discount)
+    bound = _certificate_bound(model, solved)
     # Relative, because the floating-point floor of the residual grows with ||V||.
     limit = tol * (1.0 + float(np.abs(solved.values).max()))
     if not solved.converged or not bound <= limit:

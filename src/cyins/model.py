@@ -30,6 +30,7 @@ __all__ = [
     "ThresholdCoverage",
     "ZeroCoverage",
     "apply_coverage",
+    "coverage_paid",
     "decompose_value",
     "effective_loss",
     "evaluate_policy",
@@ -346,11 +347,14 @@ def effective_loss(model: MdpModel, state: int, action: int, coverage: Coverage)
     return x - apply_coverage(coverage, x) + model.actions[action].cost
 
 
+def coverage_paid(model: MdpModel, coverage: Coverage) -> np.ndarray:
+    """Reimbursement paid in each state, shape (n_states,)."""
+    return np.array([apply_coverage(coverage, s.loss) for s in model.states])
+
+
 def stage_loss_matrix(model: MdpModel, coverage: Coverage) -> np.ndarray:
     """Effective losses for every (state, action) pair, shape (n_states, n_actions)."""
-    retained = np.array(
-        [s.loss - apply_coverage(coverage, s.loss) for s in model.states]
-    )
+    retained = model.losses - coverage_paid(model, coverage)
     return retained[:, None] + model.costs[None, :]
 
 

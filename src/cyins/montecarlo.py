@@ -6,6 +6,12 @@ the counter-based Philox generator keyed on (seed, batch index), and
 categorical sampling is cumulative-probability inversion in fixed state
 order, so estimates are bit-reproducible across platforms and identical
 whether batches run serially or in parallel.
+
+The inversion is a vectorised binary search over each cumulative row, padded
+once per call to a power-of-two width.  On rows of non-negative
+probabilities it returns exactly the state the plain comparison sum
+``(draws[:, None] >= cum[states]).sum(axis=1)`` picks, without building a
+samples x states temporary at every step.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Coverage, MdpModel, ProtectionPolicy, ZeroCoverage, apply_coverage, stage_loss_matrix
+from .model import Coverage, MdpModel, ProtectionPolicy, coverage_paid, stage_loss_matrix
 
 __all__ = [
     "BATCH_SIZE",
@@ -77,8 +83,38 @@ def config_for(
     )
 
 
-def _stage_values_coverage(model, coverage):
-    return np.array([apply_coverage(coverage, s.loss) for s in model.states])
+def _inversion_table(p_pi: np.ndarray) -> tuple[np.ndarray, int]:
+    """Cumulative transition rows padded to a power-of-two width, flattened.
+
+    The last real entry is forced to 1 so a uniform draw in [0, 1) can never
+    fall off the end, and the pad is 2.0, above every draw.  The running
+    maximum keeps each row non-decreasing, which the binary search needs; it
+    changes nothing unless validation let a tiny negative entry through.
+    """
+    n = len(p_pi)
+    width = 1 << (n - 1).bit_length()
+    table = np.full((n, width), 2.0)
+    table[:, :n] = np.cumsum(p_pi, axis=1)
+    table[:, n - 1] = 1.0
+    np.maximum.accumulate(table, axis=1, out=table)
+    return table.ravel(), width
+
+
+def _next_states(table: np.ndarray, width: int, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Per trajectory, the number of entries of its current row at or below its draw.
+
+    Rows never decrease and every draw is below the forced 1, so the entries
+    at or below a draw form a prefix of fewer than ``width`` entries, and
+    halving steps from ``width // 2`` find its length.
+    """
+    pos = states * width
+    step = width // 2
+    while step:
+        # Entry pos + step - 1, read through an offset view to save an add.
+        pos += (draws >= table[step - 1 :][pos]) * step
+        step //= 2
+    # The count is below width, so it is the offset within the row.
+    return pos & (width - 1)
 
 
 def _simulate_discounted_sum(
@@ -87,14 +123,13 @@ def _simulate_discounted_sum(
     stage_values: np.ndarray,
     config: SimulationConfig,
 ) -> tuple[float, float]:
-    """Mean and standard error of sum_t discount^t * stage_values[s_t]."""
-    model.check_policy(policy)
+    """Mean and standard error of sum_t discount^t * stage_values[s_t].
+
+    The caller has checked ``policy`` against ``model``.
+    """
     n = model.n_states
-    # Cumulative rows for inversion sampling; the last entry is forced to 1
-    # so a uniform draw in [0, 1) can never fall off the end.
     p_pi = model.transitions[np.asarray(policy.actions), np.arange(n)]
-    cum = np.cumsum(p_pi, axis=1)
-    cum[:, -1] = 1.0
+    table, width = _inversion_table(p_pi)
 
     delta = model.discount
     totals = np.empty(config.samples)
@@ -113,7 +148,7 @@ def _simulate_discounted_sum(
             weight *= delta
             if t + 1 < config.horizon:
                 draws = rng.random(size)
-                states = (draws[:, None] >= cum[states]).sum(axis=1)
+                states = _next_states(table, width, states, draws)
         totals[produced : produced + size] = acc
         produced += size
         batch_index += 1
@@ -151,8 +186,5 @@ def simulate_coverage_paid(
     config: SimulationConfig,
 ) -> tuple[float, float]:
     """Sampled expected cumulative discounted reimbursement paid by the insurer."""
-    if isinstance(coverage, ZeroCoverage):
-        stage = np.zeros(model.n_states)
-    else:
-        stage = _stage_values_coverage(model, coverage)
-    return _simulate_discounted_sum(model, policy, stage, config)
+    model.check_policy(policy)
+    return _simulate_discounted_sum(model, policy, coverage_paid(model, coverage), config)

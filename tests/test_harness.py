@@ -188,6 +188,8 @@ def test_cli_solve_full_coverage(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "A_L|A_L" in out
+    bound = float(out.split("certificate bound: ")[1].split()[0])
+    assert 0.0 <= bound <= 1e-9
 
 
 def test_cli_analytic_report(capsys):
@@ -267,6 +269,17 @@ def test_cli_sweep_reports_an_uncertified_solve(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: uncertified solve") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_solve_reports_an_uncertified_solve(tmp_path, capsys):
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["discount"] = 0.9999
+    model_path = tmp_path / "slow.model"
+    model_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--model", str(model_path), "--coverage", "none"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: uncertified solve") and "Traceback" not in captured.err
+    assert "policy:" not in captured.out and "value[" not in captured.out
 
 
 def test_cli_simulate_and_reproduce(tmp_path, capsys):

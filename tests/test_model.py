@@ -10,9 +10,11 @@ from cyins.model import (
     ThresholdCoverage,
     ZeroCoverage,
     apply_coverage,
+    coverage_paid,
     decompose_value,
     effective_loss,
     evaluate_policy,
+    stage_loss_matrix,
     validate_model,
 )
 
@@ -169,6 +171,17 @@ def test_effective_loss_full_coverage_leaves_cost(two_state):
 
 def test_effective_loss_good_state_weak_action_uninsured(two_state):
     assert effective_loss(two_state, 0, 0, ZeroCoverage()) == 0.0
+
+
+def test_stage_matrix_and_paid_vector_match_per_state_values(four_state):
+    for coverage in (ZeroCoverage(), LinearCoverage(0.37), ThresholdCoverage(8.0, 0.2, 0.9)):
+        paid = coverage_paid(four_state, coverage)
+        assert paid.tolist() == [apply_coverage(coverage, s.loss) for s in four_state.states]
+        stage = stage_loss_matrix(four_state, coverage)
+        assert stage.tolist() == [
+            [effective_loss(four_state, s, a, coverage) for a in range(four_state.n_actions)]
+            for s in range(four_state.n_states)
+        ]
 
 
 # ------------------------------------------------------------ policy values

@@ -1,7 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import cyins.montecarlo as mc
 from cyins.model import (
@@ -161,3 +165,168 @@ def test_twenty_seed_consistency_band(two_state):
         if abs(mean - exact) <= 3.0 * stderr + config.truncation_tol:
             hits += 1
     assert hits >= 18
+
+
+def reference_next_states(p_pi, states, draws):
+    """The comparison-sum inversion the binary search must reproduce exactly."""
+    cum = np.cumsum(p_pi, axis=1)
+    cum[:, -1] = 1.0
+    return (draws[:, None] >= cum[states]).sum(axis=1)
+
+
+def assert_inversion_matches_reference(p_pi, states, draws):
+    p_pi = np.asarray(p_pi, dtype=float)
+    states = np.asarray(states, dtype=np.intp)
+    draws = np.asarray(draws, dtype=float)
+    table, width = mc._inversion_table(p_pi)
+    got = mc._next_states(table, width, states, draws)
+    np.testing.assert_array_equal(got, reference_next_states(p_pi, states, draws))
+
+
+def edge_draws(p_pi):
+    """Every cumulative entry below 1, its float neighbours, 0 and the largest draw."""
+    cum = np.cumsum(p_pi, axis=1).ravel()
+    cum = cum[cum < 1.0]
+    near = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+    return np.concatenate([near[near < 1.0], [0.0, np.nextafter(1.0, 0.0)]])
+
+
+EDGE_ROWS = {
+    "one state": [[1.0]],
+    # Zero-probability columns repeat cumulative entries.
+    "zero columns": [
+        [0.0, 0.5, 0.0, 0.5],
+        [0.25, 0.0, 0.0, 0.75],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ],
+    # The running sum reaches 1.0000000000000002 before the last column.
+    "rounds above one": [[0.35779816513761475, 0.3211009174311927, 0.3211009174311927, 0.0]] * 4,
+    # The running sum ends at 0.9999999999999999, the largest draw.
+    "rounds below one": [[0.1] * 10] * 10,
+    "two states": [[0.5, 0.5], [0.6, 0.4]],
+    "five states": [
+        [0.2] * 5,
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.1, 0.2, 0.3, 0.4, 0.0],
+        [0.2] * 5,
+    ],
+    "eight states": [[0.125] * 8] * 8,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_ROWS))
+def test_inversion_matches_reference_on_edge_rows(name):
+    p_pi = np.array(EDGE_ROWS[name])
+    draws = edge_draws(p_pi)
+    for state in range(len(p_pi)):
+        assert_inversion_matches_reference(p_pi, np.full(len(draws), state), draws)
+
+
+@st.composite
+def stochastic_rows_and_draws(draw):
+    n = draw(st.integers(1, 20))
+    weights = draw(arrays(float, (n, n), elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
+    weights[weights.sum(axis=1) == 0.0, n - 1] = 1.0
+    p_pi = weights / weights.sum(axis=1, keepdims=True)
+    k = draw(st.integers(1, 64))
+    states = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    uniform = st.floats(0.0, 1.0, exclude_max=True)
+    on_entry = st.sampled_from(sorted(set(edge_draws(p_pi).tolist())))
+    draws = draw(st.lists(st.one_of(uniform, on_entry), min_size=k, max_size=k))
+    return p_pi, states, draws
+
+
+@settings(deadline=None)
+@given(stochastic_rows_and_draws())
+def test_inversion_matches_reference_on_random_rows(case):
+    assert_inversion_matches_reference(*case)
+
+
+def test_inversion_table_rows_never_decrease():
+    # Validation tolerates entries down to -ROW_SUM_TOL; the running maximum
+    # keeps such a row searchable and gives the negative entry no draws.
+    raw = {
+        "discount": 0.9,
+        "states": [{"name": f"s{i}", "loss": 1.0} for i in range(3)],
+        "actions": [{"name": "a", "cost": 0.0}],
+        "transitions": [[[0.5, -5e-10, 0.5 + 5e-10]] * 3],
+    }
+    p_pi = validate_model(raw).transitions[0]
+    table, width = mc._inversion_table(p_pi)
+    assert width == 4
+    assert (np.diff(table.reshape(3, width), axis=1) >= 0.0).all()
+    dip = np.array([np.nextafter(0.5, 0.0), 0.5 - 2.5e-10])
+    assert mc._next_states(table, width, np.zeros(2, dtype=np.intp), dip).tolist() == [0, 0]
+
+
+def sixteen_state_case():
+    rng = random.Random(16)
+    n, m = 16, 3
+    raw = {
+        "discount": 0.9,
+        "states": [
+            {"name": f"S{i}", "loss": 0.0 if i == 0 else rng.uniform(0.5, 20.0)} for i in range(n)
+        ],
+        "actions": [{"name": f"A{j}", "cost": 0.3 * j} for j in range(m)],
+        "transitions": [],
+    }
+    for a in range(m):
+        block = []
+        for _ in range(n):
+            # About a quarter of the entries are zero.
+            w = [rng.random() if rng.random() < 0.75 else 0.0 for _ in range(n)]
+            w[0] += 0.5 * a + 0.01
+            total = sum(w)
+            block.append([x / total for x in w])
+        raw["transitions"].append(block)
+    policy = ProtectionPolicy(tuple(rng.randrange(m) for _ in range(n)))
+    return validate_model(raw), policy, LinearCoverage(0.7)
+
+
+# (mean, stderr) of simulate_value, then of simulate_coverage_paid, at 70,000
+# samples (two Philox batches) and seed 7: the random stream, the batch keying
+# and the state order, pinned bit for bit.
+PINNED_STREAMS = {
+    "two_state": (
+        (23.183521911664958, 0.02395356757379705),
+        (8.78902068800634, 0.015969045049198043),
+    ),
+    "four_state": (
+        (11.958761711777825, 0.01032210641922272),
+        (3.3022289753504266, 0.014116683787021765),
+    ),
+    "sixteen_state": (
+        (23.378403334977623, 0.011935888194285692),
+        (49.1823147731325, 0.02707885107163898),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+def test_estimates_are_pinned_bit_for_bit(name, two_state, four_state):
+    model, policy, coverage = {
+        "two_state": lambda: (two_state, PI_HH, LinearCoverage(0.4)),
+        "four_state": lambda: (
+            four_state,
+            ProtectionPolicy((2, 2, 1, 0)),
+            ThresholdCoverage(6.0, 0.2, 0.9),
+        ),
+        "sixteen_state": sixteen_state_case,
+    }[name]()
+    config = config_for(model, samples=70_000, seed=7)
+    assert config.horizon == 132
+    got = (
+        simulate_value(model, policy, coverage, config),
+        simulate_coverage_paid(model, policy, coverage, config),
+    )
+    assert got == PINNED_STREAMS[name]
+
+
+@pytest.mark.parametrize("estimator", [simulate_value, simulate_coverage_paid])
+@pytest.mark.parametrize("actions", [(1, 1, 1), (0, 5), (0, -1)])
+def test_invalid_policy_is_a_value_error(two_state, estimator, actions):
+    config = config_for(two_state, samples=10, seed=0)
+    with pytest.raises(ValueError, match="policy"):
+        estimator(two_state, ProtectionPolicy(actions), LinearCoverage(0.5), config)
