@@ -6,8 +6,8 @@ The package has five layers:
   evaluation;
 - :mod:`cyins.solvers`: optimal policies by value iteration, linear
   programming (self-contained simplex) and brute-force enumeration;
-- :mod:`cyins.contracts`: premiums, insurer profit, contract sweeps and
-  zero-profit region extraction;
+- :mod:`cyins.contracts`: contract sweeps (premium, insurer profit and
+  coverage paid per row) and zero-profit region extraction;
 - :mod:`cyins.analytic`: exact closed forms for the two-state / two-action
   case under linear coverage;
 - :mod:`cyins.montecarlo` / :mod:`cyins.harness`: a statistical oracle,
@@ -26,12 +26,8 @@ from .analytic import (
 )
 from .contracts import (
     CertificateError,
-    Contract,
     ContractSweepRow,
     RegionReport,
-    expected_cumulative_coverage,
-    insurer_profit,
-    max_premium,
     optimal_region,
     sweep_linear,
     sweep_threshold,
@@ -69,7 +65,6 @@ __all__ = [
     "Action",
     "CaseClassification",
     "CertificateError",
-    "Contract",
     "ContractSweepRow",
     "LinearCoverage",
     "LpProblem",
@@ -94,10 +89,7 @@ __all__ = [
     "decompose_value",
     "effective_loss",
     "evaluate_policy",
-    "expected_cumulative_coverage",
-    "insurer_profit",
     "load_model",
-    "max_premium",
     "optimal_contract",
     "optimal_region",
     "peltzman_regions",

@@ -55,7 +55,7 @@ def parse_coverage_spec(spec: str) -> Coverage:
 def _cmd_solve(args) -> int:
     coverage = parse_coverage_spec(args.coverage)
     model = harness.load_model(args.model)
-    result = contracts._solve(model, coverage, args.tol)
+    result = contracts._solve(model, coverage)
     bound = contracts._certificate_bound(model, result)
     print(f"policy: {harness.policy_label(model, result.policy)}")
     for state, value in zip(model.states, result.values):
@@ -139,7 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="optimal protection policy for a coverage")
     p_solve.add_argument("--model", required=True)
     p_solve.add_argument("--coverage", required=True)
-    p_solve.add_argument("--tol", type=float, default=1e-9)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="contract sweep to CSV")

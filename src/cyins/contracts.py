@@ -1,4 +1,4 @@
-"""Insurer-side economics: premiums, profit, contract sweeps, optimal regions.
+"""Insurer-side economics: contract sweeps and optimal regions.
 
 The insurer announces a contract (premium + coverage function); the user
 responds with his optimal protection policy.  The largest premium the user
@@ -9,17 +9,23 @@ best achievable profit is zero, attained exactly on the contracts that leave
 the user's no-insurance policy unchanged.  ``optimal_region`` extracts that
 zero-profit set from a sweep.
 
+A sweep row is the one place premium, profit and coverage paid are computed;
+a one-off quote is a one-row sweep (``sweep_linear(model, [level])`` or
+``sweep_threshold(model, low, high, [cutoff])``), and the coverage paid is
+``direct_losses + protection_cost - user_value``.
+
 Every solve in this module is value iteration certified by the exact Bellman
 residual eps of the returned policy's values: ||V_pi - V*|| <= eps / (1 -
 discount) (Puterman 1994, section 6).  A solve that did not converge or whose
-bound exceeds ``tol * (1 + ||V||)`` raises :class:`CertificateError`, so no
-uncertified policy reaches a premium, a profit or a sweep row.  The other
+bound exceeds ``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so
+no uncertified policy reaches a sweep row or a switch refinement.  The other
 solvers stay in :mod:`cyins.solvers` as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,25 +38,23 @@ from .model import (
     ThresholdCoverage,
     ZeroCoverage,
     decompose_value,
-    evaluate_policy,
 )
 from .solvers import SolveResult, solve_value_iteration
 
 __all__ = [
     "CertificateError",
-    "Contract",
     "ContractSweepRow",
     "RegionInterval",
     "RegionReport",
-    "expected_cumulative_coverage",
-    "insurer_profit",
     "make_linear_refiner",
     "make_threshold_refiner",
-    "max_premium",
     "optimal_region",
     "sweep_linear",
     "sweep_threshold",
 ]
+
+# Value-iteration stopping tolerance and relative certificate limit of every solve.
+CERT_TOL = 1e-9
 
 PROFIT_ZERO_TOL = 1e-7
 BISECTION_WIDTH = 1e-6
@@ -72,24 +76,15 @@ class CertificateError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Contract:
-    """An announced insurance contract: up-front premium plus coverage function."""
-
-    premium: float
-    coverage: Coverage
-
-    def __post_init__(self):
-        if not np.isfinite(self.premium) or self.premium < 0.0:
-            raise ValueError(f"premium must be finite and non-negative, got {self.premium}")
-
-
-@dataclass(frozen=True)
 class ContractSweepRow:
     """One evaluated contract point along a parameter sweep.
 
-    ``direct_losses`` and ``protection_cost`` decompose the user's uninsured
-    value under the induced policy, so ``profit`` is recomputable as
-    baseline value - (direct_losses + protection_cost).
+    ``max_premium`` is the drop in the user's expected cumulative loss against
+    the no-insurance baseline, never negative.  ``direct_losses`` and
+    ``protection_cost`` decompose the user's uninsured value under the induced
+    policy, so the expected discounted coverage paid is direct_losses +
+    protection_cost - user_value, and ``profit`` (premium minus coverage paid)
+    is recomputable as baseline value - (direct_losses + protection_cost).
     """
 
     parameter: float
@@ -145,12 +140,12 @@ def _certificate_bound(model: MdpModel, solved: SolveResult) -> float:
     return solved.residual / (1.0 - model.discount)
 
 
-def _solve(model: MdpModel, coverage: Coverage, tol: float) -> SolveResult:
+def _solve(model: MdpModel, coverage: Coverage) -> SolveResult:
     """Certified optimal response to ``coverage`` (see the module docstring)."""
-    solved = solve_value_iteration(model, coverage, tol=tol)
+    solved = solve_value_iteration(model, coverage, tol=CERT_TOL)
     bound = _certificate_bound(model, solved)
     # Relative, because the floating-point floor of the residual grows with ||V||.
-    limit = tol * (1.0 + float(np.abs(solved.values).max()))
+    limit = CERT_TOL * (1.0 + float(np.abs(solved.values).max()))
     if not solved.converged or not bound <= limit:
         raise CertificateError(
             f"uncertified solve for {coverage!r} at discount {model.discount}: "
@@ -160,72 +155,13 @@ def _solve(model: MdpModel, coverage: Coverage, tol: float) -> SolveResult:
     return solved
 
 
-def max_premium(
-    model: MdpModel,
-    coverage: Coverage,
-    baseline: SolveResult,
-    solved: SolveResult | None = None,
-    tol: float = 1e-9,
-) -> float:
-    """Largest premium a rational user accepts for ``coverage``.
-
-    The user compares his optimally-protected insured losses against the
-    no-insurance baseline; the premium can absorb exactly the difference.
-    Never negative: keeping the baseline policy under coverage already
-    weakly lowers the user's losses.
-    """
-    if solved is None:
-        solved = _solve(model, coverage, tol)
-    s0 = model.initial_state
-    return max(0.0, float(baseline.values[s0] - solved.values[s0]))
-
-
-def expected_cumulative_coverage(
-    model: MdpModel,
-    coverage: Coverage,
-    solved: SolveResult | None = None,
-    tol: float = 1e-9,
-) -> float:
-    """Expected discounted reimbursement the insurer pays under the induced policy.
-
-    Equals the induced policy's uninsured value minus its insured value
-    (coverage is the only difference between the two stage losses).
-    """
-    if solved is None:
-        solved = _solve(model, coverage, tol)
-    s0 = model.initial_state
-    uninsured = evaluate_policy(model, solved.policy, ZeroCoverage())
-    return float(uninsured[s0] - solved.values[s0])
-
-
-def insurer_profit(
-    model: MdpModel,
-    coverage: Coverage,
-    baseline: SolveResult,
-    solved: SolveResult | None = None,
-    tol: float = 1e-9,
-) -> float:
-    """Operating profit at the maximum premium: never positive at the optimum.
-
-    Collapses to the baseline value minus the induced policy's uninsured
-    value, so it is zero exactly when coverage leaves the user's policy
-    unchanged and negative when it induces weaker protection.
-    """
-    if solved is None:
-        solved = _solve(model, coverage, tol)
-    s0 = model.initial_state
-    uninsured = evaluate_policy(model, solved.policy, ZeroCoverage())
-    return float(baseline.values[s0] - uninsured[s0])
-
-
 def _run_sweep(
     model: MdpModel,
     parameters: Sequence[float],
     coverage_at: Callable[[float], Coverage],
-    tol: float,
 ) -> list[ContractSweepRow]:
     s0 = model.initial_state
-    baseline = _solve(model, ZeroCoverage(), tol)
+    baseline = _solve(model, ZeroCoverage())
 
     def uninsured_parts(policy: ProtectionPolicy) -> tuple[float, float]:
         direct, cost = decompose_value(model, policy)
@@ -236,7 +172,7 @@ def _run_sweep(
     baseline_uninsured = sum(uninsured_parts(baseline.policy))
     rows = []
     for parameter in parameters:
-        solved = _solve(model, coverage_at(parameter), tol)
+        solved = _solve(model, coverage_at(parameter))
         direct, cost = uninsured_parts(solved.policy)
         rows.append(
             ContractSweepRow(
@@ -261,10 +197,18 @@ def default_threshold_grid(model: MdpModel, points: int = THRESHOLD_GRID_POINTS)
     return np.linspace(0.0, top if top > 0.0 else 1.0, points)
 
 
+def _linear_coverage(level: float) -> Coverage:
+    """The linear contract at ``level``; level 0 is no insurance."""
+    return ZeroCoverage() if level == 0.0 else LinearCoverage(level)
+
+
+def _threshold_coverage(low_level: float, high_level: float) -> Callable[[float], Coverage]:
+    """The two-tier contracts with these levels, as a function of the cutoff."""
+    return partial(ThresholdCoverage, low_level=low_level, high_level=high_level)
+
+
 def sweep_linear(
-    model: MdpModel,
-    grid: Sequence[float] | None = None,
-    tol: float = 1e-9,
+    model: MdpModel, grid: Sequence[float] | None = None
 ) -> list[ContractSweepRow]:
     """Evaluate linear-coverage contracts over a grid of coverage levels in [0, 1]."""
     if grid is None:
@@ -274,11 +218,7 @@ def sweep_linear(
         raise ValueError("linear sweep grid must lie within [0, 1]")
     if sorted(grid) != grid:
         raise ValueError("sweep grid must be sorted ascending")
-
-    def coverage_at(level: float) -> Coverage:
-        return ZeroCoverage() if level == 0.0 else LinearCoverage(level)
-
-    return _run_sweep(model, grid, coverage_at, tol)
+    return _run_sweep(model, grid, _linear_coverage)
 
 
 def sweep_threshold(
@@ -286,7 +226,6 @@ def sweep_threshold(
     low_level: float,
     high_level: float,
     grid: Sequence[float] | None = None,
-    tol: float = 1e-9,
 ) -> list[ContractSweepRow]:
     """Evaluate two-tier coverage contracts over a grid of loss cutoffs."""
     if not 0.0 <= low_level <= high_level <= 1.0:
@@ -296,41 +235,30 @@ def sweep_threshold(
     grid = [float(g) for g in grid]
     if sorted(grid) != grid:
         raise ValueError("sweep grid must be sorted ascending")
-
-    def coverage_at(cutoff: float) -> Coverage:
-        return ThresholdCoverage(cutoff=cutoff, low_level=low_level, high_level=high_level)
-
-    return _run_sweep(model, grid, coverage_at, tol)
+    return _run_sweep(model, grid, _threshold_coverage(low_level, high_level))
 
 
-def make_linear_refiner(model: MdpModel, tol: float = 1e-9) -> Callable[[float, float], float]:
+def make_linear_refiner(model: MdpModel) -> Callable[[float, float], float]:
     """Bisection refiner for policy-switch levels along a linear sweep.
 
     The returned callable takes a bracket (inside, outside) where the induced
     policy at ``inside`` differs from the policy at ``outside``, and narrows
     the switch point to within BISECTION_WIDTH.
     """
-
-    def policy_at(level: float) -> ProtectionPolicy:
-        coverage = ZeroCoverage() if level == 0.0 else LinearCoverage(level)
-        return _solve(model, coverage, tol).policy
-
-    return _policy_switch_refiner(policy_at)
+    return _policy_switch_refiner(model, _linear_coverage)
 
 
 def make_threshold_refiner(
-    model: MdpModel, low_level: float, high_level: float, tol: float = 1e-9
+    model: MdpModel, low_level: float, high_level: float
 ) -> Callable[[float, float], float]:
     """Bisection refiner for policy-switch cutoffs along a threshold sweep."""
-
-    def policy_at(cutoff: float) -> ProtectionPolicy:
-        coverage = ThresholdCoverage(cutoff=cutoff, low_level=low_level, high_level=high_level)
-        return _solve(model, coverage, tol).policy
-
-    return _policy_switch_refiner(policy_at)
+    return _policy_switch_refiner(model, _threshold_coverage(low_level, high_level))
 
 
-def _policy_switch_refiner(policy_at: Callable[[float], ProtectionPolicy]):
+def _policy_switch_refiner(model: MdpModel, coverage_at: Callable[[float], Coverage]):
+    def policy_at(parameter: float) -> ProtectionPolicy:
+        return _solve(model, coverage_at(parameter)).policy
+
     def refine(inside: float, outside: float) -> float:
         reference = policy_at(inside)
         lo, hi = inside, outside

@@ -15,7 +15,7 @@ it double as an oracle for the iterative solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -119,9 +119,11 @@ class ProtectionPolicy:
 class MdpModel:
     """Validated discounted Markov decision process with monetary losses.
 
-    ``transitions`` is indexed ``[action][from_state][to_state]`` and is
-    frozen (read-only numpy array).  Use :func:`validate_model` to build one
-    from a raw description; direct construction skips validation.
+    ``transitions`` is indexed ``[action][from_state][to_state]``; it and the
+    per-state ``losses`` and per-action ``costs`` vectors derived from
+    ``states`` and ``actions`` are read-only numpy arrays.  Use
+    :func:`validate_model` to build one from a raw description; direct
+    construction skips validation.
     """
 
     states: tuple[State, ...]
@@ -129,11 +131,17 @@ class MdpModel:
     transitions: np.ndarray
     discount: float
     initial_state: int = 0
+    losses: np.ndarray = field(init=False, repr=False)
+    costs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        trans = np.asarray(self.transitions, dtype=float)
-        trans.setflags(write=False)
-        object.__setattr__(self, "transitions", trans)
+        for name, array in (
+            ("transitions", np.asarray(self.transitions, dtype=float)),
+            ("losses", np.array([s.loss for s in self.states], dtype=float)),
+            ("costs", np.array([a.cost for a in self.actions], dtype=float)),
+        ):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n_states(self) -> int:
@@ -142,14 +150,6 @@ class MdpModel:
     @property
     def n_actions(self) -> int:
         return len(self.actions)
-
-    @property
-    def losses(self) -> np.ndarray:
-        return np.array([s.loss for s in self.states])
-
-    @property
-    def costs(self) -> np.ndarray:
-        return np.array([a.cost for a in self.actions])
 
     def state_index(self, name: str) -> int:
         for i, s in enumerate(self.states):
@@ -200,11 +200,11 @@ def validate_model(raw: Mapping) -> MdpModel:
         raise fail()
 
     states: list[State] = []
-    for i, entry in enumerate(raw["states"]):
+    for i, entry in enumerate(_entry_list(raw, "states", errors)):
         try:
             name = str(entry["name"])
             loss = float(entry["loss"])
-        except (TypeError, KeyError, ValueError):
+        except (TypeError, KeyError, ValueError, OverflowError):
             errors.append(f"states[{i}]: expected {{name, loss}}")
             continue
         if not np.isfinite(loss) or loss < 0.0:
@@ -212,11 +212,11 @@ def validate_model(raw: Mapping) -> MdpModel:
         states.append(State(name, loss))
 
     actions: list[Action] = []
-    for i, entry in enumerate(raw["actions"]):
+    for i, entry in enumerate(_entry_list(raw, "actions", errors)):
         try:
             name = str(entry["name"])
             cost = float(entry["cost"])
-        except (TypeError, KeyError, ValueError):
+        except (TypeError, KeyError, ValueError, OverflowError):
             errors.append(f"actions[{i}]: expected {{name, cost}}")
             continue
         if not np.isfinite(cost) or cost < 0.0:
@@ -234,7 +234,7 @@ def validate_model(raw: Mapping) -> MdpModel:
 
     try:
         discount = float(raw["discount"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         discount = float("nan")
     if not np.isfinite(discount) or not 0.0 <= discount < 1.0:
         errors.append(f"discount must lie in [0, 1), got {raw['discount']!r}")
@@ -288,43 +288,64 @@ def validate_model(raw: Mapping) -> MdpModel:
     )
 
 
+def _sequence(value) -> list | None:
+    """``value`` as a list when it is a sequence of entries (not a string or mapping)."""
+    if isinstance(value, (str, bytes, Mapping)):
+        return None
+    try:
+        return list(value)
+    except TypeError:
+        return None
+
+
+def _entry_list(raw: Mapping, key: str, errors: list[str]) -> list:
+    """``raw[key]`` as a list of entries; otherwise report it and return []."""
+    entries = _sequence(raw[key])
+    if entries is None:
+        errors.append(f"{key}: expected a list of entries, got {type(raw[key]).__name__}")
+        return []
+    return entries
+
+
 def _validate_transitions(raw_trans, states, actions, errors) -> np.ndarray | None:
     """Shape-check the nested [action][from][to] array, naming offending blocks."""
     n, m = len(states), len(actions)
     try:
-        blocks = list(raw_trans)
-    except TypeError:
+        trans = np.array(raw_trans, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        trans = None
+    if trans is not None and trans.shape == (m, n, n):
+        return trans
+    blocks = _sequence(raw_trans)
+    if blocks is None:
         errors.append("transitions: expected a nested array [action][from][to]")
         return None
     if len(blocks) != m:
         errors.append(f"transitions: expected {m} action blocks, got {len(blocks)}")
         return None
-    ok = True
+    matrix = []
     for a, block in enumerate(blocks):
-        label = actions[a].name if a < len(actions) else str(a)
-        try:
-            rows = list(block)
-        except TypeError:
-            rows = None
+        label = actions[a].name
+        rows = _sequence(block)
         if rows is None or len(rows) != n:
             got = "not a sequence" if rows is None else f"{len(rows)} rows"
             errors.append(f"transitions for action {label!r}: expected {n} rows, got {got}")
-            ok = False
             continue
         for s, row in enumerate(rows):
             try:
-                entries = [float(x) for x in row]
-            except (TypeError, ValueError):
-                entries = None
-            if entries is None or len(entries) != n:
+                entries = [float(x) for x in _sequence(row) or ()]
+            except (TypeError, ValueError, OverflowError):
+                entries = []
+            if len(entries) != n:
                 errors.append(
                     f"transitions for action {label!r} from state {states[s].name!r}: "
                     f"expected {n} numeric entries"
                 )
-                ok = False
-    if not ok:
+            else:
+                matrix.append(entries)
+    if len(matrix) != n * m:
         return None
-    return np.asarray(raw_trans, dtype=float)
+    return np.array(matrix, dtype=float).reshape(m, n, n)
 
 
 def apply_coverage(coverage: Coverage, loss: float) -> float:

@@ -6,12 +6,8 @@ import pytest
 from cyins import contracts
 from cyins.contracts import (
     CertificateError,
-    Contract,
-    expected_cumulative_coverage,
-    insurer_profit,
     make_linear_refiner,
     make_threshold_refiner,
-    max_premium,
     optimal_region,
     sweep_linear,
     sweep_threshold,
@@ -19,6 +15,7 @@ from cyins.contracts import (
 from cyins.model import (
     LinearCoverage,
     ProtectionPolicy,
+    ThresholdCoverage,
     ZeroCoverage,
     evaluate_policy,
     validate_model,
@@ -33,87 +30,76 @@ EXACT_PREMIUM_RATE = 1.8 / 0.082
 WEAK, STRONG = 0, 1
 
 
-@pytest.fixture(scope="module")
-def two_state_baseline(two_state):
-    return solve_value_iteration(two_state, ZeroCoverage())
+def quote(model, coverage):
+    """The one-row sweep that prices ``coverage``."""
+    if isinstance(coverage, ThresholdCoverage):
+        return sweep_threshold(
+            model, coverage.low_level, coverage.high_level, [coverage.cutoff]
+        )[0]
+    level = coverage.level if isinstance(coverage, LinearCoverage) else 0.0
+    return sweep_linear(model, [level])[0]
+
+
+def coverage_paid(row):
+    """Expected discounted reimbursement: the induced policy's uninsured value minus its insured value."""
+    return row.direct_losses + row.protection_cost - row.user_value
 
 
 # ------------------------------------------------------------------ premiums
 
-def test_max_premium_scales_with_level_before_switch(two_state, two_state_baseline):
-    for level in (0.02, 0.05, 0.08):
-        premium = max_premium(two_state, LinearCoverage(level), two_state_baseline)
-        assert premium == pytest.approx(level * EXACT_PREMIUM_RATE, abs=1e-9)
-    assert max_premium(
-        two_state, LinearCoverage(0.05), two_state_baseline
-    ) == pytest.approx(1.09756, abs=1e-5)
+def test_max_premium_scales_with_level_before_switch(two_state):
+    for row in sweep_linear(two_state, [0.02, 0.05, 0.08]):
+        assert row.max_premium == pytest.approx(row.parameter * EXACT_PREMIUM_RATE, abs=1e-9)
+    assert quote(two_state, LinearCoverage(0.05)).max_premium == pytest.approx(1.09756, abs=1e-5)
 
 
-def test_max_premium_zero_for_zero_coverage(two_state, two_state_baseline):
-    assert max_premium(two_state, ZeroCoverage(), two_state_baseline) == 0.0
+def test_max_premium_zero_for_zero_coverage(two_state):
+    assert quote(two_state, ZeroCoverage()).max_premium == 0.0
 
 
 def test_max_premium_never_negative_random():
     rng = np.random.default_rng(17)
     for _ in range(20):
         model = random_model(rng)
-        baseline = solve_value_iteration(model, ZeroCoverage())
-        assert max_premium(model, random_coverage(rng, model), baseline) >= 0.0
+        assert quote(model, random_coverage(rng, model)).max_premium >= 0.0
 
 
 # ------------------------------------------------------------------ coverage
 
 def test_expected_coverage_zero_when_uninsured(two_state):
-    assert expected_cumulative_coverage(two_state, ZeroCoverage()) == 0.0
+    assert coverage_paid(quote(two_state, ZeroCoverage())) == 0.0
 
 
 def test_expected_coverage_full_insurance_is_whole_loss_stream(two_state):
-    solved = solve_value_iteration(two_state, LinearCoverage(1.0))
-    assert solved.policy.actions == (WEAK, WEAK)
-    paid = expected_cumulative_coverage(two_state, LinearCoverage(1.0), solved)
-    assert paid == pytest.approx(45.0, abs=1e-9)
+    row = quote(two_state, LinearCoverage(1.0))
+    assert row.policy.actions == (WEAK, WEAK)
+    assert coverage_paid(row) == pytest.approx(45.0, abs=1e-9)
 
 
 def test_expected_coverage_linear_within_fixed_policy(two_state):
-    ratios = []
-    for level in (0.02, 0.04, 0.06):
-        paid = expected_cumulative_coverage(two_state, LinearCoverage(level))
-        ratios.append(paid / level)
+    rows = sweep_linear(two_state, [0.02, 0.04, 0.06])
+    ratios = [coverage_paid(row) / row.parameter for row in rows]
     assert ratios[0] == pytest.approx(ratios[1], abs=1e-9)
     assert ratios[1] == pytest.approx(ratios[2], abs=1e-9)
 
 
 # -------------------------------------------------------------------- profit
 
-def test_profit_zero_when_policy_unchanged(two_state, two_state_baseline):
-    for level in (0.0, 0.05, 0.08):
-        coverage = LinearCoverage(level) if level else ZeroCoverage()
-        assert insurer_profit(two_state, coverage, two_state_baseline) == pytest.approx(
-            0.0, abs=1e-12
-        )
+def test_profit_zero_when_policy_unchanged(two_state):
+    for row in sweep_linear(two_state, [0.0, 0.05, 0.08]):
+        assert row.profit == 0.0
 
 
-def test_profit_reference_full_coverage(two_state, two_state_baseline):
-    profit = insurer_profit(two_state, LinearCoverage(1.0), two_state_baseline)
-    assert profit == pytest.approx(-13.0488, abs=1e-3)
+def test_profit_reference_full_coverage(two_state):
+    assert quote(two_state, LinearCoverage(1.0)).profit == pytest.approx(-13.0488, abs=1e-3)
 
 
 def test_profit_accounting_identity_random():
     rng = np.random.default_rng(23)
     for _ in range(20):
         model = random_model(rng)
-        coverage = random_coverage(rng, model)
-        baseline = solve_value_iteration(model, ZeroCoverage())
-        solved = solve_value_iteration(model, coverage)
-        profit = insurer_profit(model, coverage, baseline, solved)
-        premium = max_premium(model, coverage, baseline, solved)
-        paid = expected_cumulative_coverage(model, coverage, solved)
-        assert profit == pytest.approx(premium - paid, abs=1e-9)
-
-
-def test_contract_requires_sane_premium():
-    with pytest.raises(ValueError):
-        Contract(premium=-1.0, coverage=ZeroCoverage())
+        row = quote(model, random_coverage(rng, model))
+        assert row.profit == pytest.approx(row.max_premium - coverage_paid(row), abs=1e-9)
 
 
 # ------------------------------------------------------------------- sweeps
@@ -175,6 +161,16 @@ def test_threshold_sweep_reference(four_state):
     assert max(r.profit for r in rows) == pytest.approx(0.0, abs=1e-7)
 
 
+def test_threshold_cutoff_at_a_state_loss_pays_the_low_tier(four_state):
+    # 8.0 is the loss of S_B2: at that cutoff only S_B3 is covered, so the
+    # user keeps the no-insurance policy and the row prices the [8, 16) step.
+    below, at_loss = sweep_threshold(four_state, 0.0, 0.9, [7.9999999, 8.0])
+    assert at_loss.policy == quote(four_state, ZeroCoverage()).policy
+    assert at_loss.profit == 0.0
+    assert at_loss.max_premium == 0.25859342283531817
+    assert below.profit < 0.0
+
+
 # --------------------------------------------------------------- certificate
 
 def test_sweep_raises_when_value_iteration_does_not_converge():
@@ -192,12 +188,14 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
     values = evaluate_policy(two_state, worse, coverage)
     residual = float(np.abs(values - bellman_update(two_state, coverage, values)).max())
 
-    def suboptimal(model, coverage, tol):
+    def suboptimal(model, requested, tol):
+        if requested != coverage:
+            return solve_value_iteration(model, requested, tol=tol)
         return SolveResult(policy=worse, values=values, iterations=1, residual=residual)
 
     monkeypatch.setattr(contracts, "solve_value_iteration", suboptimal)
     with pytest.raises(CertificateError, match="converged=True"):
-        max_premium(two_state, coverage, optimal)
+        quote(two_state, coverage)
 
 
 # ------------------------------------------------------------ region report

@@ -214,6 +214,7 @@ def test_cli_usage_errors(capsys, tmp_path):
     assert main(["frobnicate"]) == 2
     assert main(["solve", "--model", "x", "--coverage", "linear:oops"]) == 2
     assert main(["sweep", "--model", "x", "--family", "cubic", "--out", "y"]) == 2
+    assert main(["solve", "--model", "x", "--coverage", "none", "--tol", "1e-9"]) == 2
     capsys.readouterr()
 
 
@@ -224,6 +225,17 @@ def test_cli_validation_errors(tmp_path, capsys):
     bad.write_text("{", encoding="utf-8")
     assert main(["solve", "--model", str(bad), "--coverage", "none"]) == 1
     capsys.readouterr()
+
+
+def test_cli_reports_malformed_state_and_action_lists(tmp_path, capsys):
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["states"], raw["actions"] = 5, None
+    bad = tmp_path / "bad.model"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--model", str(bad), "--coverage", "none"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "states: expected a list" in err and "actions: expected a list" in err
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):

@@ -36,6 +36,15 @@ def test_validate_reference_model(two_state):
     assert not two_state.transitions.flags.writeable
 
 
+def test_losses_and_costs_are_built_once_read_only(four_state):
+    assert four_state.losses.tolist() == [0.0, 4.0, 8.0, 16.0]
+    assert four_state.costs.tolist() == [0.0, 0.3, 0.6]
+    for name in ("losses", "costs"):
+        array = getattr(four_state, name)
+        assert getattr(four_state, name) is array
+        assert not array.flags.writeable
+
+
 def test_row_sum_violation_names_action_and_state():
     for row, complaint in (
         ([0.7, 0.2], "sums to"),
@@ -90,6 +99,21 @@ def test_errors_are_itemized():
     with pytest.raises(ModelValidationError) as exc:
         validate_model(raw)
     assert len(exc.value.errors) >= 3
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("states", 5), ("states", None), ("states", "S_G"), ("states", {"name": "S_G", "loss": 0.0}),
+     ("actions", None), ("actions", 2.5), ("transitions", "[[0.5, 0.5]]"),
+     ("transitions", [[{"S_G": 0.5}, [0.5, 0.5]], [[0.8, 0.2], [0.6, 0.4]]]),
+     ("transitions", [["10", [0.5, 0.5]], [[0.8, 0.2], [0.6, 0.4]]])],
+)
+def test_malformed_lists_are_itemized_errors(key, value):
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw[key] = value
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(raw)
+    assert exc.value.errors and any(key in error for error in exc.value.errors)
 
 
 def test_empty_model_rejected():

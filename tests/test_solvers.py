@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyins.model import (
     LinearCoverage,
+    ModelValidationError,
     ProtectionPolicy,
     ZeroCoverage,
     evaluate_policy,
@@ -257,6 +260,71 @@ def test_three_way_agreement_random_models():
     for _ in range(60):
         model = random_model(rng)
         _assert_methods_agree(model, random_coverage(rng, model))
+
+
+# Wrongly typed or out-of-range replacements for any part of a raw model.
+# Numbers stay within the scales of ``random_model``, where the absolute
+# agreement tolerances above are meaningful.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.integers(min_value=10**400, max_value=10**401),
+    st.floats(-1.0, 25.0),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.text(max_size=3),
+    st.lists(st.floats(0.0, 1.0), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+
+
+def _paths(raw):
+    """Every key/index path into a raw model, container or leaf."""
+    stack = [((key,), value) for key, value in raw.items()]
+    while stack:
+        path, value = stack.pop()
+        yield path
+        if isinstance(value, dict):
+            stack.extend((path + (k,), v) for k, v in value.items())
+        elif isinstance(value, list):
+            stack.extend((path + (i,), v) for i, v in enumerate(value))
+
+
+@st.composite
+def raw_models(draw):
+    """A raw model of at most 3 states and 3 actions, with up to two parts replaced by junk."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def row():
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        total = sum(weights)
+        return [w / total for w in weights] if total > 0.0 else [1.0] + [0.0] * (n - 1)
+
+    raw = {
+        "discount": draw(st.floats(0.0, 0.99)),
+        "states": [{"name": f"s{i}", "loss": draw(st.floats(0.0, 20.0))} for i in range(n)],
+        "actions": [{"name": f"a{j}", "cost": draw(st.floats(0.0, 3.0))} for j in range(m)],
+        "transitions": [[row() for _ in range(n)] for _ in range(m)],
+        "initial_state": draw(st.integers(0, n - 1)),
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        *parents, last = draw(st.sampled_from(list(_paths(raw))))
+        container = raw
+        for key in parents:
+            container = container[key]
+        container[last] = draw(JUNK)
+    return raw
+
+
+@settings(deadline=None, max_examples=150)
+@given(raw_models(), st.floats(0.0, 1.0))
+def test_random_raw_models_are_rejected_or_solved_alike(raw, level):
+    try:
+        model = validate_model(raw)
+    except ModelValidationError as exc:
+        assert exc.errors
+        return
+    _assert_methods_agree(model, LinearCoverage(level))
 
 
 def test_bellman_optimality_of_reported_values():
