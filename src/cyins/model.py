@@ -290,6 +290,8 @@ def validate_model(raw: Mapping) -> MdpModel:
 
 def _sequence(value) -> list | None:
     """``value`` as a list when it is a sequence of entries (not a string or mapping)."""
+    if isinstance(value, list):
+        return value
     if isinstance(value, (str, bytes, Mapping)):
         return None
     try:
@@ -310,12 +312,6 @@ def _entry_list(raw: Mapping, key: str, errors: list[str]) -> list:
 def _validate_transitions(raw_trans, states, actions, errors) -> np.ndarray | None:
     """Shape-check the nested [action][from][to] array, naming offending blocks."""
     n, m = len(states), len(actions)
-    try:
-        trans = np.array(raw_trans, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        trans = None
-    if trans is not None and trans.shape == (m, n, n):
-        return trans
     blocks = _sequence(raw_trans)
     if blocks is None:
         errors.append("transitions: expected a nested array [action][from][to]")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyins.model import (
@@ -263,8 +263,9 @@ def test_three_way_agreement_random_models():
 
 
 # Wrongly typed or out-of-range replacements for any part of a raw model.
-# Numbers stay within the scales of ``random_model``, where the absolute
-# agreement tolerances above are meaningful.
+# Losses and costs stay within the scales of ``random_model``, where the
+# absolute agreement tolerances above are meaningful; a junk discount can
+# exceed its 0.99, so the property skips such models.
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -324,6 +325,8 @@ def test_random_raw_models_are_rejected_or_solved_alike(raw, level):
     except ModelValidationError as exc:
         assert exc.errors
         return
+    # near 1 the values grow to ~1e6 and the absolute tolerances say nothing
+    assume(model.discount <= 0.99)
     _assert_methods_agree(model, LinearCoverage(level))
 
 
