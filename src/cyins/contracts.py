@@ -20,6 +20,12 @@ discount) (Puterman 1994, section 6).  A solve that did not converge or whose
 bound exceeds ``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so
 no uncertified policy reaches a sweep row or a switch refinement.  The other
 solvers stay in :mod:`cyins.solvers` as test oracles.
+
+A coverage enters a solve only through the reimbursement it pays in each
+state, so a sweep solves each distinct paid vector once: the baseline and
+every row go to one batched value-iteration loop, and rows on the same
+policy share one value decomposition.  A switch refiner bisects one
+parameter at a time and remembers the policy of each paid vector it solved.
 """
 
 from __future__ import annotations
@@ -37,9 +43,10 @@ from .model import (
     ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
+    coverage_paid,
     decompose_value,
 )
-from .solvers import SolveResult, solve_value_iteration
+from .solvers import SolveResult, solve_value_iterations
 
 __all__ = [
     "CertificateError",
@@ -140,9 +147,26 @@ def _certificate_bound(model: MdpModel, solved: SolveResult) -> float:
     return solved.residual / (1.0 - model.discount)
 
 
-def _solve(model: MdpModel, coverage: Coverage) -> SolveResult:
-    """Certified optimal response to ``coverage`` (see the module docstring)."""
-    solved = solve_value_iteration(model, coverage, tol=CERT_TOL)
+def _solve_many(model: MdpModel, coverages: Sequence[Coverage]) -> list[SolveResult]:
+    """Certified optimal responses to ``coverages``, in their order.
+
+    The stage losses depend on a coverage only through its paid vector, so
+    each distinct paid vector is solved once, and all of them in one
+    value-iteration loop; each result then passes the certificate on its own
+    (see the module docstring).
+    """
+    keys = [coverage_paid(model, c).tobytes() for c in coverages]
+    distinct: dict[bytes, Coverage] = {}
+    for key, coverage in zip(keys, coverages):
+        distinct.setdefault(key, coverage)
+    results = solve_value_iterations(model, list(distinct.values()), tol=CERT_TOL)
+    solved = dict(zip(distinct, results))
+    for key, coverage in distinct.items():
+        _certify(model, coverage, solved[key])
+    return [solved[key] for key in keys]
+
+
+def _certify(model: MdpModel, coverage: Coverage, solved: SolveResult) -> None:
     bound = _certificate_bound(model, solved)
     # Relative, because the floating-point floor of the residual grows with ||V||.
     limit = CERT_TOL * (1.0 + float(np.abs(solved.values).max()))
@@ -152,7 +176,11 @@ def _solve(model: MdpModel, coverage: Coverage) -> SolveResult:
             f"converged={solved.converged} after {solved.iterations} iterations, "
             f"certificate bound {bound:.3g}, limit {limit:.3g}"
         )
-    return solved
+
+
+def _solve(model: MdpModel, coverage: Coverage) -> SolveResult:
+    """Certified optimal response to one coverage."""
+    return _solve_many(model, [coverage])[0]
 
 
 def _run_sweep(
@@ -161,18 +189,22 @@ def _run_sweep(
     coverage_at: Callable[[float], Coverage],
 ) -> list[ContractSweepRow]:
     s0 = model.initial_state
-    baseline = _solve(model, ZeroCoverage())
+    baseline, *solved_rows = _solve_many(
+        model, [ZeroCoverage(), *(coverage_at(p) for p in parameters)]
+    )
+    uninsured: dict[ProtectionPolicy, tuple[float, float]] = {}
 
     def uninsured_parts(policy: ProtectionPolicy) -> tuple[float, float]:
-        direct, cost = decompose_value(model, policy)
-        return float(direct[s0]), float(cost[s0])
+        if policy not in uninsured:
+            direct, cost = decompose_value(model, policy)
+            uninsured[policy] = float(direct[s0]), float(cost[s0])
+        return uninsured[policy]
 
     # Rows share this arithmetic, so a row on the baseline policy reports a
     # profit of exactly zero.
     baseline_uninsured = sum(uninsured_parts(baseline.policy))
     rows = []
-    for parameter in parameters:
-        solved = _solve(model, coverage_at(parameter))
+    for parameter, solved in zip(parameters, solved_rows):
         direct, cost = uninsured_parts(solved.policy)
         rows.append(
             ContractSweepRow(
@@ -256,8 +288,16 @@ def make_threshold_refiner(
 
 
 def _policy_switch_refiner(model: MdpModel, coverage_at: Callable[[float], Coverage]):
+    # Bisection steps often land on the same paid vector (a threshold cutoff
+    # between two state losses), so each one is solved once per refiner.
+    policies: dict[bytes, ProtectionPolicy] = {}
+
     def policy_at(parameter: float) -> ProtectionPolicy:
-        return _solve(model, coverage_at(parameter)).policy
+        coverage = coverage_at(parameter)
+        key = coverage_paid(model, coverage).tobytes()
+        if key not in policies:
+            policies[key] = _solve(model, coverage).policy
+        return policies[key]
 
     def refine(inside: float, outside: float) -> float:
         reference = policy_at(inside)

@@ -180,6 +180,9 @@ def validate_model(raw: Mapping) -> MdpModel:
     (list of ``{name, loss}``), ``actions`` (list of ``{name, cost}``),
     ``transitions`` (nested ``[action][from][to]``) and optionally
     ``initial_state`` (a state name or index, default first state).
+    Numeric fields hold ints or floats: strings and bools, which Python would
+    convert, are errors.  The value scale (max loss + max cost) /
+    (1 - discount), which bounds every value, must be finite.
 
     Raises :class:`ModelValidationError` carrying the full list of
     violations; nothing is silently repaired.
@@ -199,29 +202,8 @@ def validate_model(raw: Mapping) -> MdpModel:
     if errors:
         raise fail()
 
-    states: list[State] = []
-    for i, entry in enumerate(_entry_list(raw, "states", errors)):
-        try:
-            name = str(entry["name"])
-            loss = float(entry["loss"])
-        except (TypeError, KeyError, ValueError, OverflowError):
-            errors.append(f"states[{i}]: expected {{name, loss}}")
-            continue
-        if not np.isfinite(loss) or loss < 0.0:
-            errors.append(f"state {name!r}: direct loss must be finite and >= 0, got {loss}")
-        states.append(State(name, loss))
-
-    actions: list[Action] = []
-    for i, entry in enumerate(_entry_list(raw, "actions", errors)):
-        try:
-            name = str(entry["name"])
-            cost = float(entry["cost"])
-        except (TypeError, KeyError, ValueError, OverflowError):
-            errors.append(f"actions[{i}]: expected {{name, cost}}")
-            continue
-        if not np.isfinite(cost) or cost < 0.0:
-            errors.append(f"action {name!r}: cost must be finite and >= 0, got {cost}")
-        actions.append(Action(name, cost))
+    states = [State(*e) for e in _named_amounts(raw, "states", "loss", "direct loss", errors)]
+    actions = [Action(*e) for e in _named_amounts(raw, "actions", "cost", "cost", errors)]
 
     if len(states) == 0:
         errors.append("model needs at least one state")
@@ -233,11 +215,20 @@ def validate_model(raw: Mapping) -> MdpModel:
         errors.append("action names must be unique")
 
     try:
-        discount = float(raw["discount"])
+        discount = _number(raw["discount"])
     except (TypeError, ValueError, OverflowError):
         discount = float("nan")
     if not np.isfinite(discount) or not 0.0 <= discount < 1.0:
-        errors.append(f"discount must lie in [0, 1), got {raw['discount']!r}")
+        errors.append(f"discount must be a number in [0, 1), got {raw['discount']!r}")
+    elif states and actions:
+        # Bounds every value and value-iteration iterate; beyond it they overflow.
+        loss, cost = max(s.loss for s in states), max(a.cost for a in actions)
+        scale = (loss + cost) / (1.0 - discount)
+        if np.isfinite(loss) and np.isfinite(cost) and not np.isfinite(scale):
+            errors.append(
+                "value scale (max loss + max cost) / (1 - discount) is not finite; "
+                "express losses and costs in a larger unit"
+            )
 
     n, m = len(states), len(actions)
     trans = _validate_transitions(raw["transitions"], states, actions, errors)
@@ -288,6 +279,33 @@ def validate_model(raw: Mapping) -> MdpModel:
     )
 
 
+# These convert to floats, but a model file that holds them does not hold numbers.
+_NOT_NUMBERS = frozenset({str, bytes, bytearray, bool, np.bool_})
+
+
+def _number(value) -> float:
+    """``value`` as a float when it is a number; strings and bools are not."""
+    if type(value) in _NOT_NUMBERS:
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _named_amounts(raw: Mapping, key: str, field: str, label: str, errors: list[str]):
+    """``(name, amount)`` for each entry of ``raw[key]``, reporting malformed ones."""
+    found = []
+    for i, entry in enumerate(_entry_list(raw, key, errors)):
+        try:
+            name = str(entry["name"])
+            amount = _number(entry[field])
+        except (TypeError, KeyError, ValueError, OverflowError):
+            errors.append(f"{key}[{i}]: expected {{name, {field}}} with a numeric {field}")
+            continue
+        if not np.isfinite(amount) or amount < 0.0:
+            errors.append(f"{key[:-1]} {name!r}: {label} must be finite and >= 0, got {amount}")
+        found.append((name, amount))
+    return found
+
+
 def _sequence(value) -> list | None:
     """``value`` as a list when it is a sequence of entries (not a string or mapping)."""
     if isinstance(value, list):
@@ -328,17 +346,19 @@ def _validate_transitions(raw_trans, states, actions, errors) -> np.ndarray | No
             errors.append(f"transitions for action {label!r}: expected {n} rows, got {got}")
             continue
         for s, row in enumerate(rows):
+            entries = _sequence(row) or ()
             try:
-                entries = [float(x) for x in _sequence(row) or ()]
+                # Entries that are not numbers drop out and fail the count.
+                numbers = [float(x) for x in entries if type(x) not in _NOT_NUMBERS]
             except (TypeError, ValueError, OverflowError):
-                entries = []
-            if len(entries) != n:
+                numbers = []
+            if len(entries) != n or len(numbers) != n:
                 errors.append(
                     f"transitions for action {label!r} from state {states[s].name!r}: "
                     f"expected {n} numeric entries"
                 )
             else:
-                matrix.append(entries)
+                matrix.append(numbers)
     if len(matrix) != n * m:
         return None
     return np.array(matrix, dtype=float).reshape(m, n, n)

@@ -6,6 +6,11 @@ oracles in the test suite.  All three report the *exact* policy evaluation of
 whatever policy they select, so agreement checks compare solver choices, not
 iteration noise.
 
+Value iteration has one loop, :func:`solve_value_iterations`, which applies
+the Bellman operator to a stack of coverage problems of one model at once;
+each problem keeps its own stopping rule.  :func:`solve_value_iteration` is
+its one-problem call.
+
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
 index.  Repeated solves of the same instance return byte-identical policies.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +28,7 @@ from .model import (
     Coverage,
     MdpModel,
     ProtectionPolicy,
+    coverage_paid,
     evaluate_policy,
     stage_loss_matrix,
 )
@@ -38,6 +45,7 @@ __all__ = [
     "solve_lp_dual",
     "solve_policy_enumeration",
     "solve_value_iteration",
+    "solve_value_iterations",
 ]
 
 # Relative width of the action-value window treated as a tie.  Exact
@@ -141,28 +149,61 @@ def solve_value_iteration(
     tol: float = 1e-9,
     max_iter: int = 200_000,
 ) -> SolveResult:
-    """Value iteration from V = 0 with the standard discounted stopping rule.
+    """Value iteration for one coverage: the one-problem :func:`solve_value_iterations`."""
+    return solve_value_iterations(model, [coverage], tol=tol, max_iter=max_iter)[0]
 
-    Iterates until the sup-norm change is at most tol * (1 - discount) /
-    (2 * discount), which bounds the value error of the greedy policy by
-    ``tol``.  The reported values are the exact evaluation of the extracted
-    policy.  If ``max_iter`` is hit first, the best iterate is still
-    extracted and the result is flagged ``converged=False``.
+
+def solve_value_iterations(
+    model: MdpModel,
+    coverages: Sequence[Coverage],
+    tol: float = 1e-9,
+    max_iter: int = 200_000,
+) -> list[SolveResult]:
+    """Value iteration from V = 0 for a stack of coverage problems of one model.
+
+    Every problem iterates the same Bellman operator on its own stage losses,
+    all in one loop.  A problem leaves the stack at the first iteration where
+    its own sup-norm change is at most tol * (1 - discount) / (2 * discount),
+    which bounds the value error of its greedy policy by ``tol``.  The
+    reported values are the exact evaluation of the extracted policy.  A
+    problem still iterating at ``max_iter`` is extracted from its last
+    iterate, and one whose iterate stops being finite from its last finite
+    iterate; both are flagged ``converged=False``.  Results are in the order
+    of ``coverages``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    coverages = list(coverages)
     delta = model.discount
     threshold = tol * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf
-    stage = stage_loss_matrix(model, coverage)
-    transitions = model.transitions
-    values = np.zeros(model.n_states)
+    n, m = model.n_states, model.n_actions
+    # Action-major stage losses, column a * n + s, so one product serves the stack.
+    retained = model.losses - np.array([coverage_paid(model, c) for c in coverages]).reshape(-1, n)
+    stage = (model.costs[None, :, None] + retained[:, None, :]).reshape(-1, m * n)
+    forward = delta * model.transitions.reshape(m * n, n).T
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
+    values = np.zeros((len(coverages), n))
+    active = np.arange(len(coverages))
+    results: list[SolveResult | None] = [None] * len(coverages)
     for iteration in range(1, max_iter + 1):
-        updated = (stage + delta * (transitions @ values).T).min(axis=1)
-        change = float(np.abs(updated - values).max())
+        if not active.size:
+            break
+        updated = lowest((stage + values @ forward).reshape(-1, m, n), axis=1)
+        change = highest(np.abs(updated - values), axis=1)
+        # One test per iteration while every problem keeps going; NaN fails it too.
+        if not (lowest(change) > threshold and highest(change) < np.inf):
+            going = (change > threshold) & (change < np.inf)
+            for i in np.flatnonzero(~going):
+                k = int(active[i])
+                if np.isfinite(change[i]):
+                    results[k] = _finish(model, coverages[k], updated[i], iteration)
+                else:
+                    results[k] = _finish(model, coverages[k], values[i], iteration, converged=False)
+            updated, stage, active = updated[going], stage[going], active[going]
         values = updated
-        if change <= threshold:
-            return _finish(model, coverage, values, iteration)
-    return _finish(model, coverage, values, max_iter, converged=False)
+    for i, k in enumerate(active):
+        results[k] = _finish(model, coverages[k], values[i], max_iter, converged=False)
+    return results
 
 
 def solve_policy_enumeration(model: MdpModel, coverage: Coverage) -> SolveResult:

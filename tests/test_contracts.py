@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyins import contracts
 from cyins.contracts import (
@@ -20,7 +22,12 @@ from cyins.model import (
     evaluate_policy,
     validate_model,
 )
-from cyins.solvers import SolveResult, bellman_update, solve_value_iteration
+from cyins.solvers import (
+    SolveResult,
+    bellman_update,
+    solve_value_iteration,
+    solve_value_iterations,
+)
 
 from helpers import TWO_STATE_RAW, random_coverage, random_model
 
@@ -189,13 +196,87 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
     residual = float(np.abs(values - bellman_update(two_state, coverage, values)).max())
 
     def suboptimal(model, requested, tol):
-        if requested != coverage:
-            return solve_value_iteration(model, requested, tol=tol)
-        return SolveResult(policy=worse, values=values, iterations=1, residual=residual)
+        solved = solve_value_iterations(model, requested, tol=tol)
+        fake = SolveResult(policy=worse, values=values, iterations=1, residual=residual)
+        return [fake if c == coverage else r for c, r in zip(requested, solved)]
 
-    monkeypatch.setattr(contracts, "solve_value_iteration", suboptimal)
+    monkeypatch.setattr(contracts, "solve_value_iterations", suboptimal)
     with pytest.raises(CertificateError, match="converged=True"):
         quote(two_state, coverage)
+
+
+# ------------------------------------------------------------- batched solves
+
+@st.composite
+def coverage_stacks(draw):
+    """A random model of at most 12 states and 3 actions, and coverages with repeats."""
+    model = random_model(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), max_states=12, max_actions=3
+    )
+    top = float(model.losses.max())
+    levels = st.floats(0.0, 1.0)
+    one = st.one_of(
+        st.just(ZeroCoverage()),
+        st.just(LinearCoverage(0.0)),
+        st.builds(LinearCoverage, levels),
+        st.builds(ThresholdCoverage, st.floats(0.0, 1.2 * top), st.just(0.0), levels),
+    )
+    distinct = draw(st.lists(one, min_size=1, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=4))
+    return model, draw(st.permutations(distinct + repeats))
+
+
+@settings(deadline=None, max_examples=40)
+@given(coverage_stacks())
+def test_batched_solves_match_solving_each_coverage_alone(stack):
+    # Iteration counts are not compared: batched products may move the stop
+    # by a few iterations, but never the policy or its exact values.
+    model, coverages = stack
+    alone = [solve_value_iteration(model, c, tol=contracts.CERT_TOL) for c in coverages]
+    for batched in (
+        solve_value_iterations(model, coverages, tol=contracts.CERT_TOL),
+        contracts._solve_many(model, coverages),
+    ):
+        assert len(batched) == len(coverages)
+        for single, together in zip(alone, batched):
+            assert together.converged
+            assert together.policy == single.policy
+            assert np.array_equal(together.values, single.values)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Number of problems in each value-iteration call the contracts layer makes."""
+    calls = []
+
+    def counting(model, coverages, tol):
+        calls.append(len(coverages))
+        return solve_value_iterations(model, coverages, tol=tol)
+
+    monkeypatch.setattr(contracts, "solve_value_iterations", counting)
+    return calls
+
+
+def test_threshold_sweep_solves_each_paid_vector_once(four_state, solve_calls):
+    # The baseline and the four cutoff bands below 4, 8, 16 and beyond pay
+    # four distinct vectors; the band beyond 16 pays nothing, like the baseline.
+    rows = sweep_threshold(four_state, 0.0, 0.9)
+    assert len(rows) == contracts.THRESHOLD_GRID_POINTS
+    assert solve_calls == [4]
+
+
+def test_linear_sweep_solves_all_rows_in_one_call(two_state, solve_calls):
+    # Level 0 pays what the baseline pays; every other level is distinct.
+    sweep_linear(two_state)
+    assert solve_calls == [contracts.LINEAR_GRID_POINTS]
+
+
+def test_refiner_solves_a_paid_vector_once(four_state, solve_calls):
+    refine = make_threshold_refiner(four_state, 0.0, 0.9)
+    # Every bisection step between the losses 8 and 16 pays the same vector.
+    for _ in range(2):
+        refine(9.0, 12.0)
+    assert solve_calls == [1]
 
 
 # ------------------------------------------------------------ region report

@@ -238,6 +238,17 @@ def test_cli_reports_malformed_state_and_action_lists(tmp_path, capsys):
     assert "states: expected a list" in err and "actions: expected a list" in err
 
 
+def test_cli_solve_rejects_a_model_whose_values_overflow(tmp_path, capsys):
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["states"][1]["loss"] = 1e308
+    huge = tmp_path / "huge.model"
+    huge.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--model", str(huge), "--coverage", "none"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert "value scale" in captured.err and "policy:" not in captured.out
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(

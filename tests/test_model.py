@@ -116,6 +116,46 @@ def test_malformed_lists_are_itemized_errors(key, value):
     assert exc.value.errors and any(key in error for error in exc.value.errors)
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [(("discount",), "0.9"), (("discount",), False), (("states", 1, "loss"), True),
+     (("states", 1, "loss"), "10"), (("actions", 0, "cost"), "0"),
+     (("transitions", 0, 0), ["0.5", 0.5]), (("transitions", 0, 0), [True, False]),
+     (("transitions", 0, 0), [1.0, False]), (("transitions", 0, 0), [1.0, 0.0, "x"])],
+)
+def test_strings_and_bools_are_not_numbers(path, value):
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    *parents, last = path
+    container = raw
+    for key in parents:
+        container = container[key]
+    container[last] = value
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(raw)
+    assert path[0] in exc.value.errors[0]
+
+
+def test_integer_fields_stay_valid():
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["discount"] = 0
+    raw["states"][1]["loss"] = 10
+    raw["transitions"][0][0] = [1, 0]
+    model = validate_model(raw)
+    assert model.discount == 0.0 and model.losses[1] == 10.0
+    assert model.transitions[0, 0].tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("loss, cost", [(1e308, 0.0), (1e308, 1e308), (2e307, 0.0)])
+def test_value_scale_must_be_finite(loss, cost):
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["discount"] = 0.9
+    raw["states"][1]["loss"] = loss
+    raw["actions"][1]["cost"] = cost
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(raw)
+    assert len(exc.value.errors) == 1 and "value scale" in exc.value.errors[0]
+
+
 def test_empty_model_rejected():
     with pytest.raises(ModelValidationError):
         validate_model({"discount": 0.9, "states": [], "actions": [], "transitions": []})

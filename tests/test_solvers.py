@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from cyins.model import (
     LinearCoverage,
+    MdpModel,
     ModelValidationError,
     ProtectionPolicy,
+    State,
     ZeroCoverage,
     evaluate_policy,
     validate_model,
@@ -20,6 +22,7 @@ from cyins.solvers import (
     solve_lp_dual,
     solve_policy_enumeration,
     solve_value_iteration,
+    solve_value_iterations,
 )
 
 from helpers import brute_force_optimal, random_coverage, random_model
@@ -62,6 +65,23 @@ def test_value_iteration_flags_non_convergence(two_state):
     result = solve_value_iteration(two_state, ZeroCoverage(), tol=1e-12, max_iter=3)
     assert not result.converged
     assert result.iterations == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_value_iteration_stops_at_a_non_finite_iterate(two_state):
+    # Built directly, so validation does not reject the overflowing value scale.
+    huge = MdpModel(
+        states=(State("G", 0.0), State("B", 1e308)),
+        actions=two_state.actions,
+        transitions=two_state.transitions,
+        discount=two_state.discount,
+    )
+    overflowing, finite = solve_value_iterations(
+        huge, [ZeroCoverage(), LinearCoverage(1.0)], max_iter=200_000
+    )
+    assert not overflowing.converged
+    assert overflowing.iterations < 10
+    assert finite.converged and np.all(finite.values == 0.0)
 
 
 def test_value_iteration_rejects_bad_tol(two_state):
