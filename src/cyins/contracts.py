@@ -24,8 +24,13 @@ solvers stay in :mod:`cyins.solvers` as test oracles.
 A coverage enters a solve only through the reimbursement it pays in each
 state, so a sweep solves each distinct paid vector once: the baseline and
 every row go to one batched value-iteration loop, and rows on the same
-policy share one value decomposition.  A switch refiner bisects one
-parameter at a time and remembers the policy of each paid vector it solved.
+policy share one value decomposition.
+
+A switch refiner takes the two sweep rows that bracket a region end.  Along
+a linear sweep it solves nothing: under the inside row's policy every gap
+between action values is affine in the coverage level, so the switch is an
+exact root.  Along a threshold sweep it bisects the cutoff and remembers the
+policy of each paid vector it solved.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .model import (
     coverage_paid,
     decompose_value,
 )
-from .solvers import SolveResult, solve_value_iterations
+from .solvers import TIE_REL, SolveResult, solve_value_iterations
 
 __all__ = [
     "CertificateError",
@@ -270,24 +275,62 @@ def sweep_threshold(
     return _run_sweep(model, grid, _threshold_coverage(low_level, high_level))
 
 
-def make_linear_refiner(model: MdpModel) -> Callable[[float, float], float]:
-    """Bisection refiner for policy-switch levels along a linear sweep.
+Refiner = Callable[[ContractSweepRow, ContractSweepRow], float]
 
-    The returned callable takes a bracket (inside, outside) where the induced
-    policy at ``inside`` differs from the policy at ``outside``, and narrows
-    the switch point to within BISECTION_WIDTH.
+
+def make_linear_refiner(model: MdpModel) -> Refiner:
+    """Exact refiner for policy-switch levels along a linear sweep; it solves nothing.
+
+    The returned callable takes the two sweep rows (inside, outside) that
+    bracket a switch: ``inside`` on the policy pi whose end is sought.  Under
+    pi the user's values are (1 - R) * direct + cost, with ``direct`` and
+    ``cost`` the two streams of :func:`decompose_value`, so every action's
+    gap to pi, G(s, a; R) = Q(s, a; R) - Q(s, pi(s); R) = (1 - R) * A + B,
+    is affine in the level R, and pi stays optimal exactly while no gap is
+    negative.  The refiner returns the root nearest ``inside`` of a gap that
+    turns negative between the rows (beyond the solvers' tie window at
+    ``outside``), clamped to the bracket; ``outside`` when none does, since
+    the two rows' policies then tie.
     """
-    return _policy_switch_refiner(model, _linear_coverage)
+    n = model.n_states
+    delta = model.discount
+
+    def refine(inside: ContractSweepRow, outside: ContractSweepRow) -> float:
+        start, stop = inside.parameter, outside.parameter
+        own = (np.arange(n), np.asarray(inside.policy.actions))
+        direct, cost = decompose_value(model, inside.policy)
+        # Q(s, a; R) = (1 - R) * q_loss[s, a] + q_cost[s, a].  Gaps are taken
+        # against pi's own action values, so an action identical to pi's has
+        # a gap of exactly zero.
+        q_loss = model.losses[:, None] + delta * (model.transitions @ direct).T
+        q_cost = model.costs[None, :] + delta * (model.transitions @ cost).T
+        slope = q_loss - q_loss[own][:, None]
+        offset = q_cost - q_cost[own][:, None]
+        at_stop = (1.0 - stop) * slope + offset
+        # A gap that rounding alone makes negative (an action equivalent to
+        # pi's but computed along another path) has a root anywhere.
+        window = TIE_REL * (1.0 + np.abs((1.0 - stop) * q_loss + q_cost))
+        turning = (at_stop < -window) & (slope * (stop - start) > 0.0)
+        if not turning.any():
+            return stop
+        roots = 1.0 + offset[turning] / slope[turning]
+        lo, hi = min(start, stop), max(start, stop)
+        nearest = roots.min() if stop > start else roots.max()
+        return float(min(max(nearest, lo), hi))
+
+    return refine
 
 
-def make_threshold_refiner(
-    model: MdpModel, low_level: float, high_level: float
-) -> Callable[[float, float], float]:
-    """Bisection refiner for policy-switch cutoffs along a threshold sweep."""
+def make_threshold_refiner(model: MdpModel, low_level: float, high_level: float) -> Refiner:
+    """Bisection refiner for policy-switch cutoffs along a threshold sweep.
+
+    Takes the bracketing rows (inside, outside) like :func:`make_linear_refiner`
+    and narrows the switch cutoff to within BISECTION_WIDTH.
+    """
     return _policy_switch_refiner(model, _threshold_coverage(low_level, high_level))
 
 
-def _policy_switch_refiner(model: MdpModel, coverage_at: Callable[[float], Coverage]):
+def _policy_switch_refiner(model: MdpModel, coverage_at: Callable[[float], Coverage]) -> Refiner:
     # Bisection steps often land on the same paid vector (a threshold cutoff
     # between two state losses), so each one is solved once per refiner.
     policies: dict[bytes, ProtectionPolicy] = {}
@@ -299,12 +342,11 @@ def _policy_switch_refiner(model: MdpModel, coverage_at: Callable[[float], Cover
             policies[key] = _solve(model, coverage).policy
         return policies[key]
 
-    def refine(inside: float, outside: float) -> float:
-        reference = policy_at(inside)
-        lo, hi = inside, outside
+    def refine(inside: ContractSweepRow, outside: ContractSweepRow) -> float:
+        lo, hi = inside.parameter, outside.parameter
         while abs(hi - lo) > BISECTION_WIDTH:
             mid = 0.5 * (lo + hi)
-            if policy_at(mid) == reference:
+            if policy_at(mid) == inside.policy:
                 lo = mid
             else:
                 hi = mid
@@ -361,14 +403,15 @@ def _interval_from_segment(
 
 def optimal_region(
     rows: Sequence[ContractSweepRow],
-    refine: Callable[[float, float], float] | None = None,
+    refine: Refiner | None = None,
 ) -> RegionReport:
     """Extract the zero-profit parameter set from a sweep.
 
     A row belongs to the region when its profit is zero within
     PROFIT_ZERO_TOL.  Region boundaries that sit against a policy switch are
-    narrowed by the supplied ``refine`` bisection callable (see
-    ``make_linear_refiner`` / ``make_threshold_refiner``) and reported as
+    narrowed by the supplied ``refine`` callable, called with the bracketing
+    rows ``(inside, outside)``: the exact root from ``make_linear_refiner``
+    or a bisection from ``make_threshold_refiner``.  They are reported as
     open ends; boundaries at the grid edge stay closed.  Within the region,
     intervals are split wherever the premium is not affine in the parameter
     (threshold staircase steps), each carrying its own premium line.
@@ -393,10 +436,10 @@ def optimal_region(
 
         lo, lo_closed = run[0].parameter, True
         if i > 0 and refine is not None:
-            lo, lo_closed = refine(run[0].parameter, rows[i - 1].parameter), False
+            lo, lo_closed = refine(run[0], rows[i - 1]), False
         hi, hi_closed = run[-1].parameter, True
         if j + 1 < len(rows) and refine is not None:
-            hi, hi_closed = refine(run[-1].parameter, rows[j + 1].parameter), False
+            hi, hi_closed = refine(run[-1], rows[j + 1]), False
 
         segments = _affine_segments(run)
         for k, segment in enumerate(segments):

@@ -55,6 +55,9 @@ class SimulationConfig:
             raise ValueError("horizon must be at least 1")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        # The seed keys Philox streams as an unsigned 64-bit word.
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
 
 
 def config_for(

@@ -8,12 +8,14 @@ iteration noise.
 
 Value iteration has one loop, :func:`solve_value_iterations`, which applies
 the Bellman operator to a stack of coverage problems of one model at once;
-each problem keeps its own stopping rule.  :func:`solve_value_iteration` is
-its one-problem call.
+each problem keeps its own stopping rule, and the stopped problems are
+finished together.  :func:`solve_value_iteration` is its one-problem call.
 
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
-index.  Repeated solves of the same instance return byte-identical policies.
+index.  One greedy extraction implements the rule for a stack of problems;
+:func:`policy_from_values` is its one-problem call.  Repeated solves of the
+same instance return byte-identical policies.
 """
 
 from __future__ import annotations
@@ -99,9 +101,15 @@ class LpProblem:
 
 def action_values(model: MdpModel, coverage: Coverage, values: np.ndarray) -> np.ndarray:
     """One-step lookahead Q(s, a) = stage loss + discount * E[values], shape (N, M)."""
-    stage = stage_loss_matrix(model, coverage)
-    future = model.transitions @ np.asarray(values, dtype=float)  # (M, N)
-    return stage + model.discount * future.T
+    retained = model.losses - coverage_paid(model, coverage)
+    return _stacked_action_values(model, retained[None], np.asarray(values, dtype=float)[None])[0]
+
+
+def _stacked_action_values(model: MdpModel, retained: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Action values of K problems, shape (K, N, M), from retained losses and values of shape (K, N)."""
+    future = (model.transitions @ values[:, None, :, None])[..., 0]  # (K, M, N)
+    stage = retained[:, :, None] + model.costs
+    return stage + model.discount * future.transpose(0, 2, 1)
 
 
 def bellman_update(model: MdpModel, coverage: Coverage, values: np.ndarray) -> np.ndarray:
@@ -109,38 +117,30 @@ def bellman_update(model: MdpModel, coverage: Coverage, values: np.ndarray) -> n
     return action_values(model, coverage, values).min(axis=1)
 
 
-def _greedy_action(q_row: np.ndarray, costs: np.ndarray) -> int:
-    """Minimizing action with the deterministic tie rule (cheaper, then lower index)."""
-    best = float(q_row.min())
-    window = TIE_REL * (1.0 + abs(best))
-    candidates = np.flatnonzero(q_row <= best + window)
-    return int(min(candidates, key=lambda a: (costs[a], a)))
+def _greedy_actions(q: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Minimizing actions of action values ``q`` (..., M) under the tie rule.
+
+    Among the actions within the tie window of the minimum, the cheaper wins,
+    then the lower index.  A row with no finite minimum (NaN action values)
+    has no candidate and gets the first action in that order.
+    """
+    best = q.min(axis=-1, keepdims=True)
+    candidates = q <= best + TIE_REL * (1.0 + np.abs(best))
+    order = np.lexsort((np.arange(costs.size), costs))
+    rank = np.where(candidates[..., order], np.arange(costs.size), costs.size)
+    return order[rank.argmin(axis=-1)]
 
 
 def policy_from_values(
     model: MdpModel, coverage: Coverage, values: np.ndarray
 ) -> ProtectionPolicy:
     """Greedy policy extraction from a value vector."""
-    q = action_values(model, coverage, values)
-    costs = model.costs
-    return ProtectionPolicy(tuple(_greedy_action(q[s], costs) for s in range(model.n_states)))
+    actions = _greedy_actions(action_values(model, coverage, values), model.costs)
+    return ProtectionPolicy(tuple(int(a) for a in actions))
 
 
 def _optimality_residual(model: MdpModel, coverage: Coverage, values: np.ndarray) -> float:
     return float(np.abs(values - bellman_update(model, coverage, values)).max())
-
-
-def _finish(model: MdpModel, coverage: Coverage, values: np.ndarray, iterations: int,
-            converged: bool = True) -> SolveResult:
-    policy = policy_from_values(model, coverage, values)
-    exact = evaluate_policy(model, policy, coverage)
-    return SolveResult(
-        policy=policy,
-        values=exact,
-        iterations=iterations,
-        residual=_optimality_residual(model, coverage, exact),
-        converged=converged,
-    )
 
 
 def solve_value_iteration(
@@ -164,12 +164,13 @@ def solve_value_iterations(
     Every problem iterates the same Bellman operator on its own stage losses,
     all in one loop.  A problem leaves the stack at the first iteration where
     its own sup-norm change is at most tol * (1 - discount) / (2 * discount),
-    which bounds the value error of its greedy policy by ``tol``.  The
-    reported values are the exact evaluation of the extracted policy.  A
-    problem still iterating at ``max_iter`` is extracted from its last
-    iterate, and one whose iterate stops being finite from its last finite
-    iterate; both are flagged ``converged=False``.  Results are in the order
-    of ``coverages``.
+    which bounds the value error of its greedy policy by ``tol``.  A problem
+    still iterating at ``max_iter`` keeps its last iterate, and one whose
+    iterate stops being finite its last finite iterate; both are flagged
+    ``converged=False``.  All problems are then finished together: one greedy
+    extraction, one stacked exact evaluation of the extracted policies (the
+    reported values) and one stacked Bellman residual.  Results are in the
+    order of ``coverages``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -184,7 +185,9 @@ def solve_value_iterations(
     lowest, highest = np.minimum.reduce, np.maximum.reduce
     values = np.zeros((len(coverages), n))
     active = np.arange(len(coverages))
-    results: list[SolveResult | None] = [None] * len(coverages)
+    iterates = np.zeros_like(values)
+    iterations = np.full(len(coverages), max_iter)
+    converged = np.zeros(len(coverages), dtype=bool)
     for iteration in range(1, max_iter + 1):
         if not active.size:
             break
@@ -193,17 +196,29 @@ def solve_value_iterations(
         # One test per iteration while every problem keeps going; NaN fails it too.
         if not (lowest(change) > threshold and highest(change) < np.inf):
             going = (change > threshold) & (change < np.inf)
-            for i in np.flatnonzero(~going):
-                k = int(active[i])
-                if np.isfinite(change[i]):
-                    results[k] = _finish(model, coverages[k], updated[i], iteration)
-                else:
-                    results[k] = _finish(model, coverages[k], values[i], iteration, converged=False)
+            stopped, finite = active[~going], np.isfinite(change[~going])
+            iterates[stopped] = np.where(finite[:, None], updated[~going], values[~going])
+            iterations[stopped] = iteration
+            converged[stopped] = finite
             updated, stage, active = updated[going], stage[going], active[going]
         values = updated
-    for i, k in enumerate(active):
-        results[k] = _finish(model, coverages[k], values[i], max_iter, converged=False)
-    return results
+    iterates[active] = values
+
+    actions = _greedy_actions(_stacked_action_values(model, retained, iterates), model.costs)
+    system = np.eye(n) - delta * model.transitions[actions, np.arange(n)]
+    exact = np.linalg.solve(system, (retained + model.costs[actions])[..., None])[..., 0]
+    bellman = _stacked_action_values(model, retained, exact).min(axis=2)
+    residual = highest(np.abs(exact - bellman), axis=1)
+    return [
+        SolveResult(
+            policy=ProtectionPolicy(tuple(int(a) for a in actions[k])),
+            values=exact[k],
+            iterations=int(iterations[k]),
+            residual=float(residual[k]),
+            converged=bool(converged[k]),
+        )
+        for k in range(len(coverages))
+    ]
 
 
 def solve_policy_enumeration(model: MdpModel, coverage: Coverage) -> SolveResult:

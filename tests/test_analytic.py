@@ -300,7 +300,11 @@ def test_optimal_contract_matches_sweep_region(raw):
     contract = optimal_contract(ts)
     region = optimal_region(sweep_linear(model), make_linear_refiner(model))
     interval = region.intervals[0]
-    assert interval.hi == pytest.approx(contract.level_sup, abs=1e-4)
+    # The refined end is the exact root of the gap that closes the region:
+    # the first switch threshold of the closed-form classification.
+    first_switch = min(classify_case(ts).thresholds.values())
+    assert interval.hi == pytest.approx(first_switch, abs=1e-12)
+    assert interval.hi == pytest.approx(contract.level_sup, abs=1e-12)
     assert interval.premium_slope == pytest.approx(contract.premium_rate, abs=1e-6)
     assert contract.profit == 0.0
     assert abs(region.max_profit) <= 1e-7

@@ -14,6 +14,7 @@ from cyins.contracts import (
     sweep_linear,
     sweep_threshold,
 )
+from cyins.harness import reproduce
 from cyins.model import (
     LinearCoverage,
     ProtectionPolicy,
@@ -271,12 +272,31 @@ def test_linear_sweep_solves_all_rows_in_one_call(two_state, solve_calls):
     assert solve_calls == [contracts.LINEAR_GRID_POINTS]
 
 
-def test_refiner_solves_a_paid_vector_once(four_state, solve_calls):
+@pytest.fixture(scope="module")
+def fig5_rows(four_state):
+    return sweep_threshold(four_state, 0.0, 0.9)
+
+
+def test_refiner_solves_a_paid_vector_once(four_state, fig5_rows, solve_calls):
     refine = make_threshold_refiner(four_state, 0.0, 0.9)
-    # Every bisection step between the losses 8 and 16 pays the same vector.
+    # The fig5 rows around the switch below the loss 8: every bisection step
+    # between them pays the vector of the cutoff band [4, 8), and the inside
+    # row already carries its policy.
+    outside, inside = next(
+        (a, b) for a, b in zip(fig5_rows, fig5_rows[1:]) if a.parameter < 8.0 <= b.parameter
+    )
+    assert outside.policy != inside.policy
     for _ in range(2):
-        refine(9.0, 12.0)
+        assert outside.parameter < refine(inside, outside) < inside.parameter
     assert solve_calls == [1]
+
+
+@pytest.mark.parametrize("study", ["fig3", "fig4"])
+def test_linear_studies_solve_only_their_sweep(study, tmp_path, solve_calls):
+    # The exact linear refiner reads its switch levels off the inside row's
+    # policy, so a linear study solves nothing after the sweep.
+    reproduce(study, tmp_path)
+    assert len(solve_calls) == 1
 
 
 # ------------------------------------------------------------ region report
@@ -353,6 +373,94 @@ def test_zero_profit_principle_random_models():
         best = max(rows, key=lambda r: r.profit)
         assert abs(best.profit) <= 1e-7
         assert best.policy == rows[0].policy  # attained where the policy is unchanged
+
+
+def _recording(refine):
+    """``refine``, keeping each (inside, outside, refined end) it returns."""
+    calls = []
+
+    def recorded(inside, outside):
+        end = refine(inside, outside)
+        calls.append((inside, outside, end))
+        return end
+
+    recorded.calls = calls
+    return recorded
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_exact_linear_ends_match_the_bisection_oracle(seed):
+    model = random_model(np.random.default_rng(seed), max_states=4, max_actions=3)
+    exact = _recording(make_linear_refiner(model))
+    optimal_region(sweep_linear(model, list(np.linspace(0.0, 1.0, 41))), exact)
+    bisect = contracts._policy_switch_refiner(model, contracts._linear_coverage)
+    for inside, outside, end in exact.calls:
+        assert end == pytest.approx(bisect(inside, outside), abs=contracts.BISECTION_WIDTH)
+
+
+def _bad_split(good, split):
+    return [good, (1.0 - good) * split, (1.0 - good) * (1.0 - split)]
+
+
+def test_exact_linear_end_ignores_the_rounding_noise_of_a_twin_action():
+    # B1 and B2 are alike, so "twin", which splits the bad mass between them
+    # differently from a1 at a1's cost, has a gap to a1 that is zero in exact
+    # arithmetic; in floats it is rounding noise with a root of its own.
+    raw = {
+        "discount": 0.9,
+        "states": [{"name": "G", "loss": 0.0}, {"name": "B1", "loss": 13.1}, {"name": "B2", "loss": 13.1}],
+        "actions": [{"name": "a0", "cost": 0.9}, {"name": "a1", "cost": 1.5}, {"name": "twin", "cost": 1.5}],
+        "transitions": [
+            [_bad_split(0.8, 0.5), _bad_split(0.3, 0.5), _bad_split(0.3, 0.5)],
+            [_bad_split(0.8, 0.5), _bad_split(0.5, 0.5), _bad_split(0.5, 0.5)],
+            [_bad_split(0.8, 0.6), _bad_split(0.5, 0.6), _bad_split(0.5, 0.6)],
+        ],
+        "initial_state": "G",
+    }
+    model = validate_model(raw)
+    bisect = contracts._policy_switch_refiner(model, contracts._linear_coverage)
+    for grid in ([0.0, 0.5, 1.0], list(np.linspace(0.0, 1.0, 41))):
+        exact = _recording(make_linear_refiner(model))
+        optimal_region(sweep_linear(model, grid), exact)
+        assert len(exact.calls) == 1
+        inside, outside, end = exact.calls[0]
+        assert end == pytest.approx(bisect(inside, outside), abs=contracts.BISECTION_WIDTH)
+
+
+def _stress_raw(kind, discount):
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["discount"] = discount
+    if kind == "one_state":
+        raw["states"] = raw["states"][1:]
+        raw["transitions"] = [[[1.0]], [[1.0]]]
+        raw["initial_state"] = 0
+    elif kind == "identical_actions":
+        # Copies of both actions: each one's gap to its twin is zero at every level.
+        raw["actions"] += [dict(a, name=a["name"] + "2") for a in raw["actions"]]
+        raw["transitions"] += raw["transitions"]
+    elif kind == "zero_losses":
+        for state in raw["states"]:
+            state["loss"] = 0.0
+    return raw
+
+
+@pytest.mark.parametrize("discount", [0.0, 0.5, 0.99])
+@pytest.mark.parametrize("kind", ["one_state", "identical_actions", "zero_losses"])
+def test_degenerate_models_give_certified_regions(kind, discount):
+    model = validate_model(_stress_raw(kind, discount))
+    for rows, refine in (
+        (sweep_linear(model), _recording(make_linear_refiner(model))),
+        (sweep_threshold(model, 0.0, 0.9), _recording(make_threshold_refiner(model, 0.0, 0.9))),
+    ):
+        region = optimal_region(rows, refine)
+        assert abs(region.max_profit) <= contracts.PROFIT_ZERO_TOL
+        for inside, outside, end in refine.calls:
+            assert min(inside.parameter, outside.parameter) <= end
+            assert end <= max(inside.parameter, outside.parameter)
+        ends = [end for iv in region.intervals for end in (iv.lo, iv.hi)]
+        assert all(rows[0].parameter <= end <= rows[-1].parameter for end in ends)
+        assert np.isfinite(region.representative_premium)
 
 
 # ----------------------------------------------------------------- peltzman

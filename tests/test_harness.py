@@ -1,8 +1,12 @@
+import contextlib
 import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyins.cli import main, parse_coverage_spec
 from cyins.harness import (
@@ -329,3 +333,85 @@ def test_cli_simulate_and_reproduce(tmp_path, capsys):
     assert (tmp_path / "fig3.csv").exists()
     assert (tmp_path / "fig3_summary.json").exists()
     capsys.readouterr()
+
+
+# ------------------------------------------------------------ CLI robustness
+
+TWO_STATE_PATH = str(bundled_model_path("two_state.model"))
+FOUR_STATE_PATH = str(bundled_model_path("four_state.model"))
+OUT = "{out}"  # replaced by a scratch directory
+# Each flag's good values, then its bad ones.  --grid and --samples take at
+# most 50, so no example runs long.
+FLAG_VALUES = {
+    "--model": ([TWO_STATE_PATH, FOUR_STATE_PATH], [OUT + "/missing.model", "", "nan"]),
+    "--coverage": (
+        ["none", "linear:0.5", "linear:1", "threshold:8,0,0.9"],
+        ["linear:nan", "linear:-1", "linear:x", "threshold:1,2", "threshold:a,0,1", "cubic:1", "", "nan"],
+    ),
+    "--family": (["linear", "threshold"], ["cubic", ""]),
+    "--grid": (["1", "3", "50"], ["0", "-1", "nan", ""]),
+    "--samples": (["1", "3", "50"], ["0", "-1", "nan", ""]),
+    # No empty --out: reproduce would write into the working directory.
+    "--out": ([OUT + "/sweep.csv", OUT], [OUT + "/no/such.csv"]),
+    "--low-level": (["0", "0.5"], ["-1", "2", "nan", ""]),
+    "--high-level": (["0.9", "1"], ["-1", "nan", ""]),
+    "--at": (["0", "0.5", "1"], ["-1", "nan", ""]),
+    "--policy": (["A_H|A_H", "A_L|A_H"], ["A_0|A_L|A_H|A_H", "A_H", "bogus", ""]),
+    "--seed": (["0", "7"], ["-1", "18446744073709551616", "nan", ""]),
+    "--tol": ([], ["1e-9"]),
+    "--help": ([], []),
+}
+COMMAND_FLAGS = {
+    "solve": ["--model", "--coverage"],
+    "sweep": ["--model", "--family", "--grid", "--out", "--low-level", "--high-level"],
+    "analytic": ["--model", "--at"],
+    "simulate": ["--model", "--coverage", "--policy", "--samples", "--seed"],
+    "reproduce": ["--out"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with most of its own flags and now and then a stray one.
+
+    Each value is one of the flag's good values, or a bad one a quarter of
+    the time; now and then a flag comes without its value.  Every choice
+    shrinks toward the valid one, so a failing example shrinks toward the
+    argv that is valid but for the token that breaks it.
+    """
+    command = draw(st.sampled_from([*COMMAND_FLAGS, "frobnicate", "", "--help"]))
+    argv = [command]
+    if command == "reproduce" or draw(st.integers(0, 9)) == 9:
+        argv.append(draw(st.sampled_from(["fig3", "fig4", "fig5", "fig9", ""])))
+    flags = [f for f in COMMAND_FLAGS.get(command, []) if draw(st.integers(0, 9)) < 9]
+    if draw(st.integers(0, 4)) == 4:
+        flags.append(draw(st.sampled_from(sorted(FLAG_VALUES))))
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        good, bad = FLAG_VALUES[flag]
+        pool = bad if not good or (bad and draw(st.integers(0, 3)) == 3) else good
+        if pool and draw(st.integers(0, 19)) < 19:
+            argv.append(draw(st.sampled_from(pool)))
+    # An omitted count takes its default (100k samples, 201 grid points).
+    caps = {"simulate": "--samples", "sweep": "--grid"}
+    if command in caps and caps[command] not in argv:
+        argv += [caps[command], draw(st.sampled_from(FLAG_VALUES[caps[command]][0]))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@settings(deadline=None, max_examples=200)
+@given(argv=cli_argv())
+@example(argv=["simulate", "--model", TWO_STATE_PATH, "--coverage", "none",
+               "--policy", "A_H|A_H", "--samples", "3", "--seed", "-1"])
+def test_cli_exits_with_a_code_for_any_argv(cli_out, argv):
+    argv = [token.replace(OUT, str(cli_out)) for token in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -49,6 +49,9 @@ def test_config_validation():
         SimulationConfig(horizon=0, samples=10, seed=1, truncation_tol=1e-6)
     with pytest.raises(ValueError):
         SimulationConfig(horizon=5, samples=0, seed=1, truncation_tol=1e-6)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            SimulationConfig(horizon=5, samples=10, seed=seed, truncation_tol=1e-6)
 
 
 def test_identical_seeds_are_bit_identical(two_state):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cyins.contracts import CertificateError, sweep_linear
 from cyins.model import (
     LinearCoverage,
     MdpModel,
@@ -82,6 +83,22 @@ def test_value_iteration_stops_at_a_non_finite_iterate(two_state):
     assert not overflowing.converged
     assert overflowing.iterations < 10
     assert finite.converged and np.all(finite.values == 0.0)
+
+
+def test_nan_stage_losses_leave_the_solve_unconverged(two_state):
+    # Built directly: an infinite loss half covered retains inf - inf = NaN.
+    infinite = MdpModel(
+        states=(State("G", 0.0), State("B", np.inf)),
+        actions=two_state.actions,
+        transitions=two_state.transitions,
+        discount=two_state.discount,
+    )
+    with np.errstate(invalid="ignore"):
+        result = solve_value_iteration(infinite, LinearCoverage(0.5))
+        assert not result.converged
+        assert result.iterations == 1
+        with pytest.raises(CertificateError, match="converged=False"):
+            sweep_linear(infinite, [0.5])
 
 
 def test_value_iteration_rejects_bad_tol(two_state):
