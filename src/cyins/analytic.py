@@ -333,11 +333,13 @@ def closed_form_policy(ts: TwoStateModel, level: float) -> ProtectionPolicy:
 
 
 def _switch_level(ts: TwoStateModel, state: int, other_action: int) -> float:
-    """Root of the gap function in the coverage level.
+    """Root of the gap function in the coverage level, from its affine closed form.
 
-    Computed from the affine closed form; falls back to bisection if the
-    slope denominator underflows (cannot happen for valid models, kept as a
-    guard).
+    :func:`classify_case` asks only for the switch of a state that plays the
+    strong action at zero coverage.  There its gap at level 0, given the
+    other state's zero-coverage action, is ``numer - denom`` in this very
+    arithmetic and negative, while every ``numer`` is >= 0 (the strong
+    action costs more), so ``denom > 0``.
     """
     other = ts.bad if state == ts.good else ts.good
     d = ts.discount
@@ -355,16 +357,7 @@ def _switch_level(ts: TwoStateModel, state: int, other_action: int) -> float:
         + d * ts.p(ts.bad, other_action, ts.good)
         + d * ts.p(ts.good, other_action, ts.bad)
     ) * (ts.cost_strong - ts.cost_weak)
-    if denom > 0.0:
-        return 1.0 - numer / denom
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if action_value_gap(ts, state, other_action, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 1.0 - numer / denom
 
 
 def classify_case(ts: TwoStateModel) -> CaseClassification:

@@ -67,15 +67,23 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _out_path(text: str) -> str:
+    """An ``--out`` path; an empty one would name the working directory."""
+    if not text:
+        raise UsageError("--out must not be empty")
+    return text
+
+
 def _cmd_sweep(args) -> int:
+    out = _out_path(args.out)
     model = harness.load_model(args.model)
     if args.family == "linear":
         rows = contracts.sweep_linear(model, contracts.default_linear_grid(args.grid))
     else:
         grid = contracts.default_threshold_grid(model, args.grid)
         rows = contracts.sweep_threshold(model, args.low_level, args.high_level, grid)
-    harness.write_sweep_csv(model, rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    harness.write_sweep_csv(model, rows, out)
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
@@ -121,8 +129,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    summary = harness.reproduce(args.study, args.out)
-    print(f"wrote {args.study} outputs to {args.out}")
+    out = _out_path(args.out)
+    summary = harness.reproduce(args.study, out)
+    print(f"wrote {args.study} outputs to {out}")
     print(f"max_profit = {format_number(summary['max_profit'])}")
     if summary.get("case"):
         print(f"case = {summary['case']}")

@@ -49,6 +49,7 @@ from .model import (
     ThresholdCoverage,
     ZeroCoverage,
     coverage_paid,
+    coverages_paid,
     decompose_value,
 )
 from .solvers import TIE_REL, SolveResult, solve_value_iterations
@@ -156,18 +157,19 @@ def _solve_many(model: MdpModel, coverages: Sequence[Coverage]) -> list[SolveRes
     """Certified optimal responses to ``coverages``, in their order.
 
     The stage losses depend on a coverage only through its paid vector, so
-    each distinct paid vector is solved once, and all of them in one
-    value-iteration loop; each result then passes the certificate on its own
-    (see the module docstring).
+    the paid vectors are built once, as one (K, N) array, and each distinct
+    row is solved once, all of them in one value-iteration loop; each result
+    then passes the certificate on its own (see the module docstring).
     """
-    keys = [coverage_paid(model, c).tobytes() for c in coverages]
-    distinct: dict[bytes, Coverage] = {}
-    for key, coverage in zip(keys, coverages):
-        distinct.setdefault(key, coverage)
-    results = solve_value_iterations(model, list(distinct.values()), tol=CERT_TOL)
-    solved = dict(zip(distinct, results))
-    for key, coverage in distinct.items():
-        _certify(model, coverage, solved[key])
+    paid = coverages_paid(model, coverages)
+    keys = [row.tobytes() for row in paid]
+    first: dict[bytes, int] = {}
+    for k, key in enumerate(keys):
+        first.setdefault(key, k)
+    results = solve_value_iterations(model, paid[list(first.values())], tol=CERT_TOL)
+    solved = dict(zip(first, results))
+    for key, k in first.items():
+        _certify(model, coverages[k], solved[key])
     return [solved[key] for key in keys]
 
 
@@ -207,22 +209,26 @@ def _run_sweep(
 
     # Rows share this arithmetic, so a row on the baseline policy reports a
     # profit of exactly zero.
+    baseline_value = float(baseline.values[s0])
     baseline_uninsured = sum(uninsured_parts(baseline.policy))
-    rows = []
-    for parameter, solved in zip(parameters, solved_rows):
+    # Rows that pay one vector share one result, so each distinct result is
+    # priced once (results hash by identity).
+    priced = {}
+    for solved in dict.fromkeys(solved_rows):
         direct, cost = uninsured_parts(solved.policy)
-        rows.append(
-            ContractSweepRow(
-                parameter=float(parameter),
-                policy=solved.policy,
-                user_value=float(solved.values[s0]),
-                max_premium=max(0.0, float(baseline.values[s0] - solved.values[s0])),
-                profit=baseline_uninsured - (direct + cost),
-                direct_losses=direct,
-                protection_cost=cost,
-            )
+        user_value = float(solved.values[s0])
+        priced[solved] = (
+            solved.policy,
+            user_value,
+            max(0.0, baseline_value - user_value),
+            baseline_uninsured - (direct + cost),
+            direct,
+            cost,
         )
-    return rows
+    return [
+        ContractSweepRow(float(parameter), *priced[solved])
+        for parameter, solved in zip(parameters, solved_rows)
+    ]
 
 
 def default_linear_grid(points: int = LINEAR_GRID_POINTS) -> np.ndarray:

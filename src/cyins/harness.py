@@ -13,6 +13,7 @@ four-state two-tier (threshold) sweep.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -173,6 +174,36 @@ def _write_summary(summary: dict, path: Path) -> None:
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _analytic_overlay(ts: analytic.TwoStateModel, classification: analytic.CaseClassification):
+    """fig3's closed-form columns for a sweep row: policy, value and case.
+
+    The analytic policy is constant on each ``classify_case`` segment [lo,
+    hi), and so are its value coefficients, so each segment computes them
+    once; a row's value is the arithmetic of
+    :func:`analytic.closed_form_value`.
+    """
+    model, s0 = ts.model, ts.model.initial_state
+    starts = [segment.lo for segment in classification.segments]
+    columns = []
+    for segment in classification.segments:
+        actions = segment.policy.actions
+        policy = (ts, s0, actions[ts.good], actions[ts.bad])
+        columns.append(
+            (
+                policy_label(model, segment.policy),
+                analytic.loss_coefficient(*policy),
+                analytic.cost_coefficient(*policy),
+            )
+        )
+
+    def overlay(row: contracts.ContractSweepRow) -> list[str]:
+        label, loss, cost = columns[bisect_right(starts, row.parameter) - 1]
+        value = (1.0 - row.parameter) * loss + cost
+        return [label, format_number(value), classification.case_id]
+
+    return overlay
+
+
 def reproduce(study: str, out_dir: str | Path) -> dict:
     """Regenerate one of the bundled studies into ``out_dir``.
 
@@ -197,19 +228,11 @@ def reproduce(study: str, out_dir: str | Path) -> dict:
         rows = contracts.sweep_linear(model)
         region = contracts.optimal_region(rows, contracts.make_linear_refiner(model))
 
-        def overlay(row):
-            policy = analytic.closed_form_policy(ts, row.parameter)
-            value = analytic.closed_form_value(
-                ts,
-                model.initial_state,
-                policy.actions[model.initial_state],
-                policy.actions[1 - model.initial_state],
-                row.parameter,
-            )
-            return [policy_label(model, policy), format_number(value), classification.case_id]
-
         lines = _sweep_lines(
-            model, rows, ("analytic_policy", "analytic_value", "case_id"), overlay
+            model,
+            rows,
+            ("analytic_policy", "analytic_value", "case_id"),
+            _analytic_overlay(ts, classification),
         )
         (out / "fig3.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         summary = {

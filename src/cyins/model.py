@@ -31,6 +31,7 @@ __all__ = [
     "ZeroCoverage",
     "apply_coverage",
     "coverage_paid",
+    "coverages_paid",
     "decompose_value",
     "effective_loss",
     "evaluate_policy",
@@ -386,7 +387,32 @@ def effective_loss(model: MdpModel, state: int, action: int, coverage: Coverage)
 
 def coverage_paid(model: MdpModel, coverage: Coverage) -> np.ndarray:
     """Reimbursement paid in each state, shape (n_states,)."""
-    return np.array([apply_coverage(coverage, s.loss) for s in model.states])
+    return coverages_paid(model, [coverage])[0]
+
+
+def coverages_paid(model: MdpModel, coverages: Sequence[Coverage]) -> np.ndarray:
+    """Reimbursements of a stack of coverages, shape (len(coverages), n_states).
+
+    Row k is the paid vector of ``coverages[k]``, and the whole stack is one
+    array expression with the products of :func:`apply_coverage`: the tier
+    level (low at or below the cutoff, high above it) times the loss.  A
+    linear level is a low tier without a cutoff, no insurance a zero level.
+    """
+    tiers = np.array([_tiers(c) for c in coverages], dtype=float).reshape(-1, 3)
+    cutoff, low, high = tiers.T[:, :, None]
+    losses = model.losses
+    return np.where(losses > cutoff, high, low) * losses
+
+
+def _tiers(coverage: Coverage) -> tuple[float, float, float]:
+    """``(cutoff, low level, high level)`` of a coverage."""
+    if isinstance(coverage, ThresholdCoverage):
+        return coverage.cutoff, coverage.low_level, coverage.high_level
+    if isinstance(coverage, LinearCoverage):
+        return np.inf, coverage.level, 0.0
+    if isinstance(coverage, ZeroCoverage):
+        return np.inf, 0.0, 0.0
+    raise TypeError(f"not a coverage policy: {coverage!r}")
 
 
 def stage_loss_matrix(model: MdpModel, coverage: Coverage) -> np.ndarray:

@@ -53,8 +53,9 @@ class SimulationConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        # One sample has no standard error.
+        if self.samples < 2:
+            raise ValueError("samples must be at least 2")
         # The seed keys Philox streams as an unsigned 64-bit word.
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64)")
@@ -159,12 +160,8 @@ def _simulate_discounted_sum(
     # fsum keeps the reduction exact, so degenerate (deterministic) chains
     # report precisely the finite geometric sum with zero spread.
     mean = math.fsum(totals) / config.samples
-    if config.samples > 1:
-        variance = math.fsum((totals - mean) ** 2) / (config.samples - 1)
-        stderr = math.sqrt(variance / config.samples)
-    else:
-        stderr = 0.0
-    return mean, stderr
+    variance = math.fsum((totals - mean) ** 2) / (config.samples - 1)
+    return mean, math.sqrt(variance / config.samples)
 
 
 def simulate_value(

@@ -7,9 +7,13 @@ whatever policy they select, so agreement checks compare solver choices, not
 iteration noise.
 
 Value iteration has one loop, :func:`solve_value_iterations`, which applies
-the Bellman operator to a stack of coverage problems of one model at once;
-each problem keeps its own stopping rule, and the stopped problems are
-finished together.  :func:`solve_value_iteration` is its one-problem call.
+the Bellman operator to a stack of coverage problems of one model at once,
+each given by its paid vector (a coverage enters only through what it pays
+per state).  The stack is problem-minor, one column per problem, so each
+iteration is one matrix product and two reductions across contiguous
+problems; each problem keeps its own stopping rule, and the stopped problems
+are finished together.  :func:`solve_value_iteration` is its one-problem
+call.
 
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .model import (
     MdpModel,
     ProtectionPolicy,
     coverage_paid,
+    coverages_paid,
     evaluate_policy,
     stage_loss_matrix,
 )
@@ -150,74 +154,82 @@ def solve_value_iteration(
     max_iter: int = 200_000,
 ) -> SolveResult:
     """Value iteration for one coverage: the one-problem :func:`solve_value_iterations`."""
-    return solve_value_iterations(model, [coverage], tol=tol, max_iter=max_iter)[0]
+    return solve_value_iterations(model, coverages_paid(model, [coverage]), tol, max_iter)[0]
 
 
 def solve_value_iterations(
     model: MdpModel,
-    coverages: Sequence[Coverage],
+    paid: np.ndarray,
     tol: float = 1e-9,
     max_iter: int = 200_000,
 ) -> list[SolveResult]:
     """Value iteration from V = 0 for a stack of coverage problems of one model.
 
-    Every problem iterates the same Bellman operator on its own stage losses,
-    all in one loop.  A problem leaves the stack at the first iteration where
-    its own sup-norm change is at most tol * (1 - discount) / (2 * discount),
-    which bounds the value error of its greedy policy by ``tol``.  A problem
-    still iterating at ``max_iter`` keeps its last iterate, and one whose
-    iterate stops being finite its last finite iterate; both are flagged
-    ``converged=False``.  All problems are then finished together: one greedy
-    extraction, one stacked exact evaluation of the extracted policies (the
-    reported values) and one stacked Bellman residual.  Results are in the
-    order of ``coverages``.
+    A coverage enters the stage losses only through the reimbursement it
+    pays in each state, so the K problems are given by their paid vectors,
+    ``paid`` of shape (K, n_states), as :func:`cyins.model.coverages_paid`
+    builds them.  Every problem iterates the same Bellman
+    operator on its own stage losses, all in one loop.  The stack is
+    problem-minor: values are (N, K) and stage losses (M*N, K), so the min
+    over actions and the max over states reduce across contiguous problems.
+    A problem leaves the stack at the first iteration where its own sup-norm
+    change is at most tol * (1 - discount) / (2 * discount), which bounds
+    the value error of its greedy policy by ``tol``.  A problem still
+    iterating at ``max_iter`` keeps its last iterate, and one whose iterate
+    stops being finite its last finite iterate; both are flagged
+    ``converged=False``.  All problems are then finished together: one
+    greedy extraction, one stacked exact evaluation of the extracted
+    policies (the reported values) and one stacked Bellman residual.
+    Results are in the order of the rows of ``paid``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    coverages = list(coverages)
     delta = model.discount
     threshold = tol * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf
     n, m = model.n_states, model.n_actions
-    # Action-major stage losses, column a * n + s, so one product serves the stack.
-    retained = model.losses - np.array([coverage_paid(model, c) for c in coverages]).reshape(-1, n)
-    stage = (model.costs[None, :, None] + retained[:, None, :]).reshape(-1, m * n)
-    forward = delta * model.transitions.reshape(m * n, n).T
+    retained = model.losses - np.asarray(paid, dtype=float).reshape(-1, n)
+    problems = len(retained)
+    # Action-major stage losses, row a * n + s, one column per problem.
+    stage = (model.costs[:, None, None] + retained.T[None]).reshape(m * n, problems)
+    lookahead = delta * model.transitions.reshape(m * n, n)
     lowest, highest = np.minimum.reduce, np.maximum.reduce
-    values = np.zeros((len(coverages), n))
-    active = np.arange(len(coverages))
+    values = np.zeros((n, problems))
+    active = np.arange(problems)
     iterates = np.zeros_like(values)
-    iterations = np.full(len(coverages), max_iter)
-    converged = np.zeros(len(coverages), dtype=bool)
+    iterations = np.full(problems, max_iter)
+    converged = np.zeros(problems, dtype=bool)
     for iteration in range(1, max_iter + 1):
         if not active.size:
             break
-        updated = lowest((stage + values @ forward).reshape(-1, m, n), axis=1)
-        change = highest(np.abs(updated - values), axis=1)
+        updated = lowest((stage + lookahead @ values).reshape(m, n, -1), axis=0)
+        change = highest(np.abs(updated - values), axis=0)
         # One test per iteration while every problem keeps going; NaN fails it too.
         if not (lowest(change) > threshold and highest(change) < np.inf):
             going = (change > threshold) & (change < np.inf)
             stopped, finite = active[~going], np.isfinite(change[~going])
-            iterates[stopped] = np.where(finite[:, None], updated[~going], values[~going])
+            iterates[:, stopped] = np.where(finite, updated[:, ~going], values[:, ~going])
             iterations[stopped] = iteration
             converged[stopped] = finite
-            updated, stage, active = updated[going], stage[going], active[going]
+            updated, stage, active = updated[:, going], stage[:, going], active[going]
         values = updated
-    iterates[active] = values
+    iterates[:, active] = values
 
-    actions = _greedy_actions(_stacked_action_values(model, retained, iterates), model.costs)
+    actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)
     system = np.eye(n) - delta * model.transitions[actions, np.arange(n)]
     exact = np.linalg.solve(system, (retained + model.costs[actions])[..., None])[..., 0]
     bellman = _stacked_action_values(model, retained, exact).min(axis=2)
     residual = highest(np.abs(exact - bellman), axis=1)
     return [
         SolveResult(
-            policy=ProtectionPolicy(tuple(int(a) for a in actions[k])),
+            policy=ProtectionPolicy(tuple(policy)),
             values=exact[k],
-            iterations=int(iterations[k]),
-            residual=float(residual[k]),
-            converged=bool(converged[k]),
+            iterations=count,
+            residual=bound,
+            converged=ok,
         )
-        for k in range(len(coverages))
+        for k, (policy, count, bound, ok) in enumerate(
+            zip(actions.tolist(), iterations.tolist(), residual.tolist(), converged.tolist())
+        )
     ]
 
 

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyins.analytic import (
     TwoStateModel,
@@ -457,6 +459,87 @@ def test_optimum_unique_up_to_exact_ties_random():
         assert fixed_points
         for values in fixed_points[1:]:
             assert np.abs(values - fixed_points[0]).max() <= 1e-9
+
+
+def _slope_denominators(ts):
+    """Each state's switch-level slope denominator, in _switch_level's arithmetic."""
+    d, p = ts.discount, ts.model.transitions
+    g, b, w, s = ts.good, ts.bad, ts.weak, ts.strong
+    spread = ts.loss_bad - ts.loss_good
+    return {
+        g: d * (float(p[w, g, b]) - float(p[s, g, b])) * spread,
+        b: d * (float(p[s, b, g]) - float(p[w, b, g])) * spread,
+    }
+
+
+@st.composite
+def edge_two_state_raws(draw):
+    """Two-state descriptions near every edge of validation: zero and subnormal
+    discounts, tiny loss, cost and protection spreads, and rows off their
+    sum by up to the validation tolerance."""
+    discount = draw(
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.999999]), st.floats(0.0, 0.999999))
+    )
+    spreads = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-12, 1e-9]), st.floats(0.0, 1.0))
+    loss_good = draw(st.floats(0.0, 1e3))
+    cost_weak = draw(st.floats(0.0, 10.0))
+    # Per state, the weak and strong probabilities of ending in the good state.
+    toward_good = []
+    for _ in range(2):
+        weak = draw(st.floats(0.0, 1.0))
+        toward_good.append((weak, min(1.0, weak + draw(spreads))))
+    slack = st.sampled_from([0.0, 4e-10, -4e-10])
+    return {
+        "discount": discount,
+        "states": [
+            {"name": "good", "loss": loss_good},
+            {"name": "bad", "loss": loss_good + draw(st.floats(0.0, 1e6))},
+        ],
+        "actions": [
+            {"name": "weak", "cost": cost_weak},
+            {"name": "strong", "cost": cost_weak + draw(spreads)},
+        ],
+        "transitions": [
+            [[q[a], 1.0 - q[a] + draw(slack)] for q in toward_good] for a in range(2)
+        ],
+    }
+
+
+@settings(deadline=None, max_examples=300)
+@given(edge_two_state_raws())
+def test_switch_levels_have_positive_slopes(raw):
+    # from_model alone does not make every slope denominator positive (a zero
+    # discount zeroes both), but classify_case computes a state's switch
+    # level only where the zero-coverage policy protects strongly, and there
+    # the denominator exceeds a non-negative numerator.
+    try:
+        ts = TwoStateModel.from_model(validate_model(raw))
+    except ValueError:
+        return
+    denominators = _slope_denominators(ts)
+    baseline = closed_form_policy(ts, 0.0)
+    classification = classify_case(ts)
+    for state in (ts.good, ts.bad):
+        if baseline.actions[state] == ts.strong:
+            assert denominators[state] > 0.0
+    assert all(np.isfinite(level) for level in classification.thresholds.values())
+
+
+def test_from_model_accepts_zero_slope_denominators():
+    # So the positive slope of every computed switch level rests on the
+    # baseline policy: these models pass, and no state of them protects.
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["discount"] = 0.0
+    ts = TwoStateModel.from_model(validate_model(raw))
+    assert set(_slope_denominators(ts).values()) == {0.0}
+    assert classify_case(ts).case_id == "Case1"
+    # Within the row-sum tolerance, strong protection lowers the bad state's
+    # stay without raising its move to the good state.
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["transitions"][1][1] = [0.5, 0.5 - 1e-12]
+    ts = TwoStateModel.from_model(validate_model(raw))
+    assert _slope_denominators(ts)[ts.bad] == 0.0
+    assert classify_case(ts).thresholds.keys() == {"R_G"}
 
 
 # -------------------------------------------------------------- construction

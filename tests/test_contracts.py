@@ -20,6 +20,7 @@ from cyins.model import (
     ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
+    coverages_paid,
     evaluate_policy,
     validate_model,
 )
@@ -196,10 +197,11 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
     values = evaluate_policy(two_state, worse, coverage)
     residual = float(np.abs(values - bellman_update(two_state, coverage, values)).max())
 
-    def suboptimal(model, requested, tol):
-        solved = solve_value_iterations(model, requested, tol=tol)
+    def suboptimal(model, paid, tol):
+        solved = solve_value_iterations(model, paid, tol=tol)
         fake = SolveResult(policy=worse, values=values, iterations=1, residual=residual)
-        return [fake if c == coverage else r for c, r in zip(requested, solved)]
+        faked = coverages_paid(model, [coverage])[0]
+        return [fake if np.array_equal(row, faked) else r for row, r in zip(paid, solved)]
 
     monkeypatch.setattr(contracts, "solve_value_iterations", suboptimal)
     with pytest.raises(CertificateError, match="converged=True"):
@@ -210,7 +212,8 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
 
 @st.composite
 def coverage_stacks(draw):
-    """A random model of at most 12 states and 3 actions, and coverages with repeats."""
+    """A random model of at most 12 states and 3 actions, coverages with
+    repeats, and a permutation of the stack."""
     model = random_model(
         np.random.default_rng(draw(st.integers(0, 2**32 - 1))), max_states=12, max_actions=3
     )
@@ -224,18 +227,25 @@ def coverage_stacks(draw):
     )
     distinct = draw(st.lists(one, min_size=1, max_size=5))
     repeats = draw(st.lists(st.sampled_from(distinct), max_size=4))
-    return model, draw(st.permutations(distinct + repeats))
+    coverages = draw(st.permutations(distinct + repeats))
+    return model, coverages, draw(st.permutations(range(len(coverages))))
 
 
 @settings(deadline=None, max_examples=40)
 @given(coverage_stacks())
 def test_batched_solves_match_solving_each_coverage_alone(stack):
-    # Iteration counts are not compared: batched products may move the stop
-    # by a few iterations, but never the policy or its exact values.
-    model, coverages = stack
+    # Iteration counts are compared in
+    # test_stacked_problems_stop_where_they_stop_alone, where the products
+    # are exact: here BLAS may sum a one-column product in another order
+    # than a stack's, which can move a stop by an iteration, but never the
+    # policy or its exact values.
+    model, coverages, order = stack
     alone = [solve_value_iteration(model, c, tol=contracts.CERT_TOL) for c in coverages]
+    paid = coverages_paid(model, coverages)
+    permuted = dict(zip(order, solve_value_iterations(model, paid[order], tol=contracts.CERT_TOL)))
     for batched in (
-        solve_value_iterations(model, coverages, tol=contracts.CERT_TOL),
+        solve_value_iterations(model, paid, tol=contracts.CERT_TOL),
+        [permuted[k] for k in range(len(order))],
         contracts._solve_many(model, coverages),
     ):
         assert len(batched) == len(coverages)
@@ -245,14 +255,51 @@ def test_batched_solves_match_solving_each_coverage_alone(stack):
             assert np.array_equal(together.values, single.values)
 
 
+def test_stacked_problems_stop_where_they_stop_alone():
+    # Every transition row has one 1, so each product term but one is an
+    # exact zero and the stack's products are exact in any summation order.
+    # Losses over six orders of magnitude make the problems stop at
+    # different iterations, and a NaN paid entry leaves its problem a NaN
+    # stage row, which stops at the first iteration.
+    model = validate_model(
+        {
+            "discount": 0.9,
+            "states": [
+                {"name": f"s{i}", "loss": loss} for i, loss in enumerate((0.0, 1.0, 1e3, 1e6))
+            ],
+            "actions": [{"name": "drift", "cost": 0.0}, {"name": "repair", "cost": 50.0}],
+            "transitions": [
+                [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+                [[1, 0, 0, 0]] * 4,
+            ],
+        }
+    )
+    levels = np.array([0.0, 0.5, 0.999, 0.999999, 1.0, 0.25])
+    paid = levels[:, None] * model.losses
+    paid[-1, 2] = np.nan
+    alone = [solve_value_iterations(model, row[None])[0] for row in paid]
+    assert len({result.iterations for result in alone}) >= 4
+    assert [result.converged for result in alone] == [True] * 5 + [False]
+    assert alone[-1].iterations == 1
+    order = [3, 5, 0, 4, 2, 1]
+    together = solve_value_iterations(model, paid)
+    permuted = dict(zip(order, solve_value_iterations(model, paid[order])))
+    for k, single in enumerate(alone):
+        for batched in (together[k], permuted[k]):
+            assert batched.iterations == single.iterations
+            assert batched.converged == single.converged
+            assert batched.policy == single.policy
+            assert np.array_equal(batched.values, single.values, equal_nan=True)
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
     """Number of problems in each value-iteration call the contracts layer makes."""
     calls = []
 
-    def counting(model, coverages, tol):
-        calls.append(len(coverages))
-        return solve_value_iterations(model, coverages, tol=tol)
+    def counting(model, paid, tol):
+        calls.append(len(paid))
+        return solve_value_iterations(model, paid, tol=tol)
 
     monkeypatch.setattr(contracts, "solve_value_iterations", counting)
     return calls

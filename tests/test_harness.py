@@ -2,18 +2,21 @@ import contextlib
 import copy
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyins import analytic, contracts, harness
 from cyins.cli import main, parse_coverage_spec
 from cyins.harness import (
     ModelFileError,
     SWEEP_CSV_HEADER,
     bundled_model,
     bundled_model_path,
+    format_number,
     load_model,
     parse_policy_label,
     policy_label,
@@ -26,10 +29,10 @@ from cyins.model import (
     ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
+    validate_model,
 )
-from cyins import contracts
 
-from helpers import FOUR_STATE_RAW, TWO_STATE_RAW
+from helpers import FOUR_STATE_RAW, TWO_STATE_RAW, random_two_state_raw
 
 
 # ---------------------------------------------------------------- model files
@@ -165,6 +168,29 @@ def test_reproduce_fig3_summary(tmp_path):
         assert float(fields[8]) == pytest.approx(float(fields[2]), abs=1e-6)
 
 
+@pytest.mark.parametrize("seed", [None, *range(12)])
+def test_fig3_overlay_matches_the_closed_forms_row_by_row(seed):
+    # The overlay reads each row's policy off its classify_case segment;
+    # rows exactly on a threshold open the next segment, as
+    # closed_form_policy's weak-action tie rule has it.
+    raw = TWO_STATE_RAW if seed is None else random_two_state_raw(np.random.default_rng(seed))
+    ts = analytic.TwoStateModel.from_model(validate_model(raw))
+    model, s0 = ts.model, ts.model.initial_state
+    classification = analytic.classify_case(ts)
+    overlay = harness._analytic_overlay(ts, classification)
+    levels = [*contracts.default_linear_grid(), *classification.thresholds.values()]
+    for level in (x for x in levels if 0.0 <= x <= 1.0):
+        policy = analytic.closed_form_policy(ts, level)
+        actions = policy.actions
+        value = analytic.closed_form_value(ts, s0, actions[s0], actions[1 - s0], level)
+        row = SimpleNamespace(parameter=level)
+        assert overlay(row) == [
+            policy_label(model, policy),
+            format_number(value),
+            classification.case_id,
+        ]
+
+
 def test_reproduce_rejects_unknown_study(tmp_path):
     with pytest.raises(ValueError):
         reproduce("fig9", tmp_path)
@@ -214,12 +240,22 @@ def test_cli_analytic_rejects_non_two_state(capsys):
     assert "two states and two actions" in err
 
 
-def test_cli_usage_errors(capsys, tmp_path):
+def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
     assert main(["frobnicate"]) == 2
     assert main(["solve", "--model", "x", "--coverage", "linear:oops"]) == 2
     assert main(["sweep", "--model", "x", "--family", "cubic", "--out", "y"]) == 2
     assert main(["solve", "--model", "x", "--coverage", "none", "--tol", "1e-9"]) == 2
     capsys.readouterr()
+    # An empty --out would name the working directory.
+    monkeypatch.chdir(tmp_path)
+    model = str(bundled_model_path("two_state.model"))
+    for argv in (
+        ["reproduce", "fig3", "--out", ""],
+        ["sweep", "--model", model, "--family", "linear", "--grid", "3", "--out", ""],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --out")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_validation_errors(tmp_path, capsys):
@@ -229,6 +265,13 @@ def test_cli_validation_errors(tmp_path, capsys):
     bad.write_text("{", encoding="utf-8")
     assert main(["solve", "--model", str(bad), "--coverage", "none"]) == 1
     capsys.readouterr()
+    # One sample has no standard error.
+    model = str(bundled_model_path("two_state.model"))
+    argv = ["simulate", "--model", model, "--coverage", "none", "--policy", "A_H|A_H"]
+    assert main(argv + ["--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: samples must be at least 2")
+    assert "estimate" not in captured.out
 
 
 def test_cli_reports_malformed_state_and_action_lists(tmp_path, capsys):
@@ -350,9 +393,8 @@ FLAG_VALUES = {
     ),
     "--family": (["linear", "threshold"], ["cubic", ""]),
     "--grid": (["1", "3", "50"], ["0", "-1", "nan", ""]),
-    "--samples": (["1", "3", "50"], ["0", "-1", "nan", ""]),
-    # No empty --out: reproduce would write into the working directory.
-    "--out": ([OUT + "/sweep.csv", OUT], [OUT + "/no/such.csv"]),
+    "--samples": (["2", "3", "50"], ["1", "0", "-1", "nan", ""]),
+    "--out": ([OUT + "/sweep.csv", OUT], [OUT + "/no/such.csv", ""]),
     "--low-level": (["0", "0.5"], ["-1", "2", "nan", ""]),
     "--high-level": (["0.9", "1"], ["-1", "nan", ""]),
     "--at": (["0", "0.5", "1"], ["-1", "nan", ""]),

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyins.model import (
     LinearCoverage,
@@ -11,6 +13,7 @@ from cyins.model import (
     ZeroCoverage,
     apply_coverage,
     coverage_paid,
+    coverages_paid,
     decompose_value,
     effective_loss,
     evaluate_policy,
@@ -235,6 +238,53 @@ def test_effective_loss_full_coverage_leaves_cost(two_state):
 
 def test_effective_loss_good_state_weak_action_uninsured(two_state):
     assert effective_loss(two_state, 0, 0, ZeroCoverage()) == 0.0
+
+
+@st.composite
+def paid_stacks(draw):
+    """A one-action model on random losses and a stack of coverages whose
+    cutoffs are often exactly a state loss."""
+    losses = draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=6))
+    n = len(losses)
+    model = validate_model(
+        {
+            "discount": 0.5,
+            "states": [{"name": f"s{i}", "loss": loss} for i, loss in enumerate(losses)],
+            "actions": [{"name": "a", "cost": 0.0}],
+            "transitions": [np.eye(n).tolist()],
+        }
+    )
+    levels = st.floats(0.0, 1.0)
+    cutoffs = st.one_of(st.sampled_from(losses), st.floats(0.0, 2e6))
+    one = st.one_of(
+        st.just(ZeroCoverage()),
+        st.builds(LinearCoverage, levels),
+        st.builds(ThresholdCoverage, cutoffs, levels, levels),
+    )
+    return model, draw(st.lists(one, max_size=6))
+
+
+@settings(deadline=None, max_examples=60)
+@given(paid_stacks())
+def test_paid_vectors_are_the_per_state_reimbursements(stack):
+    model, coverages = stack
+    paid = coverages_paid(model, coverages)
+    assert paid.shape == (len(coverages), model.n_states)
+    for row, coverage in zip(paid, coverages):
+        expected = np.array([apply_coverage(coverage, s.loss) for s in model.states])
+        assert row.tobytes() == expected.tobytes()
+        assert coverage_paid(model, coverage).tobytes() == expected.tobytes()
+
+
+def test_paid_vector_edge_cases(four_state):
+    # A cutoff equal to a state loss pays that state the low tier.
+    paid = coverage_paid(four_state, ThresholdCoverage(8.0, 0.25, 0.9))
+    assert paid.tolist() == [0.0, 1.0, 2.0, 14.4]
+    # Solves are keyed on paid bytes, so no insurance and a zero level share a key.
+    zero, linear = coverages_paid(four_state, [ZeroCoverage(), LinearCoverage(0.0)])
+    assert zero.tobytes() == linear.tobytes() == np.zeros(4).tobytes()
+    with pytest.raises(TypeError, match="not a coverage"):
+        coverages_paid(four_state, [0.5])
 
 
 def test_stage_matrix_and_paid_vector_match_per_state_values(four_state):

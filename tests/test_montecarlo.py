@@ -47,8 +47,10 @@ def test_config_undiscounted_model_single_step():
 def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(horizon=0, samples=10, seed=1, truncation_tol=1e-6)
-    with pytest.raises(ValueError):
-        SimulationConfig(horizon=5, samples=0, seed=1, truncation_tol=1e-6)
+    # One sample has no standard error.
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match="samples"):
+            SimulationConfig(horizon=5, samples=samples, seed=1, truncation_tol=1e-6)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
             SimulationConfig(horizon=5, samples=10, seed=seed, truncation_tol=1e-6)

@@ -11,6 +11,7 @@ from cyins.model import (
     ProtectionPolicy,
     State,
     ZeroCoverage,
+    coverages_paid,
     evaluate_policy,
     validate_model,
 )
@@ -78,7 +79,7 @@ def test_value_iteration_stops_at_a_non_finite_iterate(two_state):
         discount=two_state.discount,
     )
     overflowing, finite = solve_value_iterations(
-        huge, [ZeroCoverage(), LinearCoverage(1.0)], max_iter=200_000
+        huge, coverages_paid(huge, [ZeroCoverage(), LinearCoverage(1.0)]), max_iter=200_000
     )
     assert not overflowing.converged
     assert overflowing.iterations < 10
