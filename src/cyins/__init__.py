@@ -6,8 +6,9 @@ The package has five layers:
   evaluation;
 - :mod:`cyins.solvers`: optimal policies by value iteration, linear
   programming (self-contained simplex) and brute-force enumeration;
-- :mod:`cyins.contracts`: contract sweeps (premium, insurer profit and
-  coverage paid per row) and zero-profit region extraction;
+- :mod:`cyins.contracts`: the certified optimal response to a coverage
+  (:func:`solve`), contract sweeps (premium, insurer profit and coverage
+  paid per row) and zero-profit region extraction;
 - :mod:`cyins.analytic`: exact closed forms for the two-state / two-action
   case under linear coverage;
 - :mod:`cyins.montecarlo` / :mod:`cyins.harness`: a statistical oracle,
@@ -29,6 +30,7 @@ from .contracts import (
     ContractSweepRow,
     RegionReport,
     optimal_region,
+    solve,
     sweep_linear,
     sweep_threshold,
 )
@@ -42,9 +44,7 @@ from .model import (
     State,
     ThresholdCoverage,
     ZeroCoverage,
-    apply_coverage,
     decompose_value,
-    effective_loss,
     evaluate_policy,
     validate_model,
 )
@@ -79,7 +79,6 @@ __all__ = [
     "ThresholdCoverage",
     "TwoStateModel",
     "ZeroCoverage",
-    "apply_coverage",
     "build_lp",
     "bundled_model",
     "classify_case",
@@ -87,7 +86,6 @@ __all__ = [
     "closed_form_value",
     "config_for",
     "decompose_value",
-    "effective_loss",
     "evaluate_policy",
     "load_model",
     "optimal_contract",
@@ -99,6 +97,7 @@ __all__ = [
     "save_model",
     "simulate_coverage_paid",
     "simulate_value",
+    "solve",
     "solve_lp_dual",
     "solve_policy_enumeration",
     "solve_value_iteration",

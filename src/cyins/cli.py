@@ -55,14 +55,13 @@ def parse_coverage_spec(spec: str) -> Coverage:
 def _cmd_solve(args) -> int:
     coverage = parse_coverage_spec(args.coverage)
     model = harness.load_model(args.model)
-    result = contracts._solve(model, coverage)
-    bound = contracts._certificate_bound(model, result)
+    result = contracts.solve(model, coverage)
     print(f"policy: {harness.policy_label(model, result.policy)}")
     for state, value in zip(model.states, result.values):
         print(f"value[{state.name}] = {format_number(value)}")
     print(
         f"iterations: {result.iterations}  residual: {format_number(result.residual)}  "
-        f"certificate bound: {format_number(bound)}"
+        f"certificate bound: {format_number(result.certificate_bound)}"
     )
     return 0
 
@@ -76,11 +75,15 @@ def _out_path(text: str) -> str:
 
 def _cmd_sweep(args) -> int:
     out = _out_path(args.out)
+    if args.grid is not None and args.grid < 1:
+        raise UsageError(f"--grid must be at least 1, got {args.grid}")
+    # Without --grid each family takes its own default grid size.
+    points = {} if args.grid is None else {"points": args.grid}
     model = harness.load_model(args.model)
     if args.family == "linear":
-        rows = contracts.sweep_linear(model, contracts.default_linear_grid(args.grid))
+        rows = contracts.sweep_linear(model, contracts.default_linear_grid(**points))
     else:
-        grid = contracts.default_threshold_grid(model, args.grid)
+        grid = contracts.default_threshold_grid(model, **points)
         rows = contracts.sweep_threshold(model, args.low_level, args.high_level, grid)
     harness.write_sweep_csv(model, rows, out)
     print(f"wrote {len(rows)} rows to {out}")
@@ -88,9 +91,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
+    # A level outside [0, 1] fails here, before any report line is printed.
+    level = LinearCoverage(args.at).level
     model = harness.load_model(args.model)
     ts = analytic.TwoStateModel.from_model(model)
-    level = args.at
     classification = analytic.classify_case(ts)
     contract = analytic.optimal_contract(ts)
 
@@ -153,7 +157,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="contract sweep to CSV")
     p_sweep.add_argument("--model", required=True)
     p_sweep.add_argument("--family", required=True, choices=("linear", "threshold"))
-    p_sweep.add_argument("--grid", type=int, default=contracts.LINEAR_GRID_POINTS)
+    p_sweep.add_argument(
+        "--grid",
+        type=int,
+        help=f"grid points (default: {contracts.LINEAR_GRID_POINTS} levels, "
+        f"{contracts.THRESHOLD_GRID_POINTS} cutoffs)",
+    )
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--low-level", type=float, default=0.0)
     p_sweep.add_argument("--high-level", type=float, default=0.9)

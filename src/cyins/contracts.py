@@ -14,12 +14,14 @@ a one-off quote is a one-row sweep (``sweep_linear(model, [level])`` or
 ``sweep_threshold(model, low, high, [cutoff])``), and the coverage paid is
 ``direct_losses + protection_cost - user_value``.
 
-Every solve in this module is value iteration certified by the exact Bellman
-residual eps of the returned policy's values: ||V_pi - V*|| <= eps / (1 -
-discount) (Puterman 1994, section 6).  A solve that did not converge or whose
-bound exceeds ``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so
-no uncertified policy reaches a sweep row or a switch refinement.  The other
-solvers stay in :mod:`cyins.solvers` as test oracles.
+:func:`solve` is the one certified optimal response to a coverage, and
+every solve in this module goes the same way: value iteration certified by
+the exact Bellman residual eps of the returned policy's values, ||V_pi - V*||
+<= eps / (1 - discount) (Puterman 1994, section 6), which the result carries
+as ``certificate_bound``.  A solve that did not converge or whose bound
+exceeds ``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so no
+uncertified policy reaches a caller, a sweep row or a switch refinement.
+The other solvers stay in :mod:`cyins.solvers` as test oracles.
 
 A coverage enters a solve only through the reimbursement it pays in each
 state, so a sweep solves each distinct paid vector once: the baseline and
@@ -62,6 +64,7 @@ __all__ = [
     "make_linear_refiner",
     "make_threshold_refiner",
     "optimal_region",
+    "solve",
     "sweep_linear",
     "sweep_threshold",
 ]
@@ -148,11 +151,6 @@ class RegionReport:
     note: str = BOUNDARY_NOTE
 
 
-def _certificate_bound(model: MdpModel, solved: SolveResult) -> float:
-    """Bound eps / (1 - discount) on the sup-norm error of ``solved.values``."""
-    return solved.residual / (1.0 - model.discount)
-
-
 def _solve_many(model: MdpModel, coverages: Sequence[Coverage]) -> list[SolveResult]:
     """Certified optimal responses to ``coverages``, in their order.
 
@@ -174,7 +172,7 @@ def _solve_many(model: MdpModel, coverages: Sequence[Coverage]) -> list[SolveRes
 
 
 def _certify(model: MdpModel, coverage: Coverage, solved: SolveResult) -> None:
-    bound = _certificate_bound(model, solved)
+    bound = solved.certificate_bound
     # Relative, because the floating-point floor of the residual grows with ||V||.
     limit = CERT_TOL * (1.0 + float(np.abs(solved.values).max()))
     if not solved.converged or not bound <= limit:
@@ -185,8 +183,13 @@ def _certify(model: MdpModel, coverage: Coverage, solved: SolveResult) -> None:
         )
 
 
-def _solve(model: MdpModel, coverage: Coverage) -> SolveResult:
-    """Certified optimal response to one coverage."""
+def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
+    """The user's certified optimal response to one coverage.
+
+    Raises :class:`CertificateError` unless value iteration converged and
+    the result's ``certificate_bound`` is within the limit (see the module
+    docstring).
+    """
     return _solve_many(model, [coverage])[0]
 
 
@@ -240,11 +243,6 @@ def default_threshold_grid(model: MdpModel, points: int = THRESHOLD_GRID_POINTS)
     return np.linspace(0.0, top if top > 0.0 else 1.0, points)
 
 
-def _linear_coverage(level: float) -> Coverage:
-    """The linear contract at ``level``; level 0 is no insurance."""
-    return ZeroCoverage() if level == 0.0 else LinearCoverage(level)
-
-
 def _threshold_coverage(low_level: float, high_level: float) -> Callable[[float], Coverage]:
     """The two-tier contracts with these levels, as a function of the cutoff."""
     return partial(ThresholdCoverage, low_level=low_level, high_level=high_level)
@@ -261,7 +259,7 @@ def sweep_linear(
         raise ValueError("linear sweep grid must lie within [0, 1]")
     if sorted(grid) != grid:
         raise ValueError("sweep grid must be sorted ascending")
-    return _run_sweep(model, grid, _linear_coverage)
+    return _run_sweep(model, grid, LinearCoverage)
 
 
 def sweep_threshold(
@@ -345,7 +343,7 @@ def _policy_switch_refiner(model: MdpModel, coverage_at: Callable[[float], Cover
         coverage = coverage_at(parameter)
         key = coverage_paid(model, coverage).tobytes()
         if key not in policies:
-            policies[key] = _solve(model, coverage).policy
+            policies[key] = solve(model, coverage).policy
         return policies[key]
 
     def refine(inside: ContractSweepRow, outside: ContractSweepRow) -> float:

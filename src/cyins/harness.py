@@ -5,18 +5,19 @@ transitions, initial_state by name) and round-trip at full double precision.
 Sweep CSVs render numbers at 10 significant digits so identical inputs always
 produce byte-identical files.
 
-``reproduce`` regenerates the three bundled studies: the two-state linear
-sweep with its closed-form overlay, the four-state linear sweep, and the
-four-state two-tier (threshold) sweep.
+``reproduce`` regenerates the bundled studies of the table ``STUDIES``: the
+two-state linear sweep with its closed-form overlay (fig3), the four-state
+linear sweep (fig4), and the four-state two-tier (threshold) sweep (fig5).
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import analytic, contracts
 from .model import MdpModel, ModelValidationError, ProtectionPolicy, validate_model
@@ -36,11 +37,13 @@ __all__ = [
 ]
 
 SWEEP_CSV_HEADER = "param,policy,user_value,max_premium,profit,direct_losses,protection_cost"
-
-STUDIES = ("fig3", "fig4", "fig5")
+OVERLAY_HEADER = "analytic_policy,analytic_value,case_id"
 
 FIG5_LOW_LEVEL = 0.0
 FIG5_HIGH_LEVEL = 0.9
+
+# A study's extra CSV columns for a sweep row, in OVERLAY_HEADER order.
+Overlay = Callable[[contracts.ContractSweepRow], list[str]]
 
 
 class ModelFileError(ValueError):
@@ -120,14 +123,19 @@ def format_number(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _sweep_lines(
+def write_sweep_csv(model: MdpModel, rows, path: str | Path) -> None:
+    """Emit the plot-ready CSV for a sweep, one row per grid point."""
+    _write_csv(model, rows, Path(path))
+
+
+def _write_csv(
     model: MdpModel,
     rows: Iterable[contracts.ContractSweepRow],
-    extra_header: tuple[str, ...] = (),
-    extra_values=None,
-) -> list[str]:
-    header = SWEEP_CSV_HEADER if not extra_header else SWEEP_CSV_HEADER + "," + ",".join(extra_header)
-    lines = [header]
+    path: Path,
+    overlay: Overlay | None = None,
+) -> None:
+    """The sweep CSV, with the ``OVERLAY_HEADER`` columns of ``overlay`` when given."""
+    lines = [SWEEP_CSV_HEADER if overlay is None else f"{SWEEP_CSV_HEADER},{OVERLAY_HEADER}"]
     for row in rows:
         fields = [
             format_number(row.parameter),
@@ -138,15 +146,10 @@ def _sweep_lines(
             format_number(row.direct_losses),
             format_number(row.protection_cost),
         ]
-        if extra_values is not None:
-            fields.extend(extra_values(row))
+        if overlay is not None:
+            fields.extend(overlay(row))
         lines.append(",".join(fields))
-    return lines
-
-
-def write_sweep_csv(model: MdpModel, rows, path: str | Path) -> None:
-    """Emit the plot-ready CSV for a sweep, one row per grid point."""
-    Path(path).write_text("\n".join(_sweep_lines(model, rows)) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _region_payload(report: contracts.RegionReport) -> dict:
@@ -168,10 +171,6 @@ def _region_payload(report: contracts.RegionReport) -> dict:
         "representative_attained": report.representative_attained,
         "note": report.note,
     }
-
-
-def _write_summary(summary: dict, path: Path) -> None:
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _analytic_overlay(ts: analytic.TwoStateModel, classification: analytic.CaseClassification):
@@ -204,81 +203,92 @@ def _analytic_overlay(ts: analytic.TwoStateModel, classification: analytic.CaseC
     return overlay
 
 
+@dataclass(frozen=True)
+class Study:
+    """A bundled study: its model file, ``sweep(model) -> (rows, refiner)`` and
+    ``extras(model) -> (summary fields, CSV overlay or None)``.
+
+    Both functions look up the ``contracts`` and ``analytic`` functions when
+    called, so rebinding those module attributes reaches every call.
+    """
+
+    model: str
+    sweep: Callable[[MdpModel], tuple[list[contracts.ContractSweepRow], contracts.Refiner]]
+    extras: Callable[[MdpModel], tuple[dict, Overlay | None]]
+
+
+def _linear_sweep(model: MdpModel):
+    return contracts.sweep_linear(model), contracts.make_linear_refiner(model)
+
+
+def _fig5_sweep(model: MdpModel):
+    return (
+        contracts.sweep_threshold(model, FIG5_LOW_LEVEL, FIG5_HIGH_LEVEL),
+        contracts.make_threshold_refiner(model, FIG5_LOW_LEVEL, FIG5_HIGH_LEVEL),
+    )
+
+
+def _closed_forms(model: MdpModel):
+    """fig3's closed forms: the case, its thresholds and the optimal contract, and the overlay."""
+    ts = analytic.TwoStateModel.from_model(model)
+    classification = analytic.classify_case(ts)
+    contract = analytic.optimal_contract(ts)
+    fields = {
+        "case": classification.case_id,
+        "rho": classification.rho,
+        "thresholds": dict(sorted(classification.thresholds.items())),
+        "premium_rate": contract.premium_rate,
+        "contract_level_sup": contract.level_sup,
+        "contract_sup_included": contract.sup_included,
+    }
+    return fields, _analytic_overlay(ts, classification)
+
+
+def _no_closed_forms(model: MdpModel):
+    return {"case": None, "thresholds": {}}, None
+
+
+def _fig5_extras(model: MdpModel):
+    levels = [FIG5_LOW_LEVEL, FIG5_HIGH_LEVEL]
+    return {"case": None, "thresholds": {}, "coverage_levels": levels}, None
+
+
+STUDIES = {
+    "fig3": Study("two_state.model", _linear_sweep, _closed_forms),
+    "fig4": Study("four_state.model", _linear_sweep, _no_closed_forms),
+    "fig5": Study("four_state.model", _fig5_sweep, _fig5_extras),
+}
+
+
 def reproduce(study: str, out_dir: str | Path) -> dict:
-    """Regenerate one of the bundled studies into ``out_dir``.
+    """Regenerate one of the bundled studies of ``STUDIES`` into ``out_dir``.
 
     fig3: two-state linear sweep with closed-form overlay columns.
     fig4: four-state linear sweep.
     fig5: four-state threshold sweep (levels 0 and 0.9, cutoff up to 20).
 
-    Writes ``<study>.csv`` and ``<study>_summary.json`` and returns the
-    summary mapping.  Output is deterministic: repeated runs are
-    byte-identical.
+    Every study takes one path and writes ``<study>.csv`` and
+    ``<study>_summary.json`` (the study's own fields plus its zero-profit
+    region), and returns the summary mapping.  Output is deterministic:
+    repeated runs are byte-identical.
     """
     if study not in STUDIES:
-        raise ValueError(f"unknown study {study!r}; expected one of {STUDIES}")
+        raise ValueError(f"unknown study {study!r}; expected one of {tuple(STUDIES)}")
+    spec = STUDIES[study]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    if study == "fig3":
-        model = bundled_model("two_state.model")
-        ts = analytic.TwoStateModel.from_model(model)
-        classification = analytic.classify_case(ts)
-        contract = analytic.optimal_contract(ts)
-        rows = contracts.sweep_linear(model)
-        region = contracts.optimal_region(rows, contracts.make_linear_refiner(model))
-
-        lines = _sweep_lines(
-            model,
-            rows,
-            ("analytic_policy", "analytic_value", "case_id"),
-            _analytic_overlay(ts, classification),
-        )
-        (out / "fig3.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        summary = {
-            "study": "fig3",
-            "model": "two_state.model",
-            "case": classification.case_id,
-            "rho": classification.rho,
-            "thresholds": dict(sorted(classification.thresholds.items())),
-            "premium_rate": contract.premium_rate,
-            "contract_level_sup": contract.level_sup,
-            "contract_sup_included": contract.sup_included,
-            "optimal_region": _region_payload(region),
-            "max_profit": region.max_profit,
-        }
-        _write_summary(summary, out / "fig3_summary.json")
-        return summary
-
-    model = bundled_model("four_state.model")
-    if study == "fig4":
-        rows = contracts.sweep_linear(model)
-        region = contracts.optimal_region(rows, contracts.make_linear_refiner(model))
-        write_sweep_csv(model, rows, out / "fig4.csv")
-        summary = {
-            "study": "fig4",
-            "model": "four_state.model",
-            "case": None,
-            "thresholds": {},
-            "optimal_region": _region_payload(region),
-            "max_profit": region.max_profit,
-        }
-        _write_summary(summary, out / "fig4_summary.json")
-        return summary
-
-    rows = contracts.sweep_threshold(model, FIG5_LOW_LEVEL, FIG5_HIGH_LEVEL)
-    region = contracts.optimal_region(
-        rows, contracts.make_threshold_refiner(model, FIG5_LOW_LEVEL, FIG5_HIGH_LEVEL)
-    )
-    write_sweep_csv(model, rows, out / "fig5.csv")
+    model = bundled_model(spec.model)
+    fields, overlay = spec.extras(model)
+    rows, refine = spec.sweep(model)
+    region = contracts.optimal_region(rows, refine)
+    _write_csv(model, rows, out / f"{study}.csv", overlay)
     summary = {
-        "study": "fig5",
-        "model": "four_state.model",
-        "case": None,
-        "thresholds": {},
-        "coverage_levels": [FIG5_LOW_LEVEL, FIG5_HIGH_LEVEL],
+        "study": study,
+        "model": spec.model,
+        **fields,
         "optimal_region": _region_payload(region),
         "max_profit": region.max_profit,
     }
-    _write_summary(summary, out / "fig5_summary.json")
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    (out / f"{study}_summary.json").write_text(text, encoding="utf-8")
     return summary

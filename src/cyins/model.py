@@ -29,11 +29,9 @@ __all__ = [
     "State",
     "ThresholdCoverage",
     "ZeroCoverage",
-    "apply_coverage",
     "coverage_paid",
     "coverages_paid",
     "decompose_value",
-    "effective_loss",
     "evaluate_policy",
     "stage_loss_matrix",
     "validate_model",
@@ -365,26 +363,6 @@ def _validate_transitions(raw_trans, states, actions, errors) -> np.ndarray | No
     return np.array(matrix, dtype=float).reshape(m, n, n)
 
 
-def apply_coverage(coverage: Coverage, loss: float) -> float:
-    """Reimbursement paid for a direct loss; always within [0, loss]."""
-    if loss < 0.0:
-        raise ValueError(f"loss must be non-negative, got {loss}")
-    if isinstance(coverage, ZeroCoverage):
-        return 0.0
-    if isinstance(coverage, LinearCoverage):
-        return coverage.level * loss
-    if isinstance(coverage, ThresholdCoverage):
-        level = coverage.high_level if loss > coverage.cutoff else coverage.low_level
-        return level * loss
-    raise TypeError(f"not a coverage policy: {coverage!r}")
-
-
-def effective_loss(model: MdpModel, state: int, action: int, coverage: Coverage) -> float:
-    """Per-stage effective loss: direct loss net of coverage, plus protection cost."""
-    x = model.states[state].loss
-    return x - apply_coverage(coverage, x) + model.actions[action].cost
-
-
 def coverage_paid(model: MdpModel, coverage: Coverage) -> np.ndarray:
     """Reimbursement paid in each state, shape (n_states,)."""
     return coverages_paid(model, [coverage])[0]
@@ -394,9 +372,9 @@ def coverages_paid(model: MdpModel, coverages: Sequence[Coverage]) -> np.ndarray
     """Reimbursements of a stack of coverages, shape (len(coverages), n_states).
 
     Row k is the paid vector of ``coverages[k]``, and the whole stack is one
-    array expression with the products of :func:`apply_coverage`: the tier
-    level (low at or below the cutoff, high above it) times the loss.  A
-    linear level is a low tier without a cutoff, no insurance a zero level.
+    array expression: each state's loss times its tier level (low at or
+    below the cutoff, high above it).  A linear level is a low tier without
+    a cutoff, no insurance a zero level.
     """
     tiers = np.array([_tiers(c) for c in coverages], dtype=float).reshape(-1, 3)
     cutoff, low, high = tiers.T[:, :, None]

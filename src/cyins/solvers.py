@@ -77,14 +77,17 @@ class SolveResult:
     """Optimal policy with its exact values and solver diagnostics.
 
     ``values`` is the exact evaluation of ``policy``; ``residual`` is the
-    sup-norm Bellman-optimality defect of those values (0 up to rounding when
-    the policy is truly optimal).
+    sup-norm Bellman-optimality defect eps of those values (0 up to rounding
+    when the policy is truly optimal), and ``certificate_bound`` is eps / (1 -
+    discount), which bounds the sup-norm distance from ``values`` to the
+    optimal values (Puterman 1994, section 6).
     """
 
     policy: ProtectionPolicy
     values: np.ndarray
     iterations: int
     residual: float
+    certificate_bound: float
     converged: bool = True
 
 
@@ -179,10 +182,10 @@ def solve_value_iterations(
     stops being finite its last finite iterate; both are flagged
     ``converged=False``.  All problems are then finished together: one
     greedy extraction, one stacked exact evaluation of the extracted
-    policies (the reported values) and one stacked Bellman residual.
-    Results are in the order of the rows of ``paid``.
+    policies (the reported values) and one stacked Bellman residual with its
+    certificate bound.  Results are in the order of the rows of ``paid``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     delta = model.discount
     threshold = tol * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf
@@ -219,17 +222,12 @@ def solve_value_iterations(
     exact = np.linalg.solve(system, (retained + model.costs[actions])[..., None])[..., 0]
     bellman = _stacked_action_values(model, retained, exact).min(axis=2)
     residual = highest(np.abs(exact - bellman), axis=1)
+    bound = residual / (1.0 - delta)
+    # Each result's diagnostics in SolveResult field order.
+    diagnostics = zip(iterations.tolist(), residual.tolist(), bound.tolist(), converged.tolist())
     return [
-        SolveResult(
-            policy=ProtectionPolicy(tuple(policy)),
-            values=exact[k],
-            iterations=count,
-            residual=bound,
-            converged=ok,
-        )
-        for k, (policy, count, bound, ok) in enumerate(
-            zip(actions.tolist(), iterations.tolist(), residual.tolist(), converged.tolist())
-        )
+        SolveResult(ProtectionPolicy(tuple(policy)), exact[k], *rest)
+        for k, (policy, rest) in enumerate(zip(actions.tolist(), diagnostics))
     ]
 
 
@@ -279,11 +277,13 @@ def solve_policy_enumeration(model: MdpModel, coverage: Coverage) -> SolveResult
         if replace:
             best_policy, best_values, best_key = policy, values, key
 
+    residual = _optimality_residual(model, coverage, best_values)
     return SolveResult(
         policy=best_policy,
         values=best_values,
         iterations=count,
-        residual=_optimality_residual(model, coverage, best_values),
+        residual=residual,
+        certificate_bound=residual / (1.0 - model.discount),
     )
 
 

@@ -92,7 +92,7 @@ def two_state_policy_value(raw, action_good, action_bad, level=0.0):
 def brute_force_optimal(model: MdpModel, coverage) -> tuple[tuple[int, ...], np.ndarray]:
     """Enumerate all policies with raw-array solves; minimize the initial-state value."""
     n, m = model.n_states, model.n_actions
-    retained = np.array([s.loss - _paid(coverage, s.loss) for s in model.states])
+    retained = np.array([s.loss - reimbursement(coverage, s.loss) for s in model.states])
     costs = model.costs
     best = None
     for assignment in itertools.product(range(m), repeat=n):
@@ -104,7 +104,8 @@ def brute_force_optimal(model: MdpModel, coverage) -> tuple[tuple[int, ...], np.
     return best
 
 
-def _paid(coverage, loss):
+def reimbursement(coverage, loss):
+    """What ``coverage`` pays for one direct loss, from the coverage's definition."""
     if isinstance(coverage, ZeroCoverage):
         return 0.0
     if isinstance(coverage, LinearCoverage):

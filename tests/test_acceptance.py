@@ -5,7 +5,10 @@ captured output of a failing run).  Tolerances are fixed here, not tuned.
 """
 
 import filecmp
+import hashlib
+import json
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,8 +204,36 @@ def test_criterion_8_monte_carlo_consistency(two_state, four_state):
             assert hits >= 18
 
 
+# The recorded study outputs: each CSV's sha256 and each summary's values.
+STUDY_OUTPUTS = json.loads((Path(__file__).parent / "study_outputs.json").read_text())
+SUMMARY_REL = 1e-12
+
+
+def _summary_mismatches(observed, expected, path):
+    """Keys, strings, flags and nulls exactly; numbers within SUMMARY_REL relative."""
+    if isinstance(expected, dict):
+        if not isinstance(observed, dict) or observed.keys() != expected.keys():
+            yield path, "keys differ"
+            return
+        for key, value in expected.items():
+            yield from _summary_mismatches(observed[key], value, f"{path}.{key}")
+    elif isinstance(expected, list):
+        if not isinstance(observed, list) or len(observed) != len(expected):
+            yield path, "list length differs"
+            return
+        for i, (o, e) in enumerate(zip(observed, expected)):
+            yield from _summary_mismatches(o, e, f"{path}[{i}]")
+    elif isinstance(expected, (bool, str)) or expected is None:
+        if type(observed) is not type(expected) or observed != expected:
+            yield path, f"{observed!r} != {expected!r}"
+    elif isinstance(observed, bool) or not isinstance(observed, (int, float)) or not (
+        abs(observed - expected) <= SUMMARY_REL * abs(expected)
+    ):
+        yield path, f"{observed!r} != {expected!r}"
+
+
 def test_criterion_9_determinism(tmp_path):
-    with criterion(9, "byte-identical study outputs"):
+    with criterion(9, "byte-identical study outputs, equal to the recorded ones"):
         first = tmp_path / "run1"
         second = tmp_path / "run2"
         for study in ("fig3", "fig4", "fig5"):
@@ -211,3 +242,8 @@ def test_criterion_9_determinism(tmp_path):
             for suffix in (".csv", "_summary.json"):
                 name = f"{study}{suffix}"
                 assert filecmp.cmp(first / name, second / name, shallow=False), name
+            recorded = STUDY_OUTPUTS[study]
+            csv = (first / f"{study}.csv").read_bytes()
+            assert hashlib.sha256(csv).hexdigest() == recorded["csv_sha256"], study
+            summary = json.loads((first / f"{study}_summary.json").read_text())
+            assert list(_summary_mismatches(summary, recorded["summary"], study)) == []

@@ -11,6 +11,7 @@ from cyins.contracts import (
     make_linear_refiner,
     make_threshold_refiner,
     optimal_region,
+    solve,
     sweep_linear,
     sweep_threshold,
 )
@@ -182,6 +183,18 @@ def test_threshold_cutoff_at_a_state_loss_pays_the_low_tier(four_state):
 
 # --------------------------------------------------------------- certificate
 
+def test_solve_is_the_certified_value_iteration(two_state, four_state):
+    for model in (two_state, four_state):
+        for coverage in (ZeroCoverage(), LinearCoverage(0.5), ThresholdCoverage(8.0, 0.0, 0.9)):
+            solved = solve(model, coverage)
+            alone = solve_value_iteration(model, coverage, tol=contracts.CERT_TOL)
+            assert solved.policy == alone.policy
+            assert np.array_equal(solved.values, alone.values)
+            assert solved.certificate_bound == solved.residual / (1.0 - model.discount)
+            limit = contracts.CERT_TOL * (1.0 + np.abs(solved.values).max())
+            assert solved.converged and solved.certificate_bound <= limit
+
+
 def test_sweep_raises_when_value_iteration_does_not_converge():
     raw = copy.deepcopy(TWO_STATE_RAW)
     raw["discount"] = 0.9999
@@ -199,7 +212,8 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
 
     def suboptimal(model, paid, tol):
         solved = solve_value_iterations(model, paid, tol=tol)
-        fake = SolveResult(policy=worse, values=values, iterations=1, residual=residual)
+        bound = residual / (1.0 - model.discount)
+        fake = SolveResult(worse, values, iterations=1, residual=residual, certificate_bound=bound)
         faked = coverages_paid(model, [coverage])[0]
         return [fake if np.array_equal(row, faked) else r for row, r in zip(paid, solved)]
 
@@ -441,7 +455,7 @@ def test_exact_linear_ends_match_the_bisection_oracle(seed):
     model = random_model(np.random.default_rng(seed), max_states=4, max_actions=3)
     exact = _recording(make_linear_refiner(model))
     optimal_region(sweep_linear(model, list(np.linspace(0.0, 1.0, 41))), exact)
-    bisect = contracts._policy_switch_refiner(model, contracts._linear_coverage)
+    bisect = contracts._policy_switch_refiner(model, LinearCoverage)
     for inside, outside, end in exact.calls:
         assert end == pytest.approx(bisect(inside, outside), abs=contracts.BISECTION_WIDTH)
 
@@ -466,7 +480,7 @@ def test_exact_linear_end_ignores_the_rounding_noise_of_a_twin_action():
         "initial_state": "G",
     }
     model = validate_model(raw)
-    bisect = contracts._policy_switch_refiner(model, contracts._linear_coverage)
+    bisect = contracts._policy_switch_refiner(model, LinearCoverage)
     for grid in ([0.0, 0.5, 1.0], list(np.linspace(0.0, 1.0, 41))):
         exact = _recording(make_linear_refiner(model))
         optimal_region(sweep_linear(model, grid), exact)

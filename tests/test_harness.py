@@ -246,6 +246,12 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
     assert main(["sweep", "--model", "x", "--family", "cubic", "--out", "y"]) == 2
     assert main(["solve", "--model", "x", "--coverage", "none", "--tol", "1e-9"]) == 2
     capsys.readouterr()
+    # A grid without points is rejected before the (here missing) model loads.
+    for points in ("0", "-1"):
+        for family in ("linear", "threshold"):
+            argv = ["sweep", "--model", "x", "--family", family, "--grid", points, "--out", "y"]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: --grid must be at least 1")
     # An empty --out would name the working directory.
     monkeypatch.chdir(tmp_path)
     model = str(bundled_model_path("two_state.model"))
@@ -272,6 +278,12 @@ def test_cli_validation_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: samples must be at least 2")
     assert "estimate" not in captured.out
+    # A level outside [0, 1] fails before any line of the report.
+    for level in ("2", "nan", "-1"):
+        assert main(["analytic", "--model", model, "--at", level]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: coverage level must be in [0, 1]")
 
 
 def test_cli_reports_malformed_state_and_action_lists(tmp_path, capsys):
@@ -326,6 +338,24 @@ def test_cli_threshold_sweep_uses_the_default_grid_span(tmp_path, four_state, ca
     write_sweep_csv(four_state, contracts.sweep_threshold(four_state, 0.0, 0.9, grid), expected)
     assert out.read_bytes() == expected.read_bytes()
     capsys.readouterr()
+
+
+def test_cli_sweep_grid_defaults_to_the_family_grid(tmp_path, capsys):
+    out, expected = tmp_path / "default.csv", tmp_path / "expected.csv"
+    for name, family, points in (
+        ("two_state.model", "linear", contracts.LINEAR_GRID_POINTS),
+        ("four_state.model", "threshold", contracts.THRESHOLD_GRID_POINTS),
+    ):
+        path = str(bundled_model_path(name))
+        assert main(["sweep", "--model", path, "--family", family, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {points} rows to {out}\n"
+        model = bundled_model(name)
+        if family == "linear":
+            rows = contracts.sweep_linear(model)
+        else:
+            rows = contracts.sweep_threshold(model, 0.0, 0.9)
+        write_sweep_csv(model, rows, expected)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 def test_cli_sweep_reports_an_uncertified_solve(tmp_path, capsys):
@@ -434,7 +464,7 @@ def cli_argv(draw):
         pool = bad if not good or (bad and draw(st.integers(0, 3)) == 3) else good
         if pool and draw(st.integers(0, 19)) < 19:
             argv.append(draw(st.sampled_from(pool)))
-    # An omitted count takes its default (100k samples, 201 grid points).
+    # An omitted count takes its default (100k samples; 201 levels or 401 cutoffs).
     caps = {"simulate": "--samples", "sweep": "--grid"}
     if command in caps and caps[command] not in argv:
         argv += [caps[command], draw(st.sampled_from(FLAG_VALUES[caps[command]][0]))]

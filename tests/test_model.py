@@ -11,17 +11,21 @@ from cyins.model import (
     ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
-    apply_coverage,
     coverage_paid,
     coverages_paid,
     decompose_value,
-    effective_loss,
     evaluate_policy,
     stage_loss_matrix,
     validate_model,
 )
 
-from helpers import TWO_STATE_RAW, cramer_pair_value, random_model, two_state_policy_value
+from helpers import (
+    TWO_STATE_RAW,
+    cramer_pair_value,
+    random_model,
+    reimbursement,
+    two_state_policy_value,
+)
 
 PI_HH = ProtectionPolicy((1, 1))
 PI_LL = ProtectionPolicy((0, 0))
@@ -166,19 +170,32 @@ def test_empty_model_rejected():
 
 # ------------------------------------------------------------------ coverage
 
-def test_linear_coverage_value():
-    assert apply_coverage(LinearCoverage(0.9), 10.0) == pytest.approx(9.0, abs=1e-12)
+def one_action_model(losses):
+    """A model with one free action that stays put, on these state losses."""
+    n = len(losses)
+    return validate_model(
+        {
+            "discount": 0.5,
+            "states": [{"name": f"s{i}", "loss": float(loss)} for i, loss in enumerate(losses)],
+            "actions": [{"name": "a", "cost": 0.0}],
+            "transitions": [np.eye(n).tolist()],
+        }
+    )
+
+
+def test_linear_coverage_value(two_state):
+    assert coverage_paid(two_state, LinearCoverage(0.9))[1] == pytest.approx(9.0, abs=1e-12)
 
 
 def test_threshold_coverage_strict_above_cutoff():
     coverage = ThresholdCoverage(cutoff=16.0, low_level=0.0, high_level=0.9)
-    assert apply_coverage(coverage, 16.0) == 0.0
-    assert apply_coverage(coverage, 16.01) == pytest.approx(14.409, abs=1e-12)
+    paid = coverage_paid(one_action_model([16.0, 16.01]), coverage)
+    assert paid[0] == 0.0
+    assert paid[1] == pytest.approx(14.409, abs=1e-12)
 
 
 def test_zero_coverage_pays_nothing():
-    for loss in (0.0, 1.0, 1e6):
-        assert apply_coverage(ZeroCoverage(), loss) == 0.0
+    assert coverage_paid(one_action_model([0.0, 1.0, 1e6]), ZeroCoverage()).tolist() == [0.0] * 3
 
 
 def test_coverage_level_bounds_enforced():
@@ -195,49 +212,39 @@ def test_coverage_level_bounds_enforced():
 
 def test_coverage_stays_within_loss():
     rng = np.random.default_rng(7)
+    model = one_action_model(rng.uniform(0.0, 1e6, size=200))
     variants = [
         ZeroCoverage(),
         LinearCoverage(0.37),
         ThresholdCoverage(cutoff=123.0, low_level=0.2, high_level=0.95),
     ]
-    for loss in rng.uniform(0.0, 1e6, size=200):
-        for coverage in variants:
-            paid = apply_coverage(coverage, float(loss))
-            assert 0.0 <= paid <= loss
+    for paid in coverages_paid(model, variants):
+        assert np.all((0.0 <= paid) & (paid <= model.losses))
 
 
 def test_zero_equivalent_to_degenerate_variants(two_state):
     degenerate = [LinearCoverage(0.0), ThresholdCoverage(5.0, 0.0, 0.0)]
     for coverage in degenerate:
-        for loss in (0.0, 3.3, 10.0):
-            assert apply_coverage(coverage, loss) == 0.0
+        assert coverage_paid(one_action_model([0.0, 3.3, 10.0]), coverage).tolist() == [0.0] * 3
         assert np.array_equal(
             evaluate_policy(two_state, PI_HH, coverage),
             evaluate_policy(two_state, PI_HH, ZeroCoverage()),
         )
 
 
-def test_negative_loss_rejected():
-    with pytest.raises(ValueError):
-        apply_coverage(ZeroCoverage(), -1.0)
-
-
 # ------------------------------------------------------------- effective loss
 
 def test_effective_loss_bad_state_strong_action(two_state):
-    assert effective_loss(two_state, 1, 1, LinearCoverage(0.5)) == pytest.approx(6.0)
+    assert stage_loss_matrix(two_state, LinearCoverage(0.5))[1, 1] == pytest.approx(6.0)
 
 
 def test_effective_loss_full_coverage_leaves_cost(two_state):
-    for state in range(2):
-        for action in range(2):
-            assert effective_loss(two_state, state, action, LinearCoverage(1.0)) == (
-                pytest.approx(two_state.actions[action].cost)
-            )
+    stage = stage_loss_matrix(two_state, LinearCoverage(1.0))
+    assert stage.tolist() == [two_state.costs.tolist()] * 2
 
 
 def test_effective_loss_good_state_weak_action_uninsured(two_state):
-    assert effective_loss(two_state, 0, 0, ZeroCoverage()) == 0.0
+    assert stage_loss_matrix(two_state, ZeroCoverage())[0, 0] == 0.0
 
 
 @st.composite
@@ -245,15 +252,7 @@ def paid_stacks(draw):
     """A one-action model on random losses and a stack of coverages whose
     cutoffs are often exactly a state loss."""
     losses = draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=6))
-    n = len(losses)
-    model = validate_model(
-        {
-            "discount": 0.5,
-            "states": [{"name": f"s{i}", "loss": loss} for i, loss in enumerate(losses)],
-            "actions": [{"name": "a", "cost": 0.0}],
-            "transitions": [np.eye(n).tolist()],
-        }
-    )
+    model = one_action_model(losses)
     levels = st.floats(0.0, 1.0)
     cutoffs = st.one_of(st.sampled_from(losses), st.floats(0.0, 2e6))
     one = st.one_of(
@@ -271,7 +270,7 @@ def test_paid_vectors_are_the_per_state_reimbursements(stack):
     paid = coverages_paid(model, coverages)
     assert paid.shape == (len(coverages), model.n_states)
     for row, coverage in zip(paid, coverages):
-        expected = np.array([apply_coverage(coverage, s.loss) for s in model.states])
+        expected = np.array([reimbursement(coverage, s.loss) for s in model.states])
         assert row.tobytes() == expected.tobytes()
         assert coverage_paid(model, coverage).tobytes() == expected.tobytes()
 
@@ -290,11 +289,11 @@ def test_paid_vector_edge_cases(four_state):
 def test_stage_matrix_and_paid_vector_match_per_state_values(four_state):
     for coverage in (ZeroCoverage(), LinearCoverage(0.37), ThresholdCoverage(8.0, 0.2, 0.9)):
         paid = coverage_paid(four_state, coverage)
-        assert paid.tolist() == [apply_coverage(coverage, s.loss) for s in four_state.states]
+        assert paid.tolist() == [reimbursement(coverage, s.loss) for s in four_state.states]
         stage = stage_loss_matrix(four_state, coverage)
         assert stage.tolist() == [
-            [effective_loss(four_state, s, a, coverage) for a in range(four_state.n_actions)]
-            for s in range(four_state.n_states)
+            [s.loss - reimbursement(coverage, s.loss) + a.cost for a in four_state.actions]
+            for s in four_state.states
         ]
 
 
@@ -336,8 +335,9 @@ def test_fixed_point_residual_random_models():
         )
         coverage = LinearCoverage(float(rng.uniform(0.0, 1.0)))
         values = evaluate_policy(model, policy, coverage)
-        for s in range(model.n_states):
-            stage = effective_loss(model, s, policy.actions[s], coverage)
+        for s, state in enumerate(model.states):
+            action = model.actions[policy.actions[s]]
+            stage = state.loss - reimbursement(coverage, state.loss) + action.cost
             expected = stage + model.discount * float(
                 model.transitions[policy.actions[s], s] @ values
             )

@@ -103,8 +103,10 @@ def test_nan_stage_losses_leave_the_solve_unconverged(two_state):
 
 
 def test_value_iteration_rejects_bad_tol(two_state):
-    with pytest.raises(ValueError):
-        solve_value_iteration(two_state, ZeroCoverage(), tol=0.0)
+    # A NaN tol once stopped every problem after one iteration as converged.
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_value_iteration(two_state, ZeroCoverage(), tol=tol)
 
 
 def test_contraction_of_dynamic_programming_operator(two_state):
@@ -376,6 +378,20 @@ def test_bellman_optimality_of_reported_values():
         result = solve_value_iteration(model, coverage, tol=1e-9)
         gap = np.abs(result.values - bellman_update(model, coverage, result.values)).max()
         assert gap <= 1e-8
+
+
+def test_certificate_bound_is_the_residual_over_one_minus_discount():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        model = random_model(rng)
+        coverage = random_coverage(rng, model)
+        for result in (
+            solve_value_iteration(model, coverage),
+            solve_policy_enumeration(model, coverage),
+        ):
+            gap = np.abs(result.values - bellman_update(model, coverage, result.values)).max()
+            assert result.residual == gap
+            assert result.certificate_bound == gap / (1.0 - model.discount)
 
 
 def test_repeat_solves_are_identical(four_state):
