@@ -2,8 +2,8 @@
 
 Subcommands: solve, sweep, analytic, simulate, reproduce.  Coverage
 specifications use the grammar ``none``, ``linear:R`` or
-``threshold:XR,R0,R1``.  Exit codes: 0 success, 1 validation error or
-uncertified contract solve, 2 usage error.
+``threshold:XR,R0,R1``.  Exit codes: 0 success, 1 validation error,
+uncertified contract solve or failed allocation, 2 usage error.
 """
 
 from __future__ import annotations
@@ -77,14 +77,18 @@ def _cmd_sweep(args) -> int:
     out = _out_path(args.out)
     if args.grid is not None and args.grid < 1:
         raise UsageError(f"--grid must be at least 1, got {args.grid}")
+    if args.family == "linear" and (args.low_level, args.high_level) != (None, None):
+        raise UsageError("--low-level and --high-level apply only to --family threshold")
     # Without --grid each family takes its own default grid size.
     points = {} if args.grid is None else {"points": args.grid}
     model = harness.load_model(args.model)
     if args.family == "linear":
         rows = contracts.sweep_linear(model, contracts.default_linear_grid(**points))
     else:
+        low = 0.0 if args.low_level is None else args.low_level
+        high = 0.9 if args.high_level is None else args.high_level
         grid = contracts.default_threshold_grid(model, **points)
-        rows = contracts.sweep_threshold(model, args.low_level, args.high_level, grid)
+        rows = contracts.sweep_threshold(model, low, high, grid)
     harness.write_sweep_csv(model, rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -164,8 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
         f"{contracts.THRESHOLD_GRID_POINTS} cutoffs)",
     )
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--low-level", type=float, default=0.0)
-    p_sweep.add_argument("--high-level", type=float, default=0.9)
+    p_sweep.add_argument("--low-level", type=float, help="threshold family only (default: 0)")
+    p_sweep.add_argument("--high-level", type=float, help="threshold family only (default: 0.9)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_analytic = sub.add_parser("analytic", help="closed-form report (two-state models)")
@@ -200,11 +204,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (harness.ModelFileError, ValueError, contracts.CertificateError) as exc:
+    except (harness.ModelFileError, ValueError, contracts.CertificateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

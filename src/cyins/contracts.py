@@ -6,8 +6,11 @@ accepts is the drop in his expected cumulative loss, and the insurer's
 operating profit is that premium minus the expected cumulative coverage paid.
 Because the insurer can never profit from a policy change he induces, his
 best achievable profit is zero, attained exactly on the contracts that leave
-the user's no-insurance policy unchanged.  ``optimal_region`` extracts that
-zero-profit set from a sweep.
+the user's no-insurance policy unchanged.  ``optimal_region`` reads that
+zero-profit set off a sweep's rows: a row on the baseline policy is priced
+with the baseline's own arithmetic, so its profit is exactly zero, and its
+premium line is exact (level x the baseline's direct losses for linear
+coverage, constant between tier changes for two-tier coverage).
 
 A sweep row is the one place premium, profit and coverage paid are computed;
 a one-off quote is a one-row sweep (``sweep_linear(model, [level])`` or
@@ -20,7 +23,7 @@ the exact Bellman residual eps of the returned policy's values, ||V_pi - V*||
 <= eps / (1 - discount) (Puterman 1994, section 6), which the result carries
 as ``certificate_bound``.  A solve that did not converge or whose bound
 exceeds ``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so no
-uncertified policy reaches a caller, a sweep row or a switch refinement.
+uncertified policy reaches a caller, a sweep row or a region end.
 The other solvers stay in :mod:`cyins.solvers` as test oracles.
 
 A coverage enters a solve only through the reimbursement it pays in each
@@ -28,17 +31,18 @@ state, so a sweep solves each distinct paid vector once: the baseline and
 every row go to one batched value-iteration loop, and rows on the same
 policy share one value decomposition.
 
-A switch refiner takes the two sweep rows that bracket a region end.  Along
-a linear sweep it solves nothing: under the inside row's policy every gap
-between action values is affine in the coverage level, so the switch is an
-exact root.  Along a threshold sweep it bisects the cutoff and remembers the
-policy of each paid vector it solved.
+A region end against a policy switch is found from the two rows that
+bracket it, by the coverage the rows carry.  Between linear rows it solves
+nothing: under the inside row's policy every gap between action values is
+affine in the coverage level, so the switch is an exact root.  Between
+threshold rows it bisects the cutoff, solving each paid vector it meets once
+per ``optimal_region`` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,8 +65,6 @@ __all__ = [
     "ContractSweepRow",
     "RegionInterval",
     "RegionReport",
-    "make_linear_refiner",
-    "make_threshold_refiner",
     "optimal_region",
     "solve",
     "sweep_linear",
@@ -72,7 +74,6 @@ __all__ = [
 # Value-iteration stopping tolerance and relative certificate limit of every solve.
 CERT_TOL = 1e-9
 
-PROFIT_ZERO_TOL = 1e-7
 BISECTION_WIDTH = 1e-6
 
 LINEAR_GRID_POINTS = 201
@@ -101,9 +102,11 @@ class ContractSweepRow:
     policy, so the expected discounted coverage paid is direct_losses +
     protection_cost - user_value, and ``profit`` (premium minus coverage paid)
     is recomputable as baseline value - (direct_losses + protection_cost).
+    ``coverage`` is the contract's coverage at ``parameter``.
     """
 
     parameter: float
+    coverage: Coverage
     policy: ProtectionPolicy
     user_value: float
     max_premium: float
@@ -118,7 +121,7 @@ class RegionInterval:
 
     The maximum premium on the interval is premium_intercept +
     premium_slope * parameter.  Boundary flags record whether the endpoints
-    belong to the region (refined switch points do not).
+    belong to the region (policy switch points do not).
     """
 
     lo: float
@@ -139,8 +142,8 @@ class RegionReport:
     The representative point is the supremum-coverage contract in the region:
     the one handing the user the most coverage (equivalently, the largest
     premium) at the same zero insurer profit.  ``representative_attained`` is
-    False when it sits on an open refined boundary and is only approached in
-    the limit.
+    False when it sits on an open boundary at a policy switch and is only
+    approached in the limit.
     """
 
     intervals: tuple[RegionInterval, ...]
@@ -193,15 +196,15 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
     return _solve_many(model, [coverage])[0]
 
 
+
+
 def _run_sweep(
     model: MdpModel,
     parameters: Sequence[float],
-    coverage_at: Callable[[float], Coverage],
+    coverages: Sequence[Coverage],
 ) -> list[ContractSweepRow]:
     s0 = model.initial_state
-    baseline, *solved_rows = _solve_many(
-        model, [ZeroCoverage(), *(coverage_at(p) for p in parameters)]
-    )
+    baseline, *solved_rows = _solve_many(model, [ZeroCoverage(), *coverages])
     uninsured: dict[ProtectionPolicy, tuple[float, float]] = {}
 
     def uninsured_parts(policy: ProtectionPolicy) -> tuple[float, float]:
@@ -229,8 +232,8 @@ def _run_sweep(
             cost,
         )
     return [
-        ContractSweepRow(float(parameter), *priced[solved])
-        for parameter, solved in zip(parameters, solved_rows)
+        ContractSweepRow(float(parameter), coverage, *priced[solved])
+        for parameter, coverage, solved in zip(parameters, coverages, solved_rows)
     ]
 
 
@@ -241,11 +244,6 @@ def default_linear_grid(points: int = LINEAR_GRID_POINTS) -> np.ndarray:
 def default_threshold_grid(model: MdpModel, points: int = THRESHOLD_GRID_POINTS) -> np.ndarray:
     top = float(model.losses.max()) * THRESHOLD_GRID_MARGIN
     return np.linspace(0.0, top if top > 0.0 else 1.0, points)
-
-
-def _threshold_coverage(low_level: float, high_level: float) -> Callable[[float], Coverage]:
-    """The two-tier contracts with these levels, as a function of the cutoff."""
-    return partial(ThresholdCoverage, low_level=low_level, high_level=high_level)
 
 
 def sweep_linear(
@@ -259,7 +257,7 @@ def sweep_linear(
         raise ValueError("linear sweep grid must lie within [0, 1]")
     if sorted(grid) != grid:
         raise ValueError("sweep grid must be sorted ascending")
-    return _run_sweep(model, grid, LinearCoverage)
+    return _run_sweep(model, grid, [LinearCoverage(level) for level in grid])
 
 
 def sweep_threshold(
@@ -276,198 +274,163 @@ def sweep_threshold(
     grid = [float(g) for g in grid]
     if sorted(grid) != grid:
         raise ValueError("sweep grid must be sorted ascending")
-    return _run_sweep(model, grid, _threshold_coverage(low_level, high_level))
+    coverages = [ThresholdCoverage(cutoff, low_level, high_level) for cutoff in grid]
+    return _run_sweep(model, grid, coverages)
 
 
-Refiner = Callable[[ContractSweepRow, ContractSweepRow], float]
+def _linear_switch(model: MdpModel, inside: ContractSweepRow, outside: ContractSweepRow) -> float:
+    """The exact level where the user leaves ``inside``'s policy pi toward ``outside``.
 
-
-def make_linear_refiner(model: MdpModel) -> Refiner:
-    """Exact refiner for policy-switch levels along a linear sweep; it solves nothing.
-
-    The returned callable takes the two sweep rows (inside, outside) that
-    bracket a switch: ``inside`` on the policy pi whose end is sought.  Under
-    pi the user's values are (1 - R) * direct + cost, with ``direct`` and
-    ``cost`` the two streams of :func:`decompose_value`, so every action's
-    gap to pi, G(s, a; R) = Q(s, a; R) - Q(s, pi(s); R) = (1 - R) * A + B,
-    is affine in the level R, and pi stays optimal exactly while no gap is
-    negative.  The refiner returns the root nearest ``inside`` of a gap that
-    turns negative between the rows (beyond the solvers' tie window at
-    ``outside``), clamped to the bracket; ``outside`` when none does, since
-    the two rows' policies then tie.
+    Under pi the user's values are (1 - R) * direct + cost, with ``direct``
+    and ``cost`` the two streams of :func:`decompose_value`, so every
+    action's gap to pi, G(s, a; R) = Q(s, a; R) - Q(s, pi(s); R) =
+    (1 - R) * A + B, is affine in the level R, and pi stays optimal exactly
+    while no gap is negative.  The switch is the root nearest ``inside`` of
+    a gap that turns negative between the rows (beyond the solvers' tie
+    window at ``outside``), clamped to the bracket; ``outside`` when none
+    does, since the two rows' policies then tie.  It solves nothing.
     """
     n = model.n_states
     delta = model.discount
-
-    def refine(inside: ContractSweepRow, outside: ContractSweepRow) -> float:
-        start, stop = inside.parameter, outside.parameter
-        own = (np.arange(n), np.asarray(inside.policy.actions))
-        direct, cost = decompose_value(model, inside.policy)
-        # Q(s, a; R) = (1 - R) * q_loss[s, a] + q_cost[s, a].  Gaps are taken
-        # against pi's own action values, so an action identical to pi's has
-        # a gap of exactly zero.
-        q_loss = model.losses[:, None] + delta * (model.transitions @ direct).T
-        q_cost = model.costs[None, :] + delta * (model.transitions @ cost).T
-        slope = q_loss - q_loss[own][:, None]
-        offset = q_cost - q_cost[own][:, None]
-        at_stop = (1.0 - stop) * slope + offset
-        # A gap that rounding alone makes negative (an action equivalent to
-        # pi's but computed along another path) has a root anywhere.
-        window = TIE_REL * (1.0 + np.abs((1.0 - stop) * q_loss + q_cost))
-        turning = (at_stop < -window) & (slope * (stop - start) > 0.0)
-        if not turning.any():
-            return stop
-        roots = 1.0 + offset[turning] / slope[turning]
-        lo, hi = min(start, stop), max(start, stop)
-        nearest = roots.min() if stop > start else roots.max()
-        return float(min(max(nearest, lo), hi))
-
-    return refine
+    start, stop = inside.parameter, outside.parameter
+    own = (np.arange(n), np.asarray(inside.policy.actions))
+    direct, cost = decompose_value(model, inside.policy)
+    # Q(s, a; R) = (1 - R) * q_loss[s, a] + q_cost[s, a].  Gaps are taken
+    # against pi's own action values, so an action identical to pi's has a
+    # gap of exactly zero.
+    q_loss = model.losses[:, None] + delta * (model.transitions @ direct).T
+    q_cost = model.costs[None, :] + delta * (model.transitions @ cost).T
+    slope = q_loss - q_loss[own][:, None]
+    offset = q_cost - q_cost[own][:, None]
+    at_stop = (1.0 - stop) * slope + offset
+    # A gap that rounding alone makes negative (an action equivalent to pi's
+    # but computed along another path) has a root anywhere.
+    window = TIE_REL * (1.0 + np.abs((1.0 - stop) * q_loss + q_cost))
+    turning = (at_stop < -window) & (slope * (stop - start) > 0.0)
+    if not turning.any():
+        return stop
+    roots = 1.0 + offset[turning] / slope[turning]
+    lo, hi = min(start, stop), max(start, stop)
+    nearest = roots.min() if stop > start else roots.max()
+    return float(min(max(nearest, lo), hi))
 
 
-def make_threshold_refiner(model: MdpModel, low_level: float, high_level: float) -> Refiner:
-    """Bisection refiner for policy-switch cutoffs along a threshold sweep.
+def _bisect_switch(
+    model: MdpModel,
+    coverage_at: Callable[[float], Coverage],
+    inside: ContractSweepRow,
+    outside: ContractSweepRow,
+    policies: dict[bytes, ProtectionPolicy],
+) -> float:
+    """Bisect the parameter of ``coverage_at`` to within BISECTION_WIDTH of
+    where the user leaves ``inside``'s policy toward ``outside``.
 
-    Takes the bracketing rows (inside, outside) like :func:`make_linear_refiner`
-    and narrows the switch cutoff to within BISECTION_WIDTH.
+    ``policies`` maps each paid vector solved so far to its policy: steps
+    often land on the same paid vector (a threshold cutoff between two state
+    losses), so a caller that shares it solves each vector once.
     """
-    return _policy_switch_refiner(model, _threshold_coverage(low_level, high_level))
-
-
-def _policy_switch_refiner(model: MdpModel, coverage_at: Callable[[float], Coverage]) -> Refiner:
-    # Bisection steps often land on the same paid vector (a threshold cutoff
-    # between two state losses), so each one is solved once per refiner.
-    policies: dict[bytes, ProtectionPolicy] = {}
-
-    def policy_at(parameter: float) -> ProtectionPolicy:
-        coverage = coverage_at(parameter)
+    lo, hi = inside.parameter, outside.parameter
+    while abs(hi - lo) > BISECTION_WIDTH:
+        mid = 0.5 * (lo + hi)
+        coverage = coverage_at(mid)
         key = coverage_paid(model, coverage).tobytes()
         if key not in policies:
             policies[key] = solve(model, coverage).policy
-        return policies[key]
-
-    def refine(inside: ContractSweepRow, outside: ContractSweepRow) -> float:
-        lo, hi = inside.parameter, outside.parameter
-        while abs(hi - lo) > BISECTION_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if policy_at(mid) == inside.policy:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    return refine
-
-
-def _affine_segments(rows: list[ContractSweepRow]) -> list[list[ContractSweepRow]]:
-    """Split a run of rows wherever the premium stops being affine in the parameter.
-
-    Keeps linear sweeps in one piece and splits threshold staircases at their
-    jumps (observed at grid resolution).
-    """
-    segments: list[list[ContractSweepRow]] = []
-    current = [rows[0]]
-    for row in rows[1:]:
-        if len(current) == 1:
-            current.append(row)
-            continue
-        first, second = current[0], current[1]
-        span = second.parameter - first.parameter
-        slope = (second.max_premium - first.max_premium) / span if span else 0.0
-        predicted = first.max_premium + slope * (row.parameter - first.parameter)
-        if abs(predicted - row.max_premium) <= PROFIT_ZERO_TOL * (1.0 + abs(predicted)):
-            current.append(row)
+        if policies[key] == inside.policy:
+            lo = mid
         else:
-            segments.append(current)
-            current = [row]
-    segments.append(current)
-    return segments
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
-def _interval_from_segment(
-    segment: list[ContractSweepRow],
-    lo: float,
-    hi: float,
-    lo_closed: bool,
-    hi_closed: bool,
-) -> RegionInterval:
-    first, last = segment[0], segment[-1]
-    span = last.parameter - first.parameter
-    slope = (last.max_premium - first.max_premium) / span if span else 0.0
-    intercept = first.max_premium - slope * first.parameter
-    return RegionInterval(
-        lo=lo,
-        hi=hi,
-        lo_closed=lo_closed,
-        hi_closed=hi_closed,
-        premium_intercept=intercept,
-        premium_slope=slope,
-    )
+def _switch_finder(model: MdpModel) -> Callable[[ContractSweepRow, ContractSweepRow], float]:
+    """The region end between a row in the region and its neighbour outside.
+
+    Linear rows take the exact gap root; threshold rows bisect the cutoff
+    at the inside row's levels, solving each paid vector once per finder.
+    """
+    policies: dict[bytes, ProtectionPolicy] = {}
+
+    def switch(inside: ContractSweepRow, outside: ContractSweepRow) -> float:
+        coverage = inside.coverage
+        if isinstance(coverage, LinearCoverage):
+            return _linear_switch(model, inside, outside)
+        return _bisect_switch(
+            model, lambda cutoff: replace(coverage, cutoff=cutoff), inside, outside, policies
+        )
+
+    return switch
 
 
-def optimal_region(
-    rows: Sequence[ContractSweepRow],
-    refine: Refiner | None = None,
-) -> RegionReport:
-    """Extract the zero-profit parameter set from a sweep.
+def _premium_line(row: ContractSweepRow) -> tuple[float, float]:
+    """(intercept, slope) of the premium in the sweep parameter at a zero-profit row.
 
-    A row belongs to the region when its profit is zero within
-    PROFIT_ZERO_TOL.  Region boundaries that sit against a policy switch are
-    narrowed by the supplied ``refine`` callable, called with the bracketing
-    rows ``(inside, outside)``: the exact root from ``make_linear_refiner``
-    or a bisection from ``make_threshold_refiner``.  They are reported as
-    open ends; boundaries at the grid edge stay closed.  Within the region,
-    intervals are split wherever the premium is not affine in the parameter
-    (threshold staircase steps), each carrying its own premium line.
+    On the baseline policy a linear contract's premium is level x the
+    baseline's direct losses; a threshold contract's premium stays constant
+    while the states paid at each tier stay the same.
+    """
+    if isinstance(row.coverage, LinearCoverage):
+        return 0.0, row.direct_losses
+    return row.max_premium, 0.0
+
+
+def optimal_region(model: MdpModel, rows: Sequence[ContractSweepRow]) -> RegionReport:
+    """Extract the zero-profit parameter set from a sweep of ``model``.
+
+    A row belongs to the region when its profit is exactly zero: the rows of
+    a sweep on the baseline policy share its arithmetic.  An end against a
+    policy switch is reported open, at the exact gap root for linear rows
+    and bisected for threshold rows; an end at the grid edge stays closed.
+    Maximal runs of rows with the same premium line (see ``_premium_line``)
+    each make one interval, so a threshold staircase splits at its steps.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("optimal_region needs at least one sweep row")
-    in_region = [abs(r.profit) <= PROFIT_ZERO_TOL for r in rows]
-    if not any(in_region):
-        raise ValueError("no zero-profit rows found (the zero-coverage row always qualifies)")
-
+    if not any(row.profit == 0.0 for row in rows):
+        raise ValueError(
+            "no zero-profit rows found: every contract on the grid changes the "
+            "user's no-insurance policy"
+        )
+    switch = _switch_finder(model)
     intervals: list[RegionInterval] = []
-    i = 0
-    while i < len(rows):
-        if not in_region[i]:
-            i += 1
+    end = 0
+    for in_region, run in groupby(rows, key=lambda row: row.profit == 0.0):
+        run = list(run)
+        start, end = end, end + len(run)
+        if not in_region:
             continue
-        j = i
-        while j + 1 < len(rows) and in_region[j + 1]:
-            j += 1
-        run = rows[i : j + 1]
-
         lo, lo_closed = run[0].parameter, True
-        if i > 0 and refine is not None:
-            lo, lo_closed = refine(run[0], rows[i - 1]), False
+        if start > 0:
+            lo, lo_closed = switch(run[0], rows[start - 1]), False
         hi, hi_closed = run[-1].parameter, True
-        if j + 1 < len(rows) and refine is not None:
-            hi, hi_closed = refine(run[-1], rows[j + 1]), False
-
-        segments = _affine_segments(run)
-        for k, segment in enumerate(segments):
-            seg_lo = lo if k == 0 else segment[0].parameter
-            seg_lo_closed = lo_closed if k == 0 else True
-            seg_hi = hi if k == len(segments) - 1 else segment[-1].parameter
-            seg_hi_closed = hi_closed if k == len(segments) - 1 else True
+        if end < len(rows):
+            hi, hi_closed = switch(run[-1], rows[end]), False
+        segments = [(line, list(segment)) for line, segment in groupby(run, key=_premium_line)]
+        for k, (line, segment) in enumerate(segments):
+            first, last = k == 0, k == len(segments) - 1
             intervals.append(
-                _interval_from_segment(segment, seg_lo, seg_hi, seg_lo_closed, seg_hi_closed)
+                RegionInterval(
+                    lo=lo if first else segment[0].parameter,
+                    hi=hi if last else segment[-1].parameter,
+                    lo_closed=lo_closed or not first,
+                    hi_closed=hi_closed or not last,
+                    premium_intercept=line[0],
+                    premium_slope=line[1],
+                )
             )
-        i = j + 1
 
-    best = None
-    for interval in intervals:
-        for parameter, attained in ((interval.lo, interval.lo_closed), (interval.hi, interval.hi_closed)):
-            premium = interval.premium(parameter)
-            if best is None or premium > best[1] + 1e-15:
-                best = (parameter, premium, attained)
-    rep_parameter, rep_premium, rep_attained = best
-
+    # The first of equal premiums wins.
+    ends = [
+        (interval.premium(parameter), parameter, attained)
+        for interval in intervals
+        for parameter, attained in ((interval.lo, interval.lo_closed), (interval.hi, interval.hi_closed))
+    ]
+    premium, parameter, attained = max(ends, key=lambda item: item[0])
     return RegionReport(
         intervals=tuple(intervals),
         max_profit=max(r.profit for r in rows),
-        representative_parameter=rep_parameter,
-        representative_premium=max(0.0, rep_premium),
-        representative_attained=rep_attained,
+        representative_parameter=parameter,
+        representative_premium=max(0.0, premium),
+        representative_attained=attained,
     )

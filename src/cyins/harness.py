@@ -65,11 +65,12 @@ def load_model(path: str | Path) -> MdpModel:
 
     Parse failures carry the line/column of the offending JSON; validation
     failures carry the full itemized report from :func:`validate_model`.
+    Every failure names the file.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"{path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -77,6 +78,8 @@ def load_model(path: str | Path) -> MdpModel:
         raise ModelFileError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ModelFileError(f"{path}: parse error: JSON nested too deeply") from None
     try:
         return validate_model(raw)
     except ModelValidationError as exc:
@@ -205,7 +208,7 @@ def _analytic_overlay(ts: analytic.TwoStateModel, classification: analytic.CaseC
 
 @dataclass(frozen=True)
 class Study:
-    """A bundled study: its model file, ``sweep(model) -> (rows, refiner)`` and
+    """A bundled study: its model file, ``sweep(model) -> rows`` and
     ``extras(model) -> (summary fields, CSV overlay or None)``.
 
     Both functions look up the ``contracts`` and ``analytic`` functions when
@@ -213,19 +216,16 @@ class Study:
     """
 
     model: str
-    sweep: Callable[[MdpModel], tuple[list[contracts.ContractSweepRow], contracts.Refiner]]
+    sweep: Callable[[MdpModel], list[contracts.ContractSweepRow]]
     extras: Callable[[MdpModel], tuple[dict, Overlay | None]]
 
 
 def _linear_sweep(model: MdpModel):
-    return contracts.sweep_linear(model), contracts.make_linear_refiner(model)
+    return contracts.sweep_linear(model)
 
 
 def _fig5_sweep(model: MdpModel):
-    return (
-        contracts.sweep_threshold(model, FIG5_LOW_LEVEL, FIG5_HIGH_LEVEL),
-        contracts.make_threshold_refiner(model, FIG5_LOW_LEVEL, FIG5_HIGH_LEVEL),
-    )
+    return contracts.sweep_threshold(model, FIG5_LOW_LEVEL, FIG5_HIGH_LEVEL)
 
 
 def _closed_forms(model: MdpModel):
@@ -279,8 +279,8 @@ def reproduce(study: str, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     model = bundled_model(spec.model)
     fields, overlay = spec.extras(model)
-    rows, refine = spec.sweep(model)
-    region = contracts.optimal_region(rows, refine)
+    rows = spec.sweep(model)
+    region = contracts.optimal_region(model, rows)
     _write_csv(model, rows, out / f"{study}.csv", overlay)
     summary = {
         "study": study,

@@ -295,21 +295,38 @@ def test_optimal_contract_case1_spans_everything():
 
 @pytest.mark.parametrize("raw", [TWO_STATE_RAW, CASE2_RAW, CASE3_RAW])
 def test_optimal_contract_matches_sweep_region(raw):
-    from cyins.contracts import make_linear_refiner, optimal_region, sweep_linear
+    from cyins.contracts import optimal_region, sweep_linear
 
     model = validate_model(raw)
     ts = TwoStateModel.from_model(model)
     contract = optimal_contract(ts)
-    region = optimal_region(sweep_linear(model), make_linear_refiner(model))
+    region = optimal_region(model, sweep_linear(model))
     interval = region.intervals[0]
-    # The refined end is the exact root of the gap that closes the region:
+    # The region end is the exact root of the gap that closes the region:
     # the first switch threshold of the closed-form classification.
     first_switch = min(classify_case(ts).thresholds.values())
     assert interval.hi == pytest.approx(first_switch, abs=1e-12)
     assert interval.hi == pytest.approx(contract.level_sup, abs=1e-12)
-    assert interval.premium_slope == pytest.approx(contract.premium_rate, abs=1e-6)
+    assert interval.premium_slope == pytest.approx(contract.premium_rate, rel=1e-12)
     assert contract.profit == 0.0
     assert abs(region.max_profit) <= 1e-7
+
+
+def test_region_premium_lines_are_the_closed_forms():
+    # The first interval's premium line is the baseline policy's loss
+    # coefficient through the origin, and it ends at the contract's sup.
+    from cyins.contracts import optimal_region, sweep_linear
+
+    rng = np.random.default_rng(16180)
+    for _ in range(100):
+        model = validate_model(random_two_state_raw(rng))
+        ts = TwoStateModel.from_model(model)
+        baseline = closed_form_policy(ts, 0.0).actions
+        rate = loss_coefficient(ts, model.initial_state, baseline[ts.good], baseline[ts.bad])
+        interval = optimal_region(model, sweep_linear(model)).intervals[0]
+        assert interval.premium_intercept == 0.0
+        assert interval.premium_slope == pytest.approx(rate, rel=1e-12)
+        assert interval.hi == pytest.approx(optimal_contract(ts).level_sup, abs=1e-12)
 
 
 def test_peltzman_regions_reference(two_state_analytic):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from cyins import contracts
 from cyins.contracts import (
     CertificateError,
-    make_linear_refiner,
-    make_threshold_refiner,
     optimal_region,
     solve,
     sweep_linear,
@@ -338,8 +336,7 @@ def fig5_rows(four_state):
     return sweep_threshold(four_state, 0.0, 0.9)
 
 
-def test_refiner_solves_a_paid_vector_once(four_state, fig5_rows, solve_calls):
-    refine = make_threshold_refiner(four_state, 0.0, 0.9)
+def test_fig5_region_end_solves_a_paid_vector_once(four_state, fig5_rows, solve_calls):
     # The fig5 rows around the switch below the loss 8: every bisection step
     # between them pays the vector of the cutoff band [4, 8), and the inside
     # row already carries its policy.
@@ -347,15 +344,21 @@ def test_refiner_solves_a_paid_vector_once(four_state, fig5_rows, solve_calls):
         (a, b) for a, b in zip(fig5_rows, fig5_rows[1:]) if a.parameter < 8.0 <= b.parameter
     )
     assert outside.policy != inside.policy
-    for _ in range(2):
-        assert outside.parameter < refine(inside, outside) < inside.parameter
+    region = optimal_region(four_state, fig5_rows)
+    assert _brackets(fig5_rows) == [(inside, outside)]
+    assert outside.parameter < region.intervals[0].lo < inside.parameter
     assert solve_calls == [1]
+    # One finder bisects each paid vector once, however often it is asked.
+    switch = contracts._switch_finder(four_state)
+    for _ in range(2):
+        assert switch(inside, outside) == region.intervals[0].lo
+    assert solve_calls == [1, 1]
 
 
 @pytest.mark.parametrize("study", ["fig3", "fig4"])
 def test_linear_studies_solve_only_their_sweep(study, tmp_path, solve_calls):
-    # The exact linear refiner reads its switch levels off the inside row's
-    # policy, so a linear study solves nothing after the sweep.
+    # A linear region end is read off the inside row's policy, so a linear
+    # study solves nothing after the sweep.
     reproduce(study, tmp_path)
     assert len(solve_calls) == 1
 
@@ -364,7 +367,7 @@ def test_linear_studies_solve_only_their_sweep(study, tmp_path, solve_calls):
 
 def test_optimal_region_reference(two_state):
     rows = sweep_linear(two_state)
-    region = optimal_region(rows, make_linear_refiner(two_state))
+    region = optimal_region(two_state, rows)
     assert len(region.intervals) == 1
     interval = region.intervals[0]
     assert interval.lo == 0.0 and interval.lo_closed
@@ -385,7 +388,7 @@ def test_optimal_region_covers_everything_when_policy_never_switches(two_state):
     raw["actions"][1]["cost"] = 100.0
     model = validate_model(raw)
     rows = sweep_linear(model)
-    region = optimal_region(rows, make_linear_refiner(model))
+    region = optimal_region(model, rows)
     assert len(region.intervals) == 1
     interval = region.intervals[0]
     assert (interval.lo, interval.hi) == (0.0, 1.0)
@@ -395,7 +398,7 @@ def test_optimal_region_covers_everything_when_policy_never_switches(two_state):
 
 def test_optimal_region_degenerate_grid(two_state):
     rows = sweep_linear(two_state, [0.0])
-    region = optimal_region(rows)
+    region = optimal_region(two_state, rows)
     assert len(region.intervals) == 1
     interval = region.intervals[0]
     assert (interval.lo, interval.hi) == (0.0, 0.0)
@@ -405,8 +408,7 @@ def test_optimal_region_degenerate_grid(two_state):
 
 def test_optimal_region_threshold_staircase(four_state):
     rows = sweep_threshold(four_state, 0.0, 0.9, list(np.linspace(0.0, 20.0, 201)))
-    refiner = make_threshold_refiner(four_state, 0.0, 0.9)
-    region = optimal_region(rows, refiner)
+    region = optimal_region(four_state, rows)
     # all intervals sit at zero profit; steps carry constant premiums
     assert region.max_profit == pytest.approx(0.0, abs=1e-7)
     for interval in region.intervals:
@@ -421,9 +423,9 @@ def test_optimal_region_threshold_staircase(four_state):
     )
 
 
-def test_optimal_region_requires_rows():
+def test_optimal_region_requires_rows(two_state):
     with pytest.raises(ValueError):
-        optimal_region([])
+        optimal_region(two_state, [])
 
 
 def test_zero_profit_principle_random_models():
@@ -436,28 +438,42 @@ def test_zero_profit_principle_random_models():
         assert best.policy == rows[0].policy  # attained where the policy is unchanged
 
 
-def _recording(refine):
-    """``refine``, keeping each (inside, outside, refined end) it returns."""
-    calls = []
+def _brackets(rows):
+    """The (inside, outside) rows around each region end at a policy switch, in order."""
+    return [
+        (a, b) if a.profit == 0.0 else (b, a)
+        for a, b in zip(rows, rows[1:])
+        if (a.profit == 0.0) != (b.profit == 0.0)
+    ]
 
-    def recorded(inside, outside):
-        end = refine(inside, outside)
-        calls.append((inside, outside, end))
-        return end
 
-    recorded.calls = calls
-    return recorded
+def _open_ends(region):
+    """The region's ends at a policy switch, in order."""
+    return [
+        end
+        for iv in region.intervals
+        for end, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed))
+        if not closed
+    ]
+
+
+def _bisected(model, inside, outside):
+    """The bisection oracle for a linear region end."""
+    return contracts._bisect_switch(model, LinearCoverage, inside, outside, {})
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1))
 def test_exact_linear_ends_match_the_bisection_oracle(seed):
     model = random_model(np.random.default_rng(seed), max_states=4, max_actions=3)
-    exact = _recording(make_linear_refiner(model))
-    optimal_region(sweep_linear(model, list(np.linspace(0.0, 1.0, 41))), exact)
-    bisect = contracts._policy_switch_refiner(model, LinearCoverage)
-    for inside, outside, end in exact.calls:
-        assert end == pytest.approx(bisect(inside, outside), abs=contracts.BISECTION_WIDTH)
+    rows = sweep_linear(model, list(np.linspace(0.0, 1.0, 41)))
+    brackets = _brackets(rows)
+    ends = _open_ends(optimal_region(model, rows))
+    assert len(ends) == len(brackets)
+    for (inside, outside), end in zip(brackets, ends):
+        assert end == pytest.approx(
+            _bisected(model, inside, outside), abs=contracts.BISECTION_WIDTH
+        )
 
 
 def _bad_split(good, split):
@@ -480,13 +496,13 @@ def test_exact_linear_end_ignores_the_rounding_noise_of_a_twin_action():
         "initial_state": "G",
     }
     model = validate_model(raw)
-    bisect = contracts._policy_switch_refiner(model, LinearCoverage)
     for grid in ([0.0, 0.5, 1.0], list(np.linspace(0.0, 1.0, 41))):
-        exact = _recording(make_linear_refiner(model))
-        optimal_region(sweep_linear(model, grid), exact)
-        assert len(exact.calls) == 1
-        inside, outside, end = exact.calls[0]
-        assert end == pytest.approx(bisect(inside, outside), abs=contracts.BISECTION_WIDTH)
+        rows = sweep_linear(model, grid)
+        [(inside, outside)] = _brackets(rows)
+        [end] = _open_ends(optimal_region(model, rows))
+        assert end == pytest.approx(
+            _bisected(model, inside, outside), abs=contracts.BISECTION_WIDTH
+        )
 
 
 def _stress_raw(kind, discount):
@@ -510,13 +526,13 @@ def _stress_raw(kind, discount):
 @pytest.mark.parametrize("kind", ["one_state", "identical_actions", "zero_losses"])
 def test_degenerate_models_give_certified_regions(kind, discount):
     model = validate_model(_stress_raw(kind, discount))
-    for rows, refine in (
-        (sweep_linear(model), _recording(make_linear_refiner(model))),
-        (sweep_threshold(model, 0.0, 0.9), _recording(make_threshold_refiner(model, 0.0, 0.9))),
-    ):
-        region = optimal_region(rows, refine)
-        assert abs(region.max_profit) <= contracts.PROFIT_ZERO_TOL
-        for inside, outside, end in refine.calls:
+    for rows in (sweep_linear(model), sweep_threshold(model, 0.0, 0.9)):
+        region = optimal_region(model, rows)
+        assert abs(region.max_profit) <= 1e-7
+        brackets = _brackets(rows)
+        ends = _open_ends(region)
+        assert len(ends) == len(brackets)
+        for (inside, outside), end in zip(brackets, ends):
             assert min(inside.parameter, outside.parameter) <= end
             assert end <= max(inside.parameter, outside.parameter)
         ends = [end for iv in region.intervals for end in (iv.lo, iv.hi)]

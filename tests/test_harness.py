@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyins import analytic, contracts, harness
+from cyins import analytic, contracts, harness, montecarlo
 from cyins.cli import main, parse_coverage_spec
 from cyins.harness import (
     ModelFileError,
@@ -107,6 +109,19 @@ def test_validation_failures_are_reported(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(ModelFileError):
         load_model(tmp_path / "nope.model")
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [("deep.model", b"[" * 5000), ("latin1.model", '{"discount": 0.9, "é": 1}'.encode("latin-1"))],
+)
+def test_unreadable_model_files_name_the_file(tmp_path, capsys, name, content):
+    # JSON nested past the parser's recursion limit, and bytes that are not UTF-8.
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(["solve", "--model", str(path), "--coverage", "none"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 # -------------------------------------------------------------- policy labels
@@ -262,6 +277,44 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: --out")
     assert list(tmp_path.iterdir()) == []
+    # Coverage levels belong to the threshold family; a linear sweep fails
+    # before the (here missing) model loads.
+    for flags in (["--low-level", "5"], ["--high-level", "0.5"], ["--low-level", "0", "--high-level", "1"]):
+        argv = ["sweep", "--model", "x", "--family", "linear", *flags, "--out", "y"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --low-level and --high-level apply only")
+
+
+def test_cli_threshold_sweep_keeps_the_default_of_an_omitted_level(tmp_path, four_state, capsys):
+    out, expected = tmp_path / "steps.csv", tmp_path / "expected.csv"
+    grid = contracts.default_threshold_grid(four_state, 9)
+    argv = ["sweep", "--model", FOUR_STATE_PATH, "--family", "threshold", "--grid", "9", "--out", str(out)]
+    for flags, levels in ((["--high-level", "0.5"], (0.0, 0.5)), (["--low-level", "0.2"], (0.2, 0.9))):
+        assert main(argv + flags) == 0
+        write_sweep_csv(four_state, contracts.sweep_threshold(four_state, *levels, grid), expected)
+        assert out.read_bytes() == expected.read_bytes()
+    capsys.readouterr()
+
+
+def test_cli_reports_a_failed_allocation(monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 72.8 PiB for an array with shape (10000000000000000,)")
+
+    monkeypatch.setattr(montecarlo, "simulate_value", no_memory)
+    argv = ["simulate", "--model", TWO_STATE_PATH, "--coverage", "none", "--policy", "A_H|A_H"]
+    assert main(argv + ["--samples", "10000000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: Unable to allocate 72.8 PiB for an array with shape (10000000000000000,)\n"
+    assert "estimate" not in captured.out
+
+
+def test_readme_quick_tour_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme[readme.index("## Library quick tour") :]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    assert "cyins.optimal_region(model, cyins.sweep_linear(model))" in code
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_cli_validation_errors(tmp_path, capsys):
