@@ -9,6 +9,7 @@ uncertified contract solve or failed allocation, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import analytic, contracts, harness, montecarlo
@@ -146,7 +147,9 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="cyins",
         description="Protection policies and insurance contracts for Markov risk models.",

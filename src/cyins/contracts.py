@@ -17,26 +17,34 @@ a one-off quote is a one-row sweep (``sweep_linear(model, [level])`` or
 ``sweep_threshold(model, low, high, [cutoff])``), and the coverage paid is
 ``direct_losses + protection_cost - user_value``.
 
-:func:`solve` is the one certified optimal response to a coverage, and
-every solve in this module goes the same way: value iteration certified by
-the exact Bellman residual eps of the returned policy's values, ||V_pi - V*||
-<= eps / (1 - discount) (Puterman 1994, section 6), which the result carries
-as ``certificate_bound``.  A solve that did not converge or whose bound
-exceeds ``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so no
-uncertified policy reaches a caller, a sweep row or a region end.
-The other solvers stay in :mod:`cyins.solvers` as test oracles.
+:func:`solve` is the one certified optimal response to a coverage: value
+iteration, with the exact Bellman residual eps of the returned policy's
+values as its certificate, ||V_pi - V*|| <= eps / (1 - discount) (Puterman
+1994, section 6), which the result carries as ``certificate_bound``.  Every
+result in this module, a sweep row's too, passes the same gate: one that did
+not converge or whose bound exceeds ``CERT_TOL * (1 + ||V||)`` raises
+:class:`CertificateError`, so no uncertified policy reaches a caller, a
+sweep row or a region end.  The other solvers stay in :mod:`cyins.solvers`
+as test oracles.
 
 A coverage enters a solve only through the reimbursement it pays in each
-state, so a sweep solves each distinct paid vector once: the baseline and
-every row go to one batched value-iteration loop, and rows on the same
+state.  A threshold sweep solves each distinct paid vector once, the
+baseline and every row in one batched value-iteration loop.  A linear sweep
+solves only the baseline: under linear coverage every action value is
+affine in the level R, so the user's optimal policy is piecewise constant
+in R (parametric policy iteration, Puterman 1994, section 6.4).  The sweep
+walks the pieces up the grid from the baseline policy, one greedy
+extraction over the remaining rows per piece and a few Howard improvement
+steps at each switch, and every row then gets its exact values and
+certificate from the stacked finish value iteration uses.  Rows on the same
 policy share one value decomposition.
 
 A region end against a policy switch is found from the two rows that
 bracket it, by the coverage the rows carry.  Between linear rows it solves
 nothing: under the inside row's policy every gap between action values is
 affine in the coverage level, so the switch is an exact root.  Between
-threshold rows it bisects the cutoff, solving each paid vector it meets once
-per ``optimal_region`` call.
+threshold rows it bisects the cutoff from the policies the two rows carry,
+solving any other paid vector it meets once per ``optimal_region`` call.
 """
 
 from __future__ import annotations
@@ -58,7 +66,13 @@ from .model import (
     coverages_paid,
     decompose_value,
 )
-from .solvers import TIE_REL, SolveResult, solve_value_iterations
+from .solvers import (
+    TIE_REL,
+    SolveResult,
+    _finish_stack,
+    _greedy_actions,
+    solve_value_iterations,
+)
 
 __all__ = [
     "CertificateError",
@@ -71,7 +85,7 @@ __all__ = [
     "sweep_threshold",
 ]
 
-# Value-iteration stopping tolerance and relative certificate limit of every solve.
+# Value-iteration stopping tolerance and relative certificate limit of every result.
 CERT_TOL = 1e-9
 
 BISECTION_WIDTH = 1e-6
@@ -196,15 +210,117 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
     return _solve_many(model, [coverage])[0]
 
 
+def _action_value_lines(model: MdpModel, policy: ProtectionPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """``(q_loss, q_cost)``, each (N, M), of ``policy`` under linear coverage.
+
+    At level R the policy's values are (1 - R) * direct + cost, with
+    ``direct`` and ``cost`` the two streams of :func:`decompose_value`, so
+    the action values on them are Q(s, a; R) = (1 - R) * q_loss[s, a] +
+    q_cost[s, a] at every level from one factorisation.
+    """
+    direct, cost = decompose_value(model, policy)
+    delta = model.discount
+    q_loss = model.losses[:, None] + delta * (model.transitions @ direct).T
+    q_cost = model.costs[None, :] + delta * (model.transitions @ cost).T
+    return q_loss, q_cost
+
+
+def _improve(
+    model: MdpModel, actions: np.ndarray, lines: tuple[np.ndarray, np.ndarray], level: float
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
+    """Howard policy iteration at one linear ``level``, from ``actions`` and their ``lines``.
+
+    A step moves each state whose greedy action beats the policy's own by
+    more than the solvers' tie window, so the values strictly fall and no
+    policy comes back; a step that would revisit one (rounding alone could
+    make it) ends the loop, so it ends on every input.  Then the greedy
+    policy under the tie rule is taken from the final exact values; when it
+    differs (only within tie windows) it costs one more evaluation and is
+    accepted.  Returns the policy, its lines and the number of steps.
+    """
+    states = np.arange(model.n_states)
+    seen = {actions.tobytes()}
+    steps = 0
+    while True:
+        q = (1.0 - level) * lines[0] + lines[1]
+        greedy = _greedy_actions(q, model.costs)
+        own = q[states, actions]
+        better = own - q[states, greedy] > TIE_REL * (1.0 + np.abs(own))
+        switched = np.where(better, greedy, actions)
+        if not better.any() or switched.tobytes() in seen:
+            break
+        actions = switched
+        seen.add(actions.tobytes())
+        lines = _action_value_lines(model, ProtectionPolicy(actions))
+        steps += 1
+    if (greedy != actions).any():
+        actions, lines = greedy, _action_value_lines(model, ProtectionPolicy(greedy))
+    return actions, lines, steps
+
+
+def _walk_pieces(
+    model: MdpModel, policy: ProtectionPolicy, levels: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """The optimal policy at each of the ascending linear ``levels``, from ``policy``.
+
+    Under a policy pi every action value is affine in the level, so one
+    greedy extraction over all remaining levels finds the leading run of
+    rows on which pi is its own greedy policy: pi's piece.  At the first
+    row off it, :func:`_improve` gives the next policy, which takes that
+    row, and the walk goes on from there.  Returns the (K, N) actions and,
+    per row, the improvement steps that found its piece (0 on ``policy``'s).
+    """
+    count = len(levels)
+    actions = np.empty((count, model.n_states), dtype=np.intp)
+    steps = np.zeros(count, dtype=int)
+    current = np.asarray(policy.actions)
+    lines = _action_value_lines(model, policy)
+    start, taken = 0, 0
+    while start < count:
+        q = (1.0 - levels[start:, None, None]) * lines[0] + lines[1]
+        off = (_greedy_actions(q, model.costs) != current).any(axis=1)
+        stop = start + int(off.argmax()) if off.any() else count
+        actions[start:stop], steps[start:stop] = current, taken
+        if stop == count:
+            break
+        current, lines, taken = _improve(model, current, lines, float(levels[stop]))
+        actions[stop], steps[stop] = current, taken
+        start = stop + 1
+    return actions, steps.tolist()
+
+
+def _solve_linear(model: MdpModel, coverages: Sequence[LinearCoverage]) -> list[SolveResult]:
+    """Certified results for the baseline, then for each of the ascending ``coverages``.
+
+    Only the baseline is solved; the rows' policies come from
+    :func:`_walk_pieces`.  Each distinct positive level then gets its exact
+    values and certificate from one stacked finish, and passes
+    :func:`_certify`; level 0 pays what the baseline pays and shares its
+    result.
+    """
+    (baseline,) = _solve_many(model, [ZeroCoverage()])
+    levels = np.array([coverage.level for coverage in coverages], dtype=float)
+    distinct, first, index = np.unique(levels, return_index=True, return_inverse=True)
+    shared = int(distinct.size > 0 and distinct[0] == 0.0)
+    actions, steps = _walk_pieces(model, baseline.policy, distinct[shared:])
+    walked = [coverages[k] for k in first[shared:]]
+    retained = model.losses - coverages_paid(model, walked)
+    results = _finish_stack(model, retained, actions, steps, [True] * len(walked))
+    for coverage, result in zip(walked, results):
+        _certify(model, coverage, result)
+    by_level = [baseline] * shared + results
+    return [baseline, *(by_level[k] for k in index)]
 
 
 def _run_sweep(
     model: MdpModel,
     parameters: Sequence[float],
     coverages: Sequence[Coverage],
+    solved: Sequence[SolveResult],
 ) -> list[ContractSweepRow]:
+    """The priced rows of a sweep from ``solved``: the baseline's result, then each coverage's."""
     s0 = model.initial_state
-    baseline, *solved_rows = _solve_many(model, [ZeroCoverage(), *coverages])
+    baseline, *solved_rows = solved
     uninsured: dict[ProtectionPolicy, tuple[float, float]] = {}
 
     def uninsured_parts(policy: ProtectionPolicy) -> tuple[float, float]:
@@ -257,7 +373,8 @@ def sweep_linear(
         raise ValueError("linear sweep grid must lie within [0, 1]")
     if sorted(grid) != grid:
         raise ValueError("sweep grid must be sorted ascending")
-    return _run_sweep(model, grid, [LinearCoverage(level) for level in grid])
+    coverages = [LinearCoverage(level) for level in grid]
+    return _run_sweep(model, grid, coverages, _solve_linear(model, coverages))
 
 
 def sweep_threshold(
@@ -275,7 +392,7 @@ def sweep_threshold(
     if sorted(grid) != grid:
         raise ValueError("sweep grid must be sorted ascending")
     coverages = [ThresholdCoverage(cutoff, low_level, high_level) for cutoff in grid]
-    return _run_sweep(model, grid, coverages)
+    return _run_sweep(model, grid, coverages, _solve_many(model, [ZeroCoverage(), *coverages]))
 
 
 def _linear_switch(model: MdpModel, inside: ContractSweepRow, outside: ContractSweepRow) -> float:
@@ -290,16 +407,11 @@ def _linear_switch(model: MdpModel, inside: ContractSweepRow, outside: ContractS
     window at ``outside``), clamped to the bracket; ``outside`` when none
     does, since the two rows' policies then tie.  It solves nothing.
     """
-    n = model.n_states
-    delta = model.discount
     start, stop = inside.parameter, outside.parameter
-    own = (np.arange(n), np.asarray(inside.policy.actions))
-    direct, cost = decompose_value(model, inside.policy)
-    # Q(s, a; R) = (1 - R) * q_loss[s, a] + q_cost[s, a].  Gaps are taken
-    # against pi's own action values, so an action identical to pi's has a
-    # gap of exactly zero.
-    q_loss = model.losses[:, None] + delta * (model.transitions @ direct).T
-    q_cost = model.costs[None, :] + delta * (model.transitions @ cost).T
+    own = (np.arange(model.n_states), np.asarray(inside.policy.actions))
+    # Gaps are taken against pi's own action values, so an action identical
+    # to pi's has a gap of exactly zero.
+    q_loss, q_cost = _action_value_lines(model, inside.policy)
     slope = q_loss - q_loss[own][:, None]
     offset = q_cost - q_cost[own][:, None]
     at_stop = (1.0 - stop) * slope + offset
@@ -346,8 +458,12 @@ def _bisect_switch(
 def _switch_finder(model: MdpModel) -> Callable[[ContractSweepRow, ContractSweepRow], float]:
     """The region end between a row in the region and its neighbour outside.
 
-    Linear rows take the exact gap root; threshold rows bisect the cutoff
-    at the inside row's levels, solving each paid vector once per finder.
+    Linear rows take the exact gap root.  Threshold rows bisect the cutoff
+    at the inside row's levels, starting from the policies the two rows
+    already carry for their paid vectors.  A cutoff acts only through the
+    states whose loss lies above it, so when one state loss lies between
+    the rows every step pays one of their two vectors and nothing is
+    solved; any other vector is solved once per finder.
     """
     policies: dict[bytes, ProtectionPolicy] = {}
 
@@ -355,6 +471,8 @@ def _switch_finder(model: MdpModel) -> Callable[[ContractSweepRow, ContractSweep
         coverage = inside.coverage
         if isinstance(coverage, LinearCoverage):
             return _linear_switch(model, inside, outside)
+        for row in (inside, outside):
+            policies.setdefault(coverage_paid(model, row.coverage).tobytes(), row.policy)
         return _bisect_switch(
             model, lambda cutoff: replace(coverage, cutoff=cutoff), inside, outside, policies
         )

@@ -137,17 +137,35 @@ def _write_csv(
     path: Path,
     overlay: Overlay | None = None,
 ) -> None:
-    """The sweep CSV, with the ``OVERLAY_HEADER`` columns of ``overlay`` when given."""
+    """The sweep CSV, with the ``OVERLAY_HEADER`` columns of ``overlay`` when given.
+
+    Rows that share a result repeat its numbers, so each distinct policy
+    label and number is rendered once per file.
+    """
+    labels: dict[ProtectionPolicy, str] = {}
+    numbers: dict[float, str] = {}
+
+    def label(policy: ProtectionPolicy) -> str:
+        if policy not in labels:
+            labels[policy] = policy_label(model, policy)
+        return labels[policy]
+
+    def number(value: float) -> str:
+        # 0.0 and -0.0 are one key but print differently.
+        if value not in numbers or value == 0.0:
+            numbers[value] = format_number(value)
+        return numbers[value]
+
     lines = [SWEEP_CSV_HEADER if overlay is None else f"{SWEEP_CSV_HEADER},{OVERLAY_HEADER}"]
     for row in rows:
         fields = [
             format_number(row.parameter),
-            policy_label(model, row.policy),
-            format_number(row.user_value),
-            format_number(row.max_premium),
-            format_number(row.profit),
-            format_number(row.direct_losses),
-            format_number(row.protection_cost),
+            label(row.policy),
+            number(row.user_value),
+            number(row.max_premium),
+            number(row.profit),
+            number(row.direct_losses),
+            number(row.protection_cost),
         ]
         if overlay is not None:
             fields.extend(overlay(row))

@@ -218,16 +218,37 @@ def solve_value_iterations(
     iterates[:, active] = values
 
     actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)
+    return _finish_stack(model, retained, actions, iterations.tolist(), converged.tolist())
+
+
+def _finish_stack(
+    model: MdpModel,
+    retained: np.ndarray,
+    actions: np.ndarray,
+    iterations: list[int],
+    converged: list[bool],
+) -> list[SolveResult]:
+    """Results for K problems of one model, each given its policy.
+
+    ``retained`` (K, N) holds each problem's retained losses and ``actions``
+    (K, N) its policy.  One stacked exact evaluation gives every policy's
+    values, and one stacked Bellman residual gives its certificate bound;
+    ``iterations`` and ``converged`` pass through, one entry per problem.
+    """
+    n, delta = model.n_states, model.discount
     system = np.eye(n) - delta * model.transitions[actions, np.arange(n)]
     exact = np.linalg.solve(system, (retained + model.costs[actions])[..., None])[..., 0]
     bellman = _stacked_action_values(model, retained, exact).min(axis=2)
-    residual = highest(np.abs(exact - bellman), axis=1)
+    residual = np.abs(exact - bellman).max(axis=1)
     bound = residual / (1.0 - delta)
     # Each result's diagnostics in SolveResult field order.
-    diagnostics = zip(iterations.tolist(), residual.tolist(), bound.tolist(), converged.tolist())
+    diagnostics = zip(iterations, residual.tolist(), bound.tolist(), converged)
+    keys = [tuple(policy) for policy in actions.tolist()]
+    # Problems on one policy share its object.
+    policies = {key: ProtectionPolicy(key) for key in dict.fromkeys(keys)}
     return [
-        SolveResult(ProtectionPolicy(tuple(policy)), exact[k], *rest)
-        for k, (policy, rest) in enumerate(zip(actions.tolist(), diagnostics))
+        SolveResult(policies[key], exact[k], *rest)
+        for k, (key, rest) in enumerate(zip(keys, diagnostics))
     ]
 
 

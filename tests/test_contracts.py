@@ -25,6 +25,7 @@ from cyins.model import (
 )
 from cyins.solvers import (
     SolveResult,
+    _finish_stack,
     bellman_update,
     solve_value_iteration,
     solve_value_iterations,
@@ -202,7 +203,7 @@ def test_sweep_raises_when_value_iteration_does_not_converge():
 
 
 def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
-    coverage = LinearCoverage(0.5)
+    coverage = ThresholdCoverage(5.0, 0.0, 0.5)
     optimal = solve_value_iteration(two_state, coverage)
     worse = ProtectionPolicy(tuple(1 - a for a in optimal.policy.actions))
     values = evaluate_policy(two_state, worse, coverage)
@@ -216,8 +217,21 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
         return [fake if np.array_equal(row, faked) else r for row, r in zip(paid, solved)]
 
     monkeypatch.setattr(contracts, "solve_value_iterations", suboptimal)
-    with pytest.raises(CertificateError, match="converged=True"):
-        quote(two_state, coverage)
+    for priced in (solve, quote):
+        with pytest.raises(CertificateError, match="converged=True"):
+            priced(two_state, coverage)
+
+
+def test_linear_sweep_certifies_every_walked_row(two_state, monkeypatch):
+    # A walk that handed the stacked finish a suboptimal policy (here every
+    # action flipped) gets that policy's honest residual back, and the
+    # certificate rejects it.
+    def flipped(model, retained, actions, iterations, converged):
+        return _finish_stack(model, retained, 1 - actions, iterations, converged)
+
+    monkeypatch.setattr(contracts, "_finish_stack", flipped)
+    with pytest.raises(CertificateError, match=r"LinearCoverage\(level=0.5\).*converged=True"):
+        sweep_linear(two_state, [0.0, 0.5])
 
 
 # ------------------------------------------------------------- batched solves
@@ -304,6 +318,44 @@ def test_stacked_problems_stop_where_they_stop_alone():
             assert np.array_equal(batched.values, single.values, equal_nan=True)
 
 
+@st.composite
+def linear_walks(draw):
+    """A random model of at most 12 states and 4 actions with a discount up
+    to 0.99, and a sorted grid of linear levels with repeats."""
+    model = random_model(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        max_states=12,
+        max_actions=4,
+        d_lo=0.0,
+    )
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(levels), max_size=4))
+    return model, sorted(levels + repeats)
+
+
+@settings(deadline=None, max_examples=200)
+@given(linear_walks())
+def test_walked_linear_rows_match_solving_each_row(walk):
+    model, grid = walk
+    rows = sweep_linear(model, grid)
+    paid = coverages_paid(model, [LinearCoverage(level) for level in grid])
+    s0 = model.initial_state
+    for row, alone in zip(rows, solve_value_iterations(model, paid, tol=contracts.CERT_TOL)):
+        assert row.policy == alone.policy
+        limit = contracts.CERT_TOL * (1.0 + np.abs(alone.values).max())
+        assert abs(row.user_value - alone.values[s0]) <= limit
+
+
+def test_walked_row_at_an_exact_switch_takes_the_cheaper_action(two_state):
+    # At R_B the bad state's two actions tie, so no Howard step moves it
+    # (neither beats the other beyond the tie window); the final tie-rule
+    # extraction gives the cheaper one, as solving the row alone does.
+    alone = solve_value_iteration(two_state, LinearCoverage(EXACT_SWITCH_BAD)).policy
+    assert alone.actions == (STRONG, WEAK)
+    for grid in ([EXACT_SWITCH_BAD], [0.05, EXACT_SWITCH_BAD, 0.5]):
+        assert sweep_linear(two_state, grid)[grid.index(EXACT_SWITCH_BAD)].policy == alone
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
     """Number of problems in each value-iteration call the contracts layer makes."""
@@ -325,10 +377,11 @@ def test_threshold_sweep_solves_each_paid_vector_once(four_state, solve_calls):
     assert solve_calls == [4]
 
 
-def test_linear_sweep_solves_all_rows_in_one_call(two_state, solve_calls):
-    # Level 0 pays what the baseline pays; every other level is distinct.
-    sweep_linear(two_state)
-    assert solve_calls == [contracts.LINEAR_GRID_POINTS]
+def test_linear_sweep_solves_only_the_baseline(two_state, solve_calls):
+    # The rows' policies are walked from the baseline's, not solved.
+    rows = sweep_linear(two_state)
+    assert len(rows) == contracts.LINEAR_GRID_POINTS
+    assert solve_calls == [1]
 
 
 @pytest.fixture(scope="module")
@@ -336,31 +389,33 @@ def fig5_rows(four_state):
     return sweep_threshold(four_state, 0.0, 0.9)
 
 
-def test_fig5_region_end_solves_a_paid_vector_once(four_state, fig5_rows, solve_calls):
+def test_fig5_region_end_solves_nothing(four_state, fig5_rows, solve_calls):
     # The fig5 rows around the switch below the loss 8: every bisection step
-    # between them pays the vector of the cutoff band [4, 8), and the inside
-    # row already carries its policy.
+    # between them pays the vector of the outside row (the cutoff band
+    # [4, 8)) or, at 8 itself, of the inside row, and both rows carry their
+    # policies.
     outside, inside = next(
         (a, b) for a, b in zip(fig5_rows, fig5_rows[1:]) if a.parameter < 8.0 <= b.parameter
     )
     assert outside.policy != inside.policy
     region = optimal_region(four_state, fig5_rows)
     assert _brackets(fig5_rows) == [(inside, outside)]
-    assert outside.parameter < region.intervals[0].lo < inside.parameter
-    assert solve_calls == [1]
-    # One finder bisects each paid vector once, however often it is asked.
+    assert region.intervals[0].lo == 7.999999618530273
+    assert not region.intervals[0].lo_closed
     switch = contracts._switch_finder(four_state)
     for _ in range(2):
         assert switch(inside, outside) == region.intervals[0].lo
-    assert solve_calls == [1, 1]
+    assert solve_calls == []
 
 
 @pytest.mark.parametrize("study", ["fig3", "fig4"])
 def test_linear_studies_solve_only_their_sweep(study, tmp_path, solve_calls):
-    # A linear region end is read off the inside row's policy, so a linear
-    # study solves nothing after the sweep.
+    # A linear sweep solves its baseline alone, and a linear region end is
+    # read off the inside row's policy, so the study solves nothing else.
     reproduce(study, tmp_path)
-    assert len(solve_calls) == 1
+    assert solve_calls == [1]
+    policies = {line.split(",")[1] for line in (tmp_path / f"{study}.csv").read_text().splitlines()[1:]}
+    assert len(policies) == {"fig3": 3, "fig4": 5}[study]
 
 
 # ------------------------------------------------------------ region report

@@ -2,7 +2,11 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyins import analytic, contracts, harness, montecarlo
+import cyins
+from cyins import analytic, cli, contracts, harness, montecarlo
 from cyins.cli import main, parse_coverage_spec
 from cyins.harness import (
     ModelFileError,
@@ -152,6 +157,24 @@ def test_sweep_csv_format(tmp_path, two_state):
     assert first[2] == "31.95121951"  # ten significant digits
     params = [float(line.split(",")[0]) for line in lines[1:]]
     assert params == sorted(params)
+
+
+def test_sweep_csv_renders_every_row_and_the_sign_of_zero(tmp_path, two_state):
+    # Rows that repeat one result print it alike; a negative zero still
+    # prints as such, though it is the same dict key as 0.0.
+    row = contracts.sweep_linear(two_state, [0.5])[0]
+    rows = [
+        row,
+        replace(row, parameter=0.6),
+        replace(row, parameter=0.7, profit=0.0, direct_losses=-0.0),
+        replace(row, parameter=0.8, profit=-0.0, direct_losses=0.0),
+    ]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(two_state, rows, path)
+    fields = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [f[0] for f in fields] == ["0.5", "0.6", "0.7", "0.8"]
+    assert fields[0][1:] == fields[1][1:]
+    assert [(f[4], f[5]) for f in fields[2:]] == [("0", "-0"), ("-0", "0")]
 
 
 def test_sweep_csv_deterministic(tmp_path, two_state):
@@ -433,6 +456,33 @@ def test_cli_solve_reports_an_uncertified_solve(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: uncertified solve") and "Traceback" not in captured.err
     assert "policy:" not in captured.out and "value[" not in captured.out
+
+
+def test_cli_main_gives_one_process_the_output_of_separate_ones(tmp_path, capsys, monkeypatch):
+    # cli.main builds its parser once per process; each call must still
+    # print what a fresh interpreter prints for the same argv.  COLUMNS
+    # gives both sides one usage-message width.
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        ["analytic", "--model", str(bundled_model_path("two_state.model")), "--at", "0.5"],
+        ["solve", "--model", str(bundled_model_path("four_state.model")), "--coverage", "linear:0.5"],
+        ["reproduce", "fig9", "--out", str(tmp_path)],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cyins.__file__).parents[1]))
+    separate = []
+    for argv in runs:
+        done = subprocess.run(
+            [sys.executable, "-m", "cyins", *argv], capture_output=True, text=True, env=env
+        )
+        separate.append((done.returncode, done.stdout, done.stderr))
+    together = []
+    for argv in runs + runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        together.append((code, captured.out, captured.err))
+    assert together == separate + separate
+    assert [code for code, _, _ in separate] == [0, 0, 2]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_simulate_and_reproduce(tmp_path, capsys):
