@@ -7,8 +7,8 @@ The package has five layers:
 - :mod:`cyins.solvers`: optimal policies by value iteration, linear
   programming (self-contained simplex) and brute-force enumeration;
 - :mod:`cyins.contracts`: the certified optimal response to a coverage
-  (:func:`solve`), contract sweeps (premium, insurer profit and coverage
-  paid per row) and zero-profit region extraction;
+  (:func:`solve`: a policy walk if linear, value iteration if two-tier),
+  contract sweeps (premium, insurer profit and coverage paid) and zero-profit regions;
 - :mod:`cyins.analytic`: exact closed forms for the two-state / two-action
   case under linear coverage;
 - :mod:`cyins.montecarlo` / :mod:`cyins.harness`: a statistical oracle,

@@ -17,27 +17,26 @@ a one-off quote is a one-row sweep (``sweep_linear(model, [level])`` or
 ``sweep_threshold(model, low, high, [cutoff])``), and the coverage paid is
 ``direct_losses + protection_cost - user_value``.
 
-:func:`solve` is the one certified optimal response to a coverage: value
-iteration, with the exact Bellman residual eps of the returned policy's
-values as its certificate, ||V_pi - V*|| <= eps / (1 - discount) (Puterman
-1994, section 6), which the result carries as ``certificate_bound``.  Every
-result in this module, a sweep row's too, passes the same gate: one that did
-not converge or whose bound exceeds ``CERT_TOL * (1 + ||V||)`` raises
-:class:`CertificateError`, so no uncertified policy reaches a caller, a
-sweep row or a region end.  The other solvers stay in :mod:`cyins.solvers`
-as test oracles.
+:func:`solve` is the one certified optimal response to a coverage: the walk
+below for no insurance and linear coverage, value iteration for two-tier
+coverage.  The certificate is the exact Bellman residual eps of the returned
+policy's values, ||V_pi - V*|| <= eps / (1 - discount) (Puterman 1994,
+section 6), carried as ``certificate_bound``.  Every result in this module,
+a sweep row's too, passes the same gate: one that did not converge or whose
+bound exceeds ``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`,
+so no uncertified policy reaches a caller, a sweep row or a region end.  The
+other solvers stay in :mod:`cyins.solvers` as test oracles.
 
 A coverage enters a solve only through the reimbursement it pays in each
 state.  A threshold sweep solves each distinct paid vector once, the
 baseline and every row in one batched value-iteration loop.  A linear sweep
-solves only the baseline: under linear coverage every action value is
-affine in the level R, so the user's optimal policy is piecewise constant
-in R (parametric policy iteration, Puterman 1994, section 6.4).  The sweep
-walks the pieces up the grid from the baseline policy, one greedy
+runs no value iteration: under linear coverage every action value is affine
+in the level R, so the user's optimal policy is piecewise constant in R
+(parametric policy iteration, Puterman 1994, section 6.4).  The sweep walks
+the pieces up the grid from level 0, the baseline, with one greedy
 extraction over the remaining rows per piece and a few Howard improvement
-steps at each switch, and every row then gets its exact values and
-certificate from the stacked finish value iteration uses.  Rows on the same
-policy share one value decomposition.
+steps at each switch; all rows then share value iteration's stacked finish
+and one certificate gate.  Rows on one policy share its value decomposition.
 
 A region end against a policy switch is found from the two rows that
 bracket it, by the coverage the rows carry.  Between linear rows it solves
@@ -169,12 +168,11 @@ class RegionReport:
 
 
 def _solve_many(model: MdpModel, coverages: Sequence[Coverage]) -> list[SolveResult]:
-    """Certified optimal responses to ``coverages``, in their order.
+    """Certified value-iteration results for ``coverages``, in their order.
 
     The stage losses depend on a coverage only through its paid vector, so
     the paid vectors are built once, as one (K, N) array, and each distinct
-    row is solved once, all of them in one value-iteration loop; each result
-    then passes the certificate on its own (see the module docstring).
+    row is solved once, all of them in one loop and one :func:`_certify`.
     """
     paid = coverages_paid(model, coverages)
     keys = [row.tobytes() for row in paid]
@@ -182,32 +180,36 @@ def _solve_many(model: MdpModel, coverages: Sequence[Coverage]) -> list[SolveRes
     for k, key in enumerate(keys):
         first.setdefault(key, k)
     results = solve_value_iterations(model, paid[list(first.values())], tol=CERT_TOL)
+    _certify(model, [coverages[k] for k in first.values()], results)
     solved = dict(zip(first, results))
-    for key, k in first.items():
-        _certify(model, coverages[k], solved[key])
     return [solved[key] for key in keys]
 
 
-def _certify(model: MdpModel, coverage: Coverage, solved: SolveResult) -> None:
-    bound = solved.certificate_bound
+def _certify(model: MdpModel, coverages: Sequence[Coverage], results: Sequence[SolveResult]) -> None:
+    """Raise :class:`CertificateError` for the first uncertified of ``results``, one per coverage."""
+    bounds = np.array([solved.certificate_bound for solved in results])
     # Relative, because the floating-point floor of the residual grows with ||V||.
-    limit = CERT_TOL * (1.0 + float(np.abs(solved.values).max()))
-    if not solved.converged or not bound <= limit:
+    limits = CERT_TOL * (1.0 + np.abs([solved.values for solved in results]).max(axis=1))
+    certified = [solved.converged for solved in results] & (bounds <= limits)
+    if not certified.all():
+        k = int(certified.argmin())
         raise CertificateError(
-            f"uncertified solve for {coverage!r} at discount {model.discount}: "
-            f"converged={solved.converged} after {solved.iterations} iterations, "
-            f"certificate bound {bound:.3g}, limit {limit:.3g}"
+            f"uncertified solve for {coverages[k]!r} at discount {model.discount}: "
+            f"converged={results[k].converged} after {results[k].iterations} iterations, "
+            f"certificate bound {bounds[k]:.3g}, limit {limits[k]:.3g}"
         )
 
 
 def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
-    """The user's certified optimal response to one coverage.
+    """The user's certified optimal response to one coverage, by coverage family.
 
-    Raises :class:`CertificateError` unless value iteration converged and
-    the result's ``certificate_bound`` is within the limit (see the module
-    docstring).
+    No insurance and linear coverage are walked, two-tier coverage iterated.
+    Raises :class:`CertificateError` unless the result converged and its
+    ``certificate_bound`` is within the limit (see the module docstring).
     """
-    return _solve_many(model, [coverage])[0]
+    if isinstance(coverage, ThresholdCoverage):
+        return _solve_many(model, [coverage])[0]
+    return _solve_linear(model, [coverage])[1]
 
 
 def _action_value_lines(model: MdpModel, policy: ProtectionPolicy) -> tuple[np.ndarray, np.ndarray]:
@@ -258,23 +260,21 @@ def _improve(
     return actions, lines, steps
 
 
-def _walk_pieces(
-    model: MdpModel, policy: ProtectionPolicy, levels: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """The optimal policy at each of the ascending linear ``levels``, from ``policy``.
+def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The optimal policy at each of the ascending linear ``levels``.
 
-    Under a policy pi every action value is affine in the level, so one
-    greedy extraction over all remaining levels finds the leading run of
-    rows on which pi is its own greedy policy: pi's piece.  At the first
-    row off it, :func:`_improve` gives the next policy, which takes that
-    row, and the walk goes on from there.  Returns the (K, N) actions and,
-    per row, the improvement steps that found its piece (0 on ``policy``'s).
+    The first policy pi is the cheapest action in every state, the tie-rule
+    greedy policy of V = 0.  Under pi every action value is affine in the
+    level, so one greedy extraction over the remaining levels finds the
+    leading run of rows on which pi is its own greedy policy: pi's piece.
+    At the first row off it, :func:`_improve` gives the next policy, which
+    takes that row, and so on.  Returns the (K, N) actions and per-row Howard steps.
     """
     count = len(levels)
     actions = np.empty((count, model.n_states), dtype=np.intp)
     steps = np.zeros(count, dtype=int)
-    current = np.asarray(policy.actions)
-    lines = _action_value_lines(model, policy)
+    current = np.full(model.n_states, _greedy_actions(model.costs, model.costs))
+    lines = _action_value_lines(model, ProtectionPolicy(current))
     start, taken = 0, 0
     while start < count:
         q = (1.0 - levels[start:, None, None]) * lines[0] + lines[1]
@@ -289,27 +289,23 @@ def _walk_pieces(
     return actions, steps.tolist()
 
 
-def _solve_linear(model: MdpModel, coverages: Sequence[LinearCoverage]) -> list[SolveResult]:
+def _solve_linear(model: MdpModel, coverages: Sequence[Coverage]) -> list[SolveResult]:
     """Certified results for the baseline, then for each of the ascending ``coverages``.
 
-    Only the baseline is solved; the rows' policies come from
-    :func:`_walk_pieces`.  Each distinct positive level then gets its exact
-    values and certificate from one stacked finish, and passes
-    :func:`_certify`; level 0 pays what the baseline pays and shares its
-    result.
+    ``coverages`` are linear or no insurance.  The baseline is level 0, the
+    walk's first row; the distinct levels share one stacked finish and one
+    :func:`_certify`, and a repeated level shares its result.
     """
-    (baseline,) = _solve_many(model, [ZeroCoverage()])
-    levels = np.array([coverage.level for coverage in coverages], dtype=float)
+    # Last, so np.unique (first occurrences) names level 0 after a grid coverage at 0.
+    named = [*coverages, ZeroCoverage()]
+    levels = np.array([getattr(coverage, "level", 0.0) for coverage in named])
     distinct, first, index = np.unique(levels, return_index=True, return_inverse=True)
-    shared = int(distinct.size > 0 and distinct[0] == 0.0)
-    actions, steps = _walk_pieces(model, baseline.policy, distinct[shared:])
-    walked = [coverages[k] for k in first[shared:]]
+    walked = [named[k] for k in first]
+    actions, steps = _walk_pieces(model, distinct)
     retained = model.losses - coverages_paid(model, walked)
     results = _finish_stack(model, retained, actions, steps, [True] * len(walked))
-    for coverage, result in zip(walked, results):
-        _certify(model, coverage, result)
-    by_level = [baseline] * shared + results
-    return [baseline, *(by_level[k] for k in index)]
+    _certify(model, walked, results)
+    return [results[index[-1]], *(results[k] for k in index[:-1])]
 
 
 def _run_sweep(

@@ -15,6 +15,7 @@ it double as an oracle for the iterative solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -94,7 +95,7 @@ class ThresholdCoverage:
     high_level: float
 
     def __post_init__(self):
-        if not np.isfinite(self.cutoff) or self.cutoff < 0.0:
+        if not math.isfinite(self.cutoff) or self.cutoff < 0.0:
             raise ValueError(f"cutoff must be finite and non-negative, got {self.cutoff}")
         for label, level in (("low_level", self.low_level), ("high_level", self.high_level)):
             if not 0.0 <= level <= 1.0:

@@ -80,7 +80,8 @@ class SolveResult:
     sup-norm Bellman-optimality defect eps of those values (0 up to rounding
     when the policy is truly optimal), and ``certificate_bound`` is eps / (1 -
     discount), which bounds the sup-norm distance from ``values`` to the
-    optimal values (Puterman 1994, section 6).
+    optimal values (Puterman 1994, section 6).  ``iterations`` counts
+    value-iteration sweeps, Howard steps of a linear walk, or policies.
     """
 
     policy: ProtectionPolicy
@@ -232,8 +233,9 @@ def _finish_stack(
 
     ``retained`` (K, N) holds each problem's retained losses and ``actions``
     (K, N) its policy.  One stacked exact evaluation gives every policy's
-    values, and one stacked Bellman residual gives its certificate bound;
-    ``iterations`` and ``converged`` pass through, one entry per problem.
+    values, and one stacked Bellman residual its certificate bound; per
+    problem, ``iterations`` and ``converged`` pass through, except that
+    non-finite values are not converged.
     """
     n, delta = model.n_states, model.discount
     system = np.eye(n) - delta * model.transitions[actions, np.arange(n)]
@@ -241,8 +243,9 @@ def _finish_stack(
     bellman = _stacked_action_values(model, retained, exact).min(axis=2)
     residual = np.abs(exact - bellman).max(axis=1)
     bound = residual / (1.0 - delta)
+    converged = np.isfinite(exact).all(axis=1) & converged
     # Each result's diagnostics in SolveResult field order.
-    diagnostics = zip(iterations, residual.tolist(), bound.tolist(), converged)
+    diagnostics = zip(iterations, residual.tolist(), bound.tolist(), converged.tolist())
     keys = [tuple(policy) for policy in actions.tolist()]
     # Problems on one policy share its object.
     policies = {key: ProtectionPolicy(key) for key in dict.fromkeys(keys)}

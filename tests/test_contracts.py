@@ -27,6 +27,7 @@ from cyins.solvers import (
     SolveResult,
     _finish_stack,
     bellman_update,
+    solve_policy_enumeration,
     solve_value_iteration,
     solve_value_iterations,
 )
@@ -183,6 +184,8 @@ def test_threshold_cutoff_at_a_state_loss_pays_the_low_tier(four_state):
 # --------------------------------------------------------------- certificate
 
 def test_solve_is_the_certified_value_iteration(two_state, four_state):
+    # No insurance and linear coverage are walked, two-tier coverage is
+    # iterated; either way the result is value iteration's, bit for bit.
     for model in (two_state, four_state):
         for coverage in (ZeroCoverage(), LinearCoverage(0.5), ThresholdCoverage(8.0, 0.0, 0.9)):
             solved = solve(model, coverage)
@@ -195,11 +198,13 @@ def test_solve_is_the_certified_value_iteration(two_state, four_state):
 
 
 def test_sweep_raises_when_value_iteration_does_not_converge():
+    # Two-tier coverage is solved by value iteration, whose stopping rule
+    # does not fire within max_iter at this discount.
     raw = copy.deepcopy(TWO_STATE_RAW)
     raw["discount"] = 0.9999
     model = validate_model(raw)
     with pytest.raises(CertificateError, match="converged=False"):
-        sweep_linear(model, [0.0, 0.5])
+        sweep_threshold(model, 0.0, 0.5, [5.0])
 
 
 def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
@@ -224,14 +229,27 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
 
 def test_linear_sweep_certifies_every_walked_row(two_state, monkeypatch):
     # A walk that handed the stacked finish a suboptimal policy (here every
-    # action flipped) gets that policy's honest residual back, and the
-    # certificate rejects it.
-    def flipped(model, retained, actions, iterations, converged):
-        return _finish_stack(model, retained, 1 - actions, iterations, converged)
+    # action of one row flipped) gets that policy's honest residual back,
+    # and the certificate rejects it, naming that row's coverage.  The grid
+    # holds one level per policy piece, so the finish gets its rows in grid
+    # order, level 0 (the baseline) first.
+    grid = [0.0, 0.05, 0.5, 1.0]
 
-    monkeypatch.setattr(contracts, "_finish_stack", flipped)
-    with pytest.raises(CertificateError, match=r"LinearCoverage\(level=0.5\).*converged=True"):
-        sweep_linear(two_state, [0.0, 0.5])
+    def flipping(row):
+        def flipped(model, retained, actions, iterations, converged):
+            actions = actions.copy()
+            actions[row] = 1 - actions[row]
+            return _finish_stack(model, retained, actions, iterations, converged)
+
+        return flipped
+
+    for row, level in enumerate(grid):
+        monkeypatch.setattr(contracts, "_finish_stack", flipping(row))
+        with pytest.raises(CertificateError, match=rf"LinearCoverage\(level={level}\).*converged=True"):
+            sweep_linear(two_state, grid)
+    monkeypatch.setattr(contracts, "_finish_stack", flipping(0))
+    with pytest.raises(CertificateError, match=r"ZeroCoverage\(\).*converged=True"):
+        solve(two_state, ZeroCoverage())
 
 
 # ------------------------------------------------------------- batched solves
@@ -346,6 +364,38 @@ def test_walked_linear_rows_match_solving_each_row(walk):
         assert abs(row.user_value - alone.values[s0]) <= limit
 
 
+@st.composite
+def patient_quotes(draw):
+    """A random model of at most 6 states and 3 actions with a discount in
+    [0.99, 0.9999], and one linear level."""
+    # Drawn here rather than by the model's generator, so the examples
+    # include the ends of the range.
+    discount = draw(st.floats(0.99, 0.9999))
+    model = random_model(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        max_states=6,
+        max_actions=3,
+        d_lo=discount,
+        d_hi=discount,
+    )
+    return model, draw(st.floats(0.0, 1.0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(patient_quotes())
+def test_walked_rows_certify_where_value_iteration_is_no_oracle(patient):
+    # Above discount 0.99 value iteration may stop at max_iter, so the
+    # oracle is enumeration, and the walk must certify every row.
+    model, level = patient
+    coverage = LinearCoverage(level)
+    (row,) = sweep_linear(model, [level])
+    solved = solve(model, coverage)
+    limit = contracts.CERT_TOL * (1.0 + np.abs(solved.values).max())
+    assert solved.converged and solved.certificate_bound <= limit
+    best = solve_policy_enumeration(model, coverage)
+    assert abs(row.user_value - best.values[model.initial_state]) <= limit
+
+
 def test_walked_row_at_an_exact_switch_takes_the_cheaper_action(two_state):
     # At R_B the bad state's two actions tie, so no Howard step moves it
     # (neither beats the other beyond the tie window); the final tie-rule
@@ -377,11 +427,12 @@ def test_threshold_sweep_solves_each_paid_vector_once(four_state, solve_calls):
     assert solve_calls == [4]
 
 
-def test_linear_sweep_solves_only_the_baseline(two_state, solve_calls):
-    # The rows' policies are walked from the baseline's, not solved.
+def test_linear_sweep_runs_no_value_iteration(two_state, solve_calls):
+    # The baseline is the walk's level-0 row, and the rows' policies are
+    # walked from it, not solved.
     rows = sweep_linear(two_state)
     assert len(rows) == contracts.LINEAR_GRID_POINTS
-    assert solve_calls == [1]
+    assert solve_calls == []
 
 
 @pytest.fixture(scope="module")
@@ -410,10 +461,11 @@ def test_fig5_region_end_solves_nothing(four_state, fig5_rows, solve_calls):
 
 @pytest.mark.parametrize("study", ["fig3", "fig4"])
 def test_linear_studies_solve_only_their_sweep(study, tmp_path, solve_calls):
-    # A linear sweep solves its baseline alone, and a linear region end is
-    # read off the inside row's policy, so the study solves nothing else.
+    # A linear sweep walks its baseline and rows, and a linear region end
+    # is read off the inside row's policy, so the study runs no value
+    # iteration.
     reproduce(study, tmp_path)
-    assert solve_calls == [1]
+    assert solve_calls == []
     policies = {line.split(",")[1] for line in (tmp_path / f"{study}.csv").read_text().splitlines()[1:]}
     assert len(policies) == {"fig3": 3, "fig4": 5}[study]
 

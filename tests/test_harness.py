@@ -435,13 +435,15 @@ def test_cli_sweep_grid_defaults_to_the_family_grid(tmp_path, capsys):
 
 
 def test_cli_sweep_reports_an_uncertified_solve(tmp_path, capsys):
+    # Two-tier coverage is solved by value iteration, which stops at
+    # max_iter at this discount.
     raw = copy.deepcopy(TWO_STATE_RAW)
     raw["discount"] = 0.9999
     model_path = tmp_path / "slow.model"
     model_path.write_text(json.dumps(raw), encoding="utf-8")
     out = tmp_path / "sweep.csv"
-    args = ["sweep", "--model", str(model_path), "--family", "linear", "--grid", "2"]
-    assert main(args + ["--out", str(out)]) == 1
+    args = ["sweep", "--model", str(model_path), "--family", "threshold", "--grid", "2"]
+    assert main(args + ["--low-level", "0", "--high-level", "0.5", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: uncertified solve") and "Traceback" not in err
     assert not out.exists()
@@ -452,10 +454,33 @@ def test_cli_solve_reports_an_uncertified_solve(tmp_path, capsys):
     raw["discount"] = 0.9999
     model_path = tmp_path / "slow.model"
     model_path.write_text(json.dumps(raw), encoding="utf-8")
-    assert main(["solve", "--model", str(model_path), "--coverage", "none"]) == 1
+    assert main(["solve", "--model", str(model_path), "--coverage", "threshold:5,0,0.5"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: uncertified solve") and "Traceback" not in captured.err
     assert "policy:" not in captured.out and "value[" not in captured.out
+
+
+def test_two_state_linear_coverage_certifies_at_discount_0_9999(tmp_path, capsys):
+    # Value iteration stops at max_iter here; the linear walk certifies,
+    # and its policies are the closed-form segments'.
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["discount"] = 0.9999
+    model_path = tmp_path / "patient.model"
+    model_path.write_text(json.dumps(raw), encoding="utf-8")
+    model = validate_model(raw)
+    segments = analytic.classify_case(analytic.TwoStateModel.from_model(model)).segments
+    assert len(segments) == 3
+    grid = [0.0, *(0.5 * (segment.lo + segment.hi) for segment in segments)]
+    rows = contracts.sweep_linear(model, grid)
+    expected = [segments[0].policy, *(segment.policy for segment in segments)]
+    assert [row.policy for row in rows] == expected
+
+    assert main(["solve", "--model", str(model_path), "--coverage", "none"]) == 0
+    out = capsys.readouterr().out
+    assert f"policy: {policy_label(model, segments[0].policy)}" in out
+    values = [float(line.split("= ")[1]) for line in out.splitlines() if line.startswith("value[")]
+    bound = float(out.split("certificate bound: ")[1].split()[0])
+    assert bound <= contracts.CERT_TOL * (1.0 + max(map(abs, values)))
 
 
 def test_cli_main_gives_one_process_the_output_of_separate_ones(tmp_path, capsys, monkeypatch):

@@ -205,9 +205,14 @@ def test_coverage_level_bounds_enforced():
         ThresholdCoverage(cutoff=-1.0, low_level=0.0, high_level=0.5)
     with pytest.raises(ValueError):
         ThresholdCoverage(cutoff=1.0, low_level=0.0, high_level=1.2)
-    for cutoff in (float("nan"), float("inf")):
+    for cutoff in (float("nan"), float("inf"), -1e-300):
         with pytest.raises(ValueError, match="finite"):
             ThresholdCoverage(cutoff=cutoff, low_level=0.0, high_level=0.5)
+    for cutoff in (None, "8.0"):
+        with pytest.raises(TypeError):
+            ThresholdCoverage(cutoff=cutoff, low_level=0.0, high_level=0.5)
+    for cutoff in (0.0, 8, np.float64(8.0), 1e300):
+        assert ThresholdCoverage(cutoff=cutoff, low_level=0.0, high_level=0.5).cutoff == cutoff
 
 
 def test_coverage_stays_within_loss():

@@ -17,6 +17,7 @@ from cyins.model import (
 )
 from cyins.solvers import (
     EnumerationTooLarge,
+    _finish_stack,
     action_values,
     bellman_update,
     build_lp,
@@ -100,6 +101,14 @@ def test_nan_stage_losses_leave_the_solve_unconverged(two_state):
         assert result.iterations == 1
         with pytest.raises(CertificateError, match="converged=False"):
             sweep_linear(infinite, [0.5])
+        # The linear walk evaluates its rows in the stacked finish, which
+        # flags every row whose exact values are not all finite.
+        with pytest.raises(CertificateError, match=r"LinearCoverage\(level=0.0\).*converged=False"):
+            sweep_linear(infinite, [0.0, 0.5, 1.0])
+        (walked,) = _finish_stack(
+            infinite, infinite.losses[None] * 0.5, np.zeros((1, 2), dtype=np.intp), [1], [True]
+        )
+        assert not walked.converged
 
 
 def test_value_iteration_rejects_bad_tol(two_state):
