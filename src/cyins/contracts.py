@@ -22,10 +22,14 @@ below for no insurance and linear coverage, value iteration for two-tier
 coverage.  The certificate is the exact Bellman residual eps of the returned
 policy's values, ||V_pi - V*|| <= eps / (1 - discount) (Puterman 1994,
 section 6), carried as ``certificate_bound``.  Every result in this module,
-a sweep row's too, passes the same gate: one that did not converge or whose
-bound exceeds ``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`,
-so no uncertified policy reaches a caller, a sweep row or a region end.  The
-other solvers stay in :mod:`cyins.solvers` as test oracles.
+a sweep row's too, passes the same gate, and the certificate alone is it:
+one whose exact values are not all finite or whose bound exceeds
+``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so no
+uncertified policy reaches a caller, a sweep row or a region end.  Value
+iteration's own stop flag only enters the message: near discount 1 its
+stopping threshold falls below one ulp of ||V|| and cannot fire, while the
+policy it returns at ``max_iter`` certifies.  The other solvers stay in
+:mod:`cyins.solvers` as test oracles.
 
 A coverage enters a solve only through the reimbursement it pays in each
 state.  A threshold sweep solves each distinct paid vector once, the
@@ -36,7 +40,13 @@ in the level R, so the user's optimal policy is piecewise constant in R
 the pieces up the grid from level 0, the baseline, with one greedy
 extraction over the remaining rows per piece and a few Howard improvement
 steps at each switch; all rows then share value iteration's stacked finish
-and one certificate gate.  Rows on one policy share its value decomposition.
+and one certificate gate.
+
+A sweep is priced from its distinct problems, not row by row, and builds no
+result object per row.  Each distinct policy is decomposed once (a linear
+sweep reuses the decompositions its walk made), and user value, premium,
+profit, direct losses and protection cost are one array expression each
+over the problems; a row reads its problem's numbers and shares its policy.
 
 A region end against a policy switch is found from the two rows that
 bracket it, by the coverage the rows carry.  Between linear rows it solves
@@ -50,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +71,8 @@ from .model import (
     ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
+    _tiers_paid,
     coverage_paid,
-    coverages_paid,
     decompose_value,
 )
 from .solvers import (
@@ -167,35 +177,72 @@ class RegionReport:
     note: str = BOUNDARY_NOTE
 
 
-def _solve_many(model: MdpModel, coverages: Sequence[Coverage]) -> list[SolveResult]:
-    """Certified value-iteration results for ``coverages``, in their order.
+class _Problems(NamedTuple):
+    """A sweep's distinct certified problems, one per paid vector.
 
-    The stage losses depend on a coverage only through its paid vector, so
-    the paid vectors are built once, as one (K, N) array, and each distinct
-    row is solved once, all of them in one loop and one :func:`_certify`.
+    Their distinct policies are ``policies`` (P, N), with ``streams`` (P, 2)
+    the direct-loss and protection-cost values of each at the initial state
+    (the two streams of :func:`decompose_value`).  Problem d is on policy
+    ``piece_of[d]`` and has the exact values ``values[d]``; ``index`` names
+    each coverage's problem, the baseline's first.
     """
-    paid = coverages_paid(model, coverages)
-    keys = [row.tobytes() for row in paid]
-    first: dict[bytes, int] = {}
-    for k, key in enumerate(keys):
-        first.setdefault(key, k)
-    results = solve_value_iterations(model, paid[list(first.values())], tol=CERT_TOL)
-    _certify(model, [coverages[k] for k in first.values()], results)
-    solved = dict(zip(first, results))
-    return [solved[key] for key in keys]
+
+    policies: np.ndarray
+    streams: np.ndarray
+    piece_of: np.ndarray
+    values: np.ndarray
+    index: np.ndarray
 
 
-def _certify(model: MdpModel, coverages: Sequence[Coverage], results: Sequence[SolveResult]) -> None:
-    """Raise :class:`CertificateError` for the first uncertified of ``results``, one per coverage."""
-    bounds = np.array([solved.certificate_bound for solved in results])
+def _solve_many(
+    model: MdpModel, paid: np.ndarray, coverages: Sequence[Coverage]
+) -> tuple[list[SolveResult], np.ndarray]:
+    """Certified value-iteration results for the distinct rows of ``paid``.
+
+    ``paid`` (K, N) holds the paid vectors of ``coverages``.  Each distinct
+    vector is solved once, in the order of its first row, all of them in one
+    loop and one :func:`_certify`.  Returns the results and each row's index
+    into them.
+    """
+    # Problems are numbered in the order of their first rows.
+    problem: dict[bytes, int] = {}
+    index = np.array([problem.setdefault(row.tobytes(), len(problem)) for row in paid])
+    first = np.unique(index, return_index=True)[1]
+    results = solve_value_iterations(model, paid[first], tol=CERT_TOL)
+    _certify(
+        model,
+        [coverages[k] for k in first],
+        np.array([solved.values for solved in results]),
+        np.array([solved.certificate_bound for solved in results]),
+        [solved.converged for solved in results],
+        [solved.iterations for solved in results],
+    )
+    return results, index
+
+
+def _certify(
+    model: MdpModel,
+    coverages: Sequence[Coverage],
+    values: np.ndarray,
+    bounds: np.ndarray,
+    converged: Sequence[bool],
+    iterations: Sequence[int],
+) -> None:
+    """Raise :class:`CertificateError` for the first uncertified of K solved problems.
+
+    ``values`` (K, N) are the problems' exact values and ``bounds`` (K,)
+    their certificate bounds.  A problem is certified when its values are
+    finite and its bound is within ``CERT_TOL * (1 + ||V||)``; the solver's
+    own ``converged`` and ``iterations`` per problem enter only the message.
+    """
     # Relative, because the floating-point floor of the residual grows with ||V||.
-    limits = CERT_TOL * (1.0 + np.abs([solved.values for solved in results]).max(axis=1))
-    certified = [solved.converged for solved in results] & (bounds <= limits)
+    limits = CERT_TOL * (1.0 + np.abs(values).max(axis=1))
+    certified = np.isfinite(values).all(axis=1) & (bounds <= limits)
     if not certified.all():
         k = int(certified.argmin())
         raise CertificateError(
             f"uncertified solve for {coverages[k]!r} at discount {model.discount}: "
-            f"converged={results[k].converged} after {results[k].iterations} iterations, "
+            f"converged={bool(converged[k])} after {iterations[k]} iterations, "
             f"certificate bound {bounds[k]:.3g}, limit {limits[k]:.3g}"
         )
 
@@ -204,32 +251,42 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
     """The user's certified optimal response to one coverage, by coverage family.
 
     No insurance and linear coverage are walked, two-tier coverage iterated.
-    Raises :class:`CertificateError` unless the result converged and its
-    ``certificate_bound`` is within the limit (see the module docstring).
+    Raises :class:`CertificateError` unless the result's values are finite
+    and its ``certificate_bound`` is within the limit (see the module
+    docstring).
     """
     if isinstance(coverage, ThresholdCoverage):
-        return _solve_many(model, [coverage])[0]
-    return _solve_linear(model, [coverage])[1]
+        results, _ = _solve_many(model, coverage_paid(model, coverage)[None], [coverage])
+        return results[0]
+    problems, residual, bounds, steps = _solve_linear(model, [coverage])
+    k = problems.index[1]
+    return SolveResult(
+        ProtectionPolicy(problems.policies[problems.piece_of[k]]),
+        problems.values[k],
+        int(steps[k]),
+        float(residual[k]),
+        float(bounds[k]),
+    )
 
 
-def _action_value_lines(model: MdpModel, policy: ProtectionPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """``(q_loss, q_cost)``, each (N, M), of ``policy`` under linear coverage.
+def _action_value_lines(model: MdpModel, policy: ProtectionPolicy) -> tuple[np.ndarray, ...]:
+    """``(q_loss, q_cost, direct, cost)`` of ``policy`` under linear coverage.
 
     At level R the policy's values are (1 - R) * direct + cost, with
-    ``direct`` and ``cost`` the two streams of :func:`decompose_value`, so
-    the action values on them are Q(s, a; R) = (1 - R) * q_loss[s, a] +
-    q_cost[s, a] at every level from one factorisation.
+    ``direct`` and ``cost`` (N,) the two streams of :func:`decompose_value`,
+    so the action values on them are Q(s, a; R) = (1 - R) * q_loss[s, a] +
+    q_cost[s, a], each (N, M), at every level from one factorisation.
     """
     direct, cost = decompose_value(model, policy)
     delta = model.discount
     q_loss = model.losses[:, None] + delta * (model.transitions @ direct).T
     q_cost = model.costs[None, :] + delta * (model.transitions @ cost).T
-    return q_loss, q_cost
+    return q_loss, q_cost, direct, cost
 
 
 def _improve(
-    model: MdpModel, actions: np.ndarray, lines: tuple[np.ndarray, np.ndarray], level: float
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
+    model: MdpModel, actions: np.ndarray, lines: tuple[np.ndarray, ...], level: float
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], int]:
     """Howard policy iteration at one linear ``level``, from ``actions`` and their ``lines``.
 
     A step moves each state whose greedy action beats the policy's own by
@@ -260,92 +317,97 @@ def _improve(
     return actions, lines, steps
 
 
-def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The optimal policy at each of the ascending linear ``levels``.
+def _walk_pieces(
+    model: MdpModel, levels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The optimal policies along the ascending linear ``levels``, as pieces.
 
     The first policy pi is the cheapest action in every state, the tie-rule
     greedy policy of V = 0.  Under pi every action value is affine in the
     level, so one greedy extraction over the remaining levels finds the
     leading run of rows on which pi is its own greedy policy: pi's piece.
     At the first row off it, :func:`_improve` gives the next policy, which
-    takes that row, and so on.  Returns the (K, N) actions and per-row Howard steps.
+    takes that row, and so on.  Returns the pieces' policies (P, N) and
+    streams (P, 2) (see :class:`_Problems`), and each level's piece and
+    Howard steps.
     """
-    count = len(levels)
-    actions = np.empty((count, model.n_states), dtype=np.intp)
+    count, s0 = len(levels), model.initial_state
+    piece_of = np.empty(count, dtype=np.intp)
     steps = np.zeros(count, dtype=int)
     current = np.full(model.n_states, _greedy_actions(model.costs, model.costs))
     lines = _action_value_lines(model, ProtectionPolicy(current))
+    pieces = [(current, lines)]
     start, taken = 0, 0
     while start < count:
         q = (1.0 - levels[start:, None, None]) * lines[0] + lines[1]
         off = (_greedy_actions(q, model.costs) != current).any(axis=1)
         stop = start + int(off.argmax()) if off.any() else count
-        actions[start:stop], steps[start:stop] = current, taken
+        piece_of[start:stop], steps[start:stop] = len(pieces) - 1, taken
         if stop == count:
             break
         current, lines, taken = _improve(model, current, lines, float(levels[stop]))
-        actions[stop], steps[stop] = current, taken
+        pieces.append((current, lines))
+        piece_of[stop], steps[stop] = len(pieces) - 1, taken
         start = stop + 1
-    return actions, steps.tolist()
+    policies = np.array([actions for actions, _ in pieces])
+    streams = np.array([(lines[2][s0], lines[3][s0]) for _, lines in pieces])
+    return policies, streams, piece_of, steps
 
 
-def _solve_linear(model: MdpModel, coverages: Sequence[Coverage]) -> list[SolveResult]:
-    """Certified results for the baseline, then for each of the ascending ``coverages``.
+def _solve_linear(
+    model: MdpModel, coverages: Sequence[Coverage]
+) -> tuple[_Problems, np.ndarray, np.ndarray, np.ndarray]:
+    """Certified problems for the baseline and each of the ascending ``coverages``.
 
     ``coverages`` are linear or no insurance.  The baseline is level 0, the
     walk's first row; the distinct levels share one stacked finish and one
-    :func:`_certify`, and a repeated level shares its result.
+    :func:`_certify`, and a repeated level shares its problem.  Returns the
+    problems and, per problem, the residual, the certificate bound and the
+    Howard steps.
     """
     # Last, so np.unique (first occurrences) names level 0 after a grid coverage at 0.
     named = [*coverages, ZeroCoverage()]
     levels = np.array([getattr(coverage, "level", 0.0) for coverage in named])
     distinct, first, index = np.unique(levels, return_index=True, return_inverse=True)
+    policies, streams, piece_of, steps = _walk_pieces(model, distinct)
+    retained = model.losses - _tiers_paid(model, np.inf, distinct[:, None], 0.0)
+    values, residual, bounds, finite = _finish_stack(model, retained, policies[piece_of])
     walked = [named[k] for k in first]
-    actions, steps = _walk_pieces(model, distinct)
-    retained = model.losses - coverages_paid(model, walked)
-    results = _finish_stack(model, retained, actions, steps, [True] * len(walked))
-    _certify(model, walked, results)
-    return [results[index[-1]], *(results[k] for k in index[:-1])]
+    # The walk itself always ends; only non-finite values leave a problem unconverged.
+    _certify(model, walked, values, bounds, finite, steps)
+    index = np.concatenate((index[-1:], index[:-1]))
+    return _Problems(policies, streams, piece_of, values, index), residual, bounds, steps
 
 
-def _run_sweep(
+def _price(
     model: MdpModel,
     parameters: Sequence[float],
     coverages: Sequence[Coverage],
-    solved: Sequence[SolveResult],
+    problems: _Problems,
 ) -> list[ContractSweepRow]:
-    """The priced rows of a sweep from ``solved``: the baseline's result, then each coverage's."""
-    s0 = model.initial_state
-    baseline, *solved_rows = solved
-    uninsured: dict[ProtectionPolicy, tuple[float, float]] = {}
+    """The priced rows of a sweep: ``problems.index`` names the baseline's, then each row's.
 
-    def uninsured_parts(policy: ProtectionPolicy) -> tuple[float, float]:
-        if policy not in uninsured:
-            direct, cost = decompose_value(model, policy)
-            uninsured[policy] = float(direct[s0]), float(cost[s0])
-        return uninsured[policy]
-
+    Each figure is one array expression over the distinct problems, and a
+    row reads its problem's: rows on one problem share its numbers and its
+    policy object.
+    """
+    policies, streams, piece_of, values, index = problems
+    user = values[:, model.initial_state]
+    direct, cost = streams[piece_of].T
+    baseline = index[0]
     # Rows share this arithmetic, so a row on the baseline policy reports a
     # profit of exactly zero.
-    baseline_value = float(baseline.values[s0])
-    baseline_uninsured = sum(uninsured_parts(baseline.policy))
-    # Rows that pay one vector share one result, so each distinct result is
-    # priced once (results hash by identity).
-    priced = {}
-    for solved in dict.fromkeys(solved_rows):
-        direct, cost = uninsured_parts(solved.policy)
-        user_value = float(solved.values[s0])
-        priced[solved] = (
-            solved.policy,
-            user_value,
-            max(0.0, baseline_value - user_value),
-            baseline_uninsured - (direct + cost),
-            direct,
-            cost,
-        )
+    baseline_uninsured = sum(streams[piece_of[baseline]].tolist())
+    premium = user[baseline] - user
+    # max(0.0, x), which np.maximum is not on a -0.0.
+    premium = np.where(premium > 0.0, premium, 0.0)
+    profit = baseline_uninsured - (direct + cost)
+    columns = np.stack([user, premium, profit, direct, cost], axis=1).tolist()
+    shared = [ProtectionPolicy(actions) for actions in policies.tolist()]
+    priced = [(shared[piece], *numbers) for piece, numbers in zip(piece_of.tolist(), columns)]
     return [
-        ContractSweepRow(float(parameter), coverage, *priced[solved])
-        for parameter, coverage, solved in zip(parameters, coverages, solved_rows)
+        ContractSweepRow(parameter, coverage, *priced[k])
+        for parameter, coverage, k in zip(parameters, coverages, index[1:].tolist())
     ]
 
 
@@ -370,7 +432,7 @@ def sweep_linear(
     if sorted(grid) != grid:
         raise ValueError("sweep grid must be sorted ascending")
     coverages = [LinearCoverage(level) for level in grid]
-    return _run_sweep(model, grid, coverages, _solve_linear(model, coverages))
+    return _price(model, grid, coverages, _solve_linear(model, coverages)[0])
 
 
 def sweep_threshold(
@@ -388,7 +450,20 @@ def sweep_threshold(
     if sorted(grid) != grid:
         raise ValueError("sweep grid must be sorted ascending")
     coverages = [ThresholdCoverage(cutoff, low_level, high_level) for cutoff in grid]
-    return _run_sweep(model, grid, coverages, _solve_many(model, [ZeroCoverage(), *coverages]))
+    # The baseline first: no cutoff, so it pays its zero low tier everywhere.
+    cutoffs = np.array([np.inf, *grid])[:, None]
+    paid = _tiers_paid(model, cutoffs, np.where(cutoffs < np.inf, low_level, 0.0), high_level)
+    results, index = _solve_many(model, paid, [ZeroCoverage(), *coverages])
+    shared = list(dict.fromkeys(solved.policy for solved in results))
+    streams = np.array([decompose_value(model, policy) for policy in shared])
+    problems = _Problems(
+        np.array([policy.actions for policy in shared]),
+        streams[:, :, model.initial_state],
+        np.array([shared.index(solved.policy) for solved in results]),
+        np.array([solved.values for solved in results]),
+        index,
+    )
+    return _price(model, grid, coverages, problems)
 
 
 def _linear_switch(model: MdpModel, inside: ContractSweepRow, outside: ContractSweepRow) -> float:
@@ -407,7 +482,7 @@ def _linear_switch(model: MdpModel, inside: ContractSweepRow, outside: ContractS
     own = (np.arange(model.n_states), np.asarray(inside.policy.actions))
     # Gaps are taken against pi's own action values, so an action identical
     # to pi's has a gap of exactly zero.
-    q_loss, q_cost = _action_value_lines(model, inside.policy)
+    q_loss, q_cost = _action_value_lines(model, inside.policy)[:2]
     slope = q_loss - q_loss[own][:, None]
     offset = q_cost - q_cost[own][:, None]
     at_stop = (1.0 - stop) * slope + offset

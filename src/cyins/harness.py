@@ -121,9 +121,15 @@ def parse_policy_label(model: MdpModel, label: str) -> ProtectionPolicy:
     return ProtectionPolicy(actions)
 
 
+# The number spec of sweep CSVs and CLI reports: 10 significant digits.
+NUMBER_FORMAT = "%.10g"
+# A sweep CSV line: the parameter, the policy label and the five figures.
+ROW_FORMAT = ",".join([NUMBER_FORMAT, "%s", *[NUMBER_FORMAT] * 5])
+
+
 def format_number(value: float) -> str:
     """Render a number at 10 significant digits, as in sweep CSVs and CLI reports."""
-    return f"{value:.10g}"
+    return NUMBER_FORMAT % value
 
 
 def write_sweep_csv(model: MdpModel, rows, path: str | Path) -> None:
@@ -139,37 +145,25 @@ def _write_csv(
 ) -> None:
     """The sweep CSV, with the ``OVERLAY_HEADER`` columns of ``overlay`` when given.
 
-    Rows that share a result repeat its numbers, so each distinct policy
-    label and number is rendered once per file.
+    A line is one ``ROW_FORMAT`` rendering.  Each distinct policy label is
+    rendered once per file.
     """
     labels: dict[ProtectionPolicy, str] = {}
-    numbers: dict[float, str] = {}
-
-    def label(policy: ProtectionPolicy) -> str:
-        if policy not in labels:
-            labels[policy] = policy_label(model, policy)
-        return labels[policy]
-
-    def number(value: float) -> str:
-        # 0.0 and -0.0 are one key but print differently.
-        if value not in numbers or value == 0.0:
-            numbers[value] = format_number(value)
-        return numbers[value]
-
     lines = [SWEEP_CSV_HEADER if overlay is None else f"{SWEEP_CSV_HEADER},{OVERLAY_HEADER}"]
     for row in rows:
-        fields = [
-            format_number(row.parameter),
-            label(row.policy),
-            number(row.user_value),
-            number(row.max_premium),
-            number(row.profit),
-            number(row.direct_losses),
-            number(row.protection_cost),
-        ]
-        if overlay is not None:
-            fields.extend(overlay(row))
-        lines.append(",".join(fields))
+        policy = row.policy
+        if policy not in labels:
+            labels[policy] = policy_label(model, policy)
+        line = ROW_FORMAT % (
+            row.parameter,
+            labels[policy],
+            row.user_value,
+            row.max_premium,
+            row.profit,
+            row.direct_losses,
+            row.protection_cost,
+        )
+        lines.append(line if overlay is None else ",".join([line, *overlay(row)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -65,6 +65,10 @@ class Action:
     cost: float
 
 
+# A bool converts to a level or cutoff of 0 or 1, but it is not a number.
+_BOOLS = frozenset({bool, np.bool_})
+
+
 @dataclass(frozen=True)
 class ZeroCoverage:
     """No insurance: every loss is borne in full."""
@@ -77,6 +81,8 @@ class LinearCoverage:
     level: float
 
     def __post_init__(self):
+        if type(self.level) in _BOOLS:
+            raise TypeError(f"coverage level must be a number, got {self.level!r}")
         if not 0.0 <= self.level <= 1.0:
             raise ValueError(f"coverage level must be in [0, 1], got {self.level}")
 
@@ -95,6 +101,8 @@ class ThresholdCoverage:
     high_level: float
 
     def __post_init__(self):
+        if not _BOOLS.isdisjoint((type(self.cutoff), type(self.low_level), type(self.high_level))):
+            raise TypeError(f"cutoff and levels must be numbers, got {self!r}")
         if not math.isfinite(self.cutoff) or self.cutoff < 0.0:
             raise ValueError(f"cutoff must be finite and non-negative, got {self.cutoff}")
         for label, level in (("low_level", self.low_level), ("high_level", self.high_level)):
@@ -280,7 +288,7 @@ def validate_model(raw: Mapping) -> MdpModel:
 
 
 # These convert to floats, but a model file that holds them does not hold numbers.
-_NOT_NUMBERS = frozenset({str, bytes, bytearray, bool, np.bool_})
+_NOT_NUMBERS = frozenset({str, bytes, bytearray}) | _BOOLS
 
 
 def _number(value) -> float:
@@ -378,7 +386,16 @@ def coverages_paid(model: MdpModel, coverages: Sequence[Coverage]) -> np.ndarray
     a cutoff, no insurance a zero level.
     """
     tiers = np.array([_tiers(c) for c in coverages], dtype=float).reshape(-1, 3)
-    cutoff, low, high = tiers.T[:, :, None]
+    return _tiers_paid(model, *tiers.T[:, :, None])
+
+
+def _tiers_paid(model: MdpModel, cutoff, low, high) -> np.ndarray:
+    """Paid vectors, shape (K, n_states), of K two-tier coverages given by their tiers.
+
+    ``cutoff``, ``low`` and ``high`` are scalars or (K, 1) columns; row k
+    pays each state's loss times ``high[k]`` above ``cutoff[k]`` and
+    ``low[k]`` at or below it.
+    """
     losses = model.losses
     return np.where(losses > cutoff, high, low) * losses
 

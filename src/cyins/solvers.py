@@ -12,8 +12,9 @@ each given by its paid vector (a coverage enters only through what it pays
 per state).  The stack is problem-minor, one column per problem, so each
 iteration is one matrix product and two reductions across contiguous
 problems; each problem keeps its own stopping rule, and the stopped problems
-are finished together.  :func:`solve_value_iteration` is its one-problem
-call.
+are finished together by one stacked exact evaluation, which returns arrays
+per problem (the contracts' linear walk shares it and builds no results).
+:func:`solve_value_iteration` is its one-problem call.
 
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
@@ -82,6 +83,12 @@ class SolveResult:
     discount), which bounds the sup-norm distance from ``values`` to the
     optimal values (Puterman 1994, section 6).  ``iterations`` counts
     value-iteration sweeps, Howard steps of a linear walk, or policies.
+    ``converged`` is value iteration's own stop flag: its stopping rule
+    fired and the exact values are finite.  It is a diagnostic, not a
+    certificate: a contract result is gated by its finite values and
+    ``certificate_bound`` alone (see :mod:`cyins.contracts`), and near
+    discount 1 value iteration stops at ``max_iter`` with a policy the
+    certificate proves optimal.
     """
 
     policy: ProtectionPolicy
@@ -219,40 +226,40 @@ def solve_value_iterations(
     iterates[:, active] = values
 
     actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)
-    return _finish_stack(model, retained, actions, iterations.tolist(), converged.tolist())
+    exact, residual, bound, finite = _finish_stack(model, retained, actions)
+    keys = [tuple(policy) for policy in actions.tolist()]
+    # Problems on one policy share its object.
+    policies = {key: ProtectionPolicy(key) for key in dict.fromkeys(keys)}
+    # Each result's diagnostics in SolveResult field order.
+    diagnostics = zip(
+        iterations.tolist(), residual.tolist(), bound.tolist(), (converged & finite).tolist()
+    )
+    return [
+        SolveResult(policies[key], values, *rest)
+        for key, values, rest in zip(keys, exact, diagnostics)
+    ]
 
 
 def _finish_stack(
-    model: MdpModel,
-    retained: np.ndarray,
-    actions: np.ndarray,
-    iterations: list[int],
-    converged: list[bool],
-) -> list[SolveResult]:
-    """Results for K problems of one model, each given its policy.
+    model: MdpModel, retained: np.ndarray, actions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact values and certificates of K problems of one model, each given its policy.
 
     ``retained`` (K, N) holds each problem's retained losses and ``actions``
     (K, N) its policy.  One stacked exact evaluation gives every policy's
-    values, and one stacked Bellman residual its certificate bound; per
-    problem, ``iterations`` and ``converged`` pass through, except that
-    non-finite values are not converged.
+    values, and one stacked Bellman residual its certificate bound.  Returns
+    per-problem arrays: the exact values (K, N), the residual eps (K,), the
+    bound eps / (1 - discount) (K,) and whether the values are all finite
+    (K,).  No result object is built here: value iteration builds its
+    :class:`SolveResult` list from these arrays, and a contract sweep prices
+    its rows from them directly.
     """
     n, delta = model.n_states, model.discount
     system = np.eye(n) - delta * model.transitions[actions, np.arange(n)]
     exact = np.linalg.solve(system, (retained + model.costs[actions])[..., None])[..., 0]
     bellman = _stacked_action_values(model, retained, exact).min(axis=2)
     residual = np.abs(exact - bellman).max(axis=1)
-    bound = residual / (1.0 - delta)
-    converged = np.isfinite(exact).all(axis=1) & converged
-    # Each result's diagnostics in SolveResult field order.
-    diagnostics = zip(iterations, residual.tolist(), bound.tolist(), converged.tolist())
-    keys = [tuple(policy) for policy in actions.tolist()]
-    # Problems on one policy share its object.
-    policies = {key: ProtectionPolicy(key) for key in dict.fromkeys(keys)}
-    return [
-        SolveResult(policies[key], exact[k], *rest)
-        for k, (key, rest) in enumerate(zip(keys, diagnostics))
-    ]
+    return exact, residual, residual / (1.0 - delta), np.isfinite(exact).all(axis=1)
 
 
 def solve_policy_enumeration(model: MdpModel, coverage: Coverage) -> SolveResult:

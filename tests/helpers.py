@@ -116,9 +116,9 @@ def reimbursement(coverage, loss):
     raise TypeError(coverage)
 
 
-def random_model(rng, max_states=4, max_actions=3, d_lo=0.5, d_hi=0.99) -> MdpModel:
+def random_model(rng, max_states=4, max_actions=3, d_lo=0.5, d_hi=0.99, min_states=1) -> MdpModel:
     """A random valid model in the sizes used by the cross-validation suite."""
-    n = int(rng.integers(1, max_states + 1))
+    n = int(rng.integers(min_states, max_states + 1))
     m = int(rng.integers(1, max_actions + 1))
     raw = {
         "discount": float(rng.uniform(d_lo, d_hi)),

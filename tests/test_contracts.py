@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyins import contracts
+from cyins import contracts, solvers
 from cyins.contracts import (
     CertificateError,
+    ContractSweepRow,
     optimal_region,
     solve,
     sweep_linear,
@@ -20,6 +21,7 @@ from cyins.model import (
     ThresholdCoverage,
     ZeroCoverage,
     coverages_paid,
+    decompose_value,
     evaluate_policy,
     validate_model,
 )
@@ -197,14 +199,22 @@ def test_solve_is_the_certified_value_iteration(two_state, four_state):
             assert solved.converged and solved.certificate_bound <= limit
 
 
-def test_sweep_raises_when_value_iteration_does_not_converge():
+def test_sweep_certifies_where_value_iteration_does_not_converge():
     # Two-tier coverage is solved by value iteration, whose stopping rule
-    # does not fire within max_iter at this discount.
+    # does not fire within max_iter at this discount; the certificate alone
+    # gates the result, and it proves the returned policy optimal.
     raw = copy.deepcopy(TWO_STATE_RAW)
     raw["discount"] = 0.9999
     model = validate_model(raw)
-    with pytest.raises(CertificateError, match="converged=False"):
-        sweep_threshold(model, 0.0, 0.5, [5.0])
+    coverage = ThresholdCoverage(5.0, 0.0, 0.5)
+    solved = solve(model, coverage)
+    assert not solved.converged and solved.iterations == 200_000
+    limit = contracts.CERT_TOL * (1.0 + np.abs(solved.values).max())
+    assert np.isfinite(solved.values).all() and solved.certificate_bound <= limit
+    (row,) = sweep_threshold(model, 0.0, 0.5, [5.0])
+    best = solve_policy_enumeration(model, coverage)
+    assert row.policy == solved.policy == best.policy
+    assert row.user_value == solved.values[model.initial_state]
 
 
 def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
@@ -236,10 +246,10 @@ def test_linear_sweep_certifies_every_walked_row(two_state, monkeypatch):
     grid = [0.0, 0.05, 0.5, 1.0]
 
     def flipping(row):
-        def flipped(model, retained, actions, iterations, converged):
+        def flipped(model, retained, actions):
             actions = actions.copy()
             actions[row] = 1 - actions[row]
-            return _finish_stack(model, retained, actions, iterations, converged)
+            return _finish_stack(model, retained, actions)
 
         return flipped
 
@@ -275,6 +285,10 @@ def coverage_stacks(draw):
     return model, coverages, draw(st.permutations(range(len(coverages))))
 
 
+def _solved_in_order(results, index):
+    return [results[k] for k in index]
+
+
 @settings(deadline=None, max_examples=40)
 @given(coverage_stacks())
 def test_batched_solves_match_solving_each_coverage_alone(stack):
@@ -290,7 +304,7 @@ def test_batched_solves_match_solving_each_coverage_alone(stack):
     for batched in (
         solve_value_iterations(model, paid, tol=contracts.CERT_TOL),
         [permuted[k] for k in range(len(order))],
-        contracts._solve_many(model, coverages),
+        _solved_in_order(*contracts._solve_many(model, paid, coverages)),
     ):
         assert len(batched) == len(coverages)
         for single, together in zip(alone, batched):
@@ -396,6 +410,25 @@ def test_walked_rows_certify_where_value_iteration_is_no_oracle(patient):
     assert abs(row.user_value - best.values[model.initial_state]) <= limit
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_patient_quotes_on_large_random_models_certify(seed):
+    # The slowest point quotes: 9 to 16 states at discount 0.9999.  The
+    # linear quote is walked; the two-tier one is iterated to max_iter, where
+    # value iteration's stopping rule cannot fire, and the certificate alone
+    # passes it.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, max_states=16, max_actions=4, d_lo=0.9999, d_hi=0.9999, min_states=9)
+    low, high = sorted(rng.uniform(0.0, 1.0, size=2))
+    cutoff = float(rng.uniform(0.0, model.losses.max()))
+    for coverage in (LinearCoverage(float(rng.uniform(0.0, 1.0))), ThresholdCoverage(cutoff, low, high)):
+        row = quote(model, coverage)
+        values = evaluate_policy(model, row.policy, coverage)
+        limit = contracts.CERT_TOL * (1.0 + np.abs(values).max())
+        residual = np.abs(values - bellman_update(model, coverage, values)).max()
+        assert residual / (1.0 - model.discount) <= limit
+        assert abs(row.user_value - values[model.initial_state]) <= limit
+
+
 def test_walked_row_at_an_exact_switch_takes_the_cheaper_action(two_state):
     # At R_B the bad state's two actions tie, so no Howard step moves it
     # (neither beats the other beyond the tie window); the final tie-rule
@@ -404,6 +437,99 @@ def test_walked_row_at_an_exact_switch_takes_the_cheaper_action(two_state):
     assert alone.actions == (STRONG, WEAK)
     for grid in ([EXACT_SWITCH_BAD], [0.05, EXACT_SWITCH_BAD, 0.5]):
         assert sweep_linear(two_state, grid)[grid.index(EXACT_SWITCH_BAD)].policy == alone
+
+
+@st.composite
+def priced_sweeps(draw):
+    """A random model of at most 8 states and 3 actions with a discount up
+    to 0.95; sorted linear levels with level 0 and repeats; sorted cutoffs
+    with state losses and repeats; and two-tier levels."""
+    model = random_model(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), max_states=8, d_hi=0.95
+    )
+    losses = model.losses.tolist()
+    levels = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=6))
+    levels += draw(st.lists(st.sampled_from(levels), max_size=3))
+    cutoffs = draw(
+        st.lists(
+            st.one_of(st.sampled_from(losses), st.floats(0.0, 1.2 * max(losses) + 1.0)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    cutoffs += draw(st.lists(st.sampled_from(cutoffs), max_size=3))
+    low = draw(st.floats(0.0, 1.0))
+    return model, sorted(levels), sorted(cutoffs), low, draw(st.floats(low, 1.0))
+
+
+def _priced_one_by_one(model, parameters, coverages):
+    """Each row priced on its own: one certified solve and one decomposition
+    per row, with the per-row formulas of the sweep row's definition."""
+    s0 = model.initial_state
+
+    def uninsured_parts(policy):
+        direct, cost = decompose_value(model, policy)
+        return float(direct[s0]), float(cost[s0])
+
+    baseline = solve(model, ZeroCoverage())
+    baseline_value = float(baseline.values[s0])
+    baseline_uninsured = sum(uninsured_parts(baseline.policy))
+    rows = []
+    for parameter, coverage in zip(parameters, coverages):
+        solved = solve(model, coverage)
+        direct, cost = uninsured_parts(solved.policy)
+        user_value = float(solved.values[s0])
+        premium = max(0.0, baseline_value - user_value)
+        profit = baseline_uninsured - (direct + cost)
+        rows.append(
+            ContractSweepRow(parameter, coverage, solved.policy, user_value, premium, profit, direct, cost)
+        )
+    return rows
+
+
+def _bits(row):
+    """A row with every number as its exact bit pattern (the sign of a zero too)."""
+    numbers = (row.user_value, row.max_premium, row.profit, row.direct_losses, row.protection_cost)
+    return row.parameter.hex(), row.coverage, row.policy, *(float(x).hex() for x in numbers)
+
+
+@settings(deadline=None, max_examples=60)
+@given(priced_sweeps())
+def test_sweep_rows_are_the_rows_priced_one_by_one(sweep):
+    model, levels, cutoffs, low, high = sweep
+    for rows, coverages in (
+        (sweep_linear(model, levels), [LinearCoverage(level) for level in levels]),
+        (sweep_threshold(model, low, high, cutoffs), [ThresholdCoverage(c, low, high) for c in cutoffs]),
+    ):
+        parameters = [row.parameter for row in rows]
+        expected = _priced_one_by_one(model, parameters, coverages)
+        assert [_bits(row) for row in rows] == [_bits(row) for row in expected]
+
+
+def test_sweeps_build_no_solve_result_per_row(two_state, four_state, tmp_path, monkeypatch):
+    # A sweep prices its rows from its distinct problems' arrays; a result
+    # object is built only where a caller receives one.
+    built = []
+
+    class Counted(SolveResult):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "SolveResult", Counted)
+    monkeypatch.setattr(contracts, "SolveResult", Counted)
+    assert len(sweep_linear(four_state)) == contracts.LINEAR_GRID_POINTS
+    assert built == []
+    # Value iteration's four distinct problems (the baseline's among them).
+    assert len(sweep_threshold(four_state, 0.0, 0.9)) == contracts.THRESHOLD_GRID_POINTS
+    assert len(built) == 4
+    built.clear()
+    solve(two_state, LinearCoverage(0.5))
+    assert len(built) == 1
+    built.clear()
+    for study in ("fig3", "fig4", "fig5"):
+        reproduce(study, tmp_path)
+    assert len(built) == 4
 
 
 @pytest.fixture

@@ -33,7 +33,9 @@ from cyins.harness import (
 )
 from cyins.model import (
     LinearCoverage,
+    MdpModel,
     ProtectionPolicy,
+    State,
     ThresholdCoverage,
     ZeroCoverage,
     validate_model,
@@ -434,30 +436,55 @@ def test_cli_sweep_grid_defaults_to_the_family_grid(tmp_path, capsys):
         assert out.read_bytes() == expected.read_bytes()
 
 
-def test_cli_sweep_reports_an_uncertified_solve(tmp_path, capsys):
-    # Two-tier coverage is solved by value iteration, which stops at
-    # max_iter at this discount.
-    raw = copy.deepcopy(TWO_STATE_RAW)
-    raw["discount"] = 0.9999
-    model_path = tmp_path / "slow.model"
-    model_path.write_text(json.dumps(raw), encoding="utf-8")
+def _load_a_non_finite_model(monkeypatch):
+    """Make the CLI load a model built directly with an infinite loss, which
+    validation rejects: no policy has finite values to certify."""
+    two_state = validate_model(TWO_STATE_RAW)
+    infinite = MdpModel(
+        states=(State("S_G", 0.0), State("S_B", np.inf)),
+        actions=two_state.actions,
+        transitions=two_state.transitions,
+        discount=two_state.discount,
+    )
+    monkeypatch.setattr(harness, "load_model", lambda path: infinite)
+
+
+def test_cli_sweep_reports_an_uncertified_solve(tmp_path, capsys, monkeypatch):
+    _load_a_non_finite_model(monkeypatch)
     out = tmp_path / "sweep.csv"
-    args = ["sweep", "--model", str(model_path), "--family", "threshold", "--grid", "2"]
-    assert main(args + ["--low-level", "0", "--high-level", "0.5", "--out", str(out)]) == 1
+    args = ["sweep", "--model", "infinite.model", "--family", "linear", "--grid", "3"]
+    with np.errstate(invalid="ignore"):
+        assert main(args + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: uncertified solve") and "Traceback" not in err
     assert not out.exists()
 
 
-def test_cli_solve_reports_an_uncertified_solve(tmp_path, capsys):
-    raw = copy.deepcopy(TWO_STATE_RAW)
-    raw["discount"] = 0.9999
-    model_path = tmp_path / "slow.model"
-    model_path.write_text(json.dumps(raw), encoding="utf-8")
-    assert main(["solve", "--model", str(model_path), "--coverage", "threshold:5,0,0.5"]) == 1
+def test_cli_solve_reports_an_uncertified_solve(capsys, monkeypatch):
+    _load_a_non_finite_model(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        assert main(["solve", "--model", "infinite.model", "--coverage", "linear:0.5"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: uncertified solve") and "Traceback" not in captured.err
     assert "policy:" not in captured.out and "value[" not in captured.out
+
+
+def test_cli_certifies_two_tier_coverage_at_discount_0_9999(tmp_path, capsys):
+    # Value iteration stops at max_iter here, and the certificate proves
+    # the policy it returns optimal, so both commands succeed.
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["discount"] = 0.9999
+    model_path = tmp_path / "patient.model"
+    model_path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--model", str(model_path), "--family", "threshold", "--grid", "2"]
+    assert main(args + ["--low-level", "0", "--high-level", "0.5", "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 3
+    assert main(["solve", "--model", str(model_path), "--coverage", "threshold:5,0,0.5"]) == 0
+    report = capsys.readouterr().out
+    values = [float(line.split("= ")[1]) for line in report.splitlines() if line.startswith("value[")]
+    bound = float(report.split("certificate bound: ")[1].split()[0])
+    assert bound <= contracts.CERT_TOL * (1.0 + max(map(abs, values)))
 
 
 def test_two_state_linear_coverage_certifies_at_discount_0_9999(tmp_path, capsys):

@@ -213,6 +213,13 @@ def test_coverage_level_bounds_enforced():
             ThresholdCoverage(cutoff=cutoff, low_level=0.0, high_level=0.5)
     for cutoff in (0.0, 8, np.float64(8.0), 1e300):
         assert ThresholdCoverage(cutoff=cutoff, low_level=0.0, high_level=0.5).cutoff == cutoff
+    # A bool would price as 0 or 1; numbers in a coverage are numbers.
+    for flag in (True, False, np.True_):
+        with pytest.raises(TypeError):
+            LinearCoverage(flag)
+        for fields in ((flag, 0.0, 0.5), (1.0, flag, 1.0), (1.0, 0.0, flag)):
+            with pytest.raises(TypeError):
+                ThresholdCoverage(*fields)
 
 
 def test_coverage_stays_within_loss():

@@ -105,10 +105,10 @@ def test_nan_stage_losses_leave_the_solve_unconverged(two_state):
         # flags every row whose exact values are not all finite.
         with pytest.raises(CertificateError, match=r"LinearCoverage\(level=0.0\).*converged=False"):
             sweep_linear(infinite, [0.0, 0.5, 1.0])
-        (walked,) = _finish_stack(
-            infinite, infinite.losses[None] * 0.5, np.zeros((1, 2), dtype=np.intp), [1], [True]
+        *_, finite = _finish_stack(
+            infinite, infinite.losses[None] * 0.5, np.zeros((1, 2), dtype=np.intp)
         )
-        assert not walked.converged
+        assert not finite[0]
 
 
 def test_value_iteration_rejects_bad_tol(two_state):
