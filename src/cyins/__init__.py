@@ -8,7 +8,8 @@ The package has five layers:
   programming (self-contained simplex) and brute-force enumeration;
 - :mod:`cyins.contracts`: the certified optimal response to a coverage
   (:func:`solve`: a policy walk if linear, value iteration if two-tier),
-  contract sweeps (premium, insurer profit and coverage paid) and zero-profit regions;
+  contract sweeps as tables (:class:`Sweep`: premium, insurer profit and
+  coverage paid per distinct problem) and zero-profit regions;
 - :mod:`cyins.analytic`: exact closed forms for the two-state / two-action
   case under linear coverage;
 - :mod:`cyins.montecarlo` / :mod:`cyins.harness`: a statistical oracle,
@@ -29,6 +30,7 @@ from .contracts import (
     CertificateError,
     ContractSweepRow,
     RegionReport,
+    Sweep,
     optimal_region,
     solve,
     sweep_linear,
@@ -76,6 +78,7 @@ __all__ = [
     "SimulationConfig",
     "SolveResult",
     "State",
+    "Sweep",
     "ThresholdCoverage",
     "TwoStateModel",
     "ZeroCoverage",

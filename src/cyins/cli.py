@@ -84,14 +84,14 @@ def _cmd_sweep(args) -> int:
     points = {} if args.grid is None else {"points": args.grid}
     model = harness.load_model(args.model)
     if args.family == "linear":
-        rows = contracts.sweep_linear(model, contracts.default_linear_grid(**points))
+        sweep = contracts.sweep_linear(model, contracts.default_linear_grid(**points))
     else:
         low = 0.0 if args.low_level is None else args.low_level
         high = 0.9 if args.high_level is None else args.high_level
         grid = contracts.default_threshold_grid(model, **points)
-        rows = contracts.sweep_threshold(model, low, high, grid)
-    harness.write_sweep_csv(model, rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
+        sweep = contracts.sweep_threshold(model, low, high, grid)
+    harness.write_sweep_csv(model, sweep, out)
+    print(f"wrote {len(sweep)} rows to {out}")
     return 0
 
 

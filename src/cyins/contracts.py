@@ -7,12 +7,12 @@ operating profit is that premium minus the expected cumulative coverage paid.
 Because the insurer can never profit from a policy change he induces, his
 best achievable profit is zero, attained exactly on the contracts that leave
 the user's no-insurance policy unchanged.  ``optimal_region`` reads that
-zero-profit set off a sweep's rows: a row on the baseline policy is priced
+zero-profit set off a sweep's columns: a row on the baseline policy is priced
 with the baseline's own arithmetic, so its profit is exactly zero, and its
 premium line is exact (level x the baseline's direct losses for linear
 coverage, constant between tier changes for two-tier coverage).
 
-A sweep row is the one place premium, profit and coverage paid are computed;
+A sweep is the one place premium, profit and coverage paid are computed;
 a one-off quote is a one-row sweep (``sweep_linear(model, [level])`` or
 ``sweep_threshold(model, low, high, [cutoff])``), and the coverage paid is
 ``direct_losses + protection_cost - user_value``.
@@ -42,29 +42,37 @@ extraction over the remaining rows per piece and a few Howard improvement
 steps at each switch; all rows then share value iteration's stacked finish
 and one certificate gate.
 
-A sweep is priced from its distinct problems, not row by row, and builds no
-result object per row.  Each distinct policy is decomposed once (a linear
-sweep reuses the decompositions its walk made), and user value, premium,
-profit, direct losses and protection cost are one array expression each
-over the problems; a row reads its problem's numbers and shares its policy.
+A sweep is a table, a :class:`Sweep`: the grid's parameters, each row's
+distinct problem, and per problem its policy and its five figures (user
+value, premium, profit, direct losses and protection cost), each figure one
+array expression over the problems.  Each distinct policy is decomposed
+once (a linear sweep reuses the decompositions its walk made).  Neither
+pricing nor :func:`optimal_region` builds an object per row: a
+:class:`ContractSweepRow`, with its coverage, is a view that indexing or
+iteration builds on demand.
 
-A region end against a policy switch is found from the two rows that
-bracket it, by the coverage the rows carry.  Between linear rows it solves
-nothing: under the inside row's policy every gap between action values is
-affine in the coverage level, so the switch is an exact root.  Between
-threshold rows it bisects the cutoff from the policies the two rows carry,
-solving any other paid vector it meets once per ``optimal_region`` call.
+:func:`optimal_region` reads the region off the columns, and a region end
+against a policy switch is found from the two rows that bracket it.
+Between linear rows it solves nothing: under the inside row's policy every
+gap between action values is affine in the coverage level, so the switch
+is an exact root of the action-value lines the walk kept for that policy.
+Between threshold rows it bisects the cutoff from the policies the two rows
+carry, solving any other paid vector it meets once per ``optimal_region``
+call.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import groupby
-from typing import Callable, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .model import (
+    _BOOLS,
     Coverage,
     LinearCoverage,
     MdpModel,
@@ -88,6 +96,7 @@ __all__ = [
     "ContractSweepRow",
     "RegionInterval",
     "RegionReport",
+    "Sweep",
     "optimal_region",
     "solve",
     "sweep_linear",
@@ -138,6 +147,53 @@ class ContractSweepRow:
     protection_cost: float
 
 
+@dataclass(frozen=True, eq=False)
+class Sweep(Sequence):
+    """A priced contract sweep: K rows over its D distinct problems, as columns.
+
+    Row k prices ``coverage_at(parameters[k])`` and reads the numbers of
+    problem ``problem_of[k]``.  Problem d is on the shared policy
+    ``policies[policy_of[d]]``, and ``figures[d]`` holds its user value,
+    max premium, profit, direct losses and protection cost, the number
+    fields of :class:`ContractSweepRow` in order.  A linear sweep keeps in
+    ``lines`` the action-value lines ``(q_loss, q_cost)`` of each of its
+    policies, from which its region ends are exact roots; a two-tier sweep
+    keeps none.
+
+    The sweep is a read-only sequence of rows: ``sweep[k]`` (negative ``k``
+    too) and iteration build :class:`ContractSweepRow` views on demand, and
+    a slice is a sweep of the sliced rows.
+    """
+
+    coverage_at: Callable[[float], Coverage]
+    parameters: np.ndarray
+    problem_of: np.ndarray
+    policies: tuple[ProtectionPolicy, ...]
+    policy_of: np.ndarray
+    figures: np.ndarray
+    lines: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+
+    def __post_init__(self):
+        for name in ("parameters", "problem_of", "policy_of", "figures"):
+            column = np.asarray(getattr(self, name)).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.parameters)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return replace(self, parameters=self.parameters[k], problem_of=self.problem_of[k])
+        k = operator.index(k)
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"sweep row {k} out of range for {len(self)} rows")
+        parameter, problem = self.parameters[k].item(), self.problem_of[k]
+        policy = self.policies[self.policy_of[problem]]
+        numbers = self.figures[problem].tolist()
+        return ContractSweepRow(parameter, self.coverage_at(parameter), policy, *numbers)
+
+
 @dataclass(frozen=True)
 class RegionInterval:
     """A parameter interval of zero-profit contracts with its premium line.
@@ -182,9 +238,10 @@ class _Problems(NamedTuple):
 
     Their distinct policies are ``policies`` (P, N), with ``streams`` (P, 2)
     the direct-loss and protection-cost values of each at the initial state
-    (the two streams of :func:`decompose_value`).  Problem d is on policy
-    ``piece_of[d]`` and has the exact values ``values[d]``; ``index`` names
-    each coverage's problem, the baseline's first.
+    (the two streams of :func:`decompose_value`) and, for a linear walk,
+    ``lines`` the action-value lines of each (see :class:`Sweep`).  Problem
+    d is on policy ``piece_of[d]`` and has the exact values ``values[d]``;
+    ``index`` names each coverage's problem, the baseline's first.
     """
 
     policies: np.ndarray
@@ -192,37 +249,43 @@ class _Problems(NamedTuple):
     piece_of: np.ndarray
     values: np.ndarray
     index: np.ndarray
+    lines: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
 
 def _solve_many(
-    model: MdpModel, paid: np.ndarray, coverages: Sequence[Coverage]
+    model: MdpModel, paid: np.ndarray, coverage_of: Callable[[int], Coverage]
 ) -> tuple[list[SolveResult], np.ndarray]:
     """Certified value-iteration results for the distinct rows of ``paid``.
 
-    ``paid`` (K, N) holds the paid vectors of ``coverages``.  Each distinct
-    vector is solved once, in the order of its first row, all of them in one
-    loop and one :func:`_certify`.  Returns the results and each row's index
-    into them.
+    ``paid`` (K, N) holds the paid vectors of K coverages, row k that of
+    ``coverage_of(k)``, which is built only to name an uncertified problem.
+    Each distinct vector is solved once, in the order of its first row, all
+    of them in one loop and one :func:`_certify`.  Returns the results and
+    each row's index into them.
     """
+    # Rows are one problem when their bytes are, so a -0.0 and a 0.0 stay apart.
+    keys = np.ascontiguousarray(paid).view(np.dtype((np.void, paid.itemsize * paid.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     # Problems are numbered in the order of their first rows.
-    problem: dict[bytes, int] = {}
-    index = np.array([problem.setdefault(row.tobytes(), len(problem)) for row in paid])
-    first = np.unique(index, return_index=True)[1]
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = first[order]
     results = solve_value_iterations(model, paid[first], tol=CERT_TOL)
     _certify(
         model,
-        [coverages[k] for k in first],
+        lambda d: coverage_of(first[d]),
         np.array([solved.values for solved in results]),
         np.array([solved.certificate_bound for solved in results]),
         [solved.converged for solved in results],
         [solved.iterations for solved in results],
     )
-    return results, index
+    return results, rank[inverse.ravel()]
 
 
 def _certify(
     model: MdpModel,
-    coverages: Sequence[Coverage],
+    coverage_of: Callable[[int], Coverage],
     values: np.ndarray,
     bounds: np.ndarray,
     converged: Sequence[bool],
@@ -233,7 +296,8 @@ def _certify(
     ``values`` (K, N) are the problems' exact values and ``bounds`` (K,)
     their certificate bounds.  A problem is certified when its values are
     finite and its bound is within ``CERT_TOL * (1 + ||V||)``; the solver's
-    own ``converged`` and ``iterations`` per problem enter only the message.
+    own ``converged`` and ``iterations`` per problem, and the coverage
+    ``coverage_of(k)`` of problem k, enter only the message.
     """
     # Relative, because the floating-point floor of the residual grows with ||V||.
     limits = CERT_TOL * (1.0 + np.abs(values).max(axis=1))
@@ -241,7 +305,7 @@ def _certify(
     if not certified.all():
         k = int(certified.argmin())
         raise CertificateError(
-            f"uncertified solve for {coverages[k]!r} at discount {model.discount}: "
+            f"uncertified solve for {coverage_of(k)!r} at discount {model.discount}: "
             f"converged={bool(converged[k])} after {iterations[k]} iterations, "
             f"certificate bound {bounds[k]:.3g}, limit {limits[k]:.3g}"
         )
@@ -256,9 +320,11 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
     docstring).
     """
     if isinstance(coverage, ThresholdCoverage):
-        results, _ = _solve_many(model, coverage_paid(model, coverage)[None], [coverage])
+        paid = coverage_paid(model, coverage)[None]
+        results, _ = _solve_many(model, paid, lambda k: coverage)
         return results[0]
-    problems, residual, bounds, steps = _solve_linear(model, [coverage])
+    level = np.array([getattr(coverage, "level", 0.0)], dtype=float)
+    problems, residual, bounds, steps = _solve_linear(model, level, lambda k: coverage)
     k = problems.index[1]
     return SolveResult(
         ProtectionPolicy(problems.policies[problems.piece_of[k]]),
@@ -317,9 +383,7 @@ def _improve(
     return actions, lines, steps
 
 
-def _walk_pieces(
-    model: MdpModel, levels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
     """The optimal policies along the ascending linear ``levels``, as pieces.
 
     The first policy pi is the cheapest action in every state, the tie-rule
@@ -327,8 +391,8 @@ def _walk_pieces(
     level, so one greedy extraction over the remaining levels finds the
     leading run of rows on which pi is its own greedy policy: pi's piece.
     At the first row off it, :func:`_improve` gives the next policy, which
-    takes that row, and so on.  Returns the pieces' policies (P, N) and
-    streams (P, 2) (see :class:`_Problems`), and each level's piece and
+    takes that row, and so on.  Returns the pieces' policies (P, N), streams
+    (P, 2) and lines (see :class:`_Problems`), and each level's piece and
     Howard steps.
     """
     count, s0 = len(levels), model.initial_state
@@ -351,47 +415,53 @@ def _walk_pieces(
         start = stop + 1
     policies = np.array([actions for actions, _ in pieces])
     streams = np.array([(lines[2][s0], lines[3][s0]) for _, lines in pieces])
-    return policies, streams, piece_of, steps
+    action_lines = tuple(lines[:2] for _, lines in pieces)
+    return policies, streams, action_lines, piece_of, steps
 
 
 def _solve_linear(
-    model: MdpModel, coverages: Sequence[Coverage]
+    model: MdpModel, levels: np.ndarray, coverage_of: Callable[[int], Coverage]
 ) -> tuple[_Problems, np.ndarray, np.ndarray, np.ndarray]:
-    """Certified problems for the baseline and each of the ascending ``coverages``.
+    """Certified problems for the baseline and each of the ascending ``levels``.
 
-    ``coverages`` are linear or no insurance.  The baseline is level 0, the
-    walk's first row; the distinct levels share one stacked finish and one
-    :func:`_certify`, and a repeated level shares its problem.  Returns the
-    problems and, per problem, the residual, the certificate bound and the
-    Howard steps.
+    ``levels`` are linear coverage levels, level k that of ``coverage_of(k)``,
+    which is built only to name an uncertified problem.  The baseline is
+    level 0, the walk's first row; the distinct levels share one stacked
+    finish and one :func:`_certify`, and a repeated level shares its
+    problem.  Returns the problems and, per problem, the residual, the
+    certificate bound and the Howard steps.
     """
     # Last, so np.unique (first occurrences) names level 0 after a grid coverage at 0.
-    named = [*coverages, ZeroCoverage()]
-    levels = np.array([getattr(coverage, "level", 0.0) for coverage in named])
-    distinct, first, index = np.unique(levels, return_index=True, return_inverse=True)
-    policies, streams, piece_of, steps = _walk_pieces(model, distinct)
+    baseline = len(levels)
+    distinct, first, index = np.unique(
+        np.append(levels, 0.0), return_index=True, return_inverse=True
+    )
+    policies, streams, lines, piece_of, steps = _walk_pieces(model, distinct)
     retained = model.losses - _tiers_paid(model, np.inf, distinct[:, None], 0.0)
     values, residual, bounds, finite = _finish_stack(model, retained, policies[piece_of])
-    walked = [named[k] for k in first]
+
+    def walked(d: int) -> Coverage:
+        return ZeroCoverage() if first[d] == baseline else coverage_of(first[d])
+
     # The walk itself always ends; only non-finite values leave a problem unconverged.
     _certify(model, walked, values, bounds, finite, steps)
     index = np.concatenate((index[-1:], index[:-1]))
-    return _Problems(policies, streams, piece_of, values, index), residual, bounds, steps
+    problems = _Problems(policies, streams, piece_of, values, index, lines)
+    return problems, residual, bounds, steps
 
 
 def _price(
     model: MdpModel,
-    parameters: Sequence[float],
-    coverages: Sequence[Coverage],
+    coverage_at: Callable[[float], Coverage],
+    parameters: np.ndarray,
     problems: _Problems,
-) -> list[ContractSweepRow]:
-    """The priced rows of a sweep: ``problems.index`` names the baseline's, then each row's.
+) -> Sweep:
+    """The priced sweep of ``parameters``: ``problems.index`` names the baseline's
+    problem, then each row's.
 
-    Each figure is one array expression over the distinct problems, and a
-    row reads its problem's: rows on one problem share its numbers and its
-    policy object.
+    Each figure is one array expression over the distinct problems.
     """
-    policies, streams, piece_of, values, index = problems
+    policies, streams, piece_of, values, index, lines = problems
     user = values[:, model.initial_state]
     direct, cost = streams[piece_of].T
     baseline = index[0]
@@ -402,13 +472,15 @@ def _price(
     # max(0.0, x), which np.maximum is not on a -0.0.
     premium = np.where(premium > 0.0, premium, 0.0)
     profit = baseline_uninsured - (direct + cost)
-    columns = np.stack([user, premium, profit, direct, cost], axis=1).tolist()
-    shared = [ProtectionPolicy(actions) for actions in policies.tolist()]
-    priced = [(shared[piece], *numbers) for piece, numbers in zip(piece_of.tolist(), columns)]
-    return [
-        ContractSweepRow(parameter, coverage, *priced[k])
-        for parameter, coverage, k in zip(parameters, coverages, index[1:].tolist())
-    ]
+    return Sweep(
+        coverage_at,
+        parameters,
+        index[1:],
+        tuple(ProtectionPolicy(actions) for actions in policies.tolist()),
+        piece_of,
+        np.stack([user, premium, profit, direct, cost], axis=1),
+        lines,
+    )
 
 
 def default_linear_grid(points: int = LINEAR_GRID_POINTS) -> np.ndarray:
@@ -420,19 +492,38 @@ def default_threshold_grid(model: MdpModel, points: int = THRESHOLD_GRID_POINTS)
     return np.linspace(0.0, top if top > 0.0 else 1.0, points)
 
 
-def sweep_linear(
-    model: MdpModel, grid: Sequence[float] | None = None
-) -> list[ContractSweepRow]:
-    """Evaluate linear-coverage contracts over a grid of coverage levels in [0, 1]."""
-    if grid is None:
-        grid = default_linear_grid()
-    grid = [float(g) for g in grid]
-    if any(not 0.0 <= g <= 1.0 for g in grid):
-        raise ValueError("linear sweep grid must lie within [0, 1]")
-    if sorted(grid) != grid:
+def _grid(grid, what: str) -> np.ndarray:
+    """A sweep grid of ``what`` values as a one-dimensional float array.
+
+    A bool converts to 0 or 1 but is not a number, so it is rejected.
+    """
+    if isinstance(grid, np.ndarray) and grid.dtype != object:
+        kinds = {grid.dtype.type}
+    else:
+        grid = list(grid)
+        kinds = set(map(type, grid))
+    if not _BOOLS.isdisjoint(kinds):
+        found = next((g for g in grid if type(g) in _BOOLS), True)
+        raise TypeError(f"{what} must be a number, got {found!r}")
+    values = np.array(grid, dtype=float)
+    if values.ndim != 1:
+        raise TypeError(f"a sweep grid is a sequence of numbers, got shape {values.shape}")
+    return values
+
+
+def _check_ascending(values: np.ndarray) -> None:
+    if not (values[1:] >= values[:-1]).all():
         raise ValueError("sweep grid must be sorted ascending")
-    coverages = [LinearCoverage(level) for level in grid]
-    return _price(model, grid, coverages, _solve_linear(model, coverages)[0])
+
+
+def sweep_linear(model: MdpModel, grid: Sequence[float] | None = None) -> Sweep:
+    """Evaluate linear-coverage contracts over a grid of coverage levels in [0, 1]."""
+    levels = _grid(default_linear_grid() if grid is None else grid, "coverage level")
+    if not ((0.0 <= levels) & (levels <= 1.0)).all():
+        raise ValueError("linear sweep grid must lie within [0, 1]")
+    _check_ascending(levels)
+    problems = _solve_linear(model, levels, lambda k: LinearCoverage(levels[k].item()))[0]
+    return _price(model, LinearCoverage, levels, problems)
 
 
 def sweep_threshold(
@@ -440,20 +531,28 @@ def sweep_threshold(
     low_level: float,
     high_level: float,
     grid: Sequence[float] | None = None,
-) -> list[ContractSweepRow]:
+) -> Sweep:
     """Evaluate two-tier coverage contracts over a grid of loss cutoffs."""
+    for label, level in (("low_level", low_level), ("high_level", high_level)):
+        if type(level) in _BOOLS:
+            raise TypeError(f"{label} must be a number, got {level!r}")
     if not 0.0 <= low_level <= high_level <= 1.0:
         raise ValueError("need 0 <= low_level <= high_level <= 1")
-    if grid is None:
-        grid = default_threshold_grid(model)
-    grid = [float(g) for g in grid]
-    if sorted(grid) != grid:
-        raise ValueError("sweep grid must be sorted ascending")
-    coverages = [ThresholdCoverage(cutoff, low_level, high_level) for cutoff in grid]
+    cutoffs = _grid(default_threshold_grid(model) if grid is None else grid, "cutoff")
+    valid = np.isfinite(cutoffs) & (cutoffs >= 0.0)
+    if not valid.all():
+        bad = cutoffs[valid.argmin()].item()
+        raise ValueError(f"cutoff must be finite and non-negative, got {bad}")
+    _check_ascending(cutoffs)
+    coverage_at = partial(ThresholdCoverage, low_level=low_level, high_level=high_level)
     # The baseline first: no cutoff, so it pays its zero low tier everywhere.
-    cutoffs = np.array([np.inf, *grid])[:, None]
-    paid = _tiers_paid(model, cutoffs, np.where(cutoffs < np.inf, low_level, 0.0), high_level)
-    results, index = _solve_many(model, paid, [ZeroCoverage(), *coverages])
+    column = np.append(np.inf, cutoffs)[:, None]
+    paid = _tiers_paid(model, column, np.where(column < np.inf, low_level, 0.0), high_level)
+
+    def row_coverage(k: int) -> Coverage:
+        return ZeroCoverage() if k == 0 else coverage_at(cutoffs[k - 1].item())
+
+    results, index = _solve_many(model, paid, row_coverage)
     shared = list(dict.fromkeys(solved.policy for solved in results))
     streams = np.array([decompose_value(model, policy) for policy in shared])
     problems = _Problems(
@@ -463,26 +562,31 @@ def sweep_threshold(
         np.array([solved.values for solved in results]),
         index,
     )
-    return _price(model, grid, coverages, problems)
+    return _price(model, coverage_at, cutoffs, problems)
 
 
-def _linear_switch(model: MdpModel, inside: ContractSweepRow, outside: ContractSweepRow) -> float:
+def _linear_switch(
+    model: MdpModel,
+    inside: ContractSweepRow,
+    outside: ContractSweepRow,
+    q_loss: np.ndarray,
+    q_cost: np.ndarray,
+) -> float:
     """The exact level where the user leaves ``inside``'s policy pi toward ``outside``.
 
-    Under pi the user's values are (1 - R) * direct + cost, with ``direct``
-    and ``cost`` the two streams of :func:`decompose_value`, so every
-    action's gap to pi, G(s, a; R) = Q(s, a; R) - Q(s, pi(s); R) =
-    (1 - R) * A + B, is affine in the level R, and pi stays optimal exactly
-    while no gap is negative.  The switch is the root nearest ``inside`` of
-    a gap that turns negative between the rows (beyond the solvers' tie
-    window at ``outside``), clamped to the bracket; ``outside`` when none
-    does, since the two rows' policies then tie.  It solves nothing.
+    ``q_loss`` and ``q_cost`` are pi's action-value lines (see
+    :func:`_action_value_lines`): under pi every action's gap to pi,
+    G(s, a; R) = Q(s, a; R) - Q(s, pi(s); R) = (1 - R) * A + B, is affine
+    in the level R, and pi stays optimal exactly while no gap is negative.
+    The switch is the root nearest ``inside`` of a gap that turns negative
+    between the rows (beyond the solvers' tie window at ``outside``),
+    clamped to the bracket; ``outside`` when none does, since the two rows'
+    policies then tie.  It solves nothing.
     """
     start, stop = inside.parameter, outside.parameter
     own = (np.arange(model.n_states), np.asarray(inside.policy.actions))
     # Gaps are taken against pi's own action values, so an action identical
     # to pi's has a gap of exactly zero.
-    q_loss, q_cost = _action_value_lines(model, inside.policy)[:2]
     slope = q_loss - q_loss[own][:, None]
     offset = q_cost - q_cost[own][:, None]
     at_stop = (1.0 - stop) * slope + offset
@@ -527,21 +631,19 @@ def _bisect_switch(
 
 
 def _switch_finder(model: MdpModel) -> Callable[[ContractSweepRow, ContractSweepRow], float]:
-    """The region end between a row in the region and its neighbour outside.
+    """The region end between two-tier rows: one in the region, its neighbour outside.
 
-    Linear rows take the exact gap root.  Threshold rows bisect the cutoff
-    at the inside row's levels, starting from the policies the two rows
-    already carry for their paid vectors.  A cutoff acts only through the
-    states whose loss lies above it, so when one state loss lies between
-    the rows every step pays one of their two vectors and nothing is
-    solved; any other vector is solved once per finder.
+    It bisects the cutoff at the inside row's levels, starting from the
+    policies the two rows already carry for their paid vectors.  A cutoff
+    acts only through the states whose loss lies above it, so when one
+    state loss lies between the rows every step pays one of their two
+    vectors and nothing is solved; any other vector is solved once per
+    finder.
     """
     policies: dict[bytes, ProtectionPolicy] = {}
 
     def switch(inside: ContractSweepRow, outside: ContractSweepRow) -> float:
         coverage = inside.coverage
-        if isinstance(coverage, LinearCoverage):
-            return _linear_switch(model, inside, outside)
         for row in (inside, outside):
             policies.setdefault(coverage_paid(model, row.coverage).tobytes(), row.policy)
         return _bisect_switch(
@@ -551,61 +653,70 @@ def _switch_finder(model: MdpModel) -> Callable[[ContractSweepRow, ContractSweep
     return switch
 
 
-def _premium_line(row: ContractSweepRow) -> tuple[float, float]:
-    """(intercept, slope) of the premium in the sweep parameter at a zero-profit row.
-
-    On the baseline policy a linear contract's premium is level x the
-    baseline's direct losses; a threshold contract's premium stays constant
-    while the states paid at each tier stay the same.
-    """
-    if isinstance(row.coverage, LinearCoverage):
-        return 0.0, row.direct_losses
-    return row.max_premium, 0.0
-
-
-def optimal_region(model: MdpModel, rows: Sequence[ContractSweepRow]) -> RegionReport:
+def optimal_region(model: MdpModel, sweep: Sweep) -> RegionReport:
     """Extract the zero-profit parameter set from a sweep of ``model``.
 
     A row belongs to the region when its profit is exactly zero: the rows of
     a sweep on the baseline policy share its arithmetic.  An end against a
     policy switch is reported open, at the exact gap root for linear rows
     and bisected for threshold rows; an end at the grid edge stays closed.
-    Maximal runs of rows with the same premium line (see ``_premium_line``)
-    each make one interval, so a threshold staircase splits at its steps.
+    Maximal runs of rows with the same premium line each make one interval,
+    so a threshold staircase splits at its steps.  Only the two rows around
+    each end against a switch are built as row objects.
     """
-    rows = list(rows)
-    if not rows:
+    count = len(sweep)
+    if not count:
         raise ValueError("optimal_region needs at least one sweep row")
-    if not any(row.profit == 0.0 for row in rows):
+    figures = sweep.figures[sweep.problem_of]
+    profit = figures[:, 2]
+    in_region = profit == 0.0
+    if not in_region.any():
         raise ValueError(
             "no zero-profit rows found: every contract on the grid changes the "
             "user's no-insurance policy"
         )
-    switch = _switch_finder(model)
+    if sweep.coverage_at is LinearCoverage:
+        # On the baseline policy a linear contract's premium is level x the
+        # baseline's direct losses.
+        intercept, slope = np.zeros(count), figures[:, 3]
+
+        def end(inside: int, outside: int) -> float:
+            lines = sweep.lines[sweep.policy_of[sweep.problem_of[inside]]]
+            return _linear_switch(model, sweep[inside], sweep[outside], *lines)
+
+    else:
+        # A threshold contract's premium stays constant while the states
+        # paid at each tier stay the same.
+        intercept, slope = figures[:, 1], np.zeros(count)
+        switch = _switch_finder(model)
+
+        def end(inside: int, outside: int) -> float:
+            return switch(sweep[inside], sweep[outside])
+
+    parameters = sweep.parameters.tolist()
+    line_steps = (intercept[1:] != intercept[:-1]) | (slope[1:] != slope[:-1])
+    runs = [0, *(np.flatnonzero(np.diff(in_region)) + 1).tolist(), count]
     intervals: list[RegionInterval] = []
-    end = 0
-    for in_region, run in groupby(rows, key=lambda row: row.profit == 0.0):
-        run = list(run)
-        start, end = end, end + len(run)
-        if not in_region:
+    for start, stop in zip(runs, runs[1:]):
+        if not in_region[start]:
             continue
-        lo, lo_closed = run[0].parameter, True
+        lo, lo_closed = parameters[start], True
         if start > 0:
-            lo, lo_closed = switch(run[0], rows[start - 1]), False
-        hi, hi_closed = run[-1].parameter, True
-        if end < len(rows):
-            hi, hi_closed = switch(run[-1], rows[end]), False
-        segments = [(line, list(segment)) for line, segment in groupby(run, key=_premium_line)]
-        for k, (line, segment) in enumerate(segments):
-            first, last = k == 0, k == len(segments) - 1
+            lo, lo_closed = end(start, start - 1), False
+        hi, hi_closed = parameters[stop - 1], True
+        if stop < count:
+            hi, hi_closed = end(stop - 1, stop), False
+        cuts = [start, *(np.flatnonzero(line_steps[start : stop - 1]) + start + 1).tolist(), stop]
+        for a, b in zip(cuts, cuts[1:]):
+            first, last = a == start, b == stop
             intervals.append(
                 RegionInterval(
-                    lo=lo if first else segment[0].parameter,
-                    hi=hi if last else segment[-1].parameter,
+                    lo=lo if first else parameters[a],
+                    hi=hi if last else parameters[b - 1],
                     lo_closed=lo_closed or not first,
                     hi_closed=hi_closed or not last,
-                    premium_intercept=line[0],
-                    premium_slope=line[1],
+                    premium_intercept=intercept[a].item(),
+                    premium_slope=slope[a].item(),
                 )
             )
 
@@ -618,7 +729,7 @@ def optimal_region(model: MdpModel, rows: Sequence[ContractSweepRow]) -> RegionR
     premium, parameter, attained = max(ends, key=lambda item: item[0])
     return RegionReport(
         intervals=tuple(intervals),
-        max_profit=max(r.profit for r in rows),
+        max_profit=max(profit.tolist()),
         representative_parameter=parameter,
         representative_premium=max(0.0, premium),
         representative_attained=attained,

@@ -3,7 +3,9 @@
 Model files are JSON with a fixed schema (discount, states, actions,
 transitions, initial_state by name) and round-trip at full double precision.
 Sweep CSVs render numbers at 10 significant digits so identical inputs always
-produce byte-identical files.
+produce byte-identical files.  A CSV is written from the columns of a
+:class:`cyins.contracts.Sweep`: each distinct problem's policy label and
+figures are formatted once, each parameter once, and a line joins the two.
 
 ``reproduce`` regenerates the bundled studies of the table ``STUDIES``: the
 two-state linear sweep with its closed-form overlay (fig3), the four-state
@@ -13,11 +15,12 @@ linear sweep (fig4), and the four-state two-tier (threshold) sweep (fig5).
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
+
+import numpy as np
 
 from . import analytic, contracts
 from .model import MdpModel, ModelValidationError, ProtectionPolicy, validate_model
@@ -42,8 +45,9 @@ OVERLAY_HEADER = "analytic_policy,analytic_value,case_id"
 FIG5_LOW_LEVEL = 0.0
 FIG5_HIGH_LEVEL = 0.9
 
-# A study's extra CSV columns for a sweep row, in OVERLAY_HEADER order.
-Overlay = Callable[[contracts.ContractSweepRow], list[str]]
+# A study's extra CSV columns for each of a sweep's parameters, one CSV
+# text per row in OVERLAY_HEADER order.
+Overlay = Callable[[np.ndarray], list[str]]
 
 
 class ModelFileError(ValueError):
@@ -123,8 +127,8 @@ def parse_policy_label(model: MdpModel, label: str) -> ProtectionPolicy:
 
 # The number spec of sweep CSVs and CLI reports: 10 significant digits.
 NUMBER_FORMAT = "%.10g"
-# A sweep CSV line: the parameter, the policy label and the five figures.
-ROW_FORMAT = ",".join([NUMBER_FORMAT, "%s", *[NUMBER_FORMAT] * 5])
+# A sweep CSV line after its parameter: the policy label and the five figures.
+PROBLEM_FORMAT = ",".join(["", "%s", *[NUMBER_FORMAT] * 5])
 
 
 def format_number(value: float) -> str:
@@ -132,39 +136,33 @@ def format_number(value: float) -> str:
     return NUMBER_FORMAT % value
 
 
-def write_sweep_csv(model: MdpModel, rows, path: str | Path) -> None:
+def write_sweep_csv(model: MdpModel, sweep: contracts.Sweep, path: str | Path) -> None:
     """Emit the plot-ready CSV for a sweep, one row per grid point."""
-    _write_csv(model, rows, Path(path))
+    _write_csv(model, sweep, Path(path))
 
 
 def _write_csv(
-    model: MdpModel,
-    rows: Iterable[contracts.ContractSweepRow],
-    path: Path,
-    overlay: Overlay | None = None,
+    model: MdpModel, sweep: contracts.Sweep, path: Path, overlay: Overlay | None = None
 ) -> None:
     """The sweep CSV, with the ``OVERLAY_HEADER`` columns of ``overlay`` when given.
 
-    A line is one ``ROW_FORMAT`` rendering.  Each distinct policy label is
-    rendered once per file.
+    Each distinct problem's ``PROBLEM_FORMAT`` tail is rendered once, and
+    each parameter once; a line joins its parameter and its problem's tail.
     """
-    labels: dict[ProtectionPolicy, str] = {}
-    lines = [SWEEP_CSV_HEADER if overlay is None else f"{SWEEP_CSV_HEADER},{OVERLAY_HEADER}"]
-    for row in rows:
-        policy = row.policy
-        if policy not in labels:
-            labels[policy] = policy_label(model, policy)
-        line = ROW_FORMAT % (
-            row.parameter,
-            labels[policy],
-            row.user_value,
-            row.max_premium,
-            row.profit,
-            row.direct_losses,
-            row.protection_cost,
-        )
-        lines.append(line if overlay is None else ",".join([line, *overlay(row)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    labels = [policy_label(model, policy) for policy in sweep.policies]
+    tails = [
+        PROBLEM_FORMAT % (labels[piece], *numbers)
+        for piece, numbers in zip(sweep.policy_of.tolist(), sweep.figures.tolist())
+    ]
+    lines = [
+        NUMBER_FORMAT % parameter + tails[problem]
+        for parameter, problem in zip(sweep.parameters.tolist(), sweep.problem_of.tolist())
+    ]
+    header = SWEEP_CSV_HEADER
+    if overlay is not None:
+        header = f"{SWEEP_CSV_HEADER},{OVERLAY_HEADER}"
+        lines = [f"{line},{extra}" for line, extra in zip(lines, overlay(sweep.parameters))]
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
 
 def _region_payload(report: contracts.RegionReport) -> dict:
@@ -189,38 +187,40 @@ def _region_payload(report: contracts.RegionReport) -> dict:
 
 
 def _analytic_overlay(ts: analytic.TwoStateModel, classification: analytic.CaseClassification):
-    """fig3's closed-form columns for a sweep row: policy, value and case.
+    """fig3's closed-form columns for a sweep's levels: policy, value and case.
 
     The analytic policy is constant on each ``classify_case`` segment [lo,
     hi), and so are its value coefficients, so each segment computes them
-    once; a row's value is the arithmetic of
-    :func:`analytic.closed_form_value`.
+    once; a level's value is the arithmetic of
+    :func:`analytic.closed_form_value`, one array expression over the levels.
     """
     model, s0 = ts.model, ts.model.initial_state
-    starts = [segment.lo for segment in classification.segments]
-    columns = []
+    starts = np.array([segment.lo for segment in classification.segments])
+    labels, loss, cost = [], [], []
     for segment in classification.segments:
         actions = segment.policy.actions
         policy = (ts, s0, actions[ts.good], actions[ts.bad])
-        columns.append(
-            (
-                policy_label(model, segment.policy),
-                analytic.loss_coefficient(*policy),
-                analytic.cost_coefficient(*policy),
-            )
-        )
+        labels.append(policy_label(model, segment.policy))
+        loss.append(analytic.loss_coefficient(*policy))
+        cost.append(analytic.cost_coefficient(*policy))
+    loss, cost = np.array(loss), np.array(cost)
 
-    def overlay(row: contracts.ContractSweepRow) -> list[str]:
-        label, loss, cost = columns[bisect_right(starts, row.parameter) - 1]
-        value = (1.0 - row.parameter) * loss + cost
-        return [label, format_number(value), classification.case_id]
+    def overlay(parameters: np.ndarray) -> list[str]:
+        parameters = np.asarray(parameters, dtype=float)
+        # A level on a segment's lo opens that segment.
+        segment = np.searchsorted(starts, parameters, side="right") - 1
+        values = ((1.0 - parameters) * loss[segment] + cost[segment]).tolist()
+        return [
+            f"{labels[k]},{NUMBER_FORMAT % value},{classification.case_id}"
+            for k, value in zip(segment.tolist(), values)
+        ]
 
     return overlay
 
 
 @dataclass(frozen=True)
 class Study:
-    """A bundled study: its model file, ``sweep(model) -> rows`` and
+    """A bundled study: its model file, ``sweep(model) -> Sweep`` and
     ``extras(model) -> (summary fields, CSV overlay or None)``.
 
     Both functions look up the ``contracts`` and ``analytic`` functions when
@@ -228,7 +228,7 @@ class Study:
     """
 
     model: str
-    sweep: Callable[[MdpModel], list[contracts.ContractSweepRow]]
+    sweep: Callable[[MdpModel], contracts.Sweep]
     extras: Callable[[MdpModel], tuple[dict, Overlay | None]]
 
 
@@ -291,9 +291,9 @@ def reproduce(study: str, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     model = bundled_model(spec.model)
     fields, overlay = spec.extras(model)
-    rows = spec.sweep(model)
-    region = contracts.optimal_region(model, rows)
-    _write_csv(model, rows, out / f"{study}.csv", overlay)
+    sweep = spec.sweep(model)
+    region = contracts.optimal_region(model, sweep)
+    _write_csv(model, sweep, out / f"{study}.csv", overlay)
     summary = {
         "study": study,
         "model": spec.model,

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from cyins import contracts
 from cyins.model import (
     LinearCoverage,
     MdpModel,
@@ -191,3 +192,70 @@ def random_two_state_raw(rng) -> dict:
         ],
         "initial_state": "good",
     }
+
+
+def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
+    """``optimal_region`` as a walk over row objects: the oracle of its column walk.
+
+    The rows are grouped by exact zero profit and each run by its premium
+    line with ``itertools.groupby``.  A linear end decomposes the inside
+    row's policy afresh for its action-value lines; a threshold end is
+    bisected as the library bisects it.
+    """
+    rows = list(rows)
+    if not rows:
+        raise ValueError("optimal_region needs at least one sweep row")
+    if not any(row.profit == 0.0 for row in rows):
+        raise ValueError("no zero-profit rows found")
+    bisect = contracts._switch_finder(model)
+
+    def switch(inside, outside):
+        if isinstance(inside.coverage, LinearCoverage):
+            lines = contracts._action_value_lines(model, inside.policy)[:2]
+            return contracts._linear_switch(model, inside, outside, *lines)
+        return bisect(inside, outside)
+
+    def premium_line(row):
+        if isinstance(row.coverage, LinearCoverage):
+            return 0.0, row.direct_losses
+        return row.max_premium, 0.0
+
+    intervals = []
+    end = 0
+    for in_region, run in itertools.groupby(rows, key=lambda row: row.profit == 0.0):
+        run = list(run)
+        start, end = end, end + len(run)
+        if not in_region:
+            continue
+        lo, lo_closed = run[0].parameter, True
+        if start > 0:
+            lo, lo_closed = switch(run[0], rows[start - 1]), False
+        hi, hi_closed = run[-1].parameter, True
+        if end < len(rows):
+            hi, hi_closed = switch(run[-1], rows[end]), False
+        segments = [(line, list(segment)) for line, segment in itertools.groupby(run, key=premium_line)]
+        for k, (line, segment) in enumerate(segments):
+            first, last = k == 0, k == len(segments) - 1
+            intervals.append(
+                contracts.RegionInterval(
+                    lo=lo if first else segment[0].parameter,
+                    hi=hi if last else segment[-1].parameter,
+                    lo_closed=lo_closed or not first,
+                    hi_closed=hi_closed or not last,
+                    premium_intercept=line[0],
+                    premium_slope=line[1],
+                )
+            )
+    ends = [
+        (interval.premium(parameter), parameter, attained)
+        for interval in intervals
+        for parameter, attained in ((interval.lo, interval.lo_closed), (interval.hi, interval.hi_closed))
+    ]
+    premium, parameter, attained = max(ends, key=lambda item: item[0])
+    return contracts.RegionReport(
+        intervals=tuple(intervals),
+        max_profit=max(row.profit for row in rows),
+        representative_parameter=parameter,
+        representative_premium=max(0.0, premium),
+        representative_attained=attained,
+    )

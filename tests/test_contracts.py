@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ from cyins import contracts, solvers
 from cyins.contracts import (
     CertificateError,
     ContractSweepRow,
+    Sweep,
     optimal_region,
     solve,
     sweep_linear,
     sweep_threshold,
 )
-from cyins.harness import reproduce
+from cyins.harness import STUDIES, reproduce
 from cyins.model import (
     LinearCoverage,
     ProtectionPolicy,
@@ -34,7 +37,7 @@ from cyins.solvers import (
     solve_value_iterations,
 )
 
-from helpers import TWO_STATE_RAW, random_coverage, random_model
+from helpers import TWO_STATE_RAW, random_coverage, random_model, region_by_row_walk
 
 EXACT_SWITCH_BAD = 1.0 - 0.82 / 0.9
 EXACT_PREMIUM_RATE = 1.8 / 0.082
@@ -149,6 +152,39 @@ def test_sweep_grid_validation(two_state):
         sweep_linear(two_state, [0.0, 1.5])
     with pytest.raises(ValueError):
         sweep_threshold(two_state, 0.9, 0.2)
+
+
+@pytest.mark.parametrize("grid", [[-0.1], [0.0, 1.5], [0.5, np.nan], [np.inf], np.array([-np.inf, 0.5])])
+def test_linear_sweep_rejects_levels_outside_the_unit_interval(two_state, grid):
+    with pytest.raises(ValueError, match=r"linear sweep grid must lie within \[0, 1\]"):
+        sweep_linear(two_state, grid)
+
+
+@pytest.mark.parametrize(
+    "grid, bad",
+    [([-1.0], -1.0), ([-np.inf, 0.0], -np.inf), ([0.0, 4.0, np.inf], np.inf), ([0.0, np.nan, 4.0], np.nan)],
+)
+def test_threshold_sweep_rejects_negative_and_non_finite_cutoffs(four_state, grid, bad):
+    message = re.escape(f"cutoff must be finite and non-negative, got {bad}")
+    for cutoffs in (grid, np.array(grid)):
+        with pytest.raises(ValueError, match=message):
+            sweep_threshold(four_state, 0.0, 0.9, cutoffs)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_sweeps_reject_bools_in_grids_and_tiers(two_state, four_state, flag):
+    # A bool converts to a level or cutoff of 0 or 1, but it is not a number,
+    # alone, among floats or as a bool array; a tier level is checked even
+    # for an empty grid.
+    for grid in ([flag], [0.0, flag], np.array([flag])):
+        with pytest.raises(TypeError, match="must be a number"):
+            sweep_linear(two_state, grid)
+        with pytest.raises(TypeError, match="must be a number"):
+            sweep_threshold(four_state, 0.0, 0.9, grid)
+    with pytest.raises(TypeError, match="low_level must be a number"):
+        sweep_threshold(four_state, flag, 1.0, [8.0])
+    with pytest.raises(TypeError, match="high_level must be a number"):
+        sweep_threshold(four_state, 0.0, flag, [])
 
 
 def test_four_state_cost_monotone_and_premium_affine(four_state):
@@ -304,7 +340,7 @@ def test_batched_solves_match_solving_each_coverage_alone(stack):
     for batched in (
         solve_value_iterations(model, paid, tol=contracts.CERT_TOL),
         [permuted[k] for k in range(len(order))],
-        _solved_in_order(*contracts._solve_many(model, paid, coverages)),
+        _solved_in_order(*contracts._solve_many(model, paid, coverages.__getitem__)),
     ):
         assert len(batched) == len(coverages)
         for single, together in zip(alone, batched):
@@ -532,6 +568,77 @@ def test_sweeps_build_no_solve_result_per_row(two_state, four_state, tmp_path, m
     assert len(built) == 4
 
 
+def test_a_sweep_is_a_read_only_sequence_of_row_views(four_state):
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    sweep = sweep_linear(four_state, grid)
+    rows = list(sweep)
+    assert len(sweep) == len(rows) == len(grid)
+    assert [row.parameter for row in rows] == grid
+    assert [row.coverage for row in rows] == [LinearCoverage(level) for level in grid]
+    for k in range(-len(grid), len(grid)):
+        assert sweep[k] == rows[k]
+    assert sweep[np.int64(2)] == rows[2]
+    for part in (slice(1, 4), slice(None, None, -2), slice(3, 3)):
+        assert isinstance(sweep[part], Sweep)
+        assert list(sweep[part]) == rows[part]
+    for k in (len(grid), -len(grid) - 1):
+        with pytest.raises(IndexError):
+            sweep[k]
+    # Rows on one problem share its policy object.
+    assert sweep[0].policy is sweep[1].policy
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sweep.parameters = np.zeros(5)
+    with pytest.raises(ValueError):
+        sweep.figures[0, 0] = 1.0
+    cutoffs = sweep_threshold(four_state, 0.0, 0.9, [8.0])
+    assert cutoffs[-1] == cutoffs[0]
+    assert cutoffs[0].coverage == ThresholdCoverage(8.0, 0.0, 0.9)
+
+
+def test_a_study_round_builds_rows_only_around_region_ends(tmp_path, monkeypatch):
+    # The region and the CSV are read off the columns: only the two rows
+    # around each region end at a policy switch become row objects, and a
+    # linear sweep builds no coverage per row.
+    rows, coverages = [], []
+
+    class Counted(ContractSweepRow):
+        def __init__(self, *args, **kwargs):
+            rows.append(self)
+            super().__init__(*args, **kwargs)
+
+    post_init = LinearCoverage.__post_init__
+
+    def counting(coverage):
+        coverages.append(coverage)
+        post_init(coverage)
+
+    monkeypatch.setattr(contracts, "ContractSweepRow", Counted)
+    monkeypatch.setattr(LinearCoverage, "__post_init__", counting)
+    ends = 0
+    for study in STUDIES:
+        region = reproduce(study, tmp_path)["optimal_region"]
+        ends += sum(not iv[closed] for iv in region["intervals"] for closed in ("lo_closed", "hi_closed"))
+    assert ends == 3
+    assert len(rows) <= 2 * ends
+    assert len(coverages) <= 2 * ends
+
+
+@pytest.mark.parametrize("study, calls", [("fig3", 5), ("fig4", 7), ("fig5", 3)])
+def test_study_decompositions_per_round(study, calls, tmp_path, monkeypatch):
+    # A linear walk decomposes each policy it evaluates once, and its region
+    # end reads the walk's lines for the inside row's policy; a threshold
+    # sweep decomposes each of its distinct policies once.
+    decomposed = []
+
+    def counting(model, policy):
+        decomposed.append(policy)
+        return decompose_value(model, policy)
+
+    monkeypatch.setattr(contracts, "decompose_value", counting)
+    reproduce(study, tmp_path)
+    assert len(decomposed) == calls
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
     """Number of problems in each value-iteration call the contracts layer makes."""
@@ -657,8 +764,10 @@ def test_optimal_region_threshold_staircase(four_state):
 
 
 def test_optimal_region_requires_rows(two_state):
-    with pytest.raises(ValueError):
-        optimal_region(two_state, [])
+    for empty in (sweep_linear(two_state, []), sweep_threshold(two_state, 0.0, 0.9, [])):
+        assert len(empty) == 0 and list(empty) == []
+        with pytest.raises(ValueError, match="at least one sweep row"):
+            optimal_region(two_state, empty)
 
 
 def test_zero_profit_principle_random_models():
@@ -669,6 +778,30 @@ def test_zero_profit_principle_random_models():
         best = max(rows, key=lambda r: r.profit)
         assert abs(best.profit) <= 1e-7
         assert best.policy == rows[0].policy  # attained where the policy is unchanged
+
+
+def _report_or_error(region, model, rows):
+    try:
+        return repr(region(model, rows))
+    except ValueError:
+        return "ValueError"
+
+
+@settings(deadline=None, max_examples=40)
+@given(priced_sweeps())
+def test_region_columns_match_the_row_walk(sweep):
+    # Field by field, down to the bits of every float: repr round-trips them.
+    model, levels, cutoffs, low, high = sweep
+    top = 1.2 * float(model.losses.max()) + 1.0
+    for table in (
+        sweep_linear(model, levels),
+        sweep_linear(model, sorted([*levels, *np.linspace(0.0, 1.0, 21)])),
+        sweep_threshold(model, low, high, cutoffs),
+        sweep_threshold(model, low, high, sorted([*cutoffs, *np.linspace(0.0, top, 21)])),
+    ):
+        assert _report_or_error(optimal_region, model, table) == _report_or_error(
+            region_by_row_walk, model, list(table)
+        )
 
 
 def _brackets(rows):

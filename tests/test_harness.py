@@ -8,7 +8,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -162,17 +161,25 @@ def test_sweep_csv_format(tmp_path, two_state):
 
 
 def test_sweep_csv_renders_every_row_and_the_sign_of_zero(tmp_path, two_state):
-    # Rows that repeat one result print it alike; a negative zero still
-    # prints as such, though it is the same dict key as 0.0.
-    row = contracts.sweep_linear(two_state, [0.5])[0]
-    rows = [
-        row,
-        replace(row, parameter=0.6),
-        replace(row, parameter=0.7, profit=0.0, direct_losses=-0.0),
-        replace(row, parameter=0.8, profit=-0.0, direct_losses=0.0),
-    ]
+    # Rows that repeat one problem print it alike; a negative zero still
+    # prints as such, though it compares equal to 0.0.
+    sweep = contracts.sweep_linear(two_state, [0.5])
+    row = sweep[0]
+    user, premium, cost = row.user_value, row.max_premium, row.protection_cost
+    sweep = replace(
+        sweep,
+        parameters=np.array([0.5, 0.6, 0.7, 0.8]),
+        problem_of=np.array([0, 0, 1, 2]),
+        policies=(row.policy,),
+        policy_of=np.zeros(3, dtype=int),
+        figures=np.array([
+            [user, premium, row.profit, row.direct_losses, cost],
+            [user, premium, 0.0, -0.0, cost],
+            [user, premium, -0.0, 0.0, cost],
+        ]),
+    )
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(two_state, rows, path)
+    write_sweep_csv(two_state, sweep, path)
     fields = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
     assert [f[0] for f in fields] == ["0.5", "0.6", "0.7", "0.8"]
     assert fields[0][1:] == fields[1][1:]
@@ -223,8 +230,8 @@ def test_fig3_overlay_matches_the_closed_forms_row_by_row(seed):
         policy = analytic.closed_form_policy(ts, level)
         actions = policy.actions
         value = analytic.closed_form_value(ts, s0, actions[s0], actions[1 - s0], level)
-        row = SimpleNamespace(parameter=level)
-        assert overlay(row) == [
+        (columns,) = overlay(np.array([level]))
+        assert columns.split(",") == [
             policy_label(model, policy),
             format_number(value),
             classification.case_id,
