@@ -39,8 +39,9 @@ in the level R, so the user's optimal policy is piecewise constant in R
 (parametric policy iteration, Puterman 1994, section 6.4).  The sweep walks
 the pieces up the grid from level 0, the baseline, with one greedy
 extraction over the remaining rows per piece and a few Howard improvement
-steps at each switch; all rows then share value iteration's stacked finish
-and one certificate gate.
+steps at each switch.  Each policy the walk evaluates is solved once, and
+every row is read off its piece's affine values and action values, so the
+rows solve nothing and share one certificate gate.
 
 A sweep is a table, a :class:`Sweep`: the grid's parameters, each row's
 distinct problem, and per problem its policy and its five figures (user
@@ -79,6 +80,7 @@ from .model import (
     ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
+    _tiers,
     _tiers_paid,
     coverage_paid,
     decompose_value,
@@ -86,7 +88,6 @@ from .model import (
 from .solvers import (
     TIE_REL,
     SolveResult,
-    _finish_stack,
     _greedy_actions,
     solve_value_iterations,
 )
@@ -323,7 +324,8 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
         paid = coverage_paid(model, coverage)[None]
         results, _ = _solve_many(model, paid, lambda k: coverage)
         return results[0]
-    level = np.array([getattr(coverage, "level", 0.0)], dtype=float)
+    # The low tier is a linear level, and no insurance's zero.
+    level = np.array([_tiers(coverage)[1]], dtype=float)
     problems, residual, bounds, steps = _solve_linear(model, level, lambda k: coverage)
     k = problems.index[1]
     return SolveResult(
@@ -391,11 +393,11 @@ def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
     level, so one greedy extraction over the remaining levels finds the
     leading run of rows on which pi is its own greedy policy: pi's piece.
     At the first row off it, :func:`_improve` gives the next policy, which
-    takes that row, and so on.  Returns the pieces' policies (P, N), streams
-    (P, 2) and lines (see :class:`_Problems`), and each level's piece and
+    takes that row, and so on.  Returns the pieces' policies (P, N) and
+    :func:`_action_value_lines` (P of them), and each level's piece and
     Howard steps.
     """
-    count, s0 = len(levels), model.initial_state
+    count = len(levels)
     piece_of = np.empty(count, dtype=np.intp)
     steps = np.zeros(count, dtype=int)
     current = np.full(model.n_states, _greedy_actions(model.costs, model.costs))
@@ -413,10 +415,8 @@ def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
         pieces.append((current, lines))
         piece_of[stop], steps[stop] = len(pieces) - 1, taken
         start = stop + 1
-    policies = np.array([actions for actions, _ in pieces])
-    streams = np.array([(lines[2][s0], lines[3][s0]) for _, lines in pieces])
-    action_lines = tuple(lines[:2] for _, lines in pieces)
-    return policies, streams, action_lines, piece_of, steps
+    policies, lines = zip(*pieces)
+    return np.array(policies), lines, piece_of, steps
 
 
 def _solve_linear(
@@ -426,27 +426,33 @@ def _solve_linear(
 
     ``levels`` are linear coverage levels, level k that of ``coverage_of(k)``,
     which is built only to name an uncertified problem.  The baseline is
-    level 0, the walk's first row; the distinct levels share one stacked
-    finish and one :func:`_certify`, and a repeated level shares its
-    problem.  Returns the problems and, per problem, the residual, the
-    certificate bound and the Howard steps.
+    level 0, the walk's first row, and a repeated level shares its problem.
+    Level R is read off its piece's :func:`_action_value_lines`: values
+    V = (1 - R) * direct + cost, residual max |V - min_a Q| with
+    Q = (1 - R) * q_loss + q_cost.  Returns the problems and, per problem,
+    the residual, the certificate bound and the Howard steps.
     """
     # Last, so np.unique (first occurrences) names level 0 after a grid coverage at 0.
     baseline = len(levels)
     distinct, first, index = np.unique(
         np.append(levels, 0.0), return_index=True, return_inverse=True
     )
-    policies, streams, lines, piece_of, steps = _walk_pieces(model, distinct)
-    retained = model.losses - _tiers_paid(model, np.inf, distinct[:, None], 0.0)
-    values, residual, bounds, finite = _finish_stack(model, retained, policies[piece_of])
+    policies, lines, piece_of, steps = _walk_pieces(model, distinct)
+    q_loss, q_cost, direct, cost = (np.array(part) for part in zip(*lines))
+    scale = 1.0 - distinct[:, None]
+    values = scale * direct[piece_of] + cost[piece_of]
+    bellman = (scale[..., None] * q_loss[piece_of] + q_cost[piece_of]).min(axis=2)
+    residual = np.abs(values - bellman).max(axis=1)
+    bounds = residual / (1.0 - model.discount)
 
     def walked(d: int) -> Coverage:
         return ZeroCoverage() if first[d] == baseline else coverage_of(first[d])
 
     # The walk itself always ends; only non-finite values leave a problem unconverged.
-    _certify(model, walked, values, bounds, finite, steps)
+    _certify(model, walked, values, bounds, np.isfinite(values).all(axis=1), steps)
     index = np.concatenate((index[-1:], index[:-1]))
-    problems = _Problems(policies, streams, piece_of, values, index, lines)
+    streams = np.stack((direct, cost), axis=-1)[:, model.initial_state]
+    problems = _Problems(policies, streams, piece_of, values, index, tuple(zip(q_loss, q_cost)))
     return problems, residual, bounds, steps
 
 
@@ -567,24 +573,26 @@ def sweep_threshold(
 
 def _linear_switch(
     model: MdpModel,
-    inside: ContractSweepRow,
-    outside: ContractSweepRow,
+    start: float,
+    stop: float,
+    actions: Sequence[int],
     q_loss: np.ndarray,
     q_cost: np.ndarray,
 ) -> float:
-    """The exact level where the user leaves ``inside``'s policy pi toward ``outside``.
+    """The exact level between ``start`` and ``stop`` where the user leaves pi.
 
-    ``q_loss`` and ``q_cost`` are pi's action-value lines (see
+    pi, given by its ``actions``, is the policy at level ``start``, inside
+    the region, and ``stop`` is its neighbour outside.  ``q_loss`` and
+    ``q_cost`` are pi's action-value lines (see
     :func:`_action_value_lines`): under pi every action's gap to pi,
     G(s, a; R) = Q(s, a; R) - Q(s, pi(s); R) = (1 - R) * A + B, is affine
     in the level R, and pi stays optimal exactly while no gap is negative.
-    The switch is the root nearest ``inside`` of a gap that turns negative
-    between the rows (beyond the solvers' tie window at ``outside``),
-    clamped to the bracket; ``outside`` when none does, since the two rows'
+    The switch is the root nearest ``start`` of a gap that turns negative
+    between the two levels (beyond the solvers' tie window at ``stop``),
+    clamped to the bracket; ``stop`` when none does, since the two levels'
     policies then tie.  It solves nothing.
     """
-    start, stop = inside.parameter, outside.parameter
-    own = (np.arange(model.n_states), np.asarray(inside.policy.actions))
+    own = (np.arange(model.n_states), np.asarray(actions))
     # Gaps are taken against pi's own action values, so an action identical
     # to pi's has a gap of exactly zero.
     slope = q_loss - q_loss[own][:, None]
@@ -675,14 +683,16 @@ def optimal_region(model: MdpModel, sweep: Sweep) -> RegionReport:
             "no zero-profit rows found: every contract on the grid changes the "
             "user's no-insurance policy"
         )
+    parameters = sweep.parameters.tolist()
     if sweep.coverage_at is LinearCoverage:
         # On the baseline policy a linear contract's premium is level x the
         # baseline's direct losses.
         intercept, slope = np.zeros(count), figures[:, 3]
 
         def end(inside: int, outside: int) -> float:
-            lines = sweep.lines[sweep.policy_of[sweep.problem_of[inside]]]
-            return _linear_switch(model, sweep[inside], sweep[outside], *lines)
+            policy = sweep.policy_of[sweep.problem_of[inside]]
+            pi = (sweep.policies[policy].actions, *sweep.lines[policy])
+            return _linear_switch(model, parameters[inside], parameters[outside], *pi)
 
     else:
         # A threshold contract's premium stays constant while the states
@@ -693,7 +703,6 @@ def optimal_region(model: MdpModel, sweep: Sweep) -> RegionReport:
         def end(inside: int, outside: int) -> float:
             return switch(sweep[inside], sweep[outside])
 
-    parameters = sweep.parameters.tolist()
     line_steps = (intercept[1:] != intercept[:-1]) | (slope[1:] != slope[:-1])
     runs = [0, *(np.flatnonzero(np.diff(in_region)) + 1).tolist(), count]
     intervals: list[RegionInterval] = []

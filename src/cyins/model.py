@@ -9,8 +9,8 @@ loss, so the per-stage "effective loss" is
     loss(state) - coverage(loss(state)) + cost(action).
 
 Everything in this module is immutable after construction and safe to share
-across threads.  Policy evaluation is an exact dense linear solve, which lets
-it double as an oracle for the iterative solvers.
+across threads.  Policy evaluation is one exact dense linear solve,
+:func:`_policy_streams`, which doubles as an oracle for the iterative solvers.
 """
 
 from __future__ import annotations
@@ -417,11 +417,16 @@ def stage_loss_matrix(model: MdpModel, coverage: Coverage) -> np.ndarray:
     return retained[:, None] + model.costs[None, :]
 
 
-def _policy_system(model: MdpModel, policy: ProtectionPolicy, stage: np.ndarray):
-    """Transition matrix and stage vector induced by a stationary policy."""
-    idx = np.asarray(policy.actions)
-    p_pi = model.transitions[idx, np.arange(model.n_states)]
-    return p_pi, stage[np.arange(model.n_states), idx]
+def _policy_streams(model: MdpModel, actions: np.ndarray, retained: np.ndarray) -> np.ndarray:
+    """Retained-loss and protection-cost streams of K policies, shape (K, N, 2).
+
+    Policy k, ``actions[k]`` (N,), retains ``retained[k]`` (N,).  Both its
+    streams solve ``(I - discount * P_policy) V = stage``, nonsingular for
+    any discount < 1, in one factorisation; its value is their sum.
+    """
+    n = model.n_states
+    system = np.eye(n) - model.discount * model.transitions[actions, np.arange(n)]
+    return np.linalg.solve(system, np.stack([retained, model.costs[actions]], axis=-1))
 
 
 def evaluate_policy(
@@ -429,15 +434,12 @@ def evaluate_policy(
 ) -> np.ndarray:
     """Exact expected cumulative discounted effective loss per starting state.
 
-    Solves the policy's fixed-point equation
-    ``V = stage + discount * P_policy @ V`` as a dense linear system, which is
-    nonsingular for any discount < 1.
+    The sum of the policy's retained-loss and protection-cost streams
+    (:func:`_policy_streams`) under ``coverage``.
     """
     model.check_policy(policy)
-    stage = stage_loss_matrix(model, coverage)
-    p_pi, stage_pi = _policy_system(model, policy, stage)
-    n = model.n_states
-    return np.linalg.solve(np.eye(n) - model.discount * p_pi, stage_pi)
+    retained = model.losses - coverage_paid(model, coverage)
+    return _policy_streams(model, np.array([policy.actions]), retained[None])[0].sum(axis=1)
 
 
 def decompose_value(
@@ -446,14 +448,9 @@ def decompose_value(
     """Split the uninsured value into direct-loss and protection-cost streams.
 
     Returns ``(direct, cost)`` where each is the policy value computed with
-    only that stage term; their sum equals ``evaluate_policy`` under zero
-    coverage.  The direct part is the user's cyber-risk exposure, which is
-    what rises when insurance induces weaker protection.  Both streams come
-    from one factorisation of the policy's system.
+    only that stage term; their sum is ``evaluate_policy`` under zero
+    coverage, bit for bit.  The direct part is the user's cyber-risk
+    exposure, which is what rises when insurance induces weaker protection.
     """
     model.check_policy(policy)
-    idx = np.asarray(policy.actions)
-    p_pi = model.transitions[idx, np.arange(model.n_states)]
-    system = np.eye(model.n_states) - model.discount * p_pi
-    both = np.linalg.solve(system, np.column_stack([model.losses, model.costs[idx]]))
-    return both[:, 0], both[:, 1]
+    return tuple(_policy_streams(model, np.array([policy.actions]), model.losses[None])[0].T)

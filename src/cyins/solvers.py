@@ -12,9 +12,10 @@ each given by its paid vector (a coverage enters only through what it pays
 per state).  The stack is problem-minor, one column per problem, so each
 iteration is one matrix product and two reductions across contiguous
 problems; each problem keeps its own stopping rule, and the stopped problems
-are finished together by one stacked exact evaluation, which returns arrays
-per problem (the contracts' linear walk shares it and builds no results).
-:func:`solve_value_iteration` is its one-problem call.
+are finished together: one greedy extraction, one stacked exact evaluation
+of the extracted policies (:func:`cyins.model._policy_streams`) and one
+stacked Bellman residual.  :func:`solve_value_iteration` is its one-problem
+call.
 
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
@@ -34,6 +35,7 @@ from .model import (
     Coverage,
     MdpModel,
     ProtectionPolicy,
+    _policy_streams,
     coverage_paid,
     coverages_paid,
     evaluate_policy,
@@ -226,7 +228,11 @@ def solve_value_iterations(
     iterates[:, active] = values
 
     actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)
-    exact, residual, bound, finite = _finish_stack(model, retained, actions)
+    # A policy's value is the sum of its streams, as a linear walk's rows sum theirs.
+    exact = _policy_streams(model, actions, retained).sum(axis=2)
+    residual = np.abs(exact - _stacked_action_values(model, retained, exact).min(axis=2)).max(axis=1)
+    bound = residual / (1.0 - delta)
+    finite = np.isfinite(exact).all(axis=1)
     keys = [tuple(policy) for policy in actions.tolist()]
     # Problems on one policy share its object.
     policies = {key: ProtectionPolicy(key) for key in dict.fromkeys(keys)}
@@ -238,28 +244,6 @@ def solve_value_iterations(
         SolveResult(policies[key], values, *rest)
         for key, values, rest in zip(keys, exact, diagnostics)
     ]
-
-
-def _finish_stack(
-    model: MdpModel, retained: np.ndarray, actions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact values and certificates of K problems of one model, each given its policy.
-
-    ``retained`` (K, N) holds each problem's retained losses and ``actions``
-    (K, N) its policy.  One stacked exact evaluation gives every policy's
-    values, and one stacked Bellman residual its certificate bound.  Returns
-    per-problem arrays: the exact values (K, N), the residual eps (K,), the
-    bound eps / (1 - discount) (K,) and whether the values are all finite
-    (K,).  No result object is built here: value iteration builds its
-    :class:`SolveResult` list from these arrays, and a contract sweep prices
-    its rows from them directly.
-    """
-    n, delta = model.n_states, model.discount
-    system = np.eye(n) - delta * model.transitions[actions, np.arange(n)]
-    exact = np.linalg.solve(system, (retained + model.costs[actions])[..., None])[..., 0]
-    bellman = _stacked_action_values(model, retained, exact).min(axis=2)
-    residual = np.abs(exact - bellman).max(axis=1)
-    return exact, residual, residual / (1.0 - delta), np.isfinite(exact).all(axis=1)
 
 
 def solve_policy_enumeration(model: MdpModel, coverage: Coverage) -> SolveResult:

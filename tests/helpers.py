@@ -212,7 +212,9 @@ def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
     def switch(inside, outside):
         if isinstance(inside.coverage, LinearCoverage):
             lines = contracts._action_value_lines(model, inside.policy)[:2]
-            return contracts._linear_switch(model, inside, outside, *lines)
+            return contracts._linear_switch(
+                model, inside.parameter, outside.parameter, inside.policy.actions, *lines
+            )
         return bisect(inside, outside)
 
     def premium_line(row):

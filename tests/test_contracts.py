@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyins import contracts, solvers
+from cyins import model as model_module
 from cyins.contracts import (
     CertificateError,
     ContractSweepRow,
@@ -17,7 +18,7 @@ from cyins.contracts import (
     sweep_linear,
     sweep_threshold,
 )
-from cyins.harness import STUDIES, reproduce
+from cyins.harness import STUDIES, bundled_model, reproduce
 from cyins.model import (
     LinearCoverage,
     ProtectionPolicy,
@@ -30,7 +31,6 @@ from cyins.model import (
 )
 from cyins.solvers import (
     SolveResult,
-    _finish_stack,
     bellman_update,
     solve_policy_enumeration,
     solve_value_iteration,
@@ -215,7 +215,7 @@ def test_threshold_cutoff_at_a_state_loss_pays_the_low_tier(four_state):
     below, at_loss = sweep_threshold(four_state, 0.0, 0.9, [7.9999999, 8.0])
     assert at_loss.policy == quote(four_state, ZeroCoverage()).policy
     assert at_loss.profit == 0.0
-    assert at_loss.max_premium == 0.25859342283531817
+    assert at_loss.max_premium == 0.2585934228353217
     assert below.profit < 0.0
 
 
@@ -223,13 +223,23 @@ def test_threshold_cutoff_at_a_state_loss_pays_the_low_tier(four_state):
 
 def test_solve_is_the_certified_value_iteration(two_state, four_state):
     # No insurance and linear coverage are walked, two-tier coverage is
-    # iterated; either way the result is value iteration's, bit for bit.
+    # iterated; either way the policy is value iteration's.  Both sum a
+    # policy's two streams, and the walk scales its direct-loss stream by
+    # 1 - R where value iteration solves for the retained losses
+    # (1 - R) * loss.  So the values agree bit for bit when 1 - R is a
+    # power of two (levels 0 and 0.5), and at 0.3 within the sum of the two
+    # certificate bounds, each the distance to the optimal values.
+    coverages = (ZeroCoverage(), LinearCoverage(0.5), LinearCoverage(0.3), ThresholdCoverage(8.0, 0.0, 0.9))
     for model in (two_state, four_state):
-        for coverage in (ZeroCoverage(), LinearCoverage(0.5), ThresholdCoverage(8.0, 0.0, 0.9)):
+        for coverage in coverages:
             solved = solve(model, coverage)
             alone = solve_value_iteration(model, coverage, tol=contracts.CERT_TOL)
             assert solved.policy == alone.policy
-            assert np.array_equal(solved.values, alone.values)
+            if coverage == LinearCoverage(0.3):
+                gap = np.abs(solved.values - alone.values).max()
+                assert gap <= solved.certificate_bound + alone.certificate_bound
+            else:
+                assert np.array_equal(solved.values, alone.values)
             assert solved.certificate_bound == solved.residual / (1.0 - model.discount)
             limit = contracts.CERT_TOL * (1.0 + np.abs(solved.values).max())
             assert solved.converged and solved.certificate_bound <= limit
@@ -253,6 +263,12 @@ def test_sweep_certifies_where_value_iteration_does_not_converge():
     assert row.user_value == solved.values[model.initial_state]
 
 
+@pytest.mark.parametrize("coverage", [None, "x", 0.5])
+def test_solve_rejects_what_is_not_a_coverage(two_state, coverage):
+    with pytest.raises(TypeError, match="not a coverage policy"):
+        solve(two_state, coverage)
+
+
 def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
     coverage = ThresholdCoverage(5.0, 0.0, 0.5)
     optimal = solve_value_iteration(two_state, coverage)
@@ -274,26 +290,31 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
 
 
 def test_linear_sweep_certifies_every_walked_row(two_state, monkeypatch):
-    # A walk that handed the stacked finish a suboptimal policy (here every
-    # action of one row flipped) gets that policy's honest residual back,
-    # and the certificate rejects it, naming that row's coverage.  The grid
-    # holds one level per policy piece, so the finish gets its rows in grid
-    # order, level 0 (the baseline) first.
+    # A walk that put one row on a suboptimal piece (here the row's policy
+    # with every action flipped, carrying that policy's own lines) reads the
+    # policy's honest residual off the piece, and the certificate rejects
+    # it, naming that row's coverage.  The grid holds one level per policy
+    # piece, so the walk gets its rows in grid order, level 0 (the baseline)
+    # first.
     grid = [0.0, 0.05, 0.5, 1.0]
+    walk = contracts._walk_pieces
 
     def flipping(row):
-        def flipped(model, retained, actions):
-            actions = actions.copy()
-            actions[row] = 1 - actions[row]
-            return _finish_stack(model, retained, actions)
+        def flipped(model, levels):
+            policies, lines, piece_of, steps = walk(model, levels)
+            actions = 1 - policies[piece_of[row]]
+            own_lines = contracts._action_value_lines(model, ProtectionPolicy(actions))
+            piece_of = piece_of.copy()
+            piece_of[row] = len(policies)
+            return np.vstack((policies, actions)), (*lines, own_lines), piece_of, steps
 
         return flipped
 
     for row, level in enumerate(grid):
-        monkeypatch.setattr(contracts, "_finish_stack", flipping(row))
+        monkeypatch.setattr(contracts, "_walk_pieces", flipping(row))
         with pytest.raises(CertificateError, match=rf"LinearCoverage\(level={level}\).*converged=True"):
             sweep_linear(two_state, grid)
-    monkeypatch.setattr(contracts, "_finish_stack", flipping(0))
+    monkeypatch.setattr(contracts, "_walk_pieces", flipping(0))
     with pytest.raises(CertificateError, match=r"ZeroCoverage\(\).*converged=True"):
         solve(two_state, ZeroCoverage())
 
@@ -540,6 +561,10 @@ def test_sweep_rows_are_the_rows_priced_one_by_one(sweep):
         parameters = [row.parameter for row in rows]
         expected = _priced_one_by_one(model, parameters, coverages)
         assert [_bits(row) for row in rows] == [_bits(row) for row in expected]
+    # Value iteration sums a policy's streams as the walk's level-0 row does,
+    # so a two-tier contract that pays nothing is priced as no insurance.
+    (unpaid,) = sweep_threshold(model, 0.0, 0.0, [0.0])
+    assert _bits(unpaid)[2:] == _bits(sweep_linear(model, [0.0])[0])[2:]
 
 
 def test_sweeps_build_no_solve_result_per_row(two_state, four_state, tmp_path, monkeypatch):
@@ -701,6 +726,44 @@ def test_linear_studies_solve_only_their_sweep(study, tmp_path, solve_calls):
     assert solve_calls == []
     policies = {line.split(",")[1] for line in (tmp_path / f"{study}.csv").read_text().splitlines()[1:]}
     assert len(policies) == {"fig3": 3, "fig4": 5}[study]
+
+
+@pytest.fixture
+def systems(monkeypatch):
+    """Number of N x N policy systems in each dense policy solve."""
+    counts = []
+    streams = model_module._policy_streams
+
+    def counting(model, actions, retained):
+        counts.append(len(actions))
+        return streams(model, actions, retained)
+
+    for module in (model_module, solvers):
+        monkeypatch.setattr(module, "_policy_streams", counting)
+    return counts
+
+
+@pytest.mark.parametrize("study, solved", [("fig3", 5), ("fig4", 7), ("fig5", 7)])
+def test_a_sweep_solves_one_system_per_policy_it_evaluates(study, solved, systems):
+    # A linear sweep solves one system per policy its walk evaluates (its
+    # pieces, Howard steps and tie-rule re-evaluations) and reads its 201
+    # rows off the pieces.  fig5's value iteration evaluates its four
+    # distinct problems together, and its three policies are decomposed.
+    spec = STUDIES[study]
+    sweep = spec.sweep(bundled_model(spec.model))
+    assert sum(systems) == solved
+    assert len(sweep.policies) < solved < len(sweep)
+
+
+def test_a_large_linear_sweep_solves_per_policy_not_per_row(systems):
+    # 200 states, 4 actions: 25 pieces and one more evaluation at a switch.
+    model = random_model(
+        np.random.default_rng(18), max_states=200, min_states=200, max_actions=4, d_lo=0.95, d_hi=0.95
+    )
+    assert (model.n_states, model.n_actions) == (200, 4)
+    sweep = sweep_linear(model)
+    assert len(sweep) == contracts.LINEAR_GRID_POINTS and len(sweep.policies) == 25
+    assert sum(systems) == 26
 
 
 # ------------------------------------------------------------ region report

@@ -17,7 +17,6 @@ from cyins.model import (
 )
 from cyins.solvers import (
     EnumerationTooLarge,
-    _finish_stack,
     action_values,
     bellman_update,
     build_lp,
@@ -101,14 +100,18 @@ def test_nan_stage_losses_leave_the_solve_unconverged(two_state):
         assert result.iterations == 1
         with pytest.raises(CertificateError, match="converged=False"):
             sweep_linear(infinite, [0.5])
-        # The linear walk evaluates its rows in the stacked finish, which
-        # flags every row whose exact values are not all finite.
+        # The linear walk reads its rows off its pieces and flags every row
+        # whose exact values are not all finite.
         with pytest.raises(CertificateError, match=r"LinearCoverage\(level=0.0\).*converged=False"):
             sweep_linear(infinite, [0.0, 0.5, 1.0])
-        *_, finite = _finish_stack(
-            infinite, infinite.losses[None] * 0.5, np.zeros((1, 2), dtype=np.intp)
+        # Value iteration's finish evaluates each problem's policy exactly and
+        # flags values that are not all finite: here NaN (half covered) and
+        # inf (uncovered).
+        halves, uncovered = solve_value_iterations(
+            infinite, coverages_paid(infinite, [LinearCoverage(0.5), ZeroCoverage()])
         )
-        assert not finite[0]
+        for result in (halves, uncovered):
+            assert not result.converged and not np.isfinite(result.values).all()
 
 
 def test_value_iteration_rejects_bad_tol(two_state):
