@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cyins.montecarlo as mc
+from cyins import cli
+from cyins.harness import bundled_model_path
 from cyins.model import (
     LinearCoverage,
     ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
     evaluate_policy,
+    stage_loss_matrix,
     validate_model,
 )
 from cyins.montecarlo import SimulationConfig, config_for, simulate_coverage_paid, simulate_value
@@ -54,6 +59,58 @@ def test_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
             SimulationConfig(horizon=5, samples=10, seed=seed, truncation_tol=1e-6)
+
+
+CONFIG = {"horizon": 5, "samples": 10, "seed": 1, "truncation_tol": 1e-6}
+
+
+@pytest.mark.parametrize("field", ["horizon", "samples", "seed"])
+@pytest.mark.parametrize("value", [1.5, 10.0, True, np.bool_(True), "3", None])
+def test_config_integer_fields_must_be_integers(field, value):
+    # A float that is whole, or a bool, is not repaired into a count or a seed.
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        SimulationConfig(**{**CONFIG, field: value})
+
+
+NOT_A_NUMBER = (TypeError, "must be a real number")
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(v, NOT_A_NUMBER) for v in (True, "1e-6", None)]
+    + [(v, (ValueError, "must be finite and >= 0")) for v in (math.nan, math.inf, -1e-12, -1.0)],
+)
+def test_config_truncation_tol_must_be_finite_and_non_negative(value, error):
+    kind, message = error
+    with pytest.raises(kind, match=f"truncation_tol {message}"):
+        SimulationConfig(**{**CONFIG, "truncation_tol": value})
+
+
+def test_config_accepts_numpy_scalars_as_they_are(two_state):
+    plain = SimulationConfig(horizon=30, samples=500, seed=4, truncation_tol=0.0)
+    scalars = SimulationConfig(
+        horizon=np.int64(30), samples=np.int32(500), seed=np.uint64(4), truncation_tol=np.float64(0.0)
+    )
+    got = simulate_value(two_state, PI_HH, ZeroCoverage(), scalars)
+    assert got == simulate_value(two_state, PI_HH, ZeroCoverage(), plain)
+
+
+@pytest.mark.parametrize(
+    "rel_tol, error",
+    [(v, NOT_A_NUMBER) for v in (True, "1e-6", None)]
+    + [(v, (ValueError, "must be finite and > 0")) for v in (0.0, -1.0, math.nan, math.inf, -math.inf)],
+)
+def test_config_for_rel_tol_must_be_finite_and_positive(two_state, rel_tol, error):
+    kind, message = error
+    with pytest.raises(kind, match=f"rel_tol {message}"):
+        config_for(two_state, samples=10, seed=0, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("field, value", [("samples", 10.0), ("seed", 1.5), ("seed", True)])
+def test_config_for_names_a_bad_field(two_state, field, value):
+    arguments = {"samples": 10, "seed": 0, field: value}
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        config_for(two_state, **arguments)
 
 
 def test_identical_seeds_are_bit_identical(two_state):
@@ -266,6 +323,133 @@ def test_inversion_table_rows_never_decrease():
     assert mc._next_states(table, width, np.zeros(2, dtype=np.intp), dip).tolist() == [0, 0]
 
 
+BUCKETS = 1 << mc.GUIDE_BITS
+# Every bucket edge b / BUCKETS below 1 and its float neighbours in [0, 1).
+_EDGES = np.arange(BUCKETS) / BUCKETS
+BUCKET_EDGE_DRAWS = np.unique(
+    np.concatenate([_EDGES, np.nextafter(_EDGES[1:], 0.0), np.nextafter(_EDGES, 1.0)])
+)
+
+
+def guide_next_states(p_pi, states, draws):
+    """Guide entries at ``draws``, and the step on the Philox draws below them.
+
+    Returns the guide's state for each draw (-1 where its bucket is
+    ambiguous), each draw rounded down to a multiple of 2**-53 as a Philox
+    word gives it, and the state ``_next_rows`` picks for that word.  Also
+    checks that a row has at most n - 1 ambiguous buckets.
+    """
+    p_pi = np.asarray(p_pi, dtype=float)
+    states = np.asarray(states, dtype=np.intp)
+    draws = np.asarray(draws, dtype=float)
+    table, width = mc._inversion_table(p_pi)
+    guide = mc._guide_table(table, width)
+    n = len(p_pi)
+    assert ((guide.reshape(n, BUCKETS) < 0).sum(axis=1) <= n - 1).all()
+    # Scaling by a power of two is exact, so this is the bucket of each draw.
+    entries = guide[states * BUCKETS + (draws * BUCKETS).astype(np.intp)]
+    entries[entries >= 0] >>= mc.GUIDE_BITS
+
+    # A raw word whose low 11 bits, which the draw drops, are all set.
+    words = (draws * 2.0**53).astype(np.uint64)
+    raw = (words << np.uint64(11)) | np.uint64(0x7FF)
+    rows = states * BUCKETS
+    size = len(states)
+    mc._next_rows(guide, table, width, rows, raw, np.empty(size, np.intp), np.empty(size, bool))
+    return entries, words * 2.0**-53, rows >> mc.GUIDE_BITS
+
+
+def assert_guide_matches_reference(p_pi, states, draws):
+    p_pi = np.asarray(p_pi, dtype=float)
+    entries, philox_draws, got = guide_next_states(p_pi, states, draws)
+    known = entries >= 0
+    expected = reference_next_states(p_pi, states, np.asarray(draws, dtype=float))
+    np.testing.assert_array_equal(entries[known], expected[known])
+    np.testing.assert_array_equal(got, reference_next_states(p_pi, states, philox_draws))
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_ROWS))
+def test_guide_matches_reference_on_edge_rows(name):
+    p_pi = np.array(EDGE_ROWS[name])
+    draws = np.concatenate([edge_draws(p_pi), BUCKET_EDGE_DRAWS])
+    for state in range(len(p_pi)):
+        assert_guide_matches_reference(p_pi, np.full(len(draws), state), draws)
+
+
+def _edge_rows():
+    """Two-entry rows whose first cumulative entry is a bucket edge or one ulp off it."""
+    rows = []
+    for edge in (1 / BUCKETS, 0.25, 0.5, 1 - 1 / BUCKETS):
+        for first in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+            rows.append([first, 1.0 - first])
+    return rows
+
+
+@pytest.mark.parametrize("row", _edge_rows(), ids=lambda row: repr(row[0]))
+def test_guide_matches_reference_on_bucket_edges(row):
+    p_pi = np.array([row, row[::-1]])
+    draws = np.concatenate([edge_draws(p_pi), BUCKET_EDGE_DRAWS])
+    for state in range(2):
+        assert_guide_matches_reference(p_pi, np.full(len(draws), state), draws)
+
+
+def test_guide_matches_reference_on_quarter_rows():
+    # Three interior entries, each exactly on an edge: no bucket is ambiguous.
+    p_pi = np.full((4, 4), 0.25)
+    table, width = mc._inversion_table(p_pi)
+    assert (mc._guide_table(table, width) >= 0).all()
+    assert_guide_matches_reference(p_pi, np.zeros(len(BUCKET_EDGE_DRAWS), np.intp), BUCKET_EDGE_DRAWS)
+
+
+def test_guide_gives_a_tolerated_negative_entry_no_draws():
+    raw = {
+        "discount": 0.9,
+        "states": [{"name": f"s{i}", "loss": 1.0} for i in range(3)],
+        "actions": [{"name": "a", "cost": 0.0}],
+        "transitions": [[[0.5, -5e-10, 0.5 + 5e-10]] * 3],
+    }
+    p_pi = validate_model(raw).transitions[0]
+    dip = np.array([0.5 - 5e-10, np.nextafter(0.5, 0.0), 0.5 - 2.5e-10])
+    draws = np.concatenate([edge_draws(p_pi), BUCKET_EDGE_DRAWS, dip])
+    states = np.zeros(len(draws), np.intp)
+    entries, philox_draws, got = guide_next_states(p_pi, states, draws)
+    # In the dip the comparison sum counts the entry that went below the one
+    # before it; the running maximum, like the binary search, does not.
+    for at, picked in ((draws, entries), (philox_draws, got)):
+        in_dip = (at >= 0.5 - 5e-10) & (at < 0.5)
+        assert in_dip.sum() >= 2 and (picked[in_dip] <= 0).all()
+        expected = reference_next_states(p_pi, states, at)
+        known = ~in_dip & (picked >= 0)
+        np.testing.assert_array_equal(picked[known], expected[known])
+    assert (got >= 0).all()
+
+
+@st.composite
+def stochastic_rows_and_bucket_edge_draws(draw):
+    p_pi, states, draws = draw(stochastic_rows_and_draws())
+    on_edge = st.one_of(st.none(), st.sampled_from(BUCKET_EDGE_DRAWS.tolist()))
+    edges = draw(st.lists(on_edge, min_size=len(draws), max_size=len(draws)))
+    return p_pi, states, [d if e is None else e for d, e in zip(draws, edges)]
+
+
+@settings(deadline=None)
+@given(stochastic_rows_and_bucket_edge_draws())
+def test_guide_matches_reference_on_random_rows(case):
+    assert_guide_matches_reference(*case)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**64 - 1])
+def test_raw_words_give_the_generator_draws(key):
+    # The sampler reads raw Philox words in place of Generator.random.
+    seed = np.array([key, 3], dtype=np.uint64)
+    bits = np.random.Philox(key=seed)
+    generator = np.random.Generator(np.random.Philox(key=seed))
+    # Sizes that end inside Philox's four-word blocks.
+    for size in (1, 1001, 6):
+        raw = bits.random_raw(size)
+        np.testing.assert_array_equal((raw >> 11) * 2.0**-53, generator.random(size))
+
+
 def sixteen_state_case():
     rng = random.Random(16)
     n, m = 16, 3
@@ -327,6 +511,101 @@ def test_estimates_are_pinned_bit_for_bit(name, two_state, four_state):
         simulate_coverage_paid(model, policy, coverage, config),
     )
     assert got == PINNED_STREAMS[name]
+
+
+def reference_estimate(model, policy, coverage, config, batch_size):
+    """The serial sampler: Generator.random draws and the comparison-sum inversion."""
+    n = model.n_states
+    p_pi = model.transitions[np.asarray(policy.actions), np.arange(n)]
+    stage = stage_loss_matrix(model, coverage)[np.arange(n), policy.actions]
+    totals = []
+    for batch, start in enumerate(range(0, config.samples, batch_size)):
+        size = min(batch_size, config.samples - start)
+        rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, batch], dtype=np.uint64)))
+        states = np.full(size, model.initial_state, dtype=np.intp)
+        acc = np.zeros(size)
+        weight = 1.0
+        for t in range(config.horizon):
+            acc += weight * stage[states]
+            weight *= model.discount
+            if t + 1 < config.horizon:
+                states = reference_next_states(p_pi, states, rng.random(size))
+        totals.append(acc)
+    totals = np.concatenate(totals)
+    mean = math.fsum(totals) / config.samples
+    variance = math.fsum((totals - mean) ** 2) / (config.samples - 1)
+    return mean, math.sqrt(variance / config.samples)
+
+
+def on_cpus(monkeypatch, cpus):
+    """Let the sampler see ``cpus`` CPUs; returns the set of threads that step batches."""
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    threads = set()
+    batch = mc._simulate_batch
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        batch(*args)
+
+    monkeypatch.setattr(mc, "_simulate_batch", recorded)
+    return threads
+
+
+def test_parallel_batches_are_the_serial_batches(four_state, monkeypatch):
+    # Nine batches, the last one short, on four workers, more than this
+    # suite can assume cores, switching threads as often as the interpreter can.
+    monkeypatch.setattr(mc, "BATCH_SIZE", 500)
+    config = SimulationConfig(horizon=60, samples=4321, seed=31, truncation_tol=1.0)
+    case = (four_state, ProtectionPolicy((2, 2, 1, 0)), ThresholdCoverage(6.0, 0.2, 0.9))
+    estimates = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 4):
+            threads = on_cpus(monkeypatch, cpus)
+            estimates[cpus] = simulate_value(*case, config)
+            assert len(threads) == cpus
+    finally:
+        sys.setswitchinterval(interval)
+    assert estimates[1] == estimates[4] == reference_estimate(*case, config, 500)
+
+
+def test_no_worker_outlives_an_estimate(two_state, monkeypatch):
+    monkeypatch.setattr(mc, "BATCH_SIZE", 500)
+    threads = on_cpus(monkeypatch, 4)
+    before = threading.active_count()
+    config = SimulationConfig(horizon=20, samples=4000, seed=2, truncation_tol=1.0)
+    simulate_value(two_state, PI_HH, ZeroCoverage(), config)
+    assert len(threads) == 4
+    assert threading.active_count() == before
+
+
+def test_a_failing_worker_batch_fails_the_estimate(two_state, monkeypatch, capsys):
+    monkeypatch.setattr(mc, "BATCH_SIZE", 500)
+    on_cpus(monkeypatch, 2)
+    batch = mc._simulate_batch
+    failed_on = []
+
+    def second_batch_fails(*args):
+        if args[-2] == 1:
+            failed_on.append(threading.current_thread())
+            raise MemoryError("Unable to allocate the second batch")
+        batch(*args)
+
+    monkeypatch.setattr(mc, "_simulate_batch", second_batch_fails)
+    before = threading.active_count()
+    config = SimulationConfig(horizon=20, samples=1000, seed=2, truncation_tol=1.0)
+    with pytest.raises(MemoryError, match="second batch"):
+        simulate_value(two_state, PI_HH, ZeroCoverage(), config)
+    assert failed_on and failed_on[0] is not threading.main_thread()
+    assert threading.active_count() == before
+
+    model = str(bundled_model_path("two_state.model"))
+    argv = ["simulate", "--model", model, "--coverage", "none", "--policy", "A_H|A_H", "--samples", "1000"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: Unable to allocate the second batch\n"
+    assert "estimate" not in captured.out
 
 
 @pytest.mark.parametrize("estimator", [simulate_value, simulate_coverage_paid])
