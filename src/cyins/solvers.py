@@ -10,12 +10,16 @@ Value iteration has one loop, :func:`solve_value_iterations`, which applies
 the Bellman operator to a stack of coverage problems of one model at once,
 each given by its paid vector (a coverage enters only through what it pays
 per state).  The stack is problem-minor, one column per problem, so each
-iteration is one matrix product and two reductions across contiguous
-problems; each problem keeps its own stopping rule, and the stopped problems
-are finished together: one greedy extraction, one stacked exact evaluation
-of the extracted policies (:func:`cyins.model._policy_streams`) and one
-stacked Bellman residual.  :func:`solve_value_iteration` is its one-problem
-call.
+iteration is one matrix product, one sum and one reduction across contiguous
+problems.  Each problem keeps its own stopping rule, tested once per block
+of up to ``BLOCK`` iterates: one vectorised pass finds the first iteration
+at which any problem stops, that iteration's stops are recorded, and the
+narrowed stack resumes from that iteration's iterates.  Iterates computed
+past the stop are recomputed, so every problem sees the same arithmetic as
+a test after every iteration, bit for bit.  The stopped problems are
+finished together: one greedy extraction, one stacked exact evaluation of
+the extracted policies (:func:`cyins.model._policy_streams`) and one stacked
+Bellman residual.  :func:`solve_value_iteration` is its one-problem call.
 
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
@@ -27,6 +31,7 @@ same instance return byte-identical policies.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +70,9 @@ __all__ = [
 TIE_REL = 1e-12
 
 ENUMERATION_LIMIT = 10**6
+
+# Value iterates computed between two tests of the stopping rule.
+BLOCK = 16
 
 
 class LpError(RuntimeError):
@@ -190,13 +198,33 @@ def solve_value_iterations(
     the value error of its greedy policy by ``tol``.  A problem still
     iterating at ``max_iter`` keeps its last iterate, and one whose iterate
     stops being finite its last finite iterate; both are flagged
-    ``converged=False``.  All problems are then finished together: one
-    greedy extraction, one stacked exact evaluation of the extracted
-    policies (the reported values) and one stacked Bellman residual with its
-    certificate bound.  Results are in the order of the rows of ``paid``.
+    ``converged=False``.  ``max_iter`` is an integer of at least 1.
+
+    The rule is tested once per block of iterates, not after each one.  A
+    block computes up to ``BLOCK`` iterates of the stack, each by the same
+    product, sum and minimum over actions, then takes all their sup-norm
+    changes in one pass.  At the first iteration where a problem stops, its
+    stop is recorded as above, and the other problems resume from that
+    iteration's iterates in the narrowed stack.  A product's rounding
+    depends on the stack's width, so the block's later iterates are
+    recomputed, not reused: every problem sees the arithmetic of a test
+    after every iteration, and the results are the same bit for bit.  Stops
+    tend to come close together, so after a stop the blocks start at one
+    iterate and double back up to ``BLOCK``.  Iterates computed past a stop
+    may overflow, and floating-point warnings inside the loop are silenced;
+    a non-finite iterate shows as ``converged=False``.
+
+    All problems are then finished together: one greedy extraction, one
+    stacked exact evaluation of the extracted policies (the reported values)
+    and one stacked Bellman residual with its certificate bound.  Results
+    are in the order of the rows of ``paid``.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise TypeError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     delta = model.discount
     threshold = tol * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf
     n, m = model.n_states, model.n_actions
@@ -205,26 +233,55 @@ def solve_value_iterations(
     # Action-major stage losses, row a * n + s, one column per problem.
     stage = (model.costs[:, None, None] + retained.T[None]).reshape(m * n, problems)
     lookahead = delta * model.transitions.reshape(m * n, n)
-    lowest, highest = np.minimum.reduce, np.maximum.reduce
+    matmul, add, lowest, highest = np.matmul, np.add, np.minimum.reduce, np.maximum.reduce
     values = np.zeros((n, problems))
     active = np.arange(problems)
     iterates = np.zeros_like(values)
     iterations = np.full(problems, max_iter)
     converged = np.zeros(problems, dtype=bool)
-    for iteration in range(1, max_iter + 1):
-        if not active.size:
-            break
-        updated = lowest((stage + lookahead @ values).reshape(m, n, -1), axis=0)
-        change = highest(np.abs(updated - values), axis=0)
-        # One test per iteration while every problem keeps going; NaN fails it too.
-        if not (lowest(change) > threshold and highest(change) < np.inf):
+    length, done = BLOCK, 0
+    while active.size and done < max_iter:
+        # One stack width: blocks of iterates until a problem stops.
+        width = active.size
+        block = np.empty((BLOCK + 1, n, width))
+        difference = np.empty((BLOCK, n, width))
+        sums = np.empty((m * n, width))
+        sums_by_action = sums.reshape(m, n, width)
+        iterate = list(block)
+        block[0] = values
+        while done < max_iter:
+            size = min(length, max_iter - done)
+            # Iterates past a stop may overflow; they are recomputed or dropped.
+            with np.errstate(all="ignore"):
+                # Outputs go positionally: a keyword makes each call about a third slower.
+                for k in range(size):
+                    matmul(lookahead, iterate[k], sums)
+                    add(stage, sums, sums)
+                    lowest(sums_by_action, 0, None, iterate[k + 1])
+                change = np.subtract(block[1 : size + 1], block[:size], difference[:size])
+                change = highest(np.abs(change, change), 1)
+            # NaN fails the test too.
             going = (change > threshold) & (change < np.inf)
+            if going.all():
+                done += size
+                block[0] = block[size]
+                length = min(2 * length, BLOCK)
+                continue
+            step = int(going.all(axis=1).argmin())
+            done += step + 1
+            going, change = going[step], change[step]
+            updated, previous = iterate[step + 1], iterate[step]
             stopped, finite = active[~going], np.isfinite(change[~going])
-            iterates[:, stopped] = np.where(finite, updated[:, ~going], values[:, ~going])
-            iterations[stopped] = iteration
+            iterates[:, stopped] = np.where(finite, updated[:, ~going], previous[:, ~going])
+            iterations[stopped] = done
             converged[stopped] = finite
-            updated, stage, active = updated[:, going], stage[:, going], active[going]
-        values = updated
+            stage, active = stage[:, going], active[going]
+            # The narrowed stack resumes from this iteration, and its blocks
+            # start short again.
+            values, length = updated[:, going], 1
+            break
+        else:
+            values = block[0]
     iterates[:, active] = values
 
     actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)

@@ -15,10 +15,13 @@ from cyins import contracts
 from cyins.model import (
     LinearCoverage,
     MdpModel,
+    ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
+    _policy_streams,
     validate_model,
 )
+from cyins.solvers import SolveResult, _greedy_actions, _stacked_action_values
 
 TWO_STATE_RAW = {
     "discount": 0.9,
@@ -261,3 +264,56 @@ def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
         representative_premium=max(0.0, premium),
         representative_attained=attained,
     )
+
+
+def per_iteration_value_iterations(
+    model: MdpModel, paid: np.ndarray, tol: float = 1e-9, max_iter: int = 200_000
+) -> list[SolveResult]:
+    """``solvers.solve_value_iterations`` testing its stopping rule after every iteration.
+
+    The reference for the block loop: the same Bellman operator, stopping
+    rule and finish, with the stop tested once per iterate, so any change in
+    an iterate's arithmetic shows as a difference in its results.
+    """
+    delta = model.discount
+    threshold = tol * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf
+    n, m = model.n_states, model.n_actions
+    retained = model.losses - np.asarray(paid, dtype=float).reshape(-1, n)
+    problems = len(retained)
+    stage = (model.costs[:, None, None] + retained.T[None]).reshape(m * n, problems)
+    lookahead = delta * model.transitions.reshape(m * n, n)
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
+    values = np.zeros((n, problems))
+    active = np.arange(problems)
+    iterates = np.zeros_like(values)
+    iterations = np.full(problems, max_iter)
+    converged = np.zeros(problems, dtype=bool)
+    for iteration in range(1, max_iter + 1):
+        if not active.size:
+            break
+        updated = lowest((stage + lookahead @ values).reshape(m, n, -1), axis=0)
+        change = highest(np.abs(updated - values), axis=0)
+        if not (lowest(change) > threshold and highest(change) < np.inf):
+            going = (change > threshold) & (change < np.inf)
+            stopped, finite = active[~going], np.isfinite(change[~going])
+            iterates[:, stopped] = np.where(finite, updated[:, ~going], values[:, ~going])
+            iterations[stopped] = iteration
+            converged[stopped] = finite
+            updated, stage, active = updated[:, going], stage[:, going], active[going]
+        values = updated
+    iterates[:, active] = values
+
+    actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)
+    exact = _policy_streams(model, actions, retained).sum(axis=2)
+    residual = np.abs(exact - _stacked_action_values(model, retained, exact).min(axis=2)).max(axis=1)
+    bound = residual / (1.0 - delta)
+    finite = np.isfinite(exact).all(axis=1)
+    keys = [tuple(policy) for policy in actions.tolist()]
+    policies = {key: ProtectionPolicy(key) for key in dict.fromkeys(keys)}
+    diagnostics = zip(
+        iterations.tolist(), residual.tolist(), bound.tolist(), (converged & finite).tolist()
+    )
+    return [
+        SolveResult(policies[key], values, *rest)
+        for key, values, rest in zip(keys, exact, diagnostics)
+    ]

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cyins import solvers
 from cyins.contracts import CertificateError, sweep_linear
 from cyins.model import (
     LinearCoverage,
@@ -27,7 +30,13 @@ from cyins.solvers import (
     solve_value_iterations,
 )
 
-from helpers import brute_force_optimal, random_coverage, random_model
+from helpers import (
+    TWO_STATE_RAW,
+    brute_force_optimal,
+    per_iteration_value_iterations,
+    random_coverage,
+    random_model,
+)
 
 PI_HH = ProtectionPolicy((1, 1))
 PI_LL = ProtectionPolicy((0, 0))
@@ -119,6 +128,97 @@ def test_value_iteration_rejects_bad_tol(two_state):
     for tol in (0.0, -1e-9, float("nan")):
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_value_iteration(two_state, ZeroCoverage(), tol=tol)
+
+
+def test_value_iteration_rejects_bad_max_iter(two_state):
+    # -5 once returned iterations=-5, True iterations=True, and 2.5 raised a
+    # bare TypeError from range().
+    for max_iter, error in (
+        (0, ValueError),
+        (-5, ValueError),
+        (True, TypeError),
+        (np.bool_(True), TypeError),
+        (2.5, TypeError),
+        ("3", TypeError),
+        (None, TypeError),
+    ):
+        with pytest.raises(error, match="max_iter"):
+            solve_value_iteration(two_state, ZeroCoverage(), max_iter=max_iter)
+        with pytest.raises(error, match="max_iter"):
+            solve_value_iterations(two_state, np.zeros((2, 2)), max_iter=max_iter)
+    assert solve_value_iteration(two_state, ZeroCoverage(), max_iter=np.int64(3)).iterations == 3
+    assert solve_value_iteration(two_state, ZeroCoverage(), max_iter=10**30).converged
+
+
+def _recorded(solve, *args, **kwargs):
+    """A solve's results and the set of warning messages it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = solve(*args, **kwargs)
+    return results, {(w.category, str(w.message)) for w in caught}
+
+
+def _assert_block_loop_is_the_per_iteration_loop(model, paid, **kwargs):
+    """Solve both ways, require the same results bit for bit, and return them."""
+    block, block_warnings = _recorded(solve_value_iterations, model, paid, **kwargs)
+    reference, reference_warnings = _recorded(per_iteration_value_iterations, model, paid, **kwargs)
+    assert len(block) == len(reference)
+    for ours, theirs in zip(block, reference):
+        assert ours.policy == theirs.policy
+        assert np.array_equal(ours.values, theirs.values, equal_nan=True)
+        assert np.array_equal(ours.residual, theirs.residual, equal_nan=True)
+        assert np.array_equal(ours.certificate_bound, theirs.certificate_bound, equal_nan=True)
+        assert ours.iterations == theirs.iterations
+        assert ours.converged == theirs.converged
+    # Iterates computed past a stop raise nothing the reference does not.
+    assert block_warnings <= reference_warnings
+    return block
+
+
+PAID_ENTRIES = st.one_of(
+    st.floats(-20.0, 20.0),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+)
+
+
+@st.composite
+def value_iteration_stacks(draw):
+    """A random model, a stack of paid rows with repeats, and a max_iter around BLOCK."""
+    discount = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_model(rng, max_states=6, max_actions=4, d_lo=discount, d_hi=discount)
+    rows = draw(
+        st.lists(
+            st.lists(PAID_ENTRIES, min_size=model.n_states, max_size=model.n_states),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6))
+    blocks = solvers.BLOCK
+    max_iter = draw(st.sampled_from([None, 1, blocks - 1, blocks, blocks + 1, 3 * blocks + 2]))
+    kwargs = {} if max_iter is None else {"max_iter": max_iter}
+    return model, np.array([rows[k] for k in picks], dtype=float), kwargs
+
+
+@settings(deadline=None, max_examples=200)
+@given(value_iteration_stacks())
+def test_block_loop_matches_the_per_iteration_loop(stack):
+    model, paid, kwargs = stack
+    _assert_block_loop_is_the_per_iteration_loop(model, paid, **kwargs)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 5, 16, 64])
+def test_staggered_and_non_finite_stops_in_one_block(monkeypatch, blocks):
+    # At discount 0.5 and tol 1e-3 these problems stop at iterations 4 to
+    # 15: the first one's iterate overflows at iteration 4, and at BLOCK 16
+    # all six stops fall in the first block, at different offsets.
+    monkeypatch.setattr(solvers, "BLOCK", blocks)
+    model = validate_model({**TWO_STATE_RAW, "discount": 0.5})
+    paid = np.array([[0.0, -1.4e308], [0.0, 0.0], [0.0, 5.0], [0.0, 7.5], [0.0, 9.0], [0.0, 9.9]])
+    results = _assert_block_loop_is_the_per_iteration_loop(model, paid, tol=1e-3)
+    assert [result.iterations for result in results] == [4, 15, 14, 13, 11, 8]
+    assert [result.converged for result in results] == [False] + [True] * 5
 
 
 def test_contraction_of_dynamic_programming_operator(two_state):
