@@ -73,13 +73,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .model import (
-    _BOOLS,
+    _NOT_NUMBERS,
     Coverage,
     LinearCoverage,
     MdpModel,
     ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
+    _check_real,
     _tiers,
     _tiers_paid,
     coverage_paid,
@@ -501,15 +502,16 @@ def default_threshold_grid(model: MdpModel, points: int = THRESHOLD_GRID_POINTS)
 def _grid(grid, what: str) -> np.ndarray:
     """A sweep grid of ``what`` values as a one-dimensional float array.
 
-    A bool converts to 0 or 1 but is not a number, so it is rejected.
+    A bool converts to 0 or 1 and a numeric string to its number, but
+    neither is a number, so both are rejected.
     """
     if isinstance(grid, np.ndarray) and grid.dtype != object:
         kinds = {grid.dtype.type}
     else:
         grid = list(grid)
         kinds = set(map(type, grid))
-    if not _BOOLS.isdisjoint(kinds):
-        found = next((g for g in grid if type(g) in _BOOLS), True)
+    if not _NOT_NUMBERS.isdisjoint(kinds):
+        found = next((g for g in grid if type(g) in _NOT_NUMBERS), grid)
         raise TypeError(f"{what} must be a number, got {found!r}")
     values = np.array(grid, dtype=float)
     if values.ndim != 1:
@@ -539,9 +541,8 @@ def sweep_threshold(
     grid: Sequence[float] | None = None,
 ) -> Sweep:
     """Evaluate two-tier coverage contracts over a grid of loss cutoffs."""
-    for label, level in (("low_level", low_level), ("high_level", high_level)):
-        if type(level) in _BOOLS:
-            raise TypeError(f"{label} must be a number, got {level!r}")
+    _check_real("low_level", low_level)
+    _check_real("high_level", high_level)
     if not 0.0 <= low_level <= high_level <= 1.0:
         raise ValueError("need 0 <= low_level <= high_level <= 1")
     cutoffs = _grid(default_threshold_grid(model) if grid is None else grid, "cutoff")

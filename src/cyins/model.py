@@ -16,6 +16,7 @@ across threads.  Policy evaluation is one exact dense linear solve,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -65,8 +66,10 @@ class Action:
     cost: float
 
 
-# A bool converts to a level or cutoff of 0 or 1, but it is not a number.
-_BOOLS = frozenset({bool, np.bool_})
+def _check_real(name: str, value) -> None:
+    """Raise a TypeError that names ``name`` unless ``value`` is a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,7 @@ class LinearCoverage:
     level: float
 
     def __post_init__(self):
-        if type(self.level) in _BOOLS:
-            raise TypeError(f"coverage level must be a number, got {self.level!r}")
+        _check_real("level", self.level)
         if not 0.0 <= self.level <= 1.0:
             raise ValueError(f"coverage level must be in [0, 1], got {self.level}")
 
@@ -101,8 +103,8 @@ class ThresholdCoverage:
     high_level: float
 
     def __post_init__(self):
-        if not _BOOLS.isdisjoint((type(self.cutoff), type(self.low_level), type(self.high_level))):
-            raise TypeError(f"cutoff and levels must be numbers, got {self!r}")
+        for name in ("cutoff", "low_level", "high_level"):
+            _check_real(name, getattr(self, name))
         if not math.isfinite(self.cutoff) or self.cutoff < 0.0:
             raise ValueError(f"cutoff must be finite and non-negative, got {self.cutoff}")
         for label, level in (("low_level", self.low_level), ("high_level", self.high_level)):
@@ -287,8 +289,9 @@ def validate_model(raw: Mapping) -> MdpModel:
     )
 
 
-# These convert to floats, but a model file that holds them does not hold numbers.
-_NOT_NUMBERS = frozenset({str, bytes, bytearray}) | _BOOLS
+# A bool converts to 0 or 1 and a numeric string to its number, but a model
+# file or a sweep grid that holds them does not hold numbers.
+_NOT_NUMBERS = frozenset({bool, np.bool_, str, bytes, bytearray, np.str_, np.bytes_})
 
 
 def _number(value) -> float:

@@ -35,7 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Coverage, MdpModel, ProtectionPolicy, coverage_paid, stage_loss_matrix
+from .model import (
+    Coverage,
+    MdpModel,
+    ProtectionPolicy,
+    _check_real,
+    coverage_paid,
+    stage_loss_matrix,
+)
 
 __all__ = [
     "BATCH_SIZE",
@@ -87,11 +94,6 @@ def _check_integer(name: str, value) -> None:
     # A bool is an Integral, but True is not a count or a seed.
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_real(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 def config_for(

@@ -11,15 +11,14 @@ the Bellman operator to a stack of coverage problems of one model at once,
 each given by its paid vector (a coverage enters only through what it pays
 per state).  The stack is problem-minor, one column per problem, so each
 iteration is one matrix product, one sum and one reduction across contiguous
-problems.  Each problem keeps its own stopping rule, tested once per block
-of up to ``BLOCK`` iterates: one vectorised pass finds the first iteration
-at which any problem stops, that iteration's stops are recorded, and the
-narrowed stack resumes from that iteration's iterates.  Iterates computed
-past the stop are recomputed, so every problem sees the same arithmetic as
-a test after every iteration, bit for bit.  The stopped problems are
-finished together: one greedy extraction, one stacked exact evaluation of
-the extracted policies (:func:`cyins.model._policy_streams`) and one stacked
-Bellman residual.  :func:`solve_value_iteration` is its one-problem call.
+problems.  The whole stack iterates until its last problem stops: a stopped
+problem's column runs on unread, so every product keeps the stack's width.
+Each problem keeps its own stopping rule, tested once per block of up to
+``BLOCK`` iterates, and stops at its first failing iterate in the block.
+The stopped problems are finished together: one greedy extraction, one
+stacked exact evaluation of the extracted policies
+(:func:`cyins.model._policy_streams`) and one stacked Bellman residual.
+:func:`solve_value_iteration` is its one-problem call.
 
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
@@ -40,6 +39,7 @@ from .model import (
     Coverage,
     MdpModel,
     ProtectionPolicy,
+    _check_real,
     _policy_streams,
     coverage_paid,
     coverages_paid,
@@ -189,100 +189,91 @@ def solve_value_iterations(
     A coverage enters the stage losses only through the reimbursement it
     pays in each state, so the K problems are given by their paid vectors,
     ``paid`` of shape (K, n_states), as :func:`cyins.model.coverages_paid`
-    builds them.  Every problem iterates the same Bellman
-    operator on its own stage losses, all in one loop.  The stack is
-    problem-minor: values are (N, K) and stage losses (M*N, K), so the min
-    over actions and the max over states reduce across contiguous problems.
-    A problem leaves the stack at the first iteration where its own sup-norm
-    change is at most tol * (1 - discount) / (2 * discount), which bounds
-    the value error of its greedy policy by ``tol``.  A problem still
-    iterating at ``max_iter`` keeps its last iterate, and one whose iterate
-    stops being finite its last finite iterate; both are flagged
-    ``converged=False``.  ``max_iter`` is an integer of at least 1.
+    builds them.  Every problem iterates the same Bellman operator on its
+    own stage losses, all in one loop.  The stack is problem-minor: values
+    are (N, K) and stage losses (M*N, K), so the min over actions and the
+    max over states reduce across contiguous problems.  A problem stops at
+    the first iteration where its own sup-norm change is at most
+    tol * (1 - discount) / (2 * discount), which bounds the value error of
+    its greedy policy by ``tol``.  A problem still iterating at
+    ``max_iter`` keeps its last iterate, and one whose iterate stops being
+    finite its last finite iterate; both are flagged ``converged=False``.
+    ``tol`` is a positive real number and ``max_iter`` an integer of at
+    least 1.
 
-    The rule is tested once per block of iterates, not after each one.  A
-    block computes up to ``BLOCK`` iterates of the stack, each by the same
-    product, sum and minimum over actions, then takes all their sup-norm
-    changes in one pass.  At the first iteration where a problem stops, its
-    stop is recorded as above, and the other problems resume from that
-    iteration's iterates in the narrowed stack.  A product's rounding
-    depends on the stack's width, so the block's later iterates are
-    recomputed, not reused: every problem sees the arithmetic of a test
-    after every iteration, and the results are the same bit for bit.  Stops
-    tend to come close together, so after a stop the blocks start at one
-    iterate and double back up to ``BLOCK``.  Iterates computed past a stop
-    may overflow, and floating-point warnings inside the loop are silenced;
-    a non-finite iterate shows as ``converged=False``.
+    The whole stack iterates until every problem has stopped or
+    ``max_iter`` is reached, so every product has the stack's width and
+    its rounding does not depend on when the other problems stop.  The rule
+    is tested once per block of up to ``BLOCK`` iterates: all their
+    sup-norm changes are taken in one pass, and each running problem stops
+    at its first failing iterate in the block.  A stopped problem's column
+    runs on unread and may overflow, so floating-point warnings inside the
+    loop are silenced.
 
     All problems are then finished together: one greedy extraction, one
     stacked exact evaluation of the extracted policies (the reported values)
     and one stacked Bellman residual with its certificate bound.  Results
     are in the order of the rows of ``paid``.
     """
+    _check_real("tol", tol)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
         raise TypeError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    n, m = model.n_states, model.n_actions
+    paid = np.asarray(paid, dtype=float)
+    if paid.ndim != 2 or paid.shape[1] != n:
+        raise ValueError(f"paid must have shape (K, {n}), got {paid.shape}")
     delta = model.discount
     threshold = tol * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf
-    n, m = model.n_states, model.n_actions
-    retained = model.losses - np.asarray(paid, dtype=float).reshape(-1, n)
+    retained = model.losses - paid
     problems = len(retained)
     # Action-major stage losses, row a * n + s, one column per problem.
     stage = (model.costs[:, None, None] + retained.T[None]).reshape(m * n, problems)
     lookahead = delta * model.transitions.reshape(m * n, n)
     matmul, add, lowest, highest = np.matmul, np.add, np.minimum.reduce, np.maximum.reduce
-    values = np.zeros((n, problems))
-    active = np.arange(problems)
-    iterates = np.zeros_like(values)
-    iterations = np.full(problems, max_iter)
+    # A block of iterates, the first carried over from the last block.
+    block = np.zeros((BLOCK + 1, n, problems))
+    difference = np.empty((BLOCK, n, problems))
+    sums = np.empty((m * n, problems))
+    sums_by_action = sums.reshape(m, n, problems)
+    iterate = list(block)
+    iterates = np.empty((n, problems))
+    iterations = np.empty(problems, dtype=int)
     converged = np.zeros(problems, dtype=bool)
-    length, done = BLOCK, 0
-    while active.size and done < max_iter:
-        # One stack width: blocks of iterates until a problem stops.
-        width = active.size
-        block = np.empty((BLOCK + 1, n, width))
-        difference = np.empty((BLOCK, n, width))
-        sums = np.empty((m * n, width))
-        sums_by_action = sums.reshape(m, n, width)
-        iterate = list(block)
-        block[0] = values
-        while done < max_iter:
-            size = min(length, max_iter - done)
-            # Iterates past a stop may overflow; they are recomputed or dropped.
-            with np.errstate(all="ignore"):
-                # Outputs go positionally: a keyword makes each call about a third slower.
-                for k in range(size):
-                    matmul(lookahead, iterate[k], sums)
-                    add(stage, sums, sums)
-                    lowest(sums_by_action, 0, None, iterate[k + 1])
-                change = np.subtract(block[1 : size + 1], block[:size], difference[:size])
-                change = highest(np.abs(change, change), 1)
-            # NaN fails the test too.
-            going = (change > threshold) & (change < np.inf)
-            if going.all():
-                done += size
-                block[0] = block[size]
-                length = min(2 * length, BLOCK)
-                continue
-            step = int(going.all(axis=1).argmin())
-            done += step + 1
-            going, change = going[step], change[step]
-            updated, previous = iterate[step + 1], iterate[step]
-            stopped, finite = active[~going], np.isfinite(change[~going])
-            iterates[:, stopped] = np.where(finite, updated[:, ~going], previous[:, ~going])
-            iterations[stopped] = done
-            converged[stopped] = finite
-            stage, active = stage[:, going], active[going]
-            # The narrowed stack resumes from this iteration, and its blocks
-            # start short again.
-            values, length = updated[:, going], 1
-            break
-        else:
-            values = block[0]
-    iterates[:, active] = values
+    stopped = np.zeros(problems, dtype=bool)
+    running, done = problems, 0
+    while running and done < max_iter:
+        size = min(BLOCK, max_iter - done)
+        # Stopped problems' columns run on unread and may overflow.
+        with np.errstate(all="ignore"):
+            # Outputs go positionally: a keyword makes each call about a third slower.
+            for k in range(size):
+                matmul(lookahead, iterate[k], sums)
+                add(stage, sums, sums)
+                lowest(sums_by_action, 0, None, iterate[k + 1])
+            change = np.subtract(block[1 : size + 1], block[:size], difference[:size])
+            change = highest(np.abs(change, change), 1)
+        # NaN fails the test too, and a stopped problem is not tested again.
+        going = (change > threshold) & (change < np.inf) | stopped
+        if not going.all():
+            stopping = np.flatnonzero(~going.all(axis=0))
+            step = going[:, stopping].argmin(axis=0)
+            finite = np.isfinite(change[step, stopping])
+            # A non-finite change keeps the iterate before it.
+            iterates[:, stopping] = block[step + finite, :, stopping].T
+            iterations[stopping] = done + step + 1
+            converged[stopping] = finite
+            stopped[stopping] = True
+            running -= stopping.size
+        done += size
+        block[0] = block[size]
+    iterates[:, ~stopped] = block[0][:, ~stopped]
+    iterations[~stopped] = done
+    # The loop's buffers go before the finish allocates its own.
+    del block, iterate, difference, sums, sums_by_action
 
     actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)
     # A policy's value is the sum of its streams, as a linear walk's rows sum theirs.

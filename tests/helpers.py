@@ -271,37 +271,37 @@ def per_iteration_value_iterations(
 ) -> list[SolveResult]:
     """``solvers.solve_value_iterations`` testing its stopping rule after every iteration.
 
-    The reference for the block loop: the same Bellman operator, stopping
-    rule and finish, with the stop tested once per iterate, so any change in
-    an iterate's arithmetic shows as a difference in its results.
+    The reference for the block loop: the same Bellman operator on the whole
+    stack to the end, the same stopping rule and finish, with the stop tested
+    once per iterate, so any change in an iterate's arithmetic shows as a
+    difference in its results.
     """
     delta = model.discount
     threshold = tol * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf
     n, m = model.n_states, model.n_actions
-    retained = model.losses - np.asarray(paid, dtype=float).reshape(-1, n)
+    retained = model.losses - np.asarray(paid, dtype=float)
     problems = len(retained)
     stage = (model.costs[:, None, None] + retained.T[None]).reshape(m * n, problems)
     lookahead = delta * model.transitions.reshape(m * n, n)
     lowest, highest = np.minimum.reduce, np.maximum.reduce
     values = np.zeros((n, problems))
-    active = np.arange(problems)
+    active = np.ones(problems, dtype=bool)
     iterates = np.zeros_like(values)
     iterations = np.full(problems, max_iter)
     converged = np.zeros(problems, dtype=bool)
     for iteration in range(1, max_iter + 1):
-        if not active.size:
+        if not active.any():
             break
         updated = lowest((stage + lookahead @ values).reshape(m, n, -1), axis=0)
         change = highest(np.abs(updated - values), axis=0)
-        if not (lowest(change) > threshold and highest(change) < np.inf):
-            going = (change > threshold) & (change < np.inf)
-            stopped, finite = active[~going], np.isfinite(change[~going])
-            iterates[:, stopped] = np.where(finite, updated[:, ~going], values[:, ~going])
-            iterations[stopped] = iteration
-            converged[stopped] = finite
-            updated, stage, active = updated[:, going], stage[:, going], active[going]
+        stopped = active & ~((change > threshold) & (change < np.inf))
+        finite = np.isfinite(change)
+        iterates[:, stopped] = np.where(finite, updated, values)[:, stopped]
+        iterations[stopped] = iteration
+        converged[stopped] = finite[stopped]
+        active &= ~stopped
         values = updated
-    iterates[:, active] = values
+    iterates[:, active] = values[:, active]
 
     actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)
     exact = _policy_streams(model, actions, retained).sum(axis=2)

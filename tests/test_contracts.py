@@ -171,19 +171,24 @@ def test_threshold_sweep_rejects_negative_and_non_finite_cutoffs(four_state, gri
             sweep_threshold(four_state, 0.0, 0.9, cutoffs)
 
 
-@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize(
+    "flag",
+    [True, False, np.True_, np.False_, "0.5", b"0.5"],
+    ids=["True", "False", "flag2", "flag3", "str", "bytes"],
+)
 def test_sweeps_reject_bools_in_grids_and_tiers(two_state, four_state, flag):
-    # A bool converts to a level or cutoff of 0 or 1, but it is not a number,
-    # alone, among floats or as a bool array; a tier level is checked even
-    # for an empty grid.
+    # A bool converts to a level or cutoff of 0 or 1, and a numeric string to
+    # its number, but neither is a number, alone, among floats or as an
+    # array; a tier level is checked even for an empty grid.  A string grid
+    # once returned a sweep at the level it spells.
     for grid in ([flag], [0.0, flag], np.array([flag])):
         with pytest.raises(TypeError, match="must be a number"):
             sweep_linear(two_state, grid)
         with pytest.raises(TypeError, match="must be a number"):
             sweep_threshold(four_state, 0.0, 0.9, grid)
-    with pytest.raises(TypeError, match="low_level must be a number"):
+    with pytest.raises(TypeError, match="low_level must be a real number"):
         sweep_threshold(four_state, flag, 1.0, [8.0])
-    with pytest.raises(TypeError, match="high_level must be a number"):
+    with pytest.raises(TypeError, match="high_level must be a real number"):
         sweep_threshold(four_state, 0.0, flag, [])
 
 

@@ -208,17 +208,18 @@ def test_coverage_level_bounds_enforced():
     for cutoff in (float("nan"), float("inf"), -1e-300):
         with pytest.raises(ValueError, match="finite"):
             ThresholdCoverage(cutoff=cutoff, low_level=0.0, high_level=0.5)
-    for cutoff in (None, "8.0"):
-        with pytest.raises(TypeError):
-            ThresholdCoverage(cutoff=cutoff, low_level=0.0, high_level=0.5)
     for cutoff in (0.0, 8, np.float64(8.0), 1e300):
         assert ThresholdCoverage(cutoff=cutoff, low_level=0.0, high_level=0.5).cutoff == cutoff
-    # A bool would price as 0 or 1; numbers in a coverage are numbers.
-    for flag in (True, False, np.True_):
-        with pytest.raises(TypeError):
-            LinearCoverage(flag)
-        for fields in ((flag, 0.0, 0.5), (1.0, flag, 1.0), (1.0, 0.0, flag)):
-            with pytest.raises(TypeError):
+    # A bool would price as 0 or 1 and a string as the number it spells;
+    # numbers in a coverage are numbers, and the error names the field.  A
+    # string once raised a bare comparison or float() error.
+    for value in (True, False, np.True_, "0.5", "8.0", b"0.5", None):
+        with pytest.raises(TypeError, match="level must be a real number"):
+            LinearCoverage(value)
+        for k, name in enumerate(("cutoff", "low_level", "high_level")):
+            fields = [1.0, 0.0, 1.0]
+            fields[k] = value
+            with pytest.raises(TypeError, match=f"^{name} must be a real number"):
                 ThresholdCoverage(*fields)
 
 

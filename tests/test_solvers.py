@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -128,6 +129,11 @@ def test_value_iteration_rejects_bad_tol(two_state):
     for tol in (0.0, -1e-9, float("nan")):
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_value_iteration(two_state, ZeroCoverage(), tol=tol)
+    # True once ran as tol 1.0, and a string raised a bare comparison error.
+    for tol in (True, np.bool_(True), "1e-9", None):
+        with pytest.raises(TypeError, match="tol must be a real number"):
+            solve_value_iteration(two_state, ZeroCoverage(), tol=tol)
+    assert solve_value_iteration(two_state, ZeroCoverage(), tol=np.float64(1e-9)).converged
 
 
 def test_value_iteration_rejects_bad_max_iter(two_state):
@@ -148,6 +154,15 @@ def test_value_iteration_rejects_bad_max_iter(two_state):
             solve_value_iterations(two_state, np.zeros((2, 2)), max_iter=max_iter)
     assert solve_value_iteration(two_state, ZeroCoverage(), max_iter=np.int64(3)).iterations == 3
     assert solve_value_iteration(two_state, ZeroCoverage(), max_iter=10**30).converged
+
+
+def test_value_iteration_rejects_paid_of_the_wrong_shape(two_state):
+    # Any size that was a multiple of n_states was once reshaped: (2, 3)
+    # solved three problems on this two-state model.
+    for shape in ((2, 3), (3,), (2,), (1, 2, 1), (6, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"paid must have shape (K, 2), got {shape}")):
+            solve_value_iterations(two_state, np.zeros(shape))
+    assert solve_value_iterations(two_state, np.zeros((0, 2))) == []
 
 
 def _recorded(solve, *args, **kwargs):
@@ -219,6 +234,20 @@ def test_staggered_and_non_finite_stops_in_one_block(monkeypatch, blocks):
     results = _assert_block_loop_is_the_per_iteration_loop(model, paid, tol=1e-3)
     assert [result.iterations for result in results] == [4, 15, 14, 13, 11, 8]
     assert [result.converged for result in results] == [False] + [True] * 5
+
+
+@pytest.mark.parametrize("blocks", [1, 16, 64])
+def test_stops_in_different_blocks_while_a_nan_row_runs_on(monkeypatch, blocks):
+    # At discount 0.9 and tol 1e-6 these problems stop in four different
+    # blocks of 16 iterates.  The NaN row stops at iteration 1, as does the
+    # row that retains nothing, and both columns run on with the stack to
+    # the end.
+    monkeypatch.setattr(solvers, "BLOCK", blocks)
+    model = validate_model(TWO_STATE_RAW)
+    paid = np.array([[0.0, -1e4], [np.nan, 0.0], [0.0, 0.0], [0.0, 9.0], [0.0, 10.0], [0.0, -1e8]])
+    results = _assert_block_loop_is_the_per_iteration_loop(model, paid, tol=1e-6)
+    assert [result.iterations for result in results] == [234, 1, 172, 153, 1, 327]
+    assert [result.converged for result in results] == [True, False, True, True, True, True]
 
 
 def test_contraction_of_dynamic_programming_operator(two_state):
