@@ -26,18 +26,21 @@ a sweep row's too, passes the same gate, and the certificate alone is it:
 one whose exact values are not all finite or whose bound exceeds
 ``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so no
 uncertified policy reaches a caller, a sweep row or a region end.  Value
-iteration's own stop flag only enters the message: near discount 1 its
-stopping threshold falls below one ulp of ||V|| and cannot fire, while the
-policy it returns at ``max_iter`` certifies.  The other solvers stay in
-:mod:`cyins.solvers` as test oracles.
+iteration's own stop flag only enters the message: from discount 0.999
+its threshold tol * (1 - discount) / (2 * discount) lies below one ulp of
+||V||, so only the certificate decides.  Both solvers give one
+:class:`~cyins.solvers.SolveTable` of problems, which the gate, :func:`solve`
+and a sweep's pricing read.  The other solvers stay in :mod:`cyins.solvers`
+as test oracles.
 
 A coverage enters a solve only through the reimbursement it pays in each
 state.  A threshold sweep solves each distinct paid vector once, the
-baseline and every row in one batched value-iteration loop.  A linear sweep
-runs no value iteration: under linear coverage every action value is affine
-in the level R, so the user's optimal policy is piecewise constant in R
-(parametric policy iteration, Puterman 1994, section 6.4).  The sweep walks
-the pieces up the grid from level 0, the baseline, with one greedy
+baseline and every row in one batched value-iteration loop, whose finish
+gives each problem's value and streams from one factorisation.  A linear
+sweep runs no value iteration: under linear coverage every action value is
+affine in the level R, so the user's optimal policy is piecewise constant
+in R (parametric policy iteration, Puterman 1994, section 6.4).  The sweep
+walks the pieces up the grid from level 0, the baseline, with one greedy
 extraction over the remaining rows per piece and a few Howard improvement
 steps at each switch.  Each policy the walk evaluates is solved once, and
 every row is read off its piece's affine values and action values, so the
@@ -46,11 +49,10 @@ rows solve nothing and share one certificate gate.
 A sweep is a table, a :class:`Sweep`: the grid's parameters, each row's
 distinct problem, and per problem its policy and its five figures (user
 value, premium, profit, direct losses and protection cost), each figure one
-array expression over the problems.  Each distinct policy is decomposed
-once (a linear sweep reuses the decompositions its walk made).  Neither
-pricing nor :func:`optimal_region` builds an object per row: a
-:class:`ContractSweepRow`, with its coverage, is a view that indexing or
-iteration builds on demand.
+array expression over the problems.  Pricing solves nothing: a policy's
+streams come from the factorisation that evaluated it.  Neither pricing nor
+:func:`optimal_region` builds an object per row: a :class:`ContractSweepRow`,
+with its coverage, is a view that indexing or iteration builds on demand.
 
 :func:`optimal_region` reads the region off the columns, and a region end
 against a policy switch is found from the two rows that bracket it.
@@ -81,14 +83,16 @@ from .model import (
     ThresholdCoverage,
     ZeroCoverage,
     _check_real,
+    _policy_streams,
     _tiers,
     _tiers_paid,
     coverage_paid,
-    decompose_value,
 )
 from .solvers import (
     TIE_REL,
     SolveResult,
+    SolveTable,
+    _first_rows,
     _greedy_actions,
     solve_value_iterations,
 )
@@ -236,80 +240,48 @@ class RegionReport:
 
 
 class _Problems(NamedTuple):
-    """A sweep's distinct certified problems, one per paid vector.
+    """A sweep's certified ``solved`` problems, each coverage's problem ``index``
+    and, for a linear walk, each policy's action-value ``lines`` (see :class:`Sweep`)."""
 
-    Their distinct policies are ``policies`` (P, N), with ``streams`` (P, 2)
-    the direct-loss and protection-cost values of each at the initial state
-    (the two streams of :func:`decompose_value`) and, for a linear walk,
-    ``lines`` the action-value lines of each (see :class:`Sweep`).  Problem
-    d is on policy ``piece_of[d]`` and has the exact values ``values[d]``;
-    ``index`` names each coverage's problem, the baseline's first.
-    """
-
-    policies: np.ndarray
-    streams: np.ndarray
-    piece_of: np.ndarray
-    values: np.ndarray
+    solved: SolveTable
     index: np.ndarray
     lines: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
 
 def _solve_many(
     model: MdpModel, paid: np.ndarray, coverage_of: Callable[[int], Coverage]
-) -> tuple[list[SolveResult], np.ndarray]:
-    """Certified value-iteration results for the distinct rows of ``paid``.
+) -> _Problems:
+    """Certified value-iteration problems for the distinct rows of ``paid``.
 
     ``paid`` (K, N) holds the paid vectors of K coverages, row k that of
     ``coverage_of(k)``, which is built only to name an uncertified problem.
     Each distinct vector is solved once, in the order of its first row, all
-    of them in one loop and one :func:`_certify`.  Returns the results and
-    each row's index into them.
+    of them in one loop and one :func:`_certify`, and ``index`` names row
+    k's problem.
     """
-    # Rows are one problem when their bytes are, so a -0.0 and a 0.0 stay apart.
-    keys = np.ascontiguousarray(paid).view(np.dtype((np.void, paid.itemsize * paid.shape[1])))
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    # Problems are numbered in the order of their first rows.
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    first = first[order]
-    results = solve_value_iterations(model, paid[first], tol=CERT_TOL)
-    _certify(
-        model,
-        lambda d: coverage_of(first[d]),
-        np.array([solved.values for solved in results]),
-        np.array([solved.certificate_bound for solved in results]),
-        [solved.converged for solved in results],
-        [solved.iterations for solved in results],
-    )
-    return results, rank[inverse.ravel()]
+    first, index = _first_rows(paid)
+    solved = solve_value_iterations(model, paid[first], tol=CERT_TOL)
+    _certify(model, lambda d: coverage_of(first[d]), solved)
+    return _Problems(solved, index)
 
 
-def _certify(
-    model: MdpModel,
-    coverage_of: Callable[[int], Coverage],
-    values: np.ndarray,
-    bounds: np.ndarray,
-    converged: Sequence[bool],
-    iterations: Sequence[int],
-) -> None:
-    """Raise :class:`CertificateError` for the first uncertified of K solved problems.
+def _certify(model: MdpModel, coverage_of: Callable[[int], Coverage], solved: SolveTable) -> None:
+    """Raise :class:`CertificateError` for the first uncertified of the ``solved`` problems.
 
-    ``values`` (K, N) are the problems' exact values and ``bounds`` (K,)
-    their certificate bounds.  A problem is certified when its values are
-    finite and its bound is within ``CERT_TOL * (1 + ||V||)``; the solver's
-    own ``converged`` and ``iterations`` per problem, and the coverage
-    ``coverage_of(k)`` of problem k, enter only the message.
+    A problem is certified when its values are finite and its bound is
+    within ``CERT_TOL * (1 + ||V||)``; its ``converged`` and ``iterations``,
+    and its coverage ``coverage_of(d)``, enter only the message.
     """
+    values, bounds = solved.values, solved.certificate_bound
     # Relative, because the floating-point floor of the residual grows with ||V||.
     limits = CERT_TOL * (1.0 + np.abs(values).max(axis=1))
     certified = np.isfinite(values).all(axis=1) & (bounds <= limits)
     if not certified.all():
-        k = int(certified.argmin())
+        d = int(certified.argmin())
         raise CertificateError(
-            f"uncertified solve for {coverage_of(k)!r} at discount {model.discount}: "
-            f"converged={bool(converged[k])} after {iterations[k]} iterations, "
-            f"certificate bound {bounds[k]:.3g}, limit {limits[k]:.3g}"
+            f"uncertified solve for {coverage_of(d)!r} at discount {model.discount}: "
+            f"converged={bool(solved.converged[d])} after {solved.iterations[d]} "
+            f"iterations, certificate bound {bounds[d]:.3g}, limit {limits[d]:.3g}"
         )
 
 
@@ -322,31 +294,24 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
     docstring).
     """
     if isinstance(coverage, ThresholdCoverage):
-        paid = coverage_paid(model, coverage)[None]
-        results, _ = _solve_many(model, paid, lambda k: coverage)
-        return results[0]
-    # The low tier is a linear level, and no insurance's zero.
-    level = np.array([_tiers(coverage)[1]], dtype=float)
-    problems, residual, bounds, steps = _solve_linear(model, level, lambda k: coverage)
-    k = problems.index[1]
-    return SolveResult(
-        ProtectionPolicy(problems.policies[problems.piece_of[k]]),
-        problems.values[k],
-        int(steps[k]),
-        float(residual[k]),
-        float(bounds[k]),
-    )
+        problems = _solve_many(model, coverage_paid(model, coverage)[None], lambda k: coverage)
+    else:
+        # The low tier is a linear level, and no insurance's zero.
+        level = np.array([_tiers(coverage)[1]], dtype=float)
+        problems = _solve_linear(model, level, lambda k: coverage)
+    # The coverage's problem is named last: a linear solve names the baseline first.
+    return problems.solved.result(problems.index[-1])
 
 
-def _action_value_lines(model: MdpModel, policy: ProtectionPolicy) -> tuple[np.ndarray, ...]:
-    """``(q_loss, q_cost, direct, cost)`` of ``policy`` under linear coverage.
+def _action_value_lines(model: MdpModel, actions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(q_loss, q_cost, direct, cost)`` of the policy ``actions`` (N,) under linear coverage.
 
     At level R the policy's values are (1 - R) * direct + cost, with
-    ``direct`` and ``cost`` (N,) the two streams of :func:`decompose_value`,
-    so the action values on them are Q(s, a; R) = (1 - R) * q_loss[s, a] +
-    q_cost[s, a], each (N, M), at every level from one factorisation.
+    ``direct`` and ``cost`` (N,) its two streams, so the action values on
+    them are Q(s, a; R) = (1 - R) * q_loss[s, a] + q_cost[s, a], each
+    (N, M), at every level from one factorisation.
     """
-    direct, cost = decompose_value(model, policy)
+    direct, cost = _policy_streams(model, actions[None], model.losses)[0].T
     delta = model.discount
     q_loss = model.losses[:, None] + delta * (model.transitions @ direct).T
     q_cost = model.costs[None, :] + delta * (model.transitions @ cost).T
@@ -379,10 +344,10 @@ def _improve(
             break
         actions = switched
         seen.add(actions.tobytes())
-        lines = _action_value_lines(model, ProtectionPolicy(actions))
+        lines = _action_value_lines(model, actions)
         steps += 1
     if (greedy != actions).any():
-        actions, lines = greedy, _action_value_lines(model, ProtectionPolicy(greedy))
+        actions, lines = greedy, _action_value_lines(model, greedy)
     return actions, lines, steps
 
 
@@ -402,7 +367,7 @@ def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
     piece_of = np.empty(count, dtype=np.intp)
     steps = np.zeros(count, dtype=int)
     current = np.full(model.n_states, _greedy_actions(model.costs, model.costs))
-    lines = _action_value_lines(model, ProtectionPolicy(current))
+    lines = _action_value_lines(model, current)
     pieces = [(current, lines)]
     start, taken = 0, 0
     while start < count:
@@ -422,7 +387,7 @@ def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _solve_linear(
     model: MdpModel, levels: np.ndarray, coverage_of: Callable[[int], Coverage]
-) -> tuple[_Problems, np.ndarray, np.ndarray, np.ndarray]:
+) -> _Problems:
     """Certified problems for the baseline and each of the ascending ``levels``.
 
     ``levels`` are linear coverage levels, level k that of ``coverage_of(k)``,
@@ -430,8 +395,8 @@ def _solve_linear(
     level 0, the walk's first row, and a repeated level shares its problem.
     Level R is read off its piece's :func:`_action_value_lines`: values
     V = (1 - R) * direct + cost, residual max |V - min_a Q| with
-    Q = (1 - R) * q_loss + q_cost.  Returns the problems and, per problem,
-    the residual, the certificate bound and the Howard steps.
+    Q = (1 - R) * q_loss + q_cost, its iterations the Howard steps to its
+    piece.  ``index`` names the baseline's problem, then each level's.
     """
     # Last, so np.unique (first occurrences) names level 0 after a grid coverage at 0.
     baseline = len(levels)
@@ -444,17 +409,16 @@ def _solve_linear(
     values = scale * direct[piece_of] + cost[piece_of]
     bellman = (scale[..., None] * q_loss[piece_of] + q_cost[piece_of]).min(axis=2)
     residual = np.abs(values - bellman).max(axis=1)
-    bounds = residual / (1.0 - model.discount)
 
     def walked(d: int) -> Coverage:
         return ZeroCoverage() if first[d] == baseline else coverage_of(first[d])
 
+    streams, bounds = np.stack((direct, cost), axis=-1), residual / (1.0 - model.discount)
     # The walk itself always ends; only non-finite values leave a problem unconverged.
-    _certify(model, walked, values, bounds, np.isfinite(values).all(axis=1), steps)
-    index = np.concatenate((index[-1:], index[:-1]))
-    streams = np.stack((direct, cost), axis=-1)[:, model.initial_state]
-    problems = _Problems(policies, streams, piece_of, values, index, tuple(zip(q_loss, q_cost)))
-    return problems, residual, bounds, steps
+    finite = np.isfinite(values).all(axis=1)
+    solved = SolveTable(policies, streams, piece_of, values, steps, residual, bounds, finite)
+    _certify(model, walked, solved)
+    return _Problems(solved, np.concatenate((index[-1:], index[:-1])), tuple(zip(q_loss, q_cost)))
 
 
 def _price(
@@ -468,13 +432,13 @@ def _price(
 
     Each figure is one array expression over the distinct problems.
     """
-    policies, streams, piece_of, values, index, lines = problems
-    user = values[:, model.initial_state]
-    direct, cost = streams[piece_of].T
+    solved, index, s0 = problems.solved, problems.index, model.initial_state
+    user, streams, policy_of = solved.values[:, s0], solved.streams[:, s0], solved.policy_of
+    direct, cost = streams[policy_of].T
     baseline = index[0]
     # Rows share this arithmetic, so a row on the baseline policy reports a
     # profit of exactly zero.
-    baseline_uninsured = sum(streams[piece_of[baseline]].tolist())
+    baseline_uninsured = sum(streams[policy_of[baseline]].tolist())
     premium = user[baseline] - user
     # max(0.0, x), which np.maximum is not on a -0.0.
     premium = np.where(premium > 0.0, premium, 0.0)
@@ -483,10 +447,10 @@ def _price(
         coverage_at,
         parameters,
         index[1:],
-        tuple(ProtectionPolicy(actions) for actions in policies.tolist()),
-        piece_of,
+        tuple(ProtectionPolicy(actions) for actions in solved.policies.tolist()),
+        policy_of,
         np.stack([user, premium, profit, direct, cost], axis=1),
-        lines,
+        problems.lines,
     )
 
 
@@ -530,7 +494,7 @@ def sweep_linear(model: MdpModel, grid: Sequence[float] | None = None) -> Sweep:
     if not ((0.0 <= levels) & (levels <= 1.0)).all():
         raise ValueError("linear sweep grid must lie within [0, 1]")
     _check_ascending(levels)
-    problems = _solve_linear(model, levels, lambda k: LinearCoverage(levels[k].item()))[0]
+    problems = _solve_linear(model, levels, lambda k: LinearCoverage(levels[k].item()))
     return _price(model, LinearCoverage, levels, problems)
 
 
@@ -559,17 +523,7 @@ def sweep_threshold(
     def row_coverage(k: int) -> Coverage:
         return ZeroCoverage() if k == 0 else coverage_at(cutoffs[k - 1].item())
 
-    results, index = _solve_many(model, paid, row_coverage)
-    shared = list(dict.fromkeys(solved.policy for solved in results))
-    streams = np.array([decompose_value(model, policy) for policy in shared])
-    problems = _Problems(
-        np.array([policy.actions for policy in shared]),
-        streams[:, :, model.initial_state],
-        np.array([shared.index(solved.policy) for solved in results]),
-        np.array([solved.values for solved in results]),
-        index,
-    )
-    return _price(model, coverage_at, cutoffs, problems)
+    return _price(model, coverage_at, cutoffs, _solve_many(model, paid, row_coverage))
 
 
 def _linear_switch(

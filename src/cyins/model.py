@@ -189,10 +189,11 @@ def validate_model(raw: Mapping) -> MdpModel:
     ``raw`` uses the model-file schema: ``discount`` (float), ``states``
     (list of ``{name, loss}``), ``actions`` (list of ``{name, cost}``),
     ``transitions`` (nested ``[action][from][to]``) and optionally
-    ``initial_state`` (a state name or index, default first state).
-    Numeric fields hold ints or floats: strings and bools, which Python would
-    convert, are errors.  The value scale (max loss + max cost) /
-    (1 - discount), which bounds every value, must be finite.
+    ``initial_state`` (a state name or index, default first state).  Names
+    are unique non-empty strings without ``,``, ``|`` or line breaks, which
+    would split a CSV row or a policy label.  Numeric fields hold ints or
+    floats: strings and bools, which Python would convert, are errors.  The
+    value scale (max loss + max cost) / (1 - discount) must be finite.
 
     Raises :class:`ModelValidationError` carrying the full list of
     violations; nothing is silently repaired.
@@ -219,10 +220,6 @@ def validate_model(raw: Mapping) -> MdpModel:
         errors.append("model needs at least one state")
     if len(actions) == 0:
         errors.append("model needs at least one action")
-    if len({s.name for s in states}) != len(states):
-        errors.append("state names must be unique")
-    if len({a.name for a in actions}) != len(actions):
-        errors.append("action names must be unique")
 
     try:
         discount = _number(raw["discount"])
@@ -306,14 +303,22 @@ def _named_amounts(raw: Mapping, key: str, field: str, label: str, errors: list[
     found = []
     for i, entry in enumerate(_entry_list(raw, key, errors)):
         try:
-            name = str(entry["name"])
+            name = entry["name"]
             amount = _number(entry[field])
         except (TypeError, KeyError, ValueError, OverflowError):
             errors.append(f"{key}[{i}]: expected {{name, {field}}} with a numeric {field}")
             continue
+        # An empty name splits into no lines.
+        if not isinstance(name, str) or name.splitlines() != [name] or {",", "|"} & set(name):
+            rule = "a non-empty string without ',', '|' or line breaks"
+            errors.append(f"{key}[{i}]: name must be {rule}, got {name!r}")
         if not np.isfinite(amount) or amount < 0.0:
             errors.append(f"{key[:-1]} {name!r}: {label} must be finite and >= 0, got {amount}")
         found.append((name, amount))
+    # Only a string name can repeat one: any other is already an error.
+    names = [name for name, _ in found if isinstance(name, str)]
+    if len(set(names)) != len(names):
+        errors.append(f"{key[:-1]} names must be unique")
     return found
 
 
@@ -420,16 +425,18 @@ def stage_loss_matrix(model: MdpModel, coverage: Coverage) -> np.ndarray:
     return retained[:, None] + model.costs[None, :]
 
 
-def _policy_streams(model: MdpModel, actions: np.ndarray, retained: np.ndarray) -> np.ndarray:
-    """Retained-loss and protection-cost streams of K policies, shape (K, N, 2).
+def _policy_streams(model: MdpModel, actions: np.ndarray, *losses: np.ndarray) -> np.ndarray:
+    """Streams of K policies, shape (K, N, L + 1): one per stage-loss array, then the cost's.
 
-    Policy k, ``actions[k]`` (N,), retains ``retained[k]`` (N,).  Both its
-    streams solve ``(I - discount * P_policy) V = stage``, nonsingular for
-    any discount < 1, in one factorisation; its value is their sum.
+    Policy k, ``actions[k]`` (N,), bears ``losses[l][k]`` ((K, N) arrays, or
+    (N,) for all) in stream l.  All its streams solve ``(I - discount *
+    P_policy) V = stage``, nonsingular for any discount < 1, in one
+    factorisation; its value is its retained-loss plus its cost stream.
     """
     n = model.n_states
     system = np.eye(n) - model.discount * model.transitions[actions, np.arange(n)]
-    return np.linalg.solve(system, np.stack([retained, model.costs[actions]], axis=-1))
+    stages = np.broadcast_arrays(*losses, model.costs[actions])
+    return np.linalg.solve(system, np.stack(stages, axis=-1))
 
 
 def evaluate_policy(
@@ -442,7 +449,7 @@ def evaluate_policy(
     """
     model.check_policy(policy)
     retained = model.losses - coverage_paid(model, coverage)
-    return _policy_streams(model, np.array([policy.actions]), retained[None])[0].sum(axis=1)
+    return _policy_streams(model, np.array([policy.actions]), retained)[0].sum(axis=1)
 
 
 def decompose_value(
@@ -456,4 +463,4 @@ def decompose_value(
     exposure, which is what rises when insurance induces weaker protection.
     """
     model.check_policy(policy)
-    return tuple(_policy_streams(model, np.array([policy.actions]), model.losses[None])[0].T)
+    return tuple(_policy_streams(model, np.array([policy.actions]), model.losses)[0].T)

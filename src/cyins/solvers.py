@@ -14,11 +14,13 @@ iteration is one matrix product, one sum and one reduction across contiguous
 problems.  The whole stack iterates until its last problem stops: a stopped
 problem's column runs on unread, so every product keeps the stack's width.
 Each problem keeps its own stopping rule, tested once per block of up to
-``BLOCK`` iterates, and stops at its first failing iterate in the block.
-The stopped problems are finished together: one greedy extraction, one
-stacked exact evaluation of the extracted policies
-(:func:`cyins.model._policy_streams`) and one stacked Bellman residual.
-:func:`solve_value_iteration` is its one-problem call.
+``BLOCK`` iterates, and stops at its first failing iterate in the block
+(from discount 0.999 the threshold lies below one ulp of ||V||, so only the
+certificate of :mod:`cyins.contracts` decides).  The stopped problems are
+finished together into one :class:`SolveTable`: one greedy extraction, one
+stacked exact evaluation (:func:`cyins.model._policy_streams`) giving each
+problem's value and its two streams from one factorisation, and one stacked
+Bellman residual.  :func:`solve_value_iteration` is its one-problem call.
 
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
@@ -32,6 +34,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +55,7 @@ __all__ = [
     "LpError",
     "LpProblem",
     "SolveResult",
+    "SolveTable",
     "action_values",
     "bellman_update",
     "build_lp",
@@ -107,6 +111,41 @@ class SolveResult:
     residual: float
     certificate_bound: float
     converged: bool = True
+
+
+class SolveTable(NamedTuple):
+    """K solved coverage problems of one model, one array per field.
+
+    Problem k is on ``policies[policy_of[k]]``, one of P distinct policies
+    (P, N) in order of first use, each with its direct-loss and
+    protection-cost ``streams`` (P, N, 2).  The other fields are the
+    problems' :class:`SolveResult` fields, ``values`` (K, N) and the rest (K,).
+    """
+
+    policies: np.ndarray
+    streams: np.ndarray
+    policy_of: np.ndarray
+    values: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    certificate_bound: np.ndarray
+    converged: np.ndarray
+
+    def result(self, k: int) -> SolveResult:
+        """Problem ``k`` as a :class:`SolveResult`."""
+        policy = ProtectionPolicy(self.policies[self.policy_of[k]])
+        numbers = int(self.iterations[k]), float(self.residual[k]), float(self.certificate_bound[k])
+        return SolveResult(policy, self.values[k], *numbers, bool(self.converged[k]))
+
+
+def _first_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first of each distinct row of ``rows`` (K, N), in order, and each row's number."""
+    # Rows are one when their bytes are, so a -0.0 and a 0.0 stay apart.
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    # A permutation's argsort is its inverse: each distinct row's rank.
+    return first[order], np.argsort(order)[inverse.ravel()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +214,7 @@ def solve_value_iteration(
     max_iter: int = 200_000,
 ) -> SolveResult:
     """Value iteration for one coverage: the one-problem :func:`solve_value_iterations`."""
-    return solve_value_iterations(model, coverages_paid(model, [coverage]), tol, max_iter)[0]
+    return solve_value_iterations(model, coverages_paid(model, [coverage]), tol, max_iter).result(0)
 
 
 def solve_value_iterations(
@@ -183,7 +222,7 @@ def solve_value_iterations(
     paid: np.ndarray,
     tol: float = 1e-9,
     max_iter: int = 200_000,
-) -> list[SolveResult]:
+) -> SolveTable:
     """Value iteration from V = 0 for a stack of coverage problems of one model.
 
     A coverage enters the stage losses only through the reimbursement it
@@ -195,7 +234,8 @@ def solve_value_iterations(
     max over states reduce across contiguous problems.  A problem stops at
     the first iteration where its own sup-norm change is at most
     tol * (1 - discount) / (2 * discount), which bounds the value error of
-    its greedy policy by ``tol``.  A problem still iterating at
+    its greedy policy by ``tol`` (from discount 0.999 it lies below one ulp
+    of ||V|| and fires only on a fixed point).  A problem still iterating at
     ``max_iter`` keeps its last iterate, and one whose iterate stops being
     finite its last finite iterate; both are flagged ``converged=False``.
     ``tol`` is a positive real number and ``max_iter`` an integer of at
@@ -210,10 +250,11 @@ def solve_value_iterations(
     runs on unread and may overflow, so floating-point warnings inside the
     loop are silenced.
 
-    All problems are then finished together: one greedy extraction, one
-    stacked exact evaluation of the extracted policies (the reported values)
-    and one stacked Bellman residual with its certificate bound.  Results
-    are in the order of the rows of ``paid``.
+    All problems are then finished together into one :class:`SolveTable`,
+    in the order of the rows of ``paid``: one greedy extraction, one stacked
+    exact evaluation, whose factorisations solve the retained losses, the
+    full losses and the costs (the values and both streams), and one
+    stacked Bellman residual with its certificate bound.
     """
     _check_real("tol", tol)
     if not tol > 0.0:
@@ -276,22 +317,16 @@ def solve_value_iterations(
     del block, iterate, difference, sums, sums_by_action
 
     actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)
-    # A policy's value is the sum of its streams, as a linear walk's rows sum theirs.
-    exact = _policy_streams(model, actions, retained).sum(axis=2)
+    streams = _policy_streams(model, actions, retained, model.losses)
+    # A value sums its retained-loss and cost streams, as a linear walk's rows do.
+    exact = streams[..., ::2].sum(axis=2)
     residual = np.abs(exact - _stacked_action_values(model, retained, exact).min(axis=2)).max(axis=1)
-    bound = residual / (1.0 - delta)
-    finite = np.isfinite(exact).all(axis=1)
-    keys = [tuple(policy) for policy in actions.tolist()]
-    # Problems on one policy share its object.
-    policies = {key: ProtectionPolicy(key) for key in dict.fromkeys(keys)}
-    # Each result's diagnostics in SolveResult field order.
-    diagnostics = zip(
-        iterations.tolist(), residual.tolist(), bound.tolist(), (converged & finite).tolist()
+    bound, converged = residual / (1.0 - delta), converged & np.isfinite(exact).all(axis=1)
+    # Problems on one policy share its streams, those of its first problem.
+    first, policy_of = _first_rows(actions)
+    return SolveTable(
+        actions[first], streams[first, :, 1:], policy_of, exact, iterations, residual, bound, converged
     )
-    return [
-        SolveResult(policies[key], values, *rest)
-        for key, values, rest in zip(keys, exact, diagnostics)
-    ]
 
 
 def solve_policy_enumeration(model: MdpModel, coverage: Coverage) -> SolveResult:

@@ -1,0 +1,63 @@
+"""An exact oracle: a policy's values and action-value gaps in rational arithmetic.
+
+Every float of a stored model is an exact binary rational, so
+:class:`fractions.Fraction` evaluates the stored model with no rounding at
+all.  A policy's values solve (I - discount * P_policy) V = stage, here by
+Gaussian elimination on Fractions; its gap at (s, a) is Q(s, a) - V(s), the
+one-step lookahead on those values minus the value.  A policy is optimal
+exactly when no gap is negative (the policy-iteration optimality condition).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+
+from cyins.model import MdpModel, _tiers
+
+
+def retained_losses(model: MdpModel, coverage) -> list[Fraction]:
+    """What the user bears of each state's loss under ``coverage``, exactly.
+
+    A state's loss times one minus its tier level: the high tier above the
+    cutoff, the low tier at or below it (a linear level is a low tier
+    without a cutoff, no insurance a zero level).
+    """
+    cutoff, low, high = _tiers(coverage)
+    return [
+        Fraction(loss) * (1 - Fraction(high if loss > cutoff else low))
+        for loss in model.losses.tolist()
+    ]
+
+
+def policy_values(model: MdpModel, actions, retained) -> list[Fraction]:
+    """The exact values of the policy ``actions`` (N,) that bears ``retained`` (N,)."""
+    n, delta = model.n_states, Fraction(model.discount)
+    costs = [Fraction(c) for c in model.costs.tolist()]
+    rows = []
+    for s, a in enumerate(actions):
+        row = [-delta * Fraction(p) for p in model.transitions[a, s].tolist()]
+        row[s] += 1
+        rows.append(row + [retained[s] + costs[a]])
+    # I - discount * P is strictly diagonally dominant, so no pivot is zero.
+    for col in range(n):
+        pivot = rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col] / pivot[col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], pivot)]
+    return [rows[s][n] / rows[s][s] for s in range(n)]
+
+
+def gaps(model: MdpModel, actions, retained) -> tuple[list[Fraction], np.ndarray]:
+    """The policy's exact values (N,) and action-value gaps (N, M), as Fractions."""
+    values = policy_values(model, actions, retained)
+    delta = Fraction(model.discount)
+    costs = [Fraction(c) for c in model.costs.tolist()]
+    gap = np.empty((model.n_states, model.n_actions), dtype=object)
+    for a, block in enumerate(model.transitions.tolist()):
+        for s, row in enumerate(block):
+            future = sum(Fraction(p) * v for p, v in zip(row, values))
+            gap[s, a] = retained[s] + costs[a] + delta * future - values[s]
+    return values, gap

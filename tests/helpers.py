@@ -10,18 +10,24 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 
 from cyins import contracts
 from cyins.model import (
     LinearCoverage,
     MdpModel,
-    ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
     _policy_streams,
     validate_model,
 )
-from cyins.solvers import SolveResult, _greedy_actions, _stacked_action_values
+from cyins.solvers import (
+    SolveResult,
+    SolveTable,
+    _first_rows,
+    _greedy_actions,
+    _stacked_action_values,
+)
 
 TWO_STATE_RAW = {
     "discount": 0.9,
@@ -214,7 +220,7 @@ def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
 
     def switch(inside, outside):
         if isinstance(inside.coverage, LinearCoverage):
-            lines = contracts._action_value_lines(model, inside.policy)[:2]
+            lines = contracts._action_value_lines(model, np.array(inside.policy.actions))[:2]
             return contracts._linear_switch(
                 model, inside.parameter, outside.parameter, inside.policy.actions, *lines
             )
@@ -266,9 +272,28 @@ def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
     )
 
 
+def priced_problems(sweep, model, *args):
+    """``sweep(model, *args)`` and the table of problems it was priced from."""
+    tables = []
+    price = contracts._price
+
+    def capturing(model, coverage_at, parameters, problems):
+        tables.append(problems)
+        return price(model, coverage_at, parameters, problems)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contracts, "_price", capturing)
+        return sweep(model, *args), tables[0]
+
+
+def results(table: SolveTable) -> list[SolveResult]:
+    """Each problem of a solve table as a :class:`SolveResult`, in order."""
+    return [table.result(k) for k in range(len(table.values))]
+
+
 def per_iteration_value_iterations(
     model: MdpModel, paid: np.ndarray, tol: float = 1e-9, max_iter: int = 200_000
-) -> list[SolveResult]:
+) -> SolveTable:
     """``solvers.solve_value_iterations`` testing its stopping rule after every iteration.
 
     The reference for the block loop: the same Bellman operator on the whole
@@ -304,16 +329,17 @@ def per_iteration_value_iterations(
     iterates[:, active] = values[:, active]
 
     actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)
-    exact = _policy_streams(model, actions, retained).sum(axis=2)
+    streams = _policy_streams(model, actions, retained, model.losses)
+    exact = streams[..., ::2].sum(axis=2)
     residual = np.abs(exact - _stacked_action_values(model, retained, exact).min(axis=2)).max(axis=1)
-    bound = residual / (1.0 - delta)
-    finite = np.isfinite(exact).all(axis=1)
-    keys = [tuple(policy) for policy in actions.tolist()]
-    policies = {key: ProtectionPolicy(key) for key in dict.fromkeys(keys)}
-    diagnostics = zip(
-        iterations.tolist(), residual.tolist(), bound.tolist(), (converged & finite).tolist()
+    first, policy_of = _first_rows(actions)
+    return SolveTable(
+        actions[first],
+        streams[first, :, 1:],
+        policy_of,
+        exact,
+        iterations,
+        residual,
+        residual / (1.0 - delta),
+        converged & np.isfinite(exact).all(axis=1),
     )
-    return [
-        SolveResult(policies[key], values, *rest)
-        for key, values, rest in zip(keys, exact, diagnostics)
-    ]

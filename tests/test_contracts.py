@@ -37,7 +37,14 @@ from cyins.solvers import (
     solve_value_iterations,
 )
 
-from helpers import TWO_STATE_RAW, random_coverage, random_model, region_by_row_walk
+from helpers import (
+    TWO_STATE_RAW,
+    priced_problems,
+    random_coverage,
+    random_model,
+    region_by_row_walk,
+    results,
+)
 
 EXACT_SWITCH_BAD = 1.0 - 0.82 / 0.9
 EXACT_PREMIUM_RATE = 1.8 / 0.082
@@ -282,11 +289,21 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
     residual = float(np.abs(values - bellman_update(two_state, coverage, values)).max())
 
     def suboptimal(model, paid, tol):
+        # The coverage's problem is put on the worse policy, with its honest diagnostics.
         solved = solve_value_iterations(model, paid, tol=tol)
+        faked = (paid == coverages_paid(model, [coverage])).all(axis=1)
+        streams = np.stack(decompose_value(model, worse), axis=-1)
         bound = residual / (1.0 - model.discount)
-        fake = SolveResult(worse, values, iterations=1, residual=residual, certificate_bound=bound)
-        faked = coverages_paid(model, [coverage])[0]
-        return [fake if np.array_equal(row, faked) else r for row, r in zip(paid, solved)]
+        return solved._replace(
+            policies=np.vstack((solved.policies, worse.actions)),
+            streams=np.concatenate((solved.streams, streams[None])),
+            policy_of=np.where(faked, len(solved.policies), solved.policy_of),
+            values=np.where(faked[:, None], values, solved.values),
+            iterations=np.where(faked, 1, solved.iterations),
+            residual=np.where(faked, residual, solved.residual),
+            certificate_bound=np.where(faked, bound, solved.certificate_bound),
+            converged=solved.converged | faked,
+        )
 
     monkeypatch.setattr(contracts, "solve_value_iterations", suboptimal)
     for priced in (solve, quote):
@@ -308,7 +325,7 @@ def test_linear_sweep_certifies_every_walked_row(two_state, monkeypatch):
         def flipped(model, levels):
             policies, lines, piece_of, steps = walk(model, levels)
             actions = 1 - policies[piece_of[row]]
-            own_lines = contracts._action_value_lines(model, ProtectionPolicy(actions))
+            own_lines = contracts._action_value_lines(model, actions)
             piece_of = piece_of.copy()
             piece_of[row] = len(policies)
             return np.vstack((policies, actions)), (*lines, own_lines), piece_of, steps
@@ -347,8 +364,9 @@ def coverage_stacks(draw):
     return model, coverages, draw(st.permutations(range(len(coverages))))
 
 
-def _solved_in_order(results, index):
-    return [results[k] for k in index]
+def _solved_in_order(problems):
+    """Each row's result from a sweep's ``_Problems``, in row order."""
+    return [problems.solved.result(d) for d in problems.index]
 
 
 @settings(deadline=None, max_examples=40)
@@ -362,17 +380,24 @@ def test_batched_solves_match_solving_each_coverage_alone(stack):
     model, coverages, order = stack
     alone = [solve_value_iteration(model, c, tol=contracts.CERT_TOL) for c in coverages]
     paid = coverages_paid(model, coverages)
-    permuted = dict(zip(order, solve_value_iterations(model, paid[order], tol=contracts.CERT_TOL)))
+    solved = solve_value_iterations(model, paid, tol=contracts.CERT_TOL)
+    shuffled = solve_value_iterations(model, paid[order], tol=contracts.CERT_TOL)
+    permuted = dict(zip(order, results(shuffled)))
     for batched in (
-        solve_value_iterations(model, paid, tol=contracts.CERT_TOL),
+        results(solved),
         [permuted[k] for k in range(len(order))],
-        _solved_in_order(*contracts._solve_many(model, paid, coverages.__getitem__)),
+        _solved_in_order(contracts._solve_many(model, paid, coverages.__getitem__)),
     ):
         assert len(batched) == len(coverages)
         for single, together in zip(alone, batched):
             assert together.converged
             assert together.policy == single.policy
             assert np.array_equal(together.values, single.values)
+    # The finish's extra right-hand side gives each policy the streams of
+    # decompose_value, bit for bit, so pricing needs no second solve.
+    for policy, streams in zip(solved.policies, solved.streams):
+        decomposed = decompose_value(model, ProtectionPolicy(policy))
+        assert np.array_equal(streams, np.stack(decomposed, axis=-1))
 
 
 def test_stacked_problems_stop_where_they_stop_alone():
@@ -397,13 +422,13 @@ def test_stacked_problems_stop_where_they_stop_alone():
     levels = np.array([0.0, 0.5, 0.999, 0.999999, 1.0, 0.25])
     paid = levels[:, None] * model.losses
     paid[-1, 2] = np.nan
-    alone = [solve_value_iterations(model, row[None])[0] for row in paid]
+    alone = [solve_value_iterations(model, row[None]).result(0) for row in paid]
     assert len({result.iterations for result in alone}) >= 4
     assert [result.converged for result in alone] == [True] * 5 + [False]
     assert alone[-1].iterations == 1
     order = [3, 5, 0, 4, 2, 1]
-    together = solve_value_iterations(model, paid)
-    permuted = dict(zip(order, solve_value_iterations(model, paid[order])))
+    together = results(solve_value_iterations(model, paid))
+    permuted = dict(zip(order, results(solve_value_iterations(model, paid[order]))))
     for k, single in enumerate(alone):
         for batched in (together[k], permuted[k]):
             assert batched.iterations == single.iterations
@@ -434,7 +459,8 @@ def test_walked_linear_rows_match_solving_each_row(walk):
     rows = sweep_linear(model, grid)
     paid = coverages_paid(model, [LinearCoverage(level) for level in grid])
     s0 = model.initial_state
-    for row, alone in zip(rows, solve_value_iterations(model, paid, tol=contracts.CERT_TOL)):
+    solved = solve_value_iterations(model, paid, tol=contracts.CERT_TOL)
+    for row, alone in zip(rows, results(solved)):
         assert row.policy == alone.policy
         limit = contracts.CERT_TOL * (1.0 + np.abs(alone.values).max())
         assert abs(row.user_value - alone.values[s0]) <= limit
@@ -572,9 +598,10 @@ def test_sweep_rows_are_the_rows_priced_one_by_one(sweep):
     assert _bits(unpaid)[2:] == _bits(sweep_linear(model, [0.0])[0])[2:]
 
 
-def test_sweeps_build_no_solve_result_per_row(two_state, four_state, tmp_path, monkeypatch):
-    # A sweep prices its rows from its distinct problems' arrays; a result
-    # object is built only where a caller receives one.
+def test_sweeps_build_no_solve_result_per_row(four_state, tmp_path, monkeypatch):
+    # A sweep prices its rows from its distinct problems' table, value
+    # iteration's too; a result object is built only where a caller
+    # receives one.
     built = []
 
     class Counted(SolveResult):
@@ -586,16 +613,15 @@ def test_sweeps_build_no_solve_result_per_row(two_state, four_state, tmp_path, m
     monkeypatch.setattr(contracts, "SolveResult", Counted)
     assert len(sweep_linear(four_state)) == contracts.LINEAR_GRID_POINTS
     assert built == []
-    # Value iteration's four distinct problems (the baseline's among them).
     assert len(sweep_threshold(four_state, 0.0, 0.9)) == contracts.THRESHOLD_GRID_POINTS
-    assert len(built) == 4
-    built.clear()
-    solve(two_state, LinearCoverage(0.5))
-    assert len(built) == 1
-    built.clear()
+    assert built == []
+    for coverage in (LinearCoverage(0.5), ThresholdCoverage(5.0, 0.0, 0.9)):
+        solve(four_state, coverage)
+        assert len(built) == 1
+        built.clear()
     for study in ("fig3", "fig4", "fig5"):
         reproduce(study, tmp_path)
-    assert len(built) == 4
+    assert built == []
 
 
 def test_a_sweep_is_a_read_only_sequence_of_row_views(four_state):
@@ -651,22 +677,6 @@ def test_a_study_round_builds_rows_only_around_region_ends(tmp_path, monkeypatch
     assert ends == 3
     assert len(rows) <= 2 * ends
     assert len(coverages) <= 2 * ends
-
-
-@pytest.mark.parametrize("study, calls", [("fig3", 5), ("fig4", 7), ("fig5", 3)])
-def test_study_decompositions_per_round(study, calls, tmp_path, monkeypatch):
-    # A linear walk decomposes each policy it evaluates once, and its region
-    # end reads the walk's lines for the inside row's policy; a threshold
-    # sweep decomposes each of its distinct policies once.
-    decomposed = []
-
-    def counting(model, policy):
-        decomposed.append(policy)
-        return decompose_value(model, policy)
-
-    monkeypatch.setattr(contracts, "decompose_value", counting)
-    reproduce(study, tmp_path)
-    assert len(decomposed) == calls
 
 
 @pytest.fixture
@@ -739,25 +749,38 @@ def systems(monkeypatch):
     counts = []
     streams = model_module._policy_streams
 
-    def counting(model, actions, retained):
+    def counting(model, actions, *losses):
         counts.append(len(actions))
-        return streams(model, actions, retained)
+        return streams(model, actions, *losses)
 
-    for module in (model_module, solvers):
+    # Every module that binds it, so a call however spelled is counted.
+    for module in (model_module, solvers, contracts):
         monkeypatch.setattr(module, "_policy_streams", counting)
     return counts
 
 
-@pytest.mark.parametrize("study, solved", [("fig3", 5), ("fig4", 7), ("fig5", 7)])
-def test_a_sweep_solves_one_system_per_policy_it_evaluates(study, solved, systems):
+@pytest.mark.parametrize("study, solved", [("fig3", 5), ("fig4", 7), ("fig5", 4)])
+def test_a_sweep_solves_one_system_per_policy_it_evaluates(study, solved, systems, tmp_path):
     # A linear sweep solves one system per policy its walk evaluates (its
     # pieces, Howard steps and tie-rule re-evaluations) and reads its 201
     # rows off the pieces.  fig5's value iteration evaluates its four
-    # distinct problems together, and its three policies are decomposed.
+    # distinct problems together, and the same factorisations give the
+    # streams its three policies are priced from.  The study's round
+    # solves nothing more: its region ends read the sweep, and nothing
+    # decomposes a policy again.
     spec = STUDIES[study]
     sweep = spec.sweep(bundled_model(spec.model))
     assert sum(systems) == solved
     assert len(sweep.policies) < solved < len(sweep)
+    reproduce(study, tmp_path)
+    assert sum(systems) == 2 * solved
+
+
+def test_a_one_row_threshold_quote_solves_two_systems(four_state, systems):
+    # The baseline and the row, in one value-iteration finish.
+    (row,) = sweep_threshold(four_state, 0.0, 0.9, [5.0])
+    assert row.profit < 0.0
+    assert systems == [2]
 
 
 def test_a_large_linear_sweep_solves_per_policy_not_per_row(systems):
@@ -982,3 +1005,66 @@ def test_rows_with_changed_policy_have_higher_direct_losses(two_state):
     for row in rows:
         if row.policy != baseline.policy:
             assert row.direct_losses > baseline.direct_losses + 1e-6
+
+
+# The paper's principles hold for every N-state model, as properties of the
+# priced table, each within the certificate limit of its figures.
+
+def _figure_limit(sweep):
+    return contracts.CERT_TOL * (1.0 + np.abs(sweep.figures).max())
+
+
+@st.composite
+def patient_linear_grids(draw):
+    """A random model of at most 8 states and 4 actions with a discount up
+    to 0.9999, and a sorted grid of linear levels."""
+    discount = draw(st.floats(0.0, 0.9999))
+    model = random_model(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        max_states=8,
+        max_actions=4,
+        d_lo=discount,
+        d_hi=discount,
+    )
+    return model, sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(patient_linear_grids())
+def test_linear_coverage_compensates_risk(grid):
+    # Each state's optimal value is the lower envelope of the lines
+    # (1 - R) * direct + cost of the policies, so as the level R rises the
+    # user's direct losses rise and protection cost falls (the Peltzman
+    # effect).
+    model, levels = grid
+    sweep = sweep_linear(model, levels)
+    direct, cost = sweep.figures[sweep.problem_of, 3:].T
+    limit = _figure_limit(sweep)
+    assert (np.diff(direct) >= -limit).all()
+    assert (np.diff(cost) <= limit).all()
+
+
+@settings(deadline=None, max_examples=30)
+@given(priced_sweeps())
+def test_no_contract_profits_and_the_uninsured_policy_breaks_even(sweep):
+    # The baseline policy minimises the uninsured value, so no row's profit
+    # exceeds 0, and a row on that policy shares its arithmetic: exactly 0.
+    model, levels, cutoffs, low, high = sweep
+    for family, args in ((sweep_linear, (levels,)), (sweep_threshold, (low, high, cutoffs))):
+        priced, problems = priced_problems(family, model, *args)
+        solved = problems.solved
+        baseline = solved.policy_of[problems.index[0]]
+        profit = priced.figures[priced.problem_of, 2]
+        assert (profit <= _figure_limit(priced)).all()
+        on_baseline = priced.policy_of[priced.problem_of] == baseline
+        assert (profit[on_baseline] == 0.0).all()
+
+
+@settings(deadline=None, max_examples=30)
+@given(priced_sweeps())
+def test_a_higher_cutoff_never_raises_the_two_tier_premium(sweep):
+    # With low <= high, a higher cutoff pays every state no more.
+    model, _, cutoffs, low, high = sweep
+    priced = sweep_threshold(model, low, high, cutoffs)
+    premium = priced.figures[priced.problem_of, 1]
+    assert (np.diff(premium) <= _figure_limit(priced)).all()

@@ -163,6 +163,43 @@ def test_value_scale_must_be_finite(loss, cost):
     assert len(exc.value.errors) == 1 and "value scale" in exc.value.errors[0]
 
 
+@pytest.mark.parametrize("name", [None, 7, 1.5, ["S_B"], "", "weak,cheap", "strong|x", "a\nb", "b\r"])
+def test_names_that_are_not_clean_strings_are_itemized_errors(name):
+    # Each would once have been converted or passed through: null became
+    # the action 'None', 7 the state "7", a comma split a sweep CSV row
+    # into one field too many, and a bar made policy labels unparseable.
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["states"][1]["name"] = name
+    raw["actions"][1]["name"] = name
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(raw)
+    assert exc.value.errors == [
+        f"{key}[1]: name must be a non-empty string without ',', '|' or line breaks, got {name!r}"
+        for key in ("states", "actions")
+    ]
+
+
+def test_an_integer_name_is_not_its_string():
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    raw["states"][1]["name"] = 7
+    raw["initial_state"] = "7"
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(raw)
+    assert len(exc.value.errors) == 2
+    assert "initial_state '7' is not a declared state name" in exc.value.errors[1]
+
+
+def test_clean_names_stay_valid():
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    names = ["S0", "strong protection (A_H)"]
+    for entry, name in zip(raw["actions"], names):
+        entry["name"] = name
+    assert [action.name for action in validate_model(raw).actions] == names
+    raw["actions"][1]["name"] = "S0"
+    with pytest.raises(ModelValidationError, match="action names must be unique"):
+        validate_model(raw)
+
+
 def test_empty_model_rejected():
     with pytest.raises(ModelValidationError):
         validate_model({"discount": 0.9, "states": [], "actions": [], "transitions": []})
