@@ -679,6 +679,35 @@ def test_a_study_round_builds_rows_only_around_region_ends(tmp_path, monkeypatch
     assert len(coverages) <= 2 * ends
 
 
+@pytest.mark.parametrize("study, calls", [("fig3", 5), ("fig4", 7), ("fig5", 3)])
+def test_study_decompositions_per_round(study, calls, tmp_path, monkeypatch):
+    # A round decomposes a policy into its direct-loss and protection-cost
+    # streams once per evaluation: a linear walk each policy it evaluates,
+    # in its action-value lines, and value iteration each of its distinct
+    # policies, in the finish that evaluated it.  Pricing and the region ends read
+    # those streams, so nothing decomposes a policy again.
+    decomposed = []
+    lines, iterate = contracts._action_value_lines, contracts.solve_value_iterations
+
+    def walked(model, actions):
+        decomposed.append(actions)
+        return lines(model, actions)
+
+    def iterated(model, paid, tol):
+        solved = iterate(model, paid, tol=tol)
+        decomposed.extend(solved.policies)
+        return solved
+
+    def again(model, policy):
+        raise AssertionError(f"{policy!r} decomposed again")
+
+    monkeypatch.setattr(contracts, "_action_value_lines", walked)
+    monkeypatch.setattr(contracts, "solve_value_iterations", iterated)
+    monkeypatch.setattr(model_module, "decompose_value", again)
+    reproduce(study, tmp_path)
+    assert len(decomposed) == calls
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
     """Number of problems in each value-iteration call the contracts layer makes."""
