@@ -55,13 +55,15 @@ streams come from the factorisation that evaluated it.  Neither pricing nor
 with its coverage, is a view that indexing or iteration builds on demand.
 
 :func:`optimal_region` reads the region off the columns, and a region end
-against a policy switch is found from the two rows that bracket it.
-Between linear rows it solves nothing: under the inside row's policy every
-gap between action values is affine in the coverage level, so the switch
-is an exact root of the action-value lines the walk kept for that policy.
-Between threshold rows it bisects the cutoff from the policies the two rows
-carry, solving any other paid vector it meets once per ``optimal_region``
-call.
+against a policy switch is found from the two rows that bracket it, with
+no solver call.  Between linear rows it is an exact root: under the inside
+row's policy every gap between action values is affine in the coverage
+level, with lines computed from the policy's streams in the sweep.
+Between threshold rows it bisects the cutoff.  The inside row's policy
+pi0 stays at a cutoff while it is the tie-rule greedy policy of its own
+exact values under that cutoff's class, the states whose loss lies above
+it: the two bracketing rows' classes are already decided, and any other
+class costs one evaluation of pi0.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ from .solvers import (
     SolveTable,
     _first_rows,
     _greedy_actions,
+    _stacked_action_values,
     solve_value_iterations,
 )
 
@@ -161,10 +164,9 @@ class Sweep(Sequence):
     problem ``problem_of[k]``.  Problem d is on the shared policy
     ``policies[policy_of[d]]``, and ``figures[d]`` holds its user value,
     max premium, profit, direct losses and protection cost, the number
-    fields of :class:`ContractSweepRow` in order.  A linear sweep keeps in
-    ``lines`` the action-value lines ``(q_loss, q_cost)`` of each of its
-    policies, from which its region ends are exact roots; a two-tier sweep
-    keeps none.
+    fields of :class:`ContractSweepRow` in order.  ``streams[p]`` (N, 2)
+    holds policy p's direct-loss and protection-cost streams in every
+    state, from which :func:`optimal_region` finds its ends.
 
     The sweep is a read-only sequence of rows: ``sweep[k]`` (negative ``k``
     too) and iteration build :class:`ContractSweepRow` views on demand, and
@@ -177,10 +179,10 @@ class Sweep(Sequence):
     policies: tuple[ProtectionPolicy, ...]
     policy_of: np.ndarray
     figures: np.ndarray
-    lines: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    streams: np.ndarray
 
     def __post_init__(self):
-        for name in ("parameters", "problem_of", "policy_of", "figures"):
+        for name in ("parameters", "problem_of", "policy_of", "figures", "streams"):
             column = np.asarray(getattr(self, name)).view()
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -240,12 +242,10 @@ class RegionReport:
 
 
 class _Problems(NamedTuple):
-    """A sweep's certified ``solved`` problems, each coverage's problem ``index``
-    and, for a linear walk, each policy's action-value ``lines`` (see :class:`Sweep`)."""
+    """A sweep's certified ``solved`` problems and each coverage's problem ``index``."""
 
     solved: SolveTable
     index: np.ndarray
-    lines: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
 
 def _solve_many(
@@ -303,19 +303,24 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
     return problems.solved.result(problems.index[-1])
 
 
-def _action_value_lines(model: MdpModel, actions: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(q_loss, q_cost, direct, cost)`` of the policy ``actions`` (N,) under linear coverage.
+def _lines(model: MdpModel, direct: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(q_loss, q_cost)``, each (N, M), of a policy with streams ``direct`` and ``cost`` (N,).
 
-    At level R the policy's values are (1 - R) * direct + cost, with
-    ``direct`` and ``cost`` (N,) its two streams, so the action values on
-    them are Q(s, a; R) = (1 - R) * q_loss[s, a] + q_cost[s, a], each
-    (N, M), at every level from one factorisation.
+    At level R the policy's values are (1 - R) * direct + cost, so the
+    action values on them are Q(s, a; R) = (1 - R) * q_loss[s, a] +
+    q_cost[s, a] at every level.
     """
-    direct, cost = _policy_streams(model, actions[None], model.losses)[0].T
     delta = model.discount
     q_loss = model.losses[:, None] + delta * (model.transitions @ direct).T
     q_cost = model.costs[None, :] + delta * (model.transitions @ cost).T
-    return q_loss, q_cost, direct, cost
+    return q_loss, q_cost
+
+
+def _action_value_lines(model: MdpModel, actions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(q_loss, q_cost, direct, cost)`` of the policy ``actions`` (N,): its
+    :func:`_lines` and streams, from one factorisation."""
+    direct, cost = _policy_streams(model, actions[None], model.losses)[0].T
+    return (*_lines(model, direct, cost), direct, cost)
 
 
 def _improve(
@@ -418,7 +423,7 @@ def _solve_linear(
     finite = np.isfinite(values).all(axis=1)
     solved = SolveTable(policies, streams, piece_of, values, steps, residual, bounds, finite)
     _certify(model, walked, solved)
-    return _Problems(solved, np.concatenate((index[-1:], index[:-1])), tuple(zip(q_loss, q_cost)))
+    return _Problems(solved, np.concatenate((index[-1:], index[:-1])))
 
 
 def _price(
@@ -450,7 +455,7 @@ def _price(
         tuple(ProtectionPolicy(actions) for actions in solved.policies.tolist()),
         policy_of,
         np.stack([user, premium, profit, direct, cost], axis=1),
-        problems.lines,
+        solved.streams,
     )
 
 
@@ -565,55 +570,33 @@ def _linear_switch(
     return float(min(max(nearest, lo), hi))
 
 
-def _bisect_switch(
-    model: MdpModel,
-    coverage_at: Callable[[float], Coverage],
-    inside: ContractSweepRow,
-    outside: ContractSweepRow,
-    policies: dict[bytes, ProtectionPolicy],
+def _threshold_switch(
+    model: MdpModel, inside: ThresholdCoverage, stop: float, actions: np.ndarray
 ) -> float:
-    """Bisect the parameter of ``coverage_at`` to within BISECTION_WIDTH of
-    where the user leaves ``inside``'s policy toward ``outside``.
+    """Bisect the cutoff to within BISECTION_WIDTH of where the user leaves pi0.
 
-    ``policies`` maps each paid vector solved so far to its policy: steps
-    often land on the same paid vector (a threshold cutoff between two state
-    losses), so a caller that shares it solves each vector once.
+    pi0, given by its ``actions``, is the policy at the ``inside`` coverage,
+    in the region, and ``stop`` is its neighbour's cutoff outside.  A cutoff
+    acts only through its class, the states whose loss lies above it, and
+    pi0 stays while it is the tie-rule greedy policy of its own exact values
+    under the class's paid vector.  The two rows' classes are decided, and
+    any other is decided once, by one evaluation of pi0.
     """
-    lo, hi = inside.parameter, outside.parameter
+    losses, lo, hi = model.losses, inside.cutoff, stop
+    stays = {(losses > lo).tobytes(): True, (losses > hi).tobytes(): False}
     while abs(hi - lo) > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
-        coverage = coverage_at(mid)
-        key = coverage_paid(model, coverage).tobytes()
-        if key not in policies:
-            policies[key] = solve(model, coverage).policy
-        if policies[key] == inside.policy:
+        key = (losses > mid).tobytes()
+        if key not in stays:
+            retained = losses - _tiers_paid(model, mid, inside.low_level, inside.high_level)
+            values = _policy_streams(model, actions[None], retained)[0].sum(axis=1)
+            q = _stacked_action_values(model, retained[None], values[None])[0]
+            stays[key] = bool((_greedy_actions(q, model.costs) == actions).all())
+        if stays[key]:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _switch_finder(model: MdpModel) -> Callable[[ContractSweepRow, ContractSweepRow], float]:
-    """The region end between two-tier rows: one in the region, its neighbour outside.
-
-    It bisects the cutoff at the inside row's levels, starting from the
-    policies the two rows already carry for their paid vectors.  A cutoff
-    acts only through the states whose loss lies above it, so when one
-    state loss lies between the rows every step pays one of their two
-    vectors and nothing is solved; any other vector is solved once per
-    finder.
-    """
-    policies: dict[bytes, ProtectionPolicy] = {}
-
-    def switch(inside: ContractSweepRow, outside: ContractSweepRow) -> float:
-        coverage = inside.coverage
-        for row in (inside, outside):
-            policies.setdefault(coverage_paid(model, row.coverage).tobytes(), row.policy)
-        return _bisect_switch(
-            model, lambda cutoff: replace(coverage, cutoff=cutoff), inside, outside, policies
-        )
-
-    return switch
 
 
 def optimal_region(model: MdpModel, sweep: Sweep) -> RegionReport:
@@ -622,10 +605,10 @@ def optimal_region(model: MdpModel, sweep: Sweep) -> RegionReport:
     A row belongs to the region when its profit is exactly zero: the rows of
     a sweep on the baseline policy share its arithmetic.  An end against a
     policy switch is reported open, at the exact gap root for linear rows
-    and bisected for threshold rows; an end at the grid edge stays closed.
-    Maximal runs of rows with the same premium line each make one interval,
-    so a threshold staircase splits at its steps.  Only the two rows around
-    each end against a switch are built as row objects.
+    and bisected for threshold rows, with no solver call; an end at the grid
+    edge stays closed.  Maximal runs of rows with the same premium line each
+    make one interval, so a threshold staircase splits at its steps.  No row
+    object is built.
     """
     count = len(sweep)
     if not count:
@@ -639,24 +622,23 @@ def optimal_region(model: MdpModel, sweep: Sweep) -> RegionReport:
             "user's no-insurance policy"
         )
     parameters = sweep.parameters.tolist()
-    if sweep.coverage_at is LinearCoverage:
+    linear = sweep.coverage_at is LinearCoverage
+    if linear:
         # On the baseline policy a linear contract's premium is level x the
         # baseline's direct losses.
         intercept, slope = np.zeros(count), figures[:, 3]
-
-        def end(inside: int, outside: int) -> float:
-            policy = sweep.policy_of[sweep.problem_of[inside]]
-            pi = (sweep.policies[policy].actions, *sweep.lines[policy])
-            return _linear_switch(model, parameters[inside], parameters[outside], *pi)
-
     else:
         # A threshold contract's premium stays constant while the states
         # paid at each tier stay the same.
         intercept, slope = figures[:, 1], np.zeros(count)
-        switch = _switch_finder(model)
 
-        def end(inside: int, outside: int) -> float:
-            return switch(sweep[inside], sweep[outside])
+    def end(inside: int, outside: int) -> float:
+        policy = sweep.policy_of[sweep.problem_of[inside]]
+        actions = np.array(sweep.policies[policy].actions)
+        if linear:
+            lines = _lines(model, *sweep.streams[policy].T)
+            return _linear_switch(model, parameters[inside], parameters[outside], actions, *lines)
+        return _threshold_switch(model, sweep.coverage_at(parameters[inside]), parameters[outside], actions)
 
     line_steps = (intercept[1:] != intercept[:-1]) | (slope[1:] != slope[:-1])
     runs = [0, *(np.flatnonzero(np.diff(in_region)) + 1).tolist(), count]

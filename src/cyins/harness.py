@@ -15,7 +15,7 @@ linear sweep (fig4), and the four-state two-tier (threshold) sweep (fig5).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -165,27 +165,6 @@ def _write_csv(
     path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
 
-def _region_payload(report: contracts.RegionReport) -> dict:
-    return {
-        "intervals": [
-            {
-                "lo": iv.lo,
-                "hi": iv.hi,
-                "lo_closed": iv.lo_closed,
-                "hi_closed": iv.hi_closed,
-                "premium_intercept": iv.premium_intercept,
-                "premium_slope": iv.premium_slope,
-            }
-            for iv in report.intervals
-        ],
-        "max_profit": report.max_profit,
-        "representative_parameter": report.representative_parameter,
-        "representative_premium": report.representative_premium,
-        "representative_attained": report.representative_attained,
-        "note": report.note,
-    }
-
-
 def _analytic_overlay(ts: analytic.TwoStateModel, classification: analytic.CaseClassification):
     """fig3's closed-form columns for a sweep's levels: policy, value and case.
 
@@ -298,7 +277,7 @@ def reproduce(study: str, out_dir: str | Path) -> dict:
         "study": study,
         "model": spec.model,
         **fields,
-        "optimal_region": _region_payload(region),
+        "optimal_region": asdict(region),
         "max_profit": region.max_profit,
     }
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"

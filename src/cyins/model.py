@@ -213,8 +213,10 @@ def validate_model(raw: Mapping) -> MdpModel:
     if errors:
         raise fail()
 
-    states = [State(*e) for e in _named_amounts(raw, "states", "loss", "direct loss", errors)]
-    actions = [Action(*e) for e in _named_amounts(raw, "actions", "cost", "cost", errors)]
+    state_entries = _named_amounts(raw, "states", "loss", "direct loss", errors)
+    action_entries = _named_amounts(raw, "actions", "cost", "cost", errors)
+    states = [State(*e) for e in state_entries if e]
+    actions = [Action(*e) for e in action_entries if e]
 
     if len(states) == 0:
         errors.append("model needs at least one state")
@@ -237,15 +239,17 @@ def validate_model(raw: Mapping) -> MdpModel:
                 "express losses and costs in a larger unit"
             )
 
-    n, m = len(states), len(actions)
-    trans = _validate_transitions(raw["transitions"], states, actions, errors)
+    # Declared entries, so a malformed one shifts no other entry's index.
+    n, m = len(state_entries), len(action_entries)
+    state_labels, action_labels = _labels(state_entries, "states"), _labels(action_entries, "actions")
+    trans = _validate_transitions(raw["transitions"], state_labels, action_labels, errors)
     if trans is not None and n and m:
         finite = np.isfinite(trans).all(axis=2)
         in_range = ((trans >= -ROW_SUM_TOL) & (trans <= 1.0 + ROW_SUM_TOL)).all(axis=2)
         totals = trans.sum(axis=2)
         sums_to_one = np.abs(totals - 1.0) <= ROW_SUM_TOL
         for a, s in zip(*np.nonzero(~(finite & in_range & sums_to_one))):
-            where = f"transition row for action {actions[a].name!r} from state {states[s].name!r}"
+            where = f"transition row for action {action_labels[a]} from state {state_labels[s]}"
             if not finite[a, s]:
                 errors.append(f"{where} has non-finite entries")
                 continue
@@ -299,7 +303,7 @@ def _number(value) -> float:
 
 
 def _named_amounts(raw: Mapping, key: str, field: str, label: str, errors: list[str]):
-    """``(name, amount)`` for each entry of ``raw[key]``, reporting malformed ones."""
+    """``(name, amount)`` for each entry of ``raw[key]``; None for a malformed one, reported."""
     found = []
     for i, entry in enumerate(_entry_list(raw, key, errors)):
         try:
@@ -307,6 +311,7 @@ def _named_amounts(raw: Mapping, key: str, field: str, label: str, errors: list[
             amount = _number(entry[field])
         except (TypeError, KeyError, ValueError, OverflowError):
             errors.append(f"{key}[{i}]: expected {{name, {field}}} with a numeric {field}")
+            found.append(None)
             continue
         # An empty name splits into no lines.
         if not isinstance(name, str) or name.splitlines() != [name] or {",", "|"} & set(name):
@@ -316,10 +321,15 @@ def _named_amounts(raw: Mapping, key: str, field: str, label: str, errors: list[
             errors.append(f"{key[:-1]} {name!r}: {label} must be finite and >= 0, got {amount}")
         found.append((name, amount))
     # Only a string name can repeat one: any other is already an error.
-    names = [name for name, _ in found if isinstance(name, str)]
+    names = [e[0] for e in found if e and isinstance(e[0], str)]
     if len(set(names)) != len(names):
         errors.append(f"{key[:-1]} names must be unique")
     return found
+
+
+def _labels(entries: list, key: str) -> list[str]:
+    """Each named entry's name as it reads in an error, a malformed one's position."""
+    return [repr(e[0]) if e else f"{key}[{i}]" for i, e in enumerate(entries)]
 
 
 def _sequence(value) -> list | None:
@@ -344,7 +354,8 @@ def _entry_list(raw: Mapping, key: str, errors: list[str]) -> list:
 
 
 def _validate_transitions(raw_trans, states, actions, errors) -> np.ndarray | None:
-    """Shape-check the nested [action][from][to] array, naming offending blocks."""
+    """Shape-check the nested [action][from][to] array, naming offending blocks by
+    the ``states`` and ``actions`` labels of :func:`_labels`."""
     n, m = len(states), len(actions)
     blocks = _sequence(raw_trans)
     if blocks is None:
@@ -355,11 +366,11 @@ def _validate_transitions(raw_trans, states, actions, errors) -> np.ndarray | No
         return None
     matrix = []
     for a, block in enumerate(blocks):
-        label = actions[a].name
+        label = actions[a]
         rows = _sequence(block)
         if rows is None or len(rows) != n:
             got = "not a sequence" if rows is None else f"{len(rows)} rows"
-            errors.append(f"transitions for action {label!r}: expected {n} rows, got {got}")
+            errors.append(f"transitions for action {label}: expected {n} rows, got {got}")
             continue
         for s, row in enumerate(rows):
             entries = _sequence(row) or ()
@@ -370,7 +381,7 @@ def _validate_transitions(raw_trans, states, actions, errors) -> np.ndarray | No
                 numbers = []
             if len(entries) != n or len(numbers) != n:
                 errors.append(
-                    f"transitions for action {label!r} from state {states[s].name!r}: "
+                    f"transitions for action {label} from state {states[s]}: "
                     f"expected {n} numeric entries"
                 )
             else:

@@ -95,7 +95,10 @@ class SolveResult:
     sup-norm Bellman-optimality defect eps of those values (0 up to rounding
     when the policy is truly optimal), and ``certificate_bound`` is eps / (1 -
     discount), which bounds the sup-norm distance from ``values`` to the
-    optimal values (Puterman 1994, section 6).  ``iterations`` counts
+    optimal values (Puterman 1994, section 6).  Both are computed in floats
+    and leave out the evaluation's own rounding floor, about
+    machine-eps * ||V|| / (1 - discount), so the bound can read 0 for
+    values a few ulps from the optimum.  ``iterations`` counts
     value-iteration sweeps, Howard steps of a linear walk, or policies.
     ``converged`` is value iteration's own stop flag: its stopping rule
     fired and the exact values are finite.  It is a diagnostic, not a

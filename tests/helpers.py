@@ -8,6 +8,7 @@ brute-force oracle rebuilds the policy linear system from raw arrays.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cyins.model import (
     ThresholdCoverage,
     ZeroCoverage,
     _policy_streams,
+    coverage_paid,
     validate_model,
 )
 from cyins.solvers import (
@@ -203,28 +205,57 @@ def random_two_state_raw(rng) -> dict:
     }
 
 
+def _bisect_switch(model: MdpModel, coverage_at, inside, outside, policies: dict) -> float:
+    """Bisect the parameter of ``coverage_at`` to within ``BISECTION_WIDTH`` of
+    where the user leaves ``inside``'s policy toward ``outside``: the oracle
+    of ``optimal_region``'s ends, by certified solves.
+
+    ``policies`` maps each paid vector solved so far to its policy: steps
+    often land on the same paid vector (a threshold cutoff between two state
+    losses), so a caller that shares it solves each vector once.
+    """
+    lo, hi = inside.parameter, outside.parameter
+    while abs(hi - lo) > contracts.BISECTION_WIDTH:
+        mid = 0.5 * (lo + hi)
+        coverage = coverage_at(mid)
+        key = coverage_paid(model, coverage).tobytes()
+        if key not in policies:
+            policies[key] = contracts.solve(model, coverage).policy
+        if policies[key] == inside.policy:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
     """``optimal_region`` as a walk over row objects: the oracle of its column walk.
 
     The rows are grouped by exact zero profit and each run by its premium
     line with ``itertools.groupby``.  A linear end decomposes the inside
     row's policy afresh for its action-value lines; a threshold end is
-    bisected as the library bisects it.
+    bisected by :func:`_bisect_switch`, which solves each paid vector the
+    two rows do not carry once per walk.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("optimal_region needs at least one sweep row")
     if not any(row.profit == 0.0 for row in rows):
         raise ValueError("no zero-profit rows found")
-    bisect = contracts._switch_finder(model)
+    policies = {}
 
     def switch(inside, outside):
-        if isinstance(inside.coverage, LinearCoverage):
+        coverage = inside.coverage
+        if isinstance(coverage, LinearCoverage):
             lines = contracts._action_value_lines(model, np.array(inside.policy.actions))[:2]
             return contracts._linear_switch(
                 model, inside.parameter, outside.parameter, inside.policy.actions, *lines
             )
-        return bisect(inside, outside)
+        for row in (inside, outside):
+            policies.setdefault(coverage_paid(model, row.coverage).tobytes(), row.policy)
+        return _bisect_switch(
+            model, lambda cutoff: replace(coverage, cutoff=cutoff), inside, outside, policies
+        )
 
     def premium_line(row):
         if isinstance(row.coverage, LinearCoverage):

@@ -39,6 +39,7 @@ from cyins.solvers import (
 
 from helpers import (
     TWO_STATE_RAW,
+    _bisect_switch,
     priced_problems,
     random_coverage,
     random_model,
@@ -652,8 +653,8 @@ def test_a_sweep_is_a_read_only_sequence_of_row_views(four_state):
 
 
 def test_a_study_round_builds_rows_only_around_region_ends(tmp_path, monkeypatch):
-    # The region and the CSV are read off the columns: only the two rows
-    # around each region end at a policy switch become row objects, and a
+    # The region and the CSV are read off the columns: no row becomes a
+    # row object, not even around a region end at a policy switch, and a
     # linear sweep builds no coverage per row.
     rows, coverages = [], []
 
@@ -675,7 +676,7 @@ def test_a_study_round_builds_rows_only_around_region_ends(tmp_path, monkeypatch
         region = reproduce(study, tmp_path)["optimal_region"]
         ends += sum(not iv[closed] for iv in region["intervals"] for closed in ("lo_closed", "hi_closed"))
     assert ends == 3
-    assert len(rows) <= 2 * ends
+    assert rows == []
     assert len(coverages) <= 2 * ends
 
 
@@ -742,11 +743,11 @@ def fig5_rows(four_state):
     return sweep_threshold(four_state, 0.0, 0.9)
 
 
-def test_fig5_region_end_solves_nothing(four_state, fig5_rows, solve_calls):
+def test_fig5_region_end_solves_nothing(four_state, fig5_rows, solve_calls, systems):
     # The fig5 rows around the switch below the loss 8: every bisection step
-    # between them pays the vector of the outside row (the cutoff band
-    # [4, 8)) or, at 8 itself, of the inside row, and both rows carry their
-    # policies.
+    # between them falls in the class of the outside row (the cutoff band
+    # [4, 8)) or, at 8 itself, of the inside row, and both classes are
+    # decided by the rows, so the end evaluates no policy.
     outside, inside = next(
         (a, b) for a, b in zip(fig5_rows, fig5_rows[1:]) if a.parameter < 8.0 <= b.parameter
     )
@@ -755,10 +756,50 @@ def test_fig5_region_end_solves_nothing(four_state, fig5_rows, solve_calls):
     assert _brackets(fig5_rows) == [(inside, outside)]
     assert region.intervals[0].lo == 7.999999618530273
     assert not region.intervals[0].lo_closed
-    switch = contracts._switch_finder(four_state)
-    for _ in range(2):
-        assert switch(inside, outside) == region.intervals[0].lo
+    assert systems == [] and solve_calls == []
+    # The solving oracle, seeded with the rows' policies, solves nothing either.
+    assert region == region_by_row_walk(four_state, fig5_rows)
     assert solve_calls == []
+
+
+def _refuse_solvers(monkeypatch):
+    """Make the contracts layer's solvers raise from here on."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver was called")
+
+    monkeypatch.setattr(contracts, "solve", refuse)
+    monkeypatch.setattr(contracts, "solve_value_iterations", refuse)
+
+
+def test_region_ends_call_no_solver(two_state, four_state, fig5_rows, monkeypatch):
+    # Linear ends are roots of lines computed from the sweep's streams, and
+    # threshold ends are decided by the class rule.
+    sweeps = [
+        (two_state, sweep_linear(two_state)),
+        (four_state, sweep_linear(four_state)),
+        (four_state, fig5_rows),
+        (four_state, sweep_threshold(four_state, 0.0, 0.9, [0.0, 20.0])),
+    ]
+    _refuse_solvers(monkeypatch)
+    for model, sweep in sweeps:
+        region = optimal_region(model, sweep)
+        assert _open_ends(region) and len(_open_ends(region)) == len(_brackets(sweep))
+
+
+def test_a_threshold_end_between_distant_rows_evaluates_the_uninsured_policy(
+    four_state, systems, monkeypatch
+):
+    # The losses 4, 8 and 16 lie between the cutoffs 0 and 20.  The
+    # bisection meets two classes the rows do not decide, {16} at 10 and
+    # {8, 16} at 5, and evaluates the uninsured policy once for each.
+    sweep = sweep_threshold(four_state, 0.0, 0.9, [0.0, 20.0])
+    assert sweep[0].profit < 0.0 == sweep[1].profit
+    systems.clear()
+    _refuse_solvers(monkeypatch)
+    [interval] = optimal_region(four_state, sweep).intervals
+    assert (interval.lo, interval.lo_closed) == (7.999999821186066, False)
+    assert systems == [1, 1]
 
 
 @pytest.mark.parametrize("study", ["fig3", "fig4"])
@@ -924,6 +965,30 @@ def test_region_columns_match_the_row_walk(sweep):
         )
 
 
+@st.composite
+def coarse_threshold_sweeps(draw):
+    """A random model of at most 6 states, 3 to 33 evenly spaced cutoffs
+    over its default threshold range, and two-tier levels."""
+    model = random_model(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), max_states=6)
+    grid = contracts.default_threshold_grid(model, draw(st.integers(3, 33)))
+    low = draw(st.floats(0.0, 1.0))
+    return model, grid, low, draw(st.floats(low, 1.0))
+
+
+@settings(deadline=None, max_examples=100)
+@given(coarse_threshold_sweeps())
+def test_threshold_ends_by_the_class_rule_match_the_solving_oracle(sweep):
+    # Coarse grids leave several state losses between the rows around an
+    # end, so the bisection meets classes the rows do not decide: the class
+    # rule's one evaluation of the uninsured policy must decide each as a
+    # certified solve does, down to the bits of every end.
+    model, grid, low, high = sweep
+    table = sweep_threshold(model, low, high, grid)
+    assert _report_or_error(optimal_region, model, table) == _report_or_error(
+        region_by_row_walk, model, list(table)
+    )
+
+
 def _brackets(rows):
     """The (inside, outside) rows around each region end at a policy switch, in order."""
     return [
@@ -945,7 +1010,7 @@ def _open_ends(region):
 
 def _bisected(model, inside, outside):
     """The bisection oracle for a linear region end."""
-    return contracts._bisect_switch(model, LinearCoverage, inside, outside, {})
+    return _bisect_switch(model, LinearCoverage, inside, outside, {})
 
 
 @settings(deadline=None, max_examples=60)
@@ -1064,13 +1129,13 @@ def test_linear_coverage_compensates_risk(grid):
     # Each state's optimal value is the lower envelope of the lines
     # (1 - R) * direct + cost of the policies, so as the level R rises the
     # user's direct losses rise and protection cost falls (the Peltzman
-    # effect).
+    # effect), in every state.
     model, levels = grid
     sweep = sweep_linear(model, levels)
-    direct, cost = sweep.figures[sweep.problem_of, 3:].T
-    limit = _figure_limit(sweep)
-    assert (np.diff(direct) >= -limit).all()
-    assert (np.diff(cost) <= limit).all()
+    direct, cost = np.moveaxis(sweep.streams[sweep.policy_of[sweep.problem_of]], -1, 0)
+    limit = contracts.CERT_TOL * (1.0 + np.abs(sweep.streams).max())
+    assert (np.diff(direct, axis=0) >= -limit).all()
+    assert (np.diff(cost, axis=0) <= limit).all()
 
 
 @settings(deadline=None, max_examples=30)

@@ -179,6 +179,30 @@ def test_names_that_are_not_clean_strings_are_itemized_errors(name):
     ]
 
 
+@pytest.mark.parametrize("key, field", [("states", "name"), ("states", "loss"), ("actions", "cost")])
+def test_a_malformed_entry_is_its_only_error(key, field):
+    # The transition blocks are counted against the declared entries, so a
+    # malformed state or action adds no error about well-formed transitions.
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    del raw[key][1][field]
+    amount = "loss" if key == "states" else "cost"
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(raw)
+    assert exc.value.errors == [f"{key}[1]: expected {{name, {amount}}} with a numeric {amount}"]
+
+
+def test_transitions_name_a_malformed_state_by_its_position():
+    raw = copy.deepcopy(TWO_STATE_RAW)
+    del raw["states"][1]["name"]
+    raw["transitions"][0][1] = [0.5, 0.4]
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(raw)
+    assert exc.value.errors == [
+        "states[1]: expected {name, loss} with a numeric loss",
+        "transition row for action 'A_L' from state states[1] sums to 0.9, expected 1",
+    ]
+
+
 def test_an_integer_name_is_not_its_string():
     raw = copy.deepcopy(TWO_STATE_RAW)
     raw["states"][1]["name"] = 7
