@@ -86,8 +86,8 @@ def _cmd_sweep(args) -> int:
     if args.family == "linear":
         sweep = contracts.sweep_linear(model, contracts.default_linear_grid(**points))
     else:
-        low = 0.0 if args.low_level is None else args.low_level
-        high = 0.9 if args.high_level is None else args.high_level
+        low = harness.FIG5_LOW_LEVEL if args.low_level is None else args.low_level
+        high = harness.FIG5_HIGH_LEVEL if args.high_level is None else args.high_level
         grid = contracts.default_threshold_grid(model, **points)
         sweep = contracts.sweep_threshold(model, low, high, grid)
     harness.write_sweep_csv(model, sweep, out)
@@ -100,8 +100,8 @@ def _cmd_analytic(args) -> int:
     level = LinearCoverage(args.at).level
     model = harness.load_model(args.model)
     ts = analytic.TwoStateModel.from_model(model)
-    classification = analytic.classify_case(ts)
     contract = analytic.optimal_contract(ts)
+    classification = contract.classification
 
     print(f"transition shift (rho) = {format_number(classification.rho)}")
     names = {s: model.states[s].name for s in (ts.good, ts.bad)}
@@ -171,8 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
         f"{contracts.THRESHOLD_GRID_POINTS} cutoffs)",
     )
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--low-level", type=float, help="threshold family only (default: 0)")
-    p_sweep.add_argument("--high-level", type=float, help="threshold family only (default: 0.9)")
+    p_sweep.add_argument(
+        "--low-level", type=float, help=f"threshold family only (default: {harness.FIG5_LOW_LEVEL:g})"
+    )
+    p_sweep.add_argument(
+        "--high-level", type=float, help=f"threshold family only (default: {harness.FIG5_HIGH_LEVEL:g})"
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_analytic = sub.add_parser("analytic", help="closed-form report (two-state models)")

@@ -21,17 +21,20 @@ a one-off quote is a one-row sweep (``sweep_linear(model, [level])`` or
 below for no insurance and linear coverage, value iteration for two-tier
 coverage.  The certificate is the exact Bellman residual eps of the returned
 policy's values, ||V_pi - V*|| <= eps / (1 - discount) (Puterman 1994,
-section 6), carried as ``certificate_bound``.  Every result in this module,
-a sweep row's too, passes the same gate, and the certificate alone is it:
-one whose exact values are not all finite or whose bound exceeds
-``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so no
-uncertified policy reaches a caller, a sweep row or a region end.  Value
-iteration's own stop flag only enters the message: from discount 0.999
-its threshold tol * (1 - discount) / (2 * discount) lies below one ulp of
-||V||, so only the certificate decides.  Both solvers give one
-:class:`~cyins.solvers.SolveTable` of problems, which the gate, :func:`solve`
-and a sweep's pricing read.  The other solvers stay in :mod:`cyins.solvers`
-as test oracles.
+section 6), carried as ``certificate_bound``.  Both solvers give one
+:class:`~cyins.solvers.SolveTable` of problems and each row's problem, the
+baseline's first, and certify nothing: the gate sits with the table's two
+readers, :func:`solve` and a sweep's pricing, which pass every problem of
+it through the same gate before reading a number.  The certificate alone is
+the gate: a problem whose exact values are not all finite or whose bound
+exceeds ``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so no
+uncertified policy reaches a caller, a sweep row or a region end.  The
+error names the first grid row that prices the problem, or the coverage
+given to :func:`solve`, and ``ZeroCoverage()`` for a baseline no row
+shares.  Value iteration's own stop flag only enters the message: from
+discount 0.999 its threshold tol * (1 - discount) / (2 * discount) lies
+below one ulp of ||V||, so only the certificate decides.  The other solvers
+stay in :mod:`cyins.solvers` as test oracles.
 
 A coverage enters a solve only through the reimbursement it pays in each
 state.  A threshold sweep solves each distinct paid vector once, the
@@ -44,7 +47,7 @@ walks the pieces up the grid from level 0, the baseline, with one greedy
 extraction over the remaining rows per piece and a few Howard improvement
 steps at each switch.  Each policy the walk evaluates is solved once, and
 every row is read off its piece's affine values and action values, so the
-rows solve nothing and share one certificate gate.
+rows solve nothing.
 
 A sweep is a table, a :class:`Sweep`: the grid's parameters, each row's
 distinct problem, and per problem its policy and its five figures (user
@@ -72,7 +75,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -241,28 +244,15 @@ class RegionReport:
     note: str = BOUNDARY_NOTE
 
 
-class _Problems(NamedTuple):
-    """A sweep's certified ``solved`` problems and each coverage's problem ``index``."""
+def _solve_many(model: MdpModel, paid: np.ndarray) -> tuple[SolveTable, np.ndarray]:
+    """Value-iteration problems for the distinct rows of ``paid`` (K, N), uncertified.
 
-    solved: SolveTable
-    index: np.ndarray
-
-
-def _solve_many(
-    model: MdpModel, paid: np.ndarray, coverage_of: Callable[[int], Coverage]
-) -> _Problems:
-    """Certified value-iteration problems for the distinct rows of ``paid``.
-
-    ``paid`` (K, N) holds the paid vectors of K coverages, row k that of
-    ``coverage_of(k)``, which is built only to name an uncertified problem.
-    Each distinct vector is solved once, in the order of its first row, all
-    of them in one loop and one :func:`_certify`, and ``index`` names row
-    k's problem.
+    Each distinct paid vector is solved once, in the order of its first
+    row, all of them in one loop, and ``index`` names row k's problem: a
+    sweep puts the baseline's vector in row 0.
     """
     first, index = _first_rows(paid)
-    solved = solve_value_iterations(model, paid[first], tol=CERT_TOL)
-    _certify(model, lambda d: coverage_of(first[d]), solved)
-    return _Problems(solved, index)
+    return solve_value_iterations(model, paid[first], tol=CERT_TOL), index
 
 
 def _certify(model: MdpModel, coverage_of: Callable[[int], Coverage], solved: SolveTable) -> None:
@@ -289,18 +279,18 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
     """The user's certified optimal response to one coverage, by coverage family.
 
     No insurance and linear coverage are walked, two-tier coverage iterated.
-    Raises :class:`CertificateError` unless the result's values are finite
-    and its ``certificate_bound`` is within the limit (see the module
-    docstring).
+    Raises :class:`CertificateError`, naming ``coverage``, unless every
+    problem solved is certified: its values finite and its
+    ``certificate_bound`` within the limit (see the module docstring).
     """
     if isinstance(coverage, ThresholdCoverage):
-        problems = _solve_many(model, coverage_paid(model, coverage)[None], lambda k: coverage)
+        solved, index = _solve_many(model, coverage_paid(model, coverage)[None])
     else:
         # The low tier is a linear level, and no insurance's zero.
-        level = np.array([_tiers(coverage)[1]], dtype=float)
-        problems = _solve_linear(model, level, lambda k: coverage)
+        solved, index = _solve_linear(model, np.array([_tiers(coverage)[1]], dtype=float))
+    _certify(model, lambda d: coverage, solved)
     # The coverage's problem is named last: a linear solve names the baseline first.
-    return problems.solved.result(problems.index[-1])
+    return solved.result(index[-1])
 
 
 def _lines(model: MdpModel, direct: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,54 +380,51 @@ def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.array(policies), lines, piece_of, steps
 
 
-def _solve_linear(
-    model: MdpModel, levels: np.ndarray, coverage_of: Callable[[int], Coverage]
-) -> _Problems:
-    """Certified problems for the baseline and each of the ascending ``levels``.
+def _solve_linear(model: MdpModel, levels: np.ndarray) -> tuple[SolveTable, np.ndarray]:
+    """Problems for the baseline and each of the ascending linear ``levels``, uncertified.
 
-    ``levels`` are linear coverage levels, level k that of ``coverage_of(k)``,
-    which is built only to name an uncertified problem.  The baseline is
-    level 0, the walk's first row, and a repeated level shares its problem.
-    Level R is read off its piece's :func:`_action_value_lines`: values
-    V = (1 - R) * direct + cost, residual max |V - min_a Q| with
-    Q = (1 - R) * q_loss + q_cost, its iterations the Howard steps to its
-    piece.  ``index`` names the baseline's problem, then each level's.
+    The baseline is level 0, the walk's first row, and a repeated level
+    shares its problem.  Level R is read off its piece's
+    :func:`_action_value_lines`: values V = (1 - R) * direct + cost,
+    residual max |V - min_a Q| with Q = (1 - R) * q_loss + q_cost, its
+    iterations the Howard steps to its piece.  ``index`` names the
+    baseline's problem, then each level's.
     """
-    # Last, so np.unique (first occurrences) names level 0 after a grid coverage at 0.
-    baseline = len(levels)
-    distinct, first, index = np.unique(
-        np.append(levels, 0.0), return_index=True, return_inverse=True
-    )
+    distinct, index = np.unique(np.append(0.0, levels), return_inverse=True)
     policies, lines, piece_of, steps = _walk_pieces(model, distinct)
     q_loss, q_cost, direct, cost = (np.array(part) for part in zip(*lines))
     scale = 1.0 - distinct[:, None]
     values = scale * direct[piece_of] + cost[piece_of]
     bellman = (scale[..., None] * q_loss[piece_of] + q_cost[piece_of]).min(axis=2)
     residual = np.abs(values - bellman).max(axis=1)
-
-    def walked(d: int) -> Coverage:
-        return ZeroCoverage() if first[d] == baseline else coverage_of(first[d])
-
     streams, bounds = np.stack((direct, cost), axis=-1), residual / (1.0 - model.discount)
     # The walk itself always ends; only non-finite values leave a problem unconverged.
     finite = np.isfinite(values).all(axis=1)
-    solved = SolveTable(policies, streams, piece_of, values, steps, residual, bounds, finite)
-    _certify(model, walked, solved)
-    return _Problems(solved, np.concatenate((index[-1:], index[:-1])))
+    return SolveTable(policies, streams, piece_of, values, steps, residual, bounds, finite), index
 
 
 def _price(
     model: MdpModel,
     coverage_at: Callable[[float], Coverage],
     parameters: np.ndarray,
-    problems: _Problems,
+    solved: SolveTable,
+    index: np.ndarray,
 ) -> Sweep:
-    """The priced sweep of ``parameters``: ``problems.index`` names the baseline's
-    problem, then each row's.
+    """The certified, priced sweep of ``parameters``: ``index`` names the
+    baseline's problem of ``solved``, then each row's.
 
-    Each figure is one array expression over the distinct problems.
+    Every problem passes :func:`_certify` first, named by the first row that
+    prices it, or ``ZeroCoverage()`` for a baseline no row shares.  Each
+    figure is then one array expression over the distinct problems.
     """
-    solved, index, s0 = problems.solved, problems.index, model.initial_state
+    rows = index[1:]
+
+    def named(d: int) -> Coverage:
+        priced = rows == d
+        return coverage_at(parameters[priced.argmax()].item()) if priced.any() else ZeroCoverage()
+
+    _certify(model, named, solved)
+    s0 = model.initial_state
     user, streams, policy_of = solved.values[:, s0], solved.streams[:, s0], solved.policy_of
     direct, cost = streams[policy_of].T
     baseline = index[0]
@@ -451,7 +438,7 @@ def _price(
     return Sweep(
         coverage_at,
         parameters,
-        index[1:],
+        rows,
         tuple(ProtectionPolicy(actions) for actions in solved.policies.tolist()),
         policy_of,
         np.stack([user, premium, profit, direct, cost], axis=1),
@@ -499,8 +486,7 @@ def sweep_linear(model: MdpModel, grid: Sequence[float] | None = None) -> Sweep:
     if not ((0.0 <= levels) & (levels <= 1.0)).all():
         raise ValueError("linear sweep grid must lie within [0, 1]")
     _check_ascending(levels)
-    problems = _solve_linear(model, levels, lambda k: LinearCoverage(levels[k].item()))
-    return _price(model, LinearCoverage, levels, problems)
+    return _price(model, LinearCoverage, levels, *_solve_linear(model, levels))
 
 
 def sweep_threshold(
@@ -524,11 +510,7 @@ def sweep_threshold(
     # The baseline first: no cutoff, so it pays its zero low tier everywhere.
     column = np.append(np.inf, cutoffs)[:, None]
     paid = _tiers_paid(model, column, np.where(column < np.inf, low_level, 0.0), high_level)
-
-    def row_coverage(k: int) -> Coverage:
-        return ZeroCoverage() if k == 0 else coverage_at(cutoffs[k - 1].item())
-
-    return _price(model, coverage_at, cutoffs, _solve_many(model, paid, row_coverage))
+    return _price(model, coverage_at, cutoffs, *_solve_many(model, paid))
 
 
 def _linear_switch(
@@ -606,9 +588,9 @@ def optimal_region(model: MdpModel, sweep: Sweep) -> RegionReport:
     a sweep on the baseline policy share its arithmetic.  An end against a
     policy switch is reported open, at the exact gap root for linear rows
     and bisected for threshold rows, with no solver call; an end at the grid
-    edge stays closed.  Maximal runs of rows with the same premium line each
-    make one interval, so a threshold staircase splits at its steps.  No row
-    object is built.
+    edge stays closed.  One pass over the maximal runs of rows with the same
+    membership and premium line makes each interval, so a threshold
+    staircase splits at its steps.  No row object is built.
     """
     count = len(sweep)
     if not count:
@@ -640,31 +622,23 @@ def optimal_region(model: MdpModel, sweep: Sweep) -> RegionReport:
             return _linear_switch(model, parameters[inside], parameters[outside], actions, *lines)
         return _threshold_switch(model, sweep.coverage_at(parameters[inside]), parameters[outside], actions)
 
-    line_steps = (intercept[1:] != intercept[:-1]) | (slope[1:] != slope[:-1])
-    runs = [0, *(np.flatnonzero(np.diff(in_region)) + 1).tolist(), count]
+    # A run ends where membership or the premium line changes; only a run's
+    # end against a row outside the region is a policy switch.
+    changes = np.any([column[1:] != column[:-1] for column in (in_region, intercept, slope)], axis=0)
+    runs = [0, *(np.flatnonzero(changes) + 1).tolist(), count]
     intervals: list[RegionInterval] = []
     for start, stop in zip(runs, runs[1:]):
         if not in_region[start]:
             continue
         lo, lo_closed = parameters[start], True
-        if start > 0:
+        if start > 0 and not in_region[start - 1]:
             lo, lo_closed = end(start, start - 1), False
         hi, hi_closed = parameters[stop - 1], True
-        if stop < count:
+        if stop < count and not in_region[stop]:
             hi, hi_closed = end(stop - 1, stop), False
-        cuts = [start, *(np.flatnonzero(line_steps[start : stop - 1]) + start + 1).tolist(), stop]
-        for a, b in zip(cuts, cuts[1:]):
-            first, last = a == start, b == stop
-            intervals.append(
-                RegionInterval(
-                    lo=lo if first else parameters[a],
-                    hi=hi if last else parameters[b - 1],
-                    lo_closed=lo_closed or not first,
-                    hi_closed=hi_closed or not last,
-                    premium_intercept=intercept[a].item(),
-                    premium_slope=slope[a].item(),
-                )
-            )
+        intervals.append(
+            RegionInterval(lo, hi, lo_closed, hi_closed, intercept[start].item(), slope[start].item())
+        )
 
     # The first of equal premiums wins.
     ends = [

@@ -222,8 +222,8 @@ def _fig5_sweep(model: MdpModel):
 def _closed_forms(model: MdpModel):
     """fig3's closed forms: the case, its thresholds and the optimal contract, and the overlay."""
     ts = analytic.TwoStateModel.from_model(model)
-    classification = analytic.classify_case(ts)
     contract = analytic.optimal_contract(ts)
+    classification = contract.classification
     fields = {
         "case": classification.case_id,
         "rho": classification.rho,

@@ -161,12 +161,6 @@ class MdpModel:
     def n_actions(self) -> int:
         return len(self.actions)
 
-    def state_index(self, name: str) -> int:
-        for i, s in enumerate(self.states):
-            if s.name == name:
-                return i
-        raise KeyError(f"unknown state {name!r}")
-
     def action_index(self, name: str) -> int:
         for i, a in enumerate(self.actions):
             if a.name == name:
@@ -261,7 +255,10 @@ def validate_model(raw: Mapping) -> MdpModel:
     initial = raw.get("initial_state", 0)
     initial_index = 0
     if isinstance(initial, str):
-        matches = [i for i, s in enumerate(states) if s.name == initial]
+        # Declared entries, so a state whose loss is malformed (its own
+        # error) is still a declared name.
+        names = [e.get("name") if isinstance(e, Mapping) else None for e in _sequence(raw["states"]) or []]
+        matches = [i for i, name in enumerate(names) if isinstance(name, str) and name == initial]
         if matches:
             initial_index = matches[0]
         else:

@@ -304,13 +304,13 @@ def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
 
 
 def priced_problems(sweep, model, *args):
-    """``sweep(model, *args)`` and the table of problems it was priced from."""
+    """``sweep(model, *args)`` and the ``(table, index)`` of problems it was priced from."""
     tables = []
     price = contracts._price
 
-    def capturing(model, coverage_at, parameters, problems):
-        tables.append(problems)
-        return price(model, coverage_at, parameters, problems)
+    def capturing(model, coverage_at, parameters, solved, index):
+        tables.append((solved, index))
+        return price(model, coverage_at, parameters, solved, index)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(contracts, "_price", capturing)

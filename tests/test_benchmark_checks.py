@@ -1,9 +1,11 @@
-"""The benchmark's own output checks, on one round of the paper studies.
+"""The benchmark's own output checks, on one round of the paper studies and one deck of quotes.
 
 Each perfbench ``paper_studies`` op reproduces one study, and its check
 compares the CSV with the sha256 and the summary with the numbers recorded
-in ``perfbench/expected.json``.  A benchmark run counts an op that fails
-them as wrong, so one round runs here too.
+in ``perfbench/expected.json``.  Each ``point_queries`` op quotes one
+contract, and its check tests the row against the workload's own dense
+solve.  A benchmark run counts an op that fails them as wrong, so one round
+of each runs here too.
 """
 
 import importlib
@@ -18,6 +20,21 @@ def test_one_round_of_the_paper_studies_passes_the_benchmark_checks(tmp_path, mo
     workloads = importlib.import_module("workloads")
     ops = workloads.PaperStudies(0, tmp_path).unit(0)
     assert [op.kind for op in ops] == list(workloads.STUDIES)
+    for op in ops:
+        verdict = op.check(op.call(), Counter())
+        assert verdict.problems == [], op.kind
+
+
+def test_one_deck_of_quotes_passes_the_benchmark_checks(tmp_path, monkeypatch):
+    # Each perfbench ``point_queries`` op is a one-row sweep, which certifies
+    # and prices its problems; its check solves the row's policy densely and
+    # tests the certificate and the premium and profit identities.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    quotes = workloads.PointQueries(1, tmp_path)
+    quotes.setup()
+    ops = quotes.unit(0)
+    assert ops
     for op in ops:
         verdict = op.check(op.call(), Counter())
         assert verdict.problems == [], op.kind

@@ -342,6 +342,26 @@ def test_linear_sweep_certifies_every_walked_row(two_state, monkeypatch):
         solve(two_state, ZeroCoverage())
 
 
+def test_an_uncertified_baseline_is_named_by_the_first_row_that_prices_it(two_state, monkeypatch):
+    # With a zero low tier, a cutoff at or above the largest loss pays
+    # nothing, so that row shares the baseline's zero paid vector and names
+    # its problem; with no such row, the baseline is no insurance.
+    def uncertified(model, paid, tol):
+        solved = solve_value_iterations(model, paid, tol=tol)
+        unpaid = (paid == 0.0).all(axis=1)
+        return solved._replace(certificate_bound=np.where(unpaid, np.inf, solved.certificate_bound))
+
+    monkeypatch.setattr(contracts, "solve_value_iterations", uncertified)
+    top = float(two_state.losses.max())
+    for cutoff in (top, 2.0 * top):
+        grid = [0.0, 0.5 * top, cutoff, 3.0 * top]
+        named = re.escape(f"for {ThresholdCoverage(cutoff, 0.0, 0.5)!r}")
+        with pytest.raises(CertificateError, match=named):
+            sweep_threshold(two_state, 0.0, 0.5, grid)
+    with pytest.raises(CertificateError, match=r"for ZeroCoverage\(\) "):
+        sweep_threshold(two_state, 0.0, 0.5, [0.0, 0.5 * top])
+
+
 # ------------------------------------------------------------- batched solves
 
 @st.composite
@@ -365,9 +385,9 @@ def coverage_stacks(draw):
     return model, coverages, draw(st.permutations(range(len(coverages))))
 
 
-def _solved_in_order(problems):
-    """Each row's result from a sweep's ``_Problems``, in row order."""
-    return [problems.solved.result(d) for d in problems.index]
+def _solved_in_order(solved, index):
+    """Each row's result from a solve table and its rows' ``index``, in row order."""
+    return [solved.result(d) for d in index]
 
 
 @settings(deadline=None, max_examples=40)
@@ -387,7 +407,7 @@ def test_batched_solves_match_solving_each_coverage_alone(stack):
     for batched in (
         results(solved),
         [permuted[k] for k in range(len(order))],
-        _solved_in_order(contracts._solve_many(model, paid, coverages.__getitem__)),
+        _solved_in_order(*contracts._solve_many(model, paid)),
     ):
         assert len(batched) == len(coverages)
         for single, together in zip(alone, batched):
@@ -1145,9 +1165,8 @@ def test_no_contract_profits_and_the_uninsured_policy_breaks_even(sweep):
     # exceeds 0, and a row on that policy shares its arithmetic: exactly 0.
     model, levels, cutoffs, low, high = sweep
     for family, args in ((sweep_linear, (levels,)), (sweep_threshold, (low, high, cutoffs))):
-        priced, problems = priced_problems(family, model, *args)
-        solved = problems.solved
-        baseline = solved.policy_of[problems.index[0]]
+        priced, (solved, index) = priced_problems(family, model, *args)
+        baseline = solved.policy_of[index[0]]
         profit = priced.figures[priced.problem_of, 2]
         assert (profit <= _figure_limit(priced)).all()
         on_baseline = priced.policy_of[priced.problem_of] == baseline

@@ -24,10 +24,10 @@ EPS = np.finfo(float).eps
 
 def assert_exactly_optimal(model, sweep, problems):
     """Check each distinct problem of ``sweep`` against the exact oracle; return their count."""
-    solved = problems.solved
+    solved, index = problems
     # Each problem's coverage: the baseline's first, then the rows' in order.
-    coverages = {problems.index[0]: ZeroCoverage()}
-    for k, d in enumerate(problems.index[1:].tolist()):
+    coverages = {index[0]: ZeroCoverage()}
+    for k, d in enumerate(index[1:].tolist()):
         coverages.setdefault(d, sweep.coverage_at(sweep.parameters[k].item()))
     for d, coverage in coverages.items():
         actions = solved.policies[solved.policy_of[d]].tolist()

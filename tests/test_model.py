@@ -183,12 +183,20 @@ def test_names_that_are_not_clean_strings_are_itemized_errors(name):
 def test_a_malformed_entry_is_its_only_error(key, field):
     # The transition blocks are counted against the declared entries, so a
     # malformed state or action adds no error about well-formed transitions.
+    # An initial state named by a malformed entry is still declared, unless
+    # the entry's name is what it lacks.
     raw = copy.deepcopy(TWO_STATE_RAW)
     del raw[key][1][field]
     amount = "loss" if key == "states" else "cost"
+    malformed = f"{key}[1]: expected {{name, {amount}}} with a numeric {amount}"
     with pytest.raises(ModelValidationError) as exc:
         validate_model(raw)
-    assert exc.value.errors == [f"{key}[1]: expected {{name, {amount}}} with a numeric {amount}"]
+    assert exc.value.errors == [malformed]
+    raw["initial_state"] = "S_B"
+    undeclared = ["initial_state 'S_B' is not a declared state name"] if field == "name" else []
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(raw)
+    assert exc.value.errors == [malformed, *undeclared]
 
 
 def test_transitions_name_a_malformed_state_by_its_position():

@@ -537,14 +537,25 @@ def reference_estimate(model, policy, coverage, config, batch_size):
     return mean, math.sqrt(variance / config.samples)
 
 
-def on_cpus(monkeypatch, cpus):
-    """Let the sampler see ``cpus`` CPUs; returns the set of threads that step batches."""
+def on_cpus(monkeypatch, cpus, meet=False):
+    """Let the sampler see ``cpus`` CPUs; returns the set of threads that step batches.
+
+    With ``meet``, each thread's first batch waits until ``cpus`` threads
+    hold one, so no share ends (and frees its thread for another share)
+    before every share has a thread of its own; fewer threads break the
+    barrier.
+    """
     monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     threads = set()
     batch = mc._simulate_batch
+    barrier = threading.Barrier(cpus, timeout=10.0)
 
     def recorded(*args):
-        threads.add(threading.get_ident())
+        thread = threading.get_ident()
+        first = thread not in threads
+        threads.add(thread)
+        if meet and first:
+            barrier.wait()
         batch(*args)
 
     monkeypatch.setattr(mc, "_simulate_batch", recorded)
@@ -562,7 +573,7 @@ def test_parallel_batches_are_the_serial_batches(four_state, monkeypatch):
     try:
         sys.setswitchinterval(1e-6)
         for cpus in (1, 4):
-            threads = on_cpus(monkeypatch, cpus)
+            threads = on_cpus(monkeypatch, cpus, meet=True)
             estimates[cpus] = simulate_value(*case, config)
             assert len(threads) == cpus
     finally:
@@ -572,7 +583,7 @@ def test_parallel_batches_are_the_serial_batches(four_state, monkeypatch):
 
 def test_no_worker_outlives_an_estimate(two_state, monkeypatch):
     monkeypatch.setattr(mc, "BATCH_SIZE", 500)
-    threads = on_cpus(monkeypatch, 4)
+    threads = on_cpus(monkeypatch, 4, meet=True)
     before = threading.active_count()
     config = SimulationConfig(horizon=20, samples=4000, seed=2, truncation_tol=1.0)
     simulate_value(two_state, PI_HH, ZeroCoverage(), config)
