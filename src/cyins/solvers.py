@@ -11,16 +11,17 @@ the Bellman operator to a stack of coverage problems of one model at once,
 each given by its paid vector (a coverage enters only through what it pays
 per state).  The stack is problem-minor, one column per problem, so each
 iteration is one matrix product, one sum and one reduction across contiguous
-problems.  The whole stack iterates until its last problem stops: a stopped
-problem's column runs on unread, so every product keeps the stack's width.
-Each problem keeps its own stopping rule, tested once per block of up to
-``BLOCK`` iterates, and stops at its first failing iterate in the block
-(from discount 0.999 the threshold lies below one ulp of ||V||, so only the
-certificate of :mod:`cyins.contracts` decides).  The stopped problems are
-finished together into one :class:`SolveTable`: one greedy extraction, one
-stacked exact evaluation (:func:`cyins.model._policy_streams`) giving each
-problem's value and its two streams from one factorisation, and one stacked
-Bellman residual.  :func:`solve_value_iteration` is its one-problem call.
+problems.  The loop keeps two iterates of the stack, which swap roles each
+step.  The stack stops together: its stopping rule is tested once per block
+of up to ``BLOCK`` iterates, on the block's last step, and holds the stack
+while any problem's change exceeds the threshold, so every problem reports
+the stack's iteration count (from discount 0.999 the threshold lies below
+one ulp of ||V||, so only the certificate of :mod:`cyins.contracts`
+decides).  The final iterates are finished together into one
+:class:`SolveTable`: one greedy extraction, one stacked exact evaluation
+(:func:`cyins.model._policy_streams`) giving each problem's value and its
+two streams from one factorisation, and one stacked Bellman residual.
+:func:`solve_value_iteration` is its one-problem call.
 
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
@@ -75,7 +76,8 @@ TIE_REL = 1e-12
 
 ENUMERATION_LIMIT = 10**6
 
-# Value iterates computed between two tests of the stopping rule.
+# Value iterates computed between two tests of the stopping rule, which the
+# whole stack of problems passes or fails together.
 BLOCK = 16
 
 
@@ -99,9 +101,10 @@ class SolveResult:
     and leave out the evaluation's own rounding floor, about
     machine-eps * ||V|| / (1 - discount), so the bound can read 0 for
     values a few ulps from the optimum.  ``iterations`` counts
-    value-iteration sweeps, Howard steps of a linear walk, or policies.
-    ``converged`` is value iteration's own stop flag: its stopping rule
-    fired and the exact values are finite.  It is a diagnostic, not a
+    value-iteration sweeps (those of the whole stack the problem was solved
+    in), Howard steps of a linear walk, or policies.  ``converged`` is value
+    iteration's own stop flag: the problem's last change passed the stopping
+    rule and its exact values are finite.  It is a diagnostic, not a
     certificate: a contract result is gated by its finite values and
     ``certificate_bound`` alone (see :mod:`cyins.contracts`), and near
     discount 1 value iteration stops at ``max_iter`` with a policy the
@@ -234,30 +237,28 @@ def solve_value_iterations(
     builds them.  Every problem iterates the same Bellman operator on its
     own stage losses, all in one loop.  The stack is problem-minor: values
     are (N, K) and stage losses (M*N, K), so the min over actions and the
-    max over states reduce across contiguous problems.  A problem stops at
-    the first iteration where its own sup-norm change is at most
-    tol * (1 - discount) / (2 * discount), which bounds the value error of
-    its greedy policy by ``tol`` (from discount 0.999 it lies below one ulp
-    of ||V|| and fires only on a fixed point).  A problem still iterating at
-    ``max_iter`` keeps its last iterate, and one whose iterate stops being
-    finite its last finite iterate; both are flagged ``converged=False``.
-    ``tol`` is a positive real number and ``max_iter`` an integer of at
-    least 1.
+    max over states reduce across contiguous problems.  The loop holds two
+    iterates, which swap roles each step, and one step's action values.
 
-    The whole stack iterates until every problem has stopped or
-    ``max_iter`` is reached, so every product has the stack's width and
-    its rounding does not depend on when the other problems stop.  The rule
-    is tested once per block of up to ``BLOCK`` iterates: all their
-    sup-norm changes are taken in one pass, and each running problem stops
-    at its first failing iterate in the block.  A stopped problem's column
-    runs on unread and may overflow, so floating-point warnings inside the
-    loop are silenced.
+    The stack stops together.  The stopping rule is tested once per block of
+    up to ``BLOCK`` iterates, on the block's last step: the stack stops at
+    the first block end where no problem's sup-norm change exceeds
+    tol * (1 - discount) / (2 * discount), which bounds the value error of a
+    greedy policy by ``tol`` (from discount 0.999 it lies below one ulp of
+    ||V|| and fires only on a fixed point), or at ``max_iter``.  A NaN change
+    passes the test; an inf change holds the stack for one more block, after
+    which it is NaN.  Every problem reports the stack's iteration count and
+    is flagged ``converged`` when its last change is at most the threshold,
+    so a problem still moving at ``max_iter`` or whose iterate stops being
+    finite is flagged ``converged=False``.  An iterate may overflow, so
+    floating-point warnings inside the loop are silenced.  ``tol`` is a
+    positive real number and ``max_iter`` an integer of at least 1.
 
-    All problems are then finished together into one :class:`SolveTable`,
-    in the order of the rows of ``paid``: one greedy extraction, one stacked
-    exact evaluation, whose factorisations solve the retained losses, the
-    full losses and the costs (the values and both streams), and one
-    stacked Bellman residual with its certificate bound.
+    The final iterates are then finished together into one
+    :class:`SolveTable`, in the order of the rows of ``paid``: one greedy
+    extraction, one stacked exact evaluation, whose factorisations solve the
+    retained losses, the full losses and the costs (the values and both
+    streams), and one stacked Bellman residual with its certificate bound.
     """
     _check_real("tol", tol)
     if not tol > 0.0:
@@ -278,48 +279,32 @@ def solve_value_iterations(
     stage = (model.costs[:, None, None] + retained.T[None]).reshape(m * n, problems)
     lookahead = delta * model.transitions.reshape(m * n, n)
     matmul, add, lowest, highest = np.matmul, np.add, np.minimum.reduce, np.maximum.reduce
-    # A block of iterates, the first carried over from the last block.
-    block = np.zeros((BLOCK + 1, n, problems))
-    difference = np.empty((BLOCK, n, problems))
+    # Two iterates that swap roles each step, and one step's action values.
+    values, previous = np.zeros((n, problems)), np.empty((n, problems))
     sums = np.empty((m * n, problems))
     sums_by_action = sums.reshape(m, n, problems)
-    iterate = list(block)
-    iterates = np.empty((n, problems))
-    iterations = np.empty(problems, dtype=int)
-    converged = np.zeros(problems, dtype=bool)
-    stopped = np.zeros(problems, dtype=bool)
-    running, done = problems, 0
-    while running and done < max_iter:
-        size = min(BLOCK, max_iter - done)
-        # Stopped problems' columns run on unread and may overflow.
-        with np.errstate(all="ignore"):
+    done = 0
+    # A problem's iterates may overflow; its flag and the finish report it.
+    with np.errstate(all="ignore"):
+        while done < max_iter:
+            size = min(BLOCK, max_iter - done)
             # Outputs go positionally: a keyword makes each call about a third slower.
-            for k in range(size):
-                matmul(lookahead, iterate[k], sums)
+            for _ in range(size):
+                previous, values = values, previous
+                matmul(lookahead, previous, sums)
                 add(stage, sums, sums)
-                lowest(sums_by_action, 0, None, iterate[k + 1])
-            change = np.subtract(block[1 : size + 1], block[:size], difference[:size])
-            change = highest(np.abs(change, change), 1)
-        # NaN fails the test too, and a stopped problem is not tested again.
-        going = (change > threshold) & (change < np.inf) | stopped
-        if not going.all():
-            stopping = np.flatnonzero(~going.all(axis=0))
-            step = going[:, stopping].argmin(axis=0)
-            finite = np.isfinite(change[step, stopping])
-            # A non-finite change keeps the iterate before it.
-            iterates[:, stopping] = block[step + finite, :, stopping].T
-            iterations[stopping] = done + step + 1
-            converged[stopping] = finite
-            stopped[stopping] = True
-            running -= stopping.size
-        done += size
-        block[0] = block[size]
-    iterates[:, ~stopped] = block[0][:, ~stopped]
-    iterations[~stopped] = done
+                lowest(sums_by_action, 0, None, values)
+            done += size
+            # The last step's change, taken in the buffer the next step overwrites.
+            change = highest(np.abs(np.subtract(values, previous, previous), previous), 0)
+            # A NaN change passes; an inf one holds the stack a block, after which it is NaN.
+            if not (change > threshold).any():
+                break
     # The loop's buffers go before the finish allocates its own.
-    del block, iterate, difference, sums, sums_by_action
+    del previous, sums, sums_by_action
+    iterations, converged = np.full(problems, done), change <= threshold
 
-    actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)
+    actions = _greedy_actions(_stacked_action_values(model, retained, values.T), model.costs)
     streams = _policy_streams(model, actions, retained, model.losses)
     # A value sums its retained-loss and cost streams, as a linear walk's rows do.
     exact = streams[..., ::2].sum(axis=2)

@@ -6,6 +6,11 @@ all.  A policy's values solve (I - discount * P_policy) V = stage, here by
 Gaussian elimination on Fractions; its gap at (s, a) is Q(s, a) - V(s), the
 one-step lookahead on those values minus the value.  A policy is optimal
 exactly when no gap is negative (the policy-iteration optimality condition).
+
+Under linear coverage at level R a policy's values are (1 - R) * D + C, for
+its direct-loss and cost streams D and C, so each of its gaps is the affine
+(1 - R) * A + B, and the level where the policy stops being optimal is the
+exact root of a gap.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cyins.model import MdpModel, _tiers
+from cyins.model import LinearCoverage, MdpModel, _tiers
 
 
 def retained_losses(model: MdpModel, coverage) -> list[Fraction]:
@@ -61,3 +66,30 @@ def gaps(model: MdpModel, actions, retained) -> tuple[list[Fraction], np.ndarray
             future = sum(Fraction(p) * v for p, v in zip(row, values))
             gap[s, a] = retained[s] + costs[a] + delta * future - values[s]
     return values, gap
+
+
+def linear_lines(model: MdpModel, actions) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """The exact gap lines A, B (N, M) and streams D, C (N,) of the policy
+    ``actions`` under linear coverage: at level R its gaps are
+    (1 - R) * A + B and its values (1 - R) * D + C."""
+    at_0, gaps_0 = gaps(model, actions, retained_losses(model, LinearCoverage(0.0)))
+    cost, gaps_1 = gaps(model, actions, retained_losses(model, LinearCoverage(1.0)))
+    return gaps_0 - gaps_1, gaps_1, [v - c for v, c in zip(at_0, cost)], cost
+
+
+def linear_switch(lines, start: float, stop: float) -> tuple[Fraction, Fraction | None]:
+    """The exact level between ``start`` and ``stop`` where a policy with
+    gap ``lines`` (A, B), optimal at ``start``, stops being optimal, and
+    that gap's A.
+
+    A gap negative at ``stop`` but not at ``start`` turns negative at its
+    root 1 + B / A; the switch is the root nearest ``start``.  When no gap
+    is negative at ``stop`` the policy is optimal there too, and the switch
+    is ``(stop, None)``.
+    """
+    start, stop = Fraction(start), Fraction(stop)
+    roots = [(1 + b / a, a) for a, b in zip(*(line.ravel() for line in lines)) if (1 - stop) * a + b < 0]
+    if not roots:
+        return stop, None
+    nearest = min if stop > start else max
+    return nearest(roots, key=lambda root: root[0])

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cyins import contracts
+from cyins import contracts, solvers
 from cyins.model import (
     LinearCoverage,
     MdpModel,
@@ -325,12 +325,13 @@ def results(table: SolveTable) -> list[SolveResult]:
 def per_iteration_value_iterations(
     model: MdpModel, paid: np.ndarray, tol: float = 1e-9, max_iter: int = 200_000
 ) -> SolveTable:
-    """``solvers.solve_value_iterations`` testing its stopping rule after every iteration.
+    """``solvers.solve_value_iterations`` one Bellman step at a time.
 
     The reference for the block loop: the same Bellman operator on the whole
-    stack to the end, the same stopping rule and finish, with the stop tested
-    once per iterate, so any change in an iterate's arithmetic shows as a
-    difference in its results.
+    stack, one fresh array per step, with the stack's stopping rule tested
+    after every ``solvers.BLOCK``-th step and at ``max_iter``, and the same
+    finish, so any change in an iterate's arithmetic shows as a difference
+    in its results.
     """
     delta = model.discount
     threshold = tol * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf
@@ -339,27 +340,16 @@ def per_iteration_value_iterations(
     problems = len(retained)
     stage = (model.costs[:, None, None] + retained.T[None]).reshape(m * n, problems)
     lookahead = delta * model.transitions.reshape(m * n, n)
-    lowest, highest = np.minimum.reduce, np.maximum.reduce
     values = np.zeros((n, problems))
-    active = np.ones(problems, dtype=bool)
-    iterates = np.zeros_like(values)
-    iterations = np.full(problems, max_iter)
-    converged = np.zeros(problems, dtype=bool)
     for iteration in range(1, max_iter + 1):
-        if not active.any():
-            break
-        updated = lowest((stage + lookahead @ values).reshape(m, n, -1), axis=0)
-        change = highest(np.abs(updated - values), axis=0)
-        stopped = active & ~((change > threshold) & (change < np.inf))
-        finite = np.isfinite(change)
-        iterates[:, stopped] = np.where(finite, updated, values)[:, stopped]
-        iterations[stopped] = iteration
-        converged[stopped] = finite[stopped]
-        active &= ~stopped
+        updated = np.minimum.reduce((stage + lookahead @ values).reshape(m, n, -1), axis=0)
+        change = np.maximum.reduce(np.abs(updated - values), axis=0)
         values = updated
-    iterates[:, active] = values[:, active]
+        if iteration % solvers.BLOCK == 0 and not (change > threshold).any():
+            break
+    iterations = np.full(problems, iteration)
 
-    actions = _greedy_actions(_stacked_action_values(model, retained, iterates.T), model.costs)
+    actions = _greedy_actions(_stacked_action_values(model, retained, values.T), model.costs)
     streams = _policy_streams(model, actions, retained, model.losses)
     exact = streams[..., ::2].sum(axis=2)
     residual = np.abs(exact - _stacked_action_values(model, retained, exact).min(axis=2)).max(axis=1)
@@ -372,5 +362,5 @@ def per_iteration_value_iterations(
         iterations,
         residual,
         residual / (1.0 - delta),
-        converged & np.isfinite(exact).all(axis=1),
+        (change <= threshold) & np.isfinite(exact).all(axis=1),
     )

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -94,8 +95,10 @@ def test_value_iteration_stops_at_a_non_finite_iterate(two_state):
             huge, coverages_paid(huge, [ZeroCoverage(), LinearCoverage(1.0)]), max_iter=200_000
         )
     )
+    # The iterate overflows within a few steps: an inf change holds the stack
+    # for one more block, after which it is NaN and passes.
     assert not overflowing.converged
-    assert overflowing.iterations < 10
+    assert overflowing.iterations <= 2 * solvers.BLOCK
     assert finite.converged and np.all(finite.values == 0.0)
 
 
@@ -110,7 +113,8 @@ def test_nan_stage_losses_leave_the_solve_unconverged(two_state):
     with np.errstate(invalid="ignore"):
         result = solve_value_iteration(infinite, LinearCoverage(0.5))
         assert not result.converged
-        assert result.iterations == 1
+        # A NaN change passes the stopping rule at the first block end.
+        assert result.iterations == min(solvers.BLOCK, 200_000)
         with pytest.raises(CertificateError, match="converged=False"):
             sweep_linear(infinite, [0.5])
         # The linear walk reads its rows off its pieces and flags every row
@@ -224,31 +228,57 @@ def test_block_loop_matches_the_per_iteration_loop(stack):
     _assert_block_loop_is_the_per_iteration_loop(model, paid, **kwargs)
 
 
+def _first_block_end(iteration, blocks):
+    """The first multiple of ``blocks`` at or after ``iteration``."""
+    return -(-iteration // blocks) * blocks
+
+
 @pytest.mark.parametrize("blocks", [1, 2, 3, 5, 16, 64])
 def test_staggered_and_non_finite_stops_in_one_block(monkeypatch, blocks):
-    # At discount 0.5 and tol 1e-3 these problems stop at iterations 4 to
-    # 15: the first one's iterate overflows at iteration 4, and at BLOCK 16
-    # all six stops fall in the first block, at different offsets.
+    # At discount 0.5 and tol 1e-3 these problems' changes first pass the
+    # rule at iterations 4 to 15 (the first one's iterate overflows at
+    # iteration 4, and its change is NaN from iteration 5), all within the
+    # first block of 16.  The stack stops together at the first block end
+    # from iteration 15, and the overflowing problem is not converged.
     monkeypatch.setattr(solvers, "BLOCK", blocks)
     model = validate_model({**TWO_STATE_RAW, "discount": 0.5})
     paid = np.array([[0.0, -1.4e308], [0.0, 0.0], [0.0, 5.0], [0.0, 7.5], [0.0, 9.0], [0.0, 9.9]])
     results = _assert_block_loop_is_the_per_iteration_loop(model, paid, tol=1e-3)
-    assert [result.iterations for result in results] == [4, 15, 14, 13, 11, 8]
+    assert [result.iterations for result in results] == [_first_block_end(15, blocks)] * 6
     assert [result.converged for result in results] == [False] + [True] * 5
 
 
 @pytest.mark.parametrize("blocks", [1, 16, 64])
 def test_stops_in_different_blocks_while_a_nan_row_runs_on(monkeypatch, blocks):
-    # At discount 0.9 and tol 1e-6 these problems stop in four different
-    # blocks of 16 iterates.  The NaN row stops at iteration 1, as does the
-    # row that retains nothing, and both columns run on with the stack to
-    # the end.
+    # At discount 0.9 and tol 1e-6 these problems' changes first pass the
+    # rule in four different blocks of 16 iterates (at iterations 234, 1,
+    # 172, 153, 1 and 327: the NaN row's change is NaN from iteration 1, and
+    # the row that retains nothing changes by 0).  The stack runs on
+    # together to the first block end from iteration 327, and only the NaN
+    # row is not converged.
     monkeypatch.setattr(solvers, "BLOCK", blocks)
     model = validate_model(TWO_STATE_RAW)
     paid = np.array([[0.0, -1e4], [np.nan, 0.0], [0.0, 0.0], [0.0, 9.0], [0.0, 10.0], [0.0, -1e8]])
     results = _assert_block_loop_is_the_per_iteration_loop(model, paid, tol=1e-6)
-    assert [result.iterations for result in results] == [234, 1, 172, 153, 1, 327]
+    assert [result.iterations for result in results] == [_first_block_end(327, blocks)] * 6
     assert [result.converged for result in results] == [True, False, True, True, True, True]
+
+
+def test_the_loop_holds_two_iterates_of_the_stack(four_state):
+    # Two (N, K) iterates, the (M*N, K) action values and the stage losses,
+    # then the finish's stacked evaluation, stay well below 2 * BLOCK
+    # iterates of the stack; a block of iterates and their differences,
+    # (2 * BLOCK + 1) of them, does not.
+    rng = np.random.default_rng(0)
+    paid = rng.uniform(0.0, 1.0, (4000, 1)) * four_state.losses
+    tracemalloc.start()
+    try:
+        table = solve_value_iterations(four_state, paid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.converged.all()
+    assert peak < 2 * solvers.BLOCK * paid.size * 8
 
 
 def test_contraction_of_dynamic_programming_operator(two_state):
