@@ -294,15 +294,15 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
 
 
 def _lines(model: MdpModel, direct: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(q_loss, q_cost)``, each (N, M), of a policy with streams ``direct`` and ``cost`` (N,).
+    """``(q_loss, q_cost)``, each (M, N), of a policy with streams ``direct`` and ``cost`` (N,).
 
     At level R the policy's values are (1 - R) * direct + cost, so the
-    action values on them are Q(s, a; R) = (1 - R) * q_loss[s, a] +
-    q_cost[s, a] at every level.
+    action values on them are Q(a, s; R) = (1 - R) * q_loss[a, s] +
+    q_cost[a, s] at every level.
     """
     delta = model.discount
-    q_loss = model.losses[:, None] + delta * (model.transitions @ direct).T
-    q_cost = model.costs[None, :] + delta * (model.transitions @ cost).T
+    q_loss = model.losses + delta * (model.transitions @ direct)
+    q_cost = model.costs[:, None] + delta * (model.transitions @ cost)
     return q_loss, q_cost
 
 
@@ -332,8 +332,8 @@ def _improve(
     while True:
         q = (1.0 - level) * lines[0] + lines[1]
         greedy = _greedy_actions(q, model.costs)
-        own = q[states, actions]
-        better = own - q[states, greedy] > TIE_REL * (1.0 + np.abs(own))
+        own = q[actions, states]
+        better = own - q[greedy, states] > TIE_REL * (1.0 + np.abs(own))
         switched = np.where(better, greedy, actions)
         if not better.any() or switched.tobytes() in seen:
             break
@@ -349,33 +349,28 @@ def _improve(
 def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
     """The optimal policies along the ascending linear ``levels``, as pieces.
 
-    The first policy pi is the cheapest action in every state, the tie-rule
-    greedy policy of V = 0.  Under pi every action value is affine in the
-    level, so one greedy extraction over the remaining levels finds the
-    leading run of rows on which pi is its own greedy policy: pi's piece.
-    At the first row off it, :func:`_improve` gives the next policy, which
-    takes that row, and so on.  Returns the pieces' policies (P, N) and
-    :func:`_action_value_lines` (P of them), and each level's piece and
-    Howard steps.
+    From the cheapest action in every state, the tie-rule greedy policy of
+    V = 0, :func:`_improve` at the first level gives the first policy pi.
+    Under pi every action value is affine in the level, so one greedy
+    extraction over the later levels finds the run of rows on which pi is
+    its own greedy policy: pi's piece.  At the first row off it,
+    :func:`_improve` gives the next policy, and so on.  Returns the pieces'
+    policies (P, N) and :func:`_action_value_lines` (P of them), and each
+    level's piece and Howard steps.
     """
     count = len(levels)
-    piece_of = np.empty(count, dtype=np.intp)
-    steps = np.zeros(count, dtype=int)
+    piece_of, steps = np.empty(count, dtype=np.intp), np.empty(count, dtype=int)
     current = np.full(model.n_states, _greedy_actions(model.costs, model.costs))
     lines = _action_value_lines(model, current)
-    pieces = [(current, lines)]
-    start, taken = 0, 0
+    pieces, start = [], 0
     while start < count:
-        q = (1.0 - levels[start:, None, None]) * lines[0] + lines[1]
-        off = (_greedy_actions(q, model.costs) != current).any(axis=1)
-        stop = start + int(off.argmax()) if off.any() else count
-        piece_of[start:stop], steps[start:stop] = len(pieces) - 1, taken
-        if stop == count:
-            break
-        current, lines, taken = _improve(model, current, lines, float(levels[stop]))
+        current, lines, taken = _improve(model, current, lines, float(levels[start]))
         pieces.append((current, lines))
-        piece_of[stop], steps[stop] = len(pieces) - 1, taken
-        start = stop + 1
+        q = (1.0 - levels[start + 1:, None]) * lines[0][:, None] + lines[1][:, None]
+        off = (_greedy_actions(q, model.costs) != current).any(axis=1)
+        stop = start + 1 + int(off.argmax()) if off.any() else count
+        piece_of[start:stop], steps[start:stop] = len(pieces) - 1, taken
+        start = stop
     policies, lines = zip(*pieces)
     return np.array(policies), lines, piece_of, steps
 
@@ -392,10 +387,10 @@ def _solve_linear(model: MdpModel, levels: np.ndarray) -> tuple[SolveTable, np.n
     """
     distinct, index = np.unique(np.append(0.0, levels), return_inverse=True)
     policies, lines, piece_of, steps = _walk_pieces(model, distinct)
-    q_loss, q_cost, direct, cost = (np.array(part) for part in zip(*lines))
+    q_loss, q_cost, direct, cost = (np.stack(part, axis=-2) for part in zip(*lines))
     scale = 1.0 - distinct[:, None]
     values = scale * direct[piece_of] + cost[piece_of]
-    bellman = (scale[..., None] * q_loss[piece_of] + q_cost[piece_of]).min(axis=2)
+    bellman = (scale * q_loss.take(piece_of, axis=1) + q_cost.take(piece_of, axis=1)).min(axis=0)
     residual = np.abs(values - bellman).max(axis=1)
     streams, bounds = np.stack((direct, cost), axis=-1), residual / (1.0 - model.discount)
     # The walk itself always ends; only non-finite values leave a problem unconverged.
@@ -525,20 +520,20 @@ def _linear_switch(
 
     pi, given by its ``actions``, is the policy at level ``start``, inside
     the region, and ``stop`` is its neighbour outside.  ``q_loss`` and
-    ``q_cost`` are pi's action-value lines (see
-    :func:`_action_value_lines`): under pi every action's gap to pi,
-    G(s, a; R) = Q(s, a; R) - Q(s, pi(s); R) = (1 - R) * A + B, is affine
+    ``q_cost`` are pi's action-major (M, N) action-value lines (see
+    :func:`_lines`): under pi every action's gap to pi,
+    G(a, s; R) = Q(a, s; R) - Q(pi(s), s; R) = (1 - R) * A + B, is affine
     in the level R, and pi stays optimal exactly while no gap is negative.
     The switch is the root nearest ``start`` of a gap that turns negative
     between the two levels (beyond the solvers' tie window at ``stop``),
     clamped to the bracket; ``stop`` when none does, since the two levels'
     policies then tie.  It solves nothing.
     """
-    own = (np.arange(model.n_states), np.asarray(actions))
+    own = (np.asarray(actions), np.arange(model.n_states))
     # Gaps are taken against pi's own action values, so an action identical
     # to pi's has a gap of exactly zero.
-    slope = q_loss - q_loss[own][:, None]
-    offset = q_cost - q_cost[own][:, None]
+    slope = q_loss - q_loss[own]
+    offset = q_cost - q_cost[own]
     at_stop = (1.0 - stop) * slope + offset
     # A gap that rounding alone makes negative (an action equivalent to pi's
     # but computed along another path) has a root anywhere.
@@ -572,7 +567,7 @@ def _threshold_switch(
         if key not in stays:
             retained = losses - _tiers_paid(model, mid, inside.low_level, inside.high_level)
             values = _policy_streams(model, actions[None], retained)[0].sum(axis=1)
-            q = _stacked_action_values(model, retained[None], values[None])[0]
+            q = _stacked_action_values(model, retained[None], values[None])
             stays[key] = bool((_greedy_actions(q, model.costs) == actions).all())
         if stays[key]:
             lo = mid

@@ -9,9 +9,11 @@ iteration noise.
 Value iteration has one loop, :func:`solve_value_iterations`, which applies
 the Bellman operator to a stack of coverage problems of one model at once,
 each given by its paid vector (a coverage enters only through what it pays
-per state).  The stack is problem-minor, one column per problem, so each
-iteration is one matrix product, one sum and one reduction across contiguous
-problems.  The loop keeps two iterates of the stack, which swap roles each
+per state).  Action values are action-major, (M*N, K) in the loop, one column
+per problem, so each iteration is one matrix product, one sum and one min over
+the leading axis; a stack's are (M, K, N) and one problem's (M, N).  Only the
+public :func:`action_values` and :func:`cyins.model.stage_loss_matrix` keep
+(N, M).  The loop keeps two iterates of the stack, which swap roles each
 step.  The stack stops together: its stopping rule is tested once per block
 of up to ``BLOCK`` iterates, on the block's last step, and holds the stack
 while any problem's change exceeds the threshold, so every problem reports
@@ -171,46 +173,45 @@ class LpProblem:
 
 def action_values(model: MdpModel, coverage: Coverage, values: np.ndarray) -> np.ndarray:
     """One-step lookahead Q(s, a) = stage loss + discount * E[values], shape (N, M)."""
+    return _action_values(model, coverage, values).T
+
+
+def _action_values(model: MdpModel, coverage: Coverage, values: np.ndarray) -> np.ndarray:
+    """:func:`action_values` action-major, shape (M, N)."""
     retained = model.losses - coverage_paid(model, coverage)
-    return _stacked_action_values(model, retained[None], np.asarray(values, dtype=float)[None])[0]
+    return _stacked_action_values(model, retained[None], np.asarray(values, dtype=float)[None])[:, 0]
 
 
 def _stacked_action_values(model: MdpModel, retained: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Action values of K problems, shape (K, N, M), from retained losses and values of shape (K, N)."""
+    """Action values of K problems, shape (M, K, N), from retained losses and values of shape (K, N)."""
     future = (model.transitions @ values[:, None, :, None])[..., 0]  # (K, M, N)
-    stage = retained[:, :, None] + model.costs
-    return stage + model.discount * future.transpose(0, 2, 1)
+    return model.costs[:, None, None] + retained + model.discount * future.transpose(1, 0, 2)
 
 
 def bellman_update(model: MdpModel, coverage: Coverage, values: np.ndarray) -> np.ndarray:
     """One application of the optimal (min over actions) dynamic-programming operator."""
-    return action_values(model, coverage, values).min(axis=1)
+    return _action_values(model, coverage, values).min(axis=0)
 
 
 def _greedy_actions(q: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """Minimizing actions of action values ``q`` (..., M) under the tie rule.
+    """Minimizing actions of action values ``q`` (M, ...) under the tie rule.
 
     Among the actions within the tie window of the minimum, the cheaper wins,
-    then the lower index.  A row with no finite minimum (NaN action values)
-    has no candidate and gets the first action in that order.
+    then the lower index.  A state with no finite minimum (NaN action
+    values) has no candidate and gets the first action in that order.
     """
-    best = q.min(axis=-1, keepdims=True)
+    best = q.min(axis=0)
     candidates = q <= best + TIE_REL * (1.0 + np.abs(best))
     order = np.lexsort((np.arange(costs.size), costs))
-    rank = np.where(candidates[..., order], np.arange(costs.size), costs.size)
-    return order[rank.argmin(axis=-1)]
+    return order[candidates[order].argmax(axis=0)]
 
 
 def policy_from_values(
     model: MdpModel, coverage: Coverage, values: np.ndarray
 ) -> ProtectionPolicy:
     """Greedy policy extraction from a value vector."""
-    actions = _greedy_actions(action_values(model, coverage, values), model.costs)
+    actions = _greedy_actions(_action_values(model, coverage, values), model.costs)
     return ProtectionPolicy(tuple(int(a) for a in actions))
-
-
-def _optimality_residual(model: MdpModel, coverage: Coverage, values: np.ndarray) -> float:
-    return float(np.abs(values - bellman_update(model, coverage, values)).max())
 
 
 def solve_value_iteration(
@@ -254,11 +255,8 @@ def solve_value_iterations(
     floating-point warnings inside the loop are silenced.  ``tol`` is a
     positive real number and ``max_iter`` an integer of at least 1.
 
-    The final iterates are then finished together into one
-    :class:`SolveTable`, in the order of the rows of ``paid``: one greedy
-    extraction, one stacked exact evaluation, whose factorisations solve the
-    retained losses, the full losses and the costs (the values and both
-    streams), and one stacked Bellman residual with its certificate bound.
+    The final iterates are then finished together by :func:`_finish` into
+    one :class:`SolveTable`, in the order of the rows of ``paid``.
     """
     _check_real("tol", tol)
     if not tol > 0.0:
@@ -302,14 +300,20 @@ def solve_value_iterations(
                 break
     # The loop's buffers go before the finish allocates its own.
     del previous, sums, sums_by_action
-    iterations, converged = np.full(problems, done), change <= threshold
+    return _finish(model, retained, values.T, np.full(problems, done), change <= threshold)
 
-    actions = _greedy_actions(_stacked_action_values(model, retained, values.T), model.costs)
+
+def _finish(model, retained, values, iterations, stopped) -> SolveTable:
+    """The :class:`SolveTable` of K problems from their ``retained`` losses, final iterates
+    ``values`` (K, N), ``iterations`` and ``stopped`` flags: one greedy extraction, one
+    stacked exact evaluation, whose factorisations solve the retained losses, the full
+    losses and the costs (values and both streams), and one stacked Bellman residual."""
+    actions = _greedy_actions(_stacked_action_values(model, retained, values), model.costs)
     streams = _policy_streams(model, actions, retained, model.losses)
     # A value sums its retained-loss and cost streams, as a linear walk's rows do.
     exact = streams[..., ::2].sum(axis=2)
-    residual = np.abs(exact - _stacked_action_values(model, retained, exact).min(axis=2)).max(axis=1)
-    bound, converged = residual / (1.0 - delta), converged & np.isfinite(exact).all(axis=1)
+    residual = np.abs(exact - _stacked_action_values(model, retained, exact).min(axis=0)).max(axis=1)
+    bound, converged = residual / (1.0 - model.discount), stopped & np.isfinite(exact).all(axis=1)
     # Problems on one policy share its streams, those of its first problem.
     first, policy_of = _first_rows(actions)
     return SolveTable(
@@ -363,7 +367,7 @@ def solve_policy_enumeration(model: MdpModel, coverage: Coverage) -> SolveResult
         if replace:
             best_policy, best_values, best_key = policy, values, key
 
-    residual = _optimality_residual(model, coverage, best_values)
+    residual = float(np.abs(best_values - bellman_update(model, coverage, best_values)).max())
     return SolveResult(
         policy=best_policy,
         values=best_values,

@@ -19,17 +19,10 @@ from cyins.model import (
     MdpModel,
     ThresholdCoverage,
     ZeroCoverage,
-    _policy_streams,
     coverage_paid,
     validate_model,
 )
-from cyins.solvers import (
-    SolveResult,
-    SolveTable,
-    _first_rows,
-    _greedy_actions,
-    _stacked_action_values,
-)
+from cyins.solvers import SolveResult, SolveTable
 
 TWO_STATE_RAW = {
     "discount": 0.9,
@@ -330,8 +323,8 @@ def per_iteration_value_iterations(
     The reference for the block loop: the same Bellman operator on the whole
     stack, one fresh array per step, with the stack's stopping rule tested
     after every ``solvers.BLOCK``-th step and at ``max_iter``, and the same
-    finish, so any change in an iterate's arithmetic shows as a difference
-    in its results.
+    finish, ``solvers._finish``, so any change in an iterate's arithmetic
+    shows as a difference in its results.
     """
     delta = model.discount
     threshold = tol * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf
@@ -347,20 +340,4 @@ def per_iteration_value_iterations(
         values = updated
         if iteration % solvers.BLOCK == 0 and not (change > threshold).any():
             break
-    iterations = np.full(problems, iteration)
-
-    actions = _greedy_actions(_stacked_action_values(model, retained, values.T), model.costs)
-    streams = _policy_streams(model, actions, retained, model.losses)
-    exact = streams[..., ::2].sum(axis=2)
-    residual = np.abs(exact - _stacked_action_values(model, retained, exact).min(axis=2)).max(axis=1)
-    first, policy_of = _first_rows(actions)
-    return SolveTable(
-        actions[first],
-        streams[first, :, 1:],
-        policy_of,
-        exact,
-        iterations,
-        residual,
-        residual / (1.0 - delta),
-        (change <= threshold) & np.isfinite(exact).all(axis=1),
-    )
+    return solvers._finish(model, retained, values.T, np.full(problems, iteration), change <= threshold)

@@ -487,6 +487,7 @@ def test_walked_linear_rows_match_solving_each_row(walk):
         assert row.policy == alone.policy
         limit = contracts.CERT_TOL * (1.0 + np.abs(alone.values).max())
         assert abs(row.user_value - alone.values[s0]) <= limit
+    _assert_each_policy_is_used_once(rows)
 
 
 @st.composite
@@ -598,6 +599,12 @@ def _priced_one_by_one(model, parameters, coverages):
     return rows
 
 
+def _assert_each_policy_is_used_once(sweep):
+    """Every policy of ``sweep`` prices one of its problems, and no two are equal."""
+    assert np.array_equal(np.unique(sweep.policy_of), np.arange(len(sweep.policies)))
+    assert len(set(sweep.policies)) == len(sweep.policies)
+
+
 def _bits(row):
     """A row with every number as its exact bit pattern (the sign of a zero too)."""
     numbers = (row.user_value, row.max_premium, row.profit, row.direct_losses, row.protection_cost)
@@ -615,6 +622,7 @@ def test_sweep_rows_are_the_rows_priced_one_by_one(sweep):
         parameters = [row.parameter for row in rows]
         expected = _priced_one_by_one(model, parameters, coverages)
         assert [_bits(row) for row in rows] == [_bits(row) for row in expected]
+        _assert_each_policy_is_used_once(rows)
     # Value iteration sums a policy's streams as the walk's level-0 row does,
     # so a two-tier contract that pays nothing is priced as no insurance.
     (unpaid,) = sweep_threshold(model, 0.0, 0.0, [0.0])
@@ -854,8 +862,9 @@ def systems(monkeypatch):
 @pytest.mark.parametrize("study, solved", [("fig3", 5), ("fig4", 7), ("fig5", 4)])
 def test_a_sweep_solves_one_system_per_policy_it_evaluates(study, solved, systems, tmp_path):
     # A linear sweep solves one system per policy its walk evaluates (its
-    # pieces, Howard steps and tie-rule re-evaluations) and reads its 201
-    # rows off the pieces.  fig5's value iteration evaluates its four
+    # cheapest-action start, pieces, Howard steps and tie-rule
+    # re-evaluations) and reads its 201 rows off the pieces, each policy
+    # held once.  fig5's value iteration evaluates its four
     # distinct problems together, and the same factorisations give the
     # streams its three policies are priced from.  The study's round
     # solves nothing more: its region ends read the sweep, and nothing
@@ -864,6 +873,7 @@ def test_a_sweep_solves_one_system_per_policy_it_evaluates(study, solved, system
     sweep = spec.sweep(bundled_model(spec.model))
     assert sum(systems) == solved
     assert len(sweep.policies) < solved < len(sweep)
+    _assert_each_policy_is_used_once(sweep)
     reproduce(study, tmp_path)
     assert sum(systems) == 2 * solved
 
@@ -876,13 +886,14 @@ def test_a_one_row_threshold_quote_solves_two_systems(four_state, systems):
 
 
 def test_a_large_linear_sweep_solves_per_policy_not_per_row(systems):
-    # 200 states, 4 actions: 25 pieces and one more evaluation at a switch.
+    # 200 states, 4 actions: the cheapest-action start, 24 pieces and one
+    # more evaluation at a switch.
     model = random_model(
         np.random.default_rng(18), max_states=200, min_states=200, max_actions=4, d_lo=0.95, d_hi=0.95
     )
     assert (model.n_states, model.n_actions) == (200, 4)
     sweep = sweep_linear(model)
-    assert len(sweep) == contracts.LINEAR_GRID_POINTS and len(sweep.policies) == 25
+    assert len(sweep) == contracts.LINEAR_GRID_POINTS and len(sweep.policies) == 24
     assert sum(systems) == 26
 
 
@@ -1154,6 +1165,7 @@ def test_linear_coverage_compensates_risk(grid):
     # effect), in every state.
     model, levels = grid
     sweep = sweep_linear(model, levels)
+    _assert_each_policy_is_used_once(sweep)
     direct, cost = np.moveaxis(sweep.streams[sweep.policy_of[sweep.problem_of]], -1, 0)
     limit = contracts.CERT_TOL * (1.0 + np.abs(sweep.streams).max())
     assert (np.diff(direct, axis=0) >= -limit).all()

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 import warnings
@@ -447,6 +448,52 @@ def test_policy_tie_breaks_to_cheaper_action_at_switch_level(two_state):
     # and the same tie resolves identically from the other optimal policy's values
     values_hh = evaluate_policy(two_state, PI_HH, LinearCoverage(switch))
     assert policy_from_values(two_state, LinearCoverage(switch), values_hh).actions[1] == 0
+
+
+@st.composite
+def tied_action_values(draw):
+    """Action-major values (M, K, N) of 1 to 4 actions with repeated costs.
+
+    In each state one action sits at the state's minimum, and every other
+    action copies it exactly, lies above it by at most half the tie window
+    TIE_REL * (1 + |min|), or lies above it by at least twice the window.
+    About one state in five is all NaN.
+    """
+    m, k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    costs = draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=m, max_size=m))
+    q = np.empty((m, k, n))
+    for column in np.ndindex(k, n):
+        if draw(st.integers(0, 4)) == 0:
+            q[(slice(None), *column)] = np.nan
+            continue
+        low = draw(st.floats(-1e3, 1e3))
+        window = solvers.TIE_REL * (1.0 + abs(low))
+        steps = {"copy": st.just(0.0), "near": st.floats(0.0, 0.5), "far": st.floats(2.0, 1e6)}
+        for a in range(m):
+            q[(a, *column)] = low + draw(steps[draw(st.sampled_from(sorted(steps)))]) * window
+        q[(draw(st.integers(0, m - 1)), *column)] = low
+    return q, np.array(costs)
+
+
+def _greedy_action(column, costs):
+    """The tie rule in one state: among the actions within the window of the
+    minimum, the cheapest, then the lowest index; the first action in that
+    order when the minimum is NaN."""
+    order = sorted(range(len(costs)), key=lambda a: (costs[a], a))
+    if any(math.isnan(value) for value in column):
+        return order[0]
+    best = min(column)
+    return next(a for a in order if column[a] <= best + solvers.TIE_REL * (1.0 + abs(best)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(tied_action_values())
+def test_greedy_actions_follow_the_tie_rule_state_by_state(values):
+    q, costs = values
+    expected = np.empty(q.shape[1:], dtype=int)
+    for column in np.ndindex(expected.shape):
+        expected[column] = _greedy_action(q[(slice(None), *column)].tolist(), costs.tolist())
+    assert np.array_equal(solvers._greedy_actions(q, costs), expected)
 
 
 # ------------------------------------------------------- three-way agreement
