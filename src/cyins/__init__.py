@@ -4,12 +4,14 @@ The package has five layers:
 
 - :mod:`cyins.model`: the risk process, coverage functions and exact policy
   evaluation;
-- :mod:`cyins.solvers`: optimal policies by value iteration, linear
-  programming (self-contained simplex) and brute-force enumeration;
-- :mod:`cyins.contracts`: the certified optimal response to a coverage
-  (:func:`solve`: a policy walk if linear, value iteration if two-tier),
-  contract sweeps as tables (:class:`Sweep`: premium, insurer profit and
-  coverage paid per distinct problem) and zero-profit regions;
+- :mod:`cyins.solvers`: every policy production finds, uncertified (a
+  policy walk for linear coverage, value iteration for two-tier, and the
+  region ends at a policy switch), and the oracles: linear programming
+  (self-contained simplex) and brute-force enumeration;
+- :mod:`cyins.contracts`: the certificate gate and pricing: the certified
+  optimal response to a coverage (:func:`solve`), contract sweeps as
+  tables (:class:`Sweep`: premium, insurer profit and coverage paid per
+  distinct problem) and zero-profit regions;
 - :mod:`cyins.analytic`: exact closed forms for the two-state / two-action
   case under linear coverage;
 - :mod:`cyins.montecarlo` / :mod:`cyins.harness`: a statistical oracle,

@@ -248,6 +248,25 @@ def closed_form_value(
         cost_coefficient(ts, state, action_good, action_bad)
 
 
+def _gap_line(ts: TwoStateModel, state: int, other_action: int) -> tuple[float, float]:
+    """``(slope, intercept)`` of :func:`action_value_gap` at ``state``: at
+    coverage level R the gap is (1 - R) * slope + intercept."""
+    other = ts.bad if state == ts.good else ts.good
+    d = ts.discount
+    slope = (
+        d
+        * (ts.p(state, ts.strong, other) - ts.p(state, ts.weak, other))
+        * (ts.model.states[other].loss - ts.model.states[state].loss)
+    )
+    intercept = (
+        1.0
+        - d
+        + d * ts.p(ts.bad, other_action, ts.good)
+        + d * ts.p(ts.good, other_action, ts.bad)
+    ) * (ts.cost_strong - ts.cost_weak)
+    return slope, intercept
+
+
 def action_value_gap(ts: TwoStateModel, state: int, other_action: int, level: float) -> float:
     """Scaled difference between the strong- and weak-action values at ``state``.
 
@@ -256,21 +275,8 @@ def action_value_gap(ts: TwoStateModel, state: int, other_action: int, level: fl
     strong protection is optimal.  Affine and strictly increasing in the
     coverage level.
     """
-    other = ts.bad if state == ts.good else ts.good
-    d = ts.discount
-    loss_term = (
-        (1.0 - level)
-        * d
-        * (ts.p(state, ts.strong, other) - ts.p(state, ts.weak, other))
-        * (ts.model.states[other].loss - ts.model.states[state].loss)
-    )
-    cost_term = (
-        1.0
-        - d
-        + d * ts.p(ts.bad, other_action, ts.good)
-        + d * ts.p(ts.good, other_action, ts.bad)
-    ) * (ts.cost_strong - ts.cost_weak)
-    return loss_term + cost_term
+    slope, intercept = _gap_line(ts, state, other_action)
+    return (1.0 - level) * slope + intercept
 
 
 def transition_shift(ts: TwoStateModel) -> float:
@@ -333,31 +339,16 @@ def closed_form_policy(ts: TwoStateModel, level: float) -> ProtectionPolicy:
 
 
 def _switch_level(ts: TwoStateModel, state: int, other_action: int) -> float:
-    """Root of the gap function in the coverage level, from its affine closed form.
+    """Root of the gap function in the coverage level, from its :func:`_gap_line`.
 
     :func:`classify_case` asks only for the switch of a state that plays the
     strong action at zero coverage.  There its gap at level 0, given the
-    other state's zero-coverage action, is ``numer - denom`` in this very
-    arithmetic and negative, while every ``numer`` is >= 0 (the strong
-    action costs more), so ``denom > 0``.
+    other state's zero-coverage action, is ``slope + intercept`` in this
+    very arithmetic and negative, while every ``intercept`` is >= 0 (the
+    strong action costs more), so ``slope < 0``.
     """
-    other = ts.bad if state == ts.good else ts.good
-    d = ts.discount
-    if state == ts.good:
-        denom = d * (ts.p(state, ts.weak, other) - ts.p(state, ts.strong, other)) * (
-            ts.loss_bad - ts.loss_good
-        )
-    else:
-        denom = d * (ts.p(state, ts.strong, other) - ts.p(state, ts.weak, other)) * (
-            ts.loss_bad - ts.loss_good
-        )
-    numer = (
-        1.0
-        - d
-        + d * ts.p(ts.bad, other_action, ts.good)
-        + d * ts.p(ts.good, other_action, ts.bad)
-    ) * (ts.cost_strong - ts.cost_weak)
-    return 1.0 - numer / denom
+    slope, intercept = _gap_line(ts, state, other_action)
+    return 1.0 + intercept / slope
 
 
 def classify_case(ts: TwoStateModel) -> CaseClassification:

@@ -90,7 +90,7 @@ def _cmd_sweep(args) -> int:
         high = harness.FIG5_HIGH_LEVEL if args.high_level is None else args.high_level
         grid = contracts.default_threshold_grid(model, **points)
         sweep = contracts.sweep_threshold(model, low, high, grid)
-    harness.write_sweep_csv(model, sweep, out)
+    harness.write_sweep_csv(sweep, out)
     print(f"wrote {len(sweep)} rows to {out}")
     return 0
 

@@ -17,11 +17,12 @@ a one-off quote is a one-row sweep (``sweep_linear(model, [level])`` or
 ``sweep_threshold(model, low, high, [cutoff])``), and the coverage paid is
 ``direct_losses + protection_cost - user_value``.
 
-:func:`solve` is the one certified optimal response to a coverage: the walk
-below for no insurance and linear coverage, value iteration for two-tier
-coverage.  The certificate is the exact Bellman residual eps of the returned
-policy's values, ||V_pi - V*|| <= eps / (1 - discount) (Puterman 1994,
-section 6), carried as ``certificate_bound``.  Both solvers give one
+:func:`solve` is the one certified optimal response to a coverage: the
+linear walk of :mod:`cyins.solvers` for no insurance and linear coverage,
+value iteration for two-tier coverage.  The certificate is the exact Bellman
+residual eps of the returned policy's values, ||V_pi - V*|| <= eps /
+(1 - discount) (Puterman 1994, section 6), carried as
+``certificate_bound``.  Both solvers give one
 :class:`~cyins.solvers.SolveTable` of problems and each row's problem, the
 baseline's first, and certify nothing: the gate sits with the table's two
 readers, :func:`solve` and a sweep's pricing, which pass every problem of
@@ -33,40 +34,27 @@ error names the first grid row that prices the problem, or the coverage
 given to :func:`solve`, and ``ZeroCoverage()`` for a baseline no row
 shares.  Value iteration's own stop flag only enters the message: from
 discount 0.999 its threshold tol * (1 - discount) / (2 * discount) lies
-below one ulp of ||V||, so only the certificate decides.  The other solvers
-stay in :mod:`cyins.solvers` as test oracles.
+below one ulp of ||V||, so only the certificate decides.
 
 A coverage enters a solve only through the reimbursement it pays in each
 state.  A threshold sweep solves each distinct paid vector once, the
-baseline and every row in one batched value-iteration loop, whose finish
-gives each problem's value and streams from one factorisation.  A linear
-sweep runs no value iteration: under linear coverage every action value is
-affine in the level R, so the user's optimal policy is piecewise constant
-in R (parametric policy iteration, Puterman 1994, section 6.4).  The sweep
-walks the pieces up the grid from level 0, the baseline, with one greedy
-extraction over the remaining rows per piece and a few Howard improvement
-steps at each switch.  Each policy the walk evaluates is solved once, and
-every row is read off its piece's affine values and action values, so the
-rows solve nothing.
+baseline and every row in one batched value-iteration loop, and a linear
+sweep walks the baseline and its rows; this module finds no policy itself.
 
-A sweep is a table, a :class:`Sweep`: the grid's parameters, each row's
-distinct problem, and per problem its policy and its five figures (user
-value, premium, profit, direct losses and protection cost), each figure one
-array expression over the problems.  Pricing solves nothing: a policy's
-streams come from the factorisation that evaluated it.  Neither pricing nor
-:func:`optimal_region` builds an object per row: a :class:`ContractSweepRow`,
-with its coverage, is a view that indexing or iteration builds on demand.
+A sweep is a table, a :class:`Sweep`: its model, the grid's parameters,
+each row's distinct problem, and per problem its policy and its five
+figures (user value, premium, profit, direct losses and protection cost),
+each figure one array expression over the problems.  Pricing solves
+nothing: a policy's streams come from the factorisation that evaluated it.
+Neither pricing nor :func:`optimal_region` builds an object per row: a
+:class:`ContractSweepRow`, with its coverage, is a view that indexing or
+iteration builds on demand.
 
-:func:`optimal_region` reads the region off the columns, and a region end
-against a policy switch is found from the two rows that bracket it, with
-no solver call.  Between linear rows it is an exact root: under the inside
-row's policy every gap between action values is affine in the coverage
-level, with lines computed from the policy's streams in the sweep.
-Between threshold rows it bisects the cutoff.  The inside row's policy
-pi0 stays at a cutoff while it is the tie-rule greedy policy of its own
-exact values under that cutoff's class, the states whose loss lies above
-it: the two bracketing rows' classes are already decided, and any other
-class costs one evaluation of pi0.
+:func:`optimal_region` reads the region off the columns, and hands each
+region end against a policy switch, with the inside row's policy and its
+streams from the sweep, to the end finders of :mod:`cyins.solvers`, which
+call no solver: an exact root between linear rows, a bisection of the
+cutoff between threshold rows.
 """
 
 from __future__ import annotations
@@ -88,19 +76,17 @@ from .model import (
     ThresholdCoverage,
     ZeroCoverage,
     _check_real,
-    _policy_streams,
     _tiers,
     _tiers_paid,
     coverage_paid,
 )
 from .solvers import (
-    TIE_REL,
     SolveResult,
     SolveTable,
-    _first_rows,
-    _greedy_actions,
-    _stacked_action_values,
-    solve_value_iterations,
+    _linear_switch,
+    _solve_linear,
+    _solve_many,
+    _threshold_switch,
 )
 
 __all__ = [
@@ -117,8 +103,6 @@ __all__ = [
 
 # Value-iteration stopping tolerance and relative certificate limit of every result.
 CERT_TOL = 1e-9
-
-BISECTION_WIDTH = 1e-6
 
 LINEAR_GRID_POINTS = 201
 THRESHOLD_GRID_POINTS = 401
@@ -161,7 +145,7 @@ class ContractSweepRow:
 
 @dataclass(frozen=True, eq=False)
 class Sweep(Sequence):
-    """A priced contract sweep: K rows over its D distinct problems, as columns.
+    """A priced contract sweep of ``model``: K rows over its D distinct problems, as columns.
 
     Row k prices ``coverage_at(parameters[k])`` and reads the numbers of
     problem ``problem_of[k]``.  Problem d is on the shared policy
@@ -176,6 +160,7 @@ class Sweep(Sequence):
     a slice is a sweep of the sliced rows.
     """
 
+    model: MdpModel
     coverage_at: Callable[[float], Coverage]
     parameters: np.ndarray
     problem_of: np.ndarray
@@ -196,6 +181,9 @@ class Sweep(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return replace(self, parameters=self.parameters[k], problem_of=self.problem_of[k])
+        # A bool is an index to operator.index, but not a row number.
+        if isinstance(k, bool):
+            raise TypeError(f"a sweep row index must be an integer, got {k!r}")
         k = operator.index(k)
         if not -len(self) <= k < len(self):
             raise IndexError(f"sweep row {k} out of range for {len(self)} rows")
@@ -244,17 +232,6 @@ class RegionReport:
     note: str = BOUNDARY_NOTE
 
 
-def _solve_many(model: MdpModel, paid: np.ndarray) -> tuple[SolveTable, np.ndarray]:
-    """Value-iteration problems for the distinct rows of ``paid`` (K, N), uncertified.
-
-    Each distinct paid vector is solved once, in the order of its first
-    row, all of them in one loop, and ``index`` names row k's problem: a
-    sweep puts the baseline's vector in row 0.
-    """
-    first, index = _first_rows(paid)
-    return solve_value_iterations(model, paid[first], tol=CERT_TOL), index
-
-
 def _certify(model: MdpModel, coverage_of: Callable[[int], Coverage], solved: SolveTable) -> None:
     """Raise :class:`CertificateError` for the first uncertified of the ``solved`` problems.
 
@@ -284,118 +261,13 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
     ``certificate_bound`` within the limit (see the module docstring).
     """
     if isinstance(coverage, ThresholdCoverage):
-        solved, index = _solve_many(model, coverage_paid(model, coverage)[None])
+        solved, index = _solve_many(model, coverage_paid(model, coverage)[None], CERT_TOL)
     else:
         # The low tier is a linear level, and no insurance's zero.
         solved, index = _solve_linear(model, np.array([_tiers(coverage)[1]], dtype=float))
     _certify(model, lambda d: coverage, solved)
     # The coverage's problem is named last: a linear solve names the baseline first.
     return solved.result(index[-1])
-
-
-def _lines(model: MdpModel, direct: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(q_loss, q_cost)``, each (M, N), of a policy with streams ``direct`` and ``cost`` (N,).
-
-    At level R the policy's values are (1 - R) * direct + cost, so the
-    action values on them are Q(a, s; R) = (1 - R) * q_loss[a, s] +
-    q_cost[a, s] at every level.
-    """
-    delta = model.discount
-    q_loss = model.losses + delta * (model.transitions @ direct)
-    q_cost = model.costs[:, None] + delta * (model.transitions @ cost)
-    return q_loss, q_cost
-
-
-def _action_value_lines(model: MdpModel, actions: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(q_loss, q_cost, direct, cost)`` of the policy ``actions`` (N,): its
-    :func:`_lines` and streams, from one factorisation."""
-    direct, cost = _policy_streams(model, actions[None], model.losses)[0].T
-    return (*_lines(model, direct, cost), direct, cost)
-
-
-def _improve(
-    model: MdpModel, actions: np.ndarray, lines: tuple[np.ndarray, ...], level: float
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], int]:
-    """Howard policy iteration at one linear ``level``, from ``actions`` and their ``lines``.
-
-    A step moves each state whose greedy action beats the policy's own by
-    more than the solvers' tie window, so the values strictly fall and no
-    policy comes back; a step that would revisit one (rounding alone could
-    make it) ends the loop, so it ends on every input.  Then the greedy
-    policy under the tie rule is taken from the final exact values; when it
-    differs (only within tie windows) it costs one more evaluation and is
-    accepted.  Returns the policy, its lines and the number of steps.
-    """
-    states = np.arange(model.n_states)
-    seen = {actions.tobytes()}
-    steps = 0
-    while True:
-        q = (1.0 - level) * lines[0] + lines[1]
-        greedy = _greedy_actions(q, model.costs)
-        own = q[actions, states]
-        better = own - q[greedy, states] > TIE_REL * (1.0 + np.abs(own))
-        switched = np.where(better, greedy, actions)
-        if not better.any() or switched.tobytes() in seen:
-            break
-        actions = switched
-        seen.add(actions.tobytes())
-        lines = _action_value_lines(model, actions)
-        steps += 1
-    if (greedy != actions).any():
-        actions, lines = greedy, _action_value_lines(model, greedy)
-    return actions, lines, steps
-
-
-def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The optimal policies along the ascending linear ``levels``, as pieces.
-
-    From the cheapest action in every state, the tie-rule greedy policy of
-    V = 0, :func:`_improve` at the first level gives the first policy pi.
-    Under pi every action value is affine in the level, so one greedy
-    extraction over the later levels finds the run of rows on which pi is
-    its own greedy policy: pi's piece.  At the first row off it,
-    :func:`_improve` gives the next policy, and so on.  Returns the pieces'
-    policies (P, N) and :func:`_action_value_lines` (P of them), and each
-    level's piece and Howard steps.
-    """
-    count = len(levels)
-    piece_of, steps = np.empty(count, dtype=np.intp), np.empty(count, dtype=int)
-    current = np.full(model.n_states, _greedy_actions(model.costs, model.costs))
-    lines = _action_value_lines(model, current)
-    pieces, start = [], 0
-    while start < count:
-        current, lines, taken = _improve(model, current, lines, float(levels[start]))
-        pieces.append((current, lines))
-        q = (1.0 - levels[start + 1:, None]) * lines[0][:, None] + lines[1][:, None]
-        off = (_greedy_actions(q, model.costs) != current).any(axis=1)
-        stop = start + 1 + int(off.argmax()) if off.any() else count
-        piece_of[start:stop], steps[start:stop] = len(pieces) - 1, taken
-        start = stop
-    policies, lines = zip(*pieces)
-    return np.array(policies), lines, piece_of, steps
-
-
-def _solve_linear(model: MdpModel, levels: np.ndarray) -> tuple[SolveTable, np.ndarray]:
-    """Problems for the baseline and each of the ascending linear ``levels``, uncertified.
-
-    The baseline is level 0, the walk's first row, and a repeated level
-    shares its problem.  Level R is read off its piece's
-    :func:`_action_value_lines`: values V = (1 - R) * direct + cost,
-    residual max |V - min_a Q| with Q = (1 - R) * q_loss + q_cost, its
-    iterations the Howard steps to its piece.  ``index`` names the
-    baseline's problem, then each level's.
-    """
-    distinct, index = np.unique(np.append(0.0, levels), return_inverse=True)
-    policies, lines, piece_of, steps = _walk_pieces(model, distinct)
-    q_loss, q_cost, direct, cost = (np.stack(part, axis=-2) for part in zip(*lines))
-    scale = 1.0 - distinct[:, None]
-    values = scale * direct[piece_of] + cost[piece_of]
-    bellman = (scale * q_loss.take(piece_of, axis=1) + q_cost.take(piece_of, axis=1)).min(axis=0)
-    residual = np.abs(values - bellman).max(axis=1)
-    streams, bounds = np.stack((direct, cost), axis=-1), residual / (1.0 - model.discount)
-    # The walk itself always ends; only non-finite values leave a problem unconverged.
-    finite = np.isfinite(values).all(axis=1)
-    return SolveTable(policies, streams, piece_of, values, steps, residual, bounds, finite), index
 
 
 def _price(
@@ -431,6 +303,7 @@ def _price(
     premium = np.where(premium > 0.0, premium, 0.0)
     profit = baseline_uninsured - (direct + cost)
     return Sweep(
+        model,
         coverage_at,
         parameters,
         rows,
@@ -505,79 +378,11 @@ def sweep_threshold(
     # The baseline first: no cutoff, so it pays its zero low tier everywhere.
     column = np.append(np.inf, cutoffs)[:, None]
     paid = _tiers_paid(model, column, np.where(column < np.inf, low_level, 0.0), high_level)
-    return _price(model, coverage_at, cutoffs, *_solve_many(model, paid))
+    return _price(model, coverage_at, cutoffs, *_solve_many(model, paid, CERT_TOL))
 
 
-def _linear_switch(
-    model: MdpModel,
-    start: float,
-    stop: float,
-    actions: Sequence[int],
-    q_loss: np.ndarray,
-    q_cost: np.ndarray,
-) -> float:
-    """The exact level between ``start`` and ``stop`` where the user leaves pi.
-
-    pi, given by its ``actions``, is the policy at level ``start``, inside
-    the region, and ``stop`` is its neighbour outside.  ``q_loss`` and
-    ``q_cost`` are pi's action-major (M, N) action-value lines (see
-    :func:`_lines`): under pi every action's gap to pi,
-    G(a, s; R) = Q(a, s; R) - Q(pi(s), s; R) = (1 - R) * A + B, is affine
-    in the level R, and pi stays optimal exactly while no gap is negative.
-    The switch is the root nearest ``start`` of a gap that turns negative
-    between the two levels (beyond the solvers' tie window at ``stop``),
-    clamped to the bracket; ``stop`` when none does, since the two levels'
-    policies then tie.  It solves nothing.
-    """
-    own = (np.asarray(actions), np.arange(model.n_states))
-    # Gaps are taken against pi's own action values, so an action identical
-    # to pi's has a gap of exactly zero.
-    slope = q_loss - q_loss[own]
-    offset = q_cost - q_cost[own]
-    at_stop = (1.0 - stop) * slope + offset
-    # A gap that rounding alone makes negative (an action equivalent to pi's
-    # but computed along another path) has a root anywhere.
-    window = TIE_REL * (1.0 + np.abs((1.0 - stop) * q_loss + q_cost))
-    turning = (at_stop < -window) & (slope * (stop - start) > 0.0)
-    if not turning.any():
-        return stop
-    roots = 1.0 + offset[turning] / slope[turning]
-    lo, hi = min(start, stop), max(start, stop)
-    nearest = roots.min() if stop > start else roots.max()
-    return float(min(max(nearest, lo), hi))
-
-
-def _threshold_switch(
-    model: MdpModel, inside: ThresholdCoverage, stop: float, actions: np.ndarray
-) -> float:
-    """Bisect the cutoff to within BISECTION_WIDTH of where the user leaves pi0.
-
-    pi0, given by its ``actions``, is the policy at the ``inside`` coverage,
-    in the region, and ``stop`` is its neighbour's cutoff outside.  A cutoff
-    acts only through its class, the states whose loss lies above it, and
-    pi0 stays while it is the tie-rule greedy policy of its own exact values
-    under the class's paid vector.  The two rows' classes are decided, and
-    any other is decided once, by one evaluation of pi0.
-    """
-    losses, lo, hi = model.losses, inside.cutoff, stop
-    stays = {(losses > lo).tobytes(): True, (losses > hi).tobytes(): False}
-    while abs(hi - lo) > BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        key = (losses > mid).tobytes()
-        if key not in stays:
-            retained = losses - _tiers_paid(model, mid, inside.low_level, inside.high_level)
-            values = _policy_streams(model, actions[None], retained)[0].sum(axis=1)
-            q = _stacked_action_values(model, retained[None], values[None])
-            stays[key] = bool((_greedy_actions(q, model.costs) == actions).all())
-        if stays[key]:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def optimal_region(model: MdpModel, sweep: Sweep) -> RegionReport:
-    """Extract the zero-profit parameter set from a sweep of ``model``.
+def optimal_region(sweep: Sweep) -> RegionReport:
+    """Extract the zero-profit parameter set from a sweep.
 
     A row belongs to the region when its profit is exactly zero: the rows of
     a sweep on the baseline policy share its arithmetic.  An end against a
@@ -613,9 +418,10 @@ def optimal_region(model: MdpModel, sweep: Sweep) -> RegionReport:
         policy = sweep.policy_of[sweep.problem_of[inside]]
         actions = np.array(sweep.policies[policy].actions)
         if linear:
-            lines = _lines(model, *sweep.streams[policy].T)
-            return _linear_switch(model, parameters[inside], parameters[outside], actions, *lines)
-        return _threshold_switch(model, sweep.coverage_at(parameters[inside]), parameters[outside], actions)
+            streams = sweep.streams[policy]
+            return _linear_switch(sweep.model, parameters[inside], parameters[outside], actions, streams)
+        inside_coverage = sweep.coverage_at(parameters[inside])
+        return _threshold_switch(sweep.model, inside_coverage, parameters[outside], actions)
 
     # A run ends where membership or the premium line changes; only a run's
     # end against a row outside the region is a policy switch.

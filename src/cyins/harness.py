@@ -136,20 +136,18 @@ def format_number(value: float) -> str:
     return NUMBER_FORMAT % value
 
 
-def write_sweep_csv(model: MdpModel, sweep: contracts.Sweep, path: str | Path) -> None:
+def write_sweep_csv(sweep: contracts.Sweep, path: str | Path) -> None:
     """Emit the plot-ready CSV for a sweep, one row per grid point."""
-    _write_csv(model, sweep, Path(path))
+    _write_csv(sweep, Path(path))
 
 
-def _write_csv(
-    model: MdpModel, sweep: contracts.Sweep, path: Path, overlay: Overlay | None = None
-) -> None:
+def _write_csv(sweep: contracts.Sweep, path: Path, overlay: Overlay | None = None) -> None:
     """The sweep CSV, with the ``OVERLAY_HEADER`` columns of ``overlay`` when given.
 
     Each distinct problem's ``PROBLEM_FORMAT`` tail is rendered once, and
     each parameter once; a line joins its parameter and its problem's tail.
     """
-    labels = [policy_label(model, policy) for policy in sweep.policies]
+    labels = [policy_label(sweep.model, policy) for policy in sweep.policies]
     tails = [
         PROBLEM_FORMAT % (labels[piece], *numbers)
         for piece, numbers in zip(sweep.policy_of.tolist(), sweep.figures.tolist())
@@ -271,8 +269,8 @@ def reproduce(study: str, out_dir: str | Path) -> dict:
     model = bundled_model(spec.model)
     fields, overlay = spec.extras(model)
     sweep = spec.sweep(model)
-    region = contracts.optimal_region(model, sweep)
-    _write_csv(model, sweep, out / f"{study}.csv", overlay)
+    region = contracts.optimal_region(sweep)
+    _write_csv(sweep, out / f"{study}.csv", overlay)
     summary = {
         "study": study,
         "model": spec.model,

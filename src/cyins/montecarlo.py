@@ -13,10 +13,10 @@ call, splits [0, 1) into 2**GUIDE_BITS buckets per cumulative row; the
 bucket of a draw is the top bits of its raw word.  Where every draw in a
 bucket picks the same state, the table holds that state, and the step is a
 lookup.  In the other buckets, at most n - 1 of them per row, the draw goes
-through the exact fallback: a vectorised binary search over the row, padded
-once per call to a power-of-two width.  Either way the step picks exactly
-the state the plain comparison sum ``(draws[:, None] >= cum[states]).sum(axis=1)``
-picks on rows of non-negative probabilities.
+through the exact fallback, the plain comparison sum
+``(draws[:, None] >= cum[states]).sum(axis=1)`` over the cumulative rows.
+Either way the step picks exactly the state that sum picks on rows of
+non-negative probabilities.
 
 An estimate's batches are shared round-robin among as many threads as there
 are batches or CPUs the process may run on (``os.sched_getaffinity``),
@@ -125,42 +125,20 @@ def config_for(
     )
 
 
-def _inversion_table(p_pi: np.ndarray) -> tuple[np.ndarray, int]:
-    """Cumulative transition rows padded to a power-of-two width, flattened.
+def _inversion_table(p_pi: np.ndarray) -> np.ndarray:
+    """Cumulative transition rows (N, N), each forced to end at 1.
 
-    The last real entry is forced to 1 so a uniform draw in [0, 1) can never
-    fall off the end, and the pad is 2.0, above every draw.  The running
-    maximum keeps each row non-decreasing, which the binary search and the
-    guide table need; it changes nothing unless validation let a tiny
+    The forced last entry means a uniform draw in [0, 1) can never fall off
+    the end.  The running maximum keeps each row non-decreasing, which the
+    guide table needs; it changes nothing unless validation let a tiny
     negative entry through.
     """
-    n = len(p_pi)
-    width = 1 << (n - 1).bit_length()
-    table = np.full((n, width), 2.0)
-    table[:, :n] = np.cumsum(p_pi, axis=1)
-    table[:, n - 1] = 1.0
-    np.maximum.accumulate(table, axis=1, out=table)
-    return table.ravel(), width
+    table = np.cumsum(p_pi, axis=1)
+    table[:, -1] = 1.0
+    return np.maximum.accumulate(table, axis=1, out=table)
 
 
-def _next_states(table: np.ndarray, width: int, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Per trajectory, the number of entries of its current row at or below its draw.
-
-    Rows never decrease and every draw is below the forced 1, so the entries
-    at or below a draw form a prefix of fewer than ``width`` entries, and
-    halving steps from ``width // 2`` find its length.
-    """
-    pos = states * width
-    step = width // 2
-    while step:
-        # Entry pos + step - 1, read through an offset view to save an add.
-        pos += (draws >= table[step - 1 :][pos]) * step
-        step //= 2
-    # The count is below width, so it is the offset within the row.
-    return pos & (width - 1)
-
-
-def _guide_table(table: np.ndarray, width: int) -> np.ndarray:
+def _guide_table(table: np.ndarray) -> np.ndarray:
     """Per state and draw bucket, the next state's guide row, or -1, flattened.
 
     Row s has 2**GUIDE_BITS entries; entry b covers the draws u in
@@ -172,21 +150,21 @@ def _guide_table(table: np.ndarray, width: int) -> np.ndarray:
     buckets = 1 << GUIDE_BITS
     # Multiples of a power of two: every edge is exact.
     edges = np.arange(buckets + 1) / buckets
-    rows = table.reshape(-1, width)
-    guide = np.empty((len(rows), buckets), dtype=np.intp)
-    for s, row in enumerate(rows):
+    guide = np.empty((len(table), buckets), dtype=np.intp)
+    for s, row in enumerate(table):
         low = np.searchsorted(row, edges[:-1], side="right")
         high = np.searchsorted(row, edges[1:], side="left")
         guide[s] = np.where(low == high, low << GUIDE_BITS, -1)
     return guide.ravel()
 
 
-def _next_rows(guide, table, width, rows, raw, index, ambiguous) -> None:
+def _next_rows(guide, table, rows, raw, index, ambiguous) -> None:
     """Step each trajectory's guide row in ``rows`` by its raw Philox word.
 
     The draw ``(raw >> 11) * 2**-53`` is only formed where the bucket is
-    ambiguous.  ``index`` and ``ambiguous`` are scratch buffers of the same
-    length.
+    ambiguous, and there the next state is the count of its current row's
+    entries at or below the draw.  ``index`` and ``ambiguous`` are scratch
+    buffers of the same length.
     """
     # The top GUIDE_BITS bits of the word are those of its draw's 53.
     np.right_shift(raw, 64 - GUIDE_BITS, out=index.view(np.uint64))
@@ -198,10 +176,10 @@ def _next_rows(guide, table, width, rows, raw, index, ambiguous) -> None:
         draws = (raw[hit] >> 11) * 2.0**-53
         # An index is the current state's guide row plus a bucket below 2**GUIDE_BITS.
         states = index[hit] >> GUIDE_BITS
-        rows[hit] = _next_states(table, width, states, draws) << GUIDE_BITS
+        rows[hit] = (draws[:, None] >= table[states]).sum(axis=1) << GUIDE_BITS
 
 
-def _simulate_batch(model, config, stage_values, guide, table, width, batch, totals) -> None:
+def _simulate_batch(model, config, stage_values, guide, table, batch, totals) -> None:
     """Write into ``totals`` the discounted sums of one Philox batch's trajectories."""
     size = len(totals)
     bits = np.random.Philox(key=np.array([config.seed, batch], dtype=np.uint64))
@@ -220,7 +198,7 @@ def _simulate_batch(model, config, stage_values, guide, table, width, batch, tot
         totals += np.take(stage, rows, out=term, mode="wrap")
         weight *= model.discount
         if t + 1 < config.horizon:
-            _next_rows(guide, table, width, rows, bits.random_raw(size), index, ambiguous)
+            _next_rows(guide, table, rows, bits.random_raw(size), index, ambiguous)
 
 
 def _cpu_count() -> int:
@@ -243,8 +221,8 @@ def _simulate_discounted_sum(
     """
     n = model.n_states
     p_pi = model.transitions[np.asarray(policy.actions), np.arange(n)]
-    table, width = _inversion_table(p_pi)
-    guide = _guide_table(table, width)
+    table = _inversion_table(p_pi)
+    guide = _guide_table(table)
 
     totals = np.empty(config.samples)
     starts = range(0, config.samples, BATCH_SIZE)
@@ -253,7 +231,7 @@ def _simulate_discounted_sum(
     def run_share(first: int) -> None:
         for batch in range(first, len(starts), workers):
             part = totals[starts[batch] : starts[batch] + BATCH_SIZE]
-            _simulate_batch(model, config, stage_values, guide, table, width, batch, part)
+            _simulate_batch(model, config, stage_values, guide, table, batch, part)
 
     if workers == 1:
         run_share(0)

@@ -1,10 +1,15 @@
-"""Optimal protection policies by three independent routes.
+"""Optimal protection policies: every policy production finds, and the oracles.
 
 Value iteration, a dense-simplex linear program, and exhaustive policy
 enumeration all solve the same discounted minimization and act as mutual
 oracles in the test suite.  All three report the *exact* policy evaluation of
 whatever policy they select, so agreement checks compare solver choices, not
-iteration noise.
+iteration noise.  Production finds its policies here too and certifies none
+of them: :mod:`cyins.contracts` gates every table it reads by its
+certificate and prices it.  Two-tier coverage is solved by value iteration
+(:func:`_solve_many`), no insurance and linear coverage by a walk
+(:func:`_solve_linear`), and a zero-profit region's ends against a policy
+switch by :func:`_linear_switch` and :func:`_threshold_switch`.
 
 Value iteration has one loop, :func:`solve_value_iterations`, which applies
 the Bellman operator to a stack of coverage problems of one model at once,
@@ -25,10 +30,30 @@ decides).  The final iterates are finished together into one
 two streams from one factorisation, and one stacked Bellman residual.
 :func:`solve_value_iteration` is its one-problem call.
 
+The walk runs no value iteration: under linear coverage every action value
+is affine in the level R, so the user's optimal policy is piecewise
+constant in R (parametric policy iteration, Puterman 1994, section 6.4).
+It walks the pieces up the grid from level 0, the baseline, with one greedy
+extraction over the remaining rows per piece and a few Howard improvement
+steps at each switch.  Each policy the walk evaluates is solved once, and
+every row is read off its piece's affine values and action values, so the
+rows solve nothing.
+
+A region end is found from the two rows that bracket it, with no solver
+call.  Between linear rows it is an exact root: under the inside row's
+policy every gap between action values is affine in the coverage level,
+with lines computed from the policy's streams.  Between threshold rows it
+bisects the cutoff.  The inside row's policy pi0 stays at a cutoff while it
+is the tie-rule greedy policy of its own exact values under that cutoff's
+class, the states whose loss lies above it: the two bracketing rows'
+classes are already decided, and any other class costs one evaluation of
+pi0.
+
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
 index.  One greedy extraction implements the rule for a stack of problems;
-:func:`policy_from_values` is its one-problem call.  Repeated solves of the
+:func:`policy_from_values` is its one-problem call, and a Howard step
+switches an action only beyond the same window.  Repeated solves of the
 same instance return byte-identical policies.
 """
 
@@ -36,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,8 +71,10 @@ from .model import (
     Coverage,
     MdpModel,
     ProtectionPolicy,
+    ThresholdCoverage,
     _check_real,
     _policy_streams,
+    _tiers_paid,
     coverage_paid,
     coverages_paid,
     evaluate_policy,
@@ -77,6 +105,8 @@ __all__ = [
 TIE_REL = 1e-12
 
 ENUMERATION_LIMIT = 10**6
+
+BISECTION_WIDTH = 1e-6
 
 # Value iterates computed between two tests of the stopping rule, which the
 # whole stack of problems passes or fails together.
@@ -319,6 +349,182 @@ def _finish(model, retained, values, iterations, stopped) -> SolveTable:
     return SolveTable(
         actions[first], streams[first, :, 1:], policy_of, exact, iterations, residual, bound, converged
     )
+
+
+def _solve_many(model: MdpModel, paid: np.ndarray, tol: float) -> tuple[SolveTable, np.ndarray]:
+    """Value-iteration problems for the distinct rows of ``paid`` (K, N), uncertified.
+
+    Each distinct paid vector is solved once, in the order of its first
+    row, all of them in one loop, and ``index`` names row k's problem: a
+    sweep puts the baseline's vector in row 0.
+    """
+    first, index = _first_rows(paid)
+    return solve_value_iterations(model, paid[first], tol=tol), index
+
+
+def _lines(model: MdpModel, direct: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(q_loss, q_cost)``, each (M, N), of a policy with streams ``direct`` and ``cost`` (N,).
+
+    At level R the policy's values are (1 - R) * direct + cost, so the
+    action values on them are Q(a, s; R) = (1 - R) * q_loss[a, s] +
+    q_cost[a, s] at every level.
+    """
+    delta = model.discount
+    q_loss = model.losses + delta * (model.transitions @ direct)
+    q_cost = model.costs[:, None] + delta * (model.transitions @ cost)
+    return q_loss, q_cost
+
+
+def _improve(
+    model: MdpModel, actions: np.ndarray, streams: np.ndarray, level: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Howard policy iteration at one linear ``level``, from ``actions`` and their ``streams``.
+
+    A step moves each state whose greedy action beats the policy's own by
+    more than the tie window, so the values strictly fall and no policy
+    comes back; a step that would revisit one (rounding alone could make it)
+    ends the loop, so it ends on every input.  Then the greedy policy under
+    the tie rule is taken from the final exact values; when it differs
+    (only within tie windows) it costs one more evaluation and is accepted.
+    Returns the policy, its streams and the number of steps.
+    """
+    states = np.arange(model.n_states)
+    seen = {actions.tobytes()}
+    steps = 0
+    while True:
+        q_loss, q_cost = _lines(model, *streams.T)
+        q = (1.0 - level) * q_loss + q_cost
+        greedy = _greedy_actions(q, model.costs)
+        own = q[actions, states]
+        better = own - q[greedy, states] > TIE_REL * (1.0 + np.abs(own))
+        switched = np.where(better, greedy, actions)
+        if not better.any() or switched.tobytes() in seen:
+            break
+        actions = switched
+        seen.add(actions.tobytes())
+        streams = _policy_streams(model, actions[None], model.losses)[0]
+        steps += 1
+    if (greedy != actions).any():
+        actions, streams = greedy, _policy_streams(model, greedy[None], model.losses)[0]
+    return actions, streams, steps
+
+
+def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The optimal policies along the ascending linear ``levels``, as pieces.
+
+    From the cheapest action in every state, the tie-rule greedy policy of
+    V = 0, :func:`_improve` at the first level gives the first policy pi.
+    Under pi every action value is affine in the level (:func:`_lines`), so
+    one greedy extraction over the later levels finds the run of rows on
+    which pi is its own greedy policy: pi's piece.  At the first row off it,
+    :func:`_improve` gives the next policy, and so on.  Returns the pieces'
+    policies (P, N) and streams (P, N, 2), and each level's piece and
+    Howard steps.
+    """
+    count = len(levels)
+    piece_of, steps = np.empty(count, dtype=np.intp), np.empty(count, dtype=int)
+    current = np.full(model.n_states, _greedy_actions(model.costs, model.costs))
+    streams = _policy_streams(model, current[None], model.losses)[0]
+    pieces, start = [], 0
+    while start < count:
+        current, streams, taken = _improve(model, current, streams, float(levels[start]))
+        pieces.append((current, streams))
+        q_loss, q_cost = _lines(model, *streams.T)
+        q = (1.0 - levels[start + 1:, None]) * q_loss[:, None] + q_cost[:, None]
+        off = (_greedy_actions(q, model.costs) != current).any(axis=1)
+        stop = start + 1 + int(off.argmax()) if off.any() else count
+        piece_of[start:stop], steps[start:stop] = len(pieces) - 1, taken
+        start = stop
+    policies, streams = zip(*pieces)
+    return np.array(policies), np.array(streams), piece_of, steps
+
+
+def _solve_linear(model: MdpModel, levels: np.ndarray) -> tuple[SolveTable, np.ndarray]:
+    """Problems for the baseline and each of the ascending linear ``levels``, uncertified.
+
+    The baseline is level 0, the walk's first row, and a repeated level
+    shares its problem.  Level R is read off its piece's streams and
+    :func:`_lines`: values V = (1 - R) * direct + cost, residual
+    max |V - min_a Q| with Q = (1 - R) * q_loss + q_cost, its iterations the
+    Howard steps to its piece.  ``index`` names the baseline's problem, then
+    each level's.
+    """
+    distinct, index = np.unique(np.append(0.0, levels), return_inverse=True)
+    policies, streams, piece_of, steps = _walk_pieces(model, distinct)
+    lines = [_lines(model, *piece.T) for piece in streams]
+    q_loss, q_cost = (np.stack(part, axis=-2) for part in zip(*lines))
+    direct, cost = streams[..., 0], streams[..., 1]
+    scale = 1.0 - distinct[:, None]
+    values = scale * direct[piece_of] + cost[piece_of]
+    bellman = (scale * q_loss.take(piece_of, axis=1) + q_cost.take(piece_of, axis=1)).min(axis=0)
+    residual = np.abs(values - bellman).max(axis=1)
+    bounds = residual / (1.0 - model.discount)
+    # The walk itself always ends; only non-finite values leave a problem unconverged.
+    finite = np.isfinite(values).all(axis=1)
+    return SolveTable(policies, streams, piece_of, values, steps, residual, bounds, finite), index
+
+
+def _linear_switch(
+    model: MdpModel, start: float, stop: float, actions: Sequence[int], streams: np.ndarray
+) -> float:
+    """The exact level between ``start`` and ``stop`` where the user leaves pi.
+
+    pi, given by its ``actions`` and its direct-loss and protection-cost
+    ``streams`` (N, 2), is the policy at level ``start``, inside the
+    region, and ``stop`` is its neighbour outside.  Under pi every action's
+    gap to pi, G(a, s; R) = Q(a, s; R) - Q(pi(s), s; R) = (1 - R) * A + B,
+    is affine in the level R (see :func:`_lines`), and pi stays optimal
+    exactly while no gap is negative.  The switch is the root nearest
+    ``start`` of a gap that turns negative between the two levels (beyond
+    the tie window at ``stop``), clamped to the bracket; ``stop`` when none
+    does, since the two levels' policies then tie.  It solves nothing.
+    """
+    q_loss, q_cost = _lines(model, *streams.T)
+    own = (np.asarray(actions), np.arange(model.n_states))
+    # Gaps are taken against pi's own action values, so an action identical
+    # to pi's has a gap of exactly zero.
+    slope = q_loss - q_loss[own]
+    offset = q_cost - q_cost[own]
+    at_stop = (1.0 - stop) * slope + offset
+    # A gap that rounding alone makes negative (an action equivalent to pi's
+    # but computed along another path) has a root anywhere.
+    window = TIE_REL * (1.0 + np.abs((1.0 - stop) * q_loss + q_cost))
+    turning = (at_stop < -window) & (slope * (stop - start) > 0.0)
+    if not turning.any():
+        return stop
+    roots = 1.0 + offset[turning] / slope[turning]
+    lo, hi = min(start, stop), max(start, stop)
+    nearest = roots.min() if stop > start else roots.max()
+    return float(min(max(nearest, lo), hi))
+
+
+def _threshold_switch(
+    model: MdpModel, inside: ThresholdCoverage, stop: float, actions: np.ndarray
+) -> float:
+    """Bisect the cutoff to within BISECTION_WIDTH of where the user leaves pi0.
+
+    pi0, given by its ``actions``, is the policy at the ``inside`` coverage,
+    in the region, and ``stop`` is its neighbour's cutoff outside.  A cutoff
+    acts only through its class, the states whose loss lies above it, and
+    pi0 stays while it is the tie-rule greedy policy of its own exact values
+    under the class's paid vector.  The two rows' classes are decided, and
+    any other is decided once, by one evaluation of pi0.
+    """
+    losses, lo, hi = model.losses, inside.cutoff, stop
+    stays = {(losses > lo).tobytes(): True, (losses > hi).tobytes(): False}
+    while abs(hi - lo) > BISECTION_WIDTH:
+        mid = 0.5 * (lo + hi)
+        key = (losses > mid).tobytes()
+        if key not in stays:
+            retained = losses - _tiers_paid(model, mid, inside.low_level, inside.high_level)
+            values = _policy_streams(model, actions[None], retained)[0].sum(axis=1)
+            q = _stacked_action_values(model, retained[None], values[None])
+            stays[key] = bool((_greedy_actions(q, model.costs) == actions).all())
+        if stays[key]:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def solve_policy_enumeration(model: MdpModel, coverage: Coverage) -> SolveResult:

@@ -20,6 +20,7 @@ from cyins.model import (
     ThresholdCoverage,
     ZeroCoverage,
     coverage_paid,
+    decompose_value,
     validate_model,
 )
 from cyins.solvers import SolveResult, SolveTable
@@ -208,7 +209,7 @@ def _bisect_switch(model: MdpModel, coverage_at, inside, outside, policies: dict
     losses), so a caller that shares it solves each vector once.
     """
     lo, hi = inside.parameter, outside.parameter
-    while abs(hi - lo) > contracts.BISECTION_WIDTH:
+    while abs(hi - lo) > solvers.BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         coverage = coverage_at(mid)
         key = coverage_paid(model, coverage).tobytes()
@@ -226,7 +227,7 @@ def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
 
     The rows are grouped by exact zero profit and each run by its premium
     line with ``itertools.groupby``.  A linear end decomposes the inside
-    row's policy afresh for its action-value lines; a threshold end is
+    row's policy afresh for its streams; a threshold end is
     bisected by :func:`_bisect_switch`, which solves each paid vector the
     two rows do not carry once per walk.
     """
@@ -240,9 +241,9 @@ def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
     def switch(inside, outside):
         coverage = inside.coverage
         if isinstance(coverage, LinearCoverage):
-            lines = contracts._action_value_lines(model, np.array(inside.policy.actions))[:2]
-            return contracts._linear_switch(
-                model, inside.parameter, outside.parameter, inside.policy.actions, *lines
+            streams = np.stack(decompose_value(model, inside.policy), axis=-1)
+            return solvers._linear_switch(
+                model, inside.parameter, outside.parameter, inside.policy.actions, streams
             )
         for row in (inside, outside):
             policies.setdefault(coverage_paid(model, row.coverage).tobytes(), row.policy)

@@ -80,7 +80,7 @@ def test_criterion_1_reference_golden_numbers(two_state_analytic):
 def test_criterion_2_optimal_contract_reproduction(two_state):
     with criterion(2, "zero-profit region, linear premium line, profit at full coverage"):
         rows = contracts.sweep_linear(two_state)
-        region = contracts.optimal_region(two_state, rows)
+        region = contracts.optimal_region(rows)
         assert len(region.intervals) == 1
         interval = region.intervals[0]
         assert interval.lo == 0.0

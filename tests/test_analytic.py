@@ -300,7 +300,7 @@ def test_optimal_contract_matches_sweep_region(raw):
     model = validate_model(raw)
     ts = TwoStateModel.from_model(model)
     contract = optimal_contract(ts)
-    region = optimal_region(model, sweep_linear(model))
+    region = optimal_region(sweep_linear(model))
     interval = region.intervals[0]
     # The region end is the exact root of the gap that closes the region:
     # the first switch threshold of the closed-form classification.
@@ -323,7 +323,7 @@ def test_region_premium_lines_are_the_closed_forms():
         ts = TwoStateModel.from_model(model)
         baseline = closed_form_policy(ts, 0.0).actions
         rate = loss_coefficient(ts, model.initial_state, baseline[ts.good], baseline[ts.bad])
-        interval = optimal_region(model, sweep_linear(model)).intervals[0]
+        interval = optimal_region(sweep_linear(model)).intervals[0]
         assert interval.premium_intercept == 0.0
         assert interval.premium_slope == pytest.approx(rate, rel=1e-12)
         assert interval.hi == pytest.approx(optimal_contract(ts).level_sup, abs=1e-12)

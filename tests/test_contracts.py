@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import importlib
+import pkgutil
 import re
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyins
 from cyins import contracts, solvers
 from cyins import model as model_module
 from cyins.contracts import (
@@ -306,7 +309,7 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
             converged=solved.converged | faked,
         )
 
-    monkeypatch.setattr(contracts, "solve_value_iterations", suboptimal)
+    monkeypatch.setattr(solvers, "solve_value_iterations", suboptimal)
     for priced in (solve, quote):
         with pytest.raises(CertificateError, match="converged=True"):
             priced(two_state, coverage)
@@ -314,30 +317,30 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
 
 def test_linear_sweep_certifies_every_walked_row(two_state, monkeypatch):
     # A walk that put one row on a suboptimal piece (here the row's policy
-    # with every action flipped, carrying that policy's own lines) reads the
+    # with every action flipped, carrying that policy's own streams) reads the
     # policy's honest residual off the piece, and the certificate rejects
     # it, naming that row's coverage.  The grid holds one level per policy
     # piece, so the walk gets its rows in grid order, level 0 (the baseline)
     # first.
     grid = [0.0, 0.05, 0.5, 1.0]
-    walk = contracts._walk_pieces
+    walk = solvers._walk_pieces
 
     def flipping(row):
         def flipped(model, levels):
-            policies, lines, piece_of, steps = walk(model, levels)
+            policies, streams, piece_of, steps = walk(model, levels)
             actions = 1 - policies[piece_of[row]]
-            own_lines = contracts._action_value_lines(model, actions)
+            own = np.stack(decompose_value(model, ProtectionPolicy(actions)), axis=-1)
             piece_of = piece_of.copy()
             piece_of[row] = len(policies)
-            return np.vstack((policies, actions)), (*lines, own_lines), piece_of, steps
+            return np.vstack((policies, actions)), np.concatenate((streams, own[None])), piece_of, steps
 
         return flipped
 
     for row, level in enumerate(grid):
-        monkeypatch.setattr(contracts, "_walk_pieces", flipping(row))
+        monkeypatch.setattr(solvers, "_walk_pieces", flipping(row))
         with pytest.raises(CertificateError, match=rf"LinearCoverage\(level={level}\).*converged=True"):
             sweep_linear(two_state, grid)
-    monkeypatch.setattr(contracts, "_walk_pieces", flipping(0))
+    monkeypatch.setattr(solvers, "_walk_pieces", flipping(0))
     with pytest.raises(CertificateError, match=r"ZeroCoverage\(\).*converged=True"):
         solve(two_state, ZeroCoverage())
 
@@ -351,7 +354,7 @@ def test_an_uncertified_baseline_is_named_by_the_first_row_that_prices_it(two_st
         unpaid = (paid == 0.0).all(axis=1)
         return solved._replace(certificate_bound=np.where(unpaid, np.inf, solved.certificate_bound))
 
-    monkeypatch.setattr(contracts, "solve_value_iterations", uncertified)
+    monkeypatch.setattr(solvers, "solve_value_iterations", uncertified)
     top = float(two_state.losses.max())
     for cutoff in (top, 2.0 * top):
         grid = [0.0, 0.5 * top, cutoff, 3.0 * top]
@@ -407,7 +410,7 @@ def test_batched_solves_match_solving_each_coverage_alone(stack):
     for batched in (
         results(solved),
         [permuted[k] for k in range(len(order))],
-        _solved_in_order(*contracts._solve_many(model, paid)),
+        _solved_in_order(*solvers._solve_many(model, paid, contracts.CERT_TOL)),
     ):
         assert len(batched) == len(coverages)
         for single, together in zip(alone, batched):
@@ -671,8 +674,13 @@ def test_a_sweep_is_a_read_only_sequence_of_row_views(four_state):
     for k in (len(grid), -len(grid) - 1):
         with pytest.raises(IndexError):
             sweep[k]
-    # Rows on one problem share its policy object.
+    # A bool is no row number, though operator.index takes True for 1.
+    for k in (True, False, np.True_):
+        with pytest.raises(TypeError):
+            sweep[k]
+    # Rows on one problem share its policy object, and a slice its model.
     assert sweep[0].policy is sweep[1].policy
+    assert sweep.model is sweep[1:].model is four_state
     with pytest.raises(dataclasses.FrozenInstanceError):
         sweep.parameters = np.zeros(5)
     with pytest.raises(ValueError):
@@ -714,15 +722,17 @@ def test_a_study_round_builds_rows_only_around_region_ends(tmp_path, monkeypatch
 def test_study_decompositions_per_round(study, calls, tmp_path, monkeypatch):
     # A round decomposes a policy into its direct-loss and protection-cost
     # streams once per evaluation: a linear walk each policy it evaluates,
-    # in its action-value lines, and value iteration each of its distinct
+    # solving the full losses alone, and value iteration each of its distinct
     # policies, in the finish that evaluated it.  Pricing and the region ends read
     # those streams, so nothing decomposes a policy again.
     decomposed = []
-    lines, iterate = contracts._action_value_lines, contracts.solve_value_iterations
+    streams, iterate = model_module._policy_streams, solvers.solve_value_iterations
 
-    def walked(model, actions):
-        decomposed.append(actions)
-        return lines(model, actions)
+    def walked(model, actions, *losses):
+        # The finish also solves the retained losses, and a threshold end only them.
+        if len(losses) == 1 and losses[0] is model.losses:
+            decomposed.extend(actions)
+        return streams(model, actions, *losses)
 
     def iterated(model, paid, tol):
         solved = iterate(model, paid, tol=tol)
@@ -732,8 +742,8 @@ def test_study_decompositions_per_round(study, calls, tmp_path, monkeypatch):
     def again(model, policy):
         raise AssertionError(f"{policy!r} decomposed again")
 
-    monkeypatch.setattr(contracts, "_action_value_lines", walked)
-    monkeypatch.setattr(contracts, "solve_value_iterations", iterated)
+    monkeypatch.setattr(solvers, "_policy_streams", walked)
+    monkeypatch.setattr(solvers, "solve_value_iterations", iterated)
     monkeypatch.setattr(model_module, "decompose_value", again)
     reproduce(study, tmp_path)
     assert len(decomposed) == calls
@@ -748,7 +758,7 @@ def solve_calls(monkeypatch):
         calls.append(len(paid))
         return solve_value_iterations(model, paid, tol=tol)
 
-    monkeypatch.setattr(contracts, "solve_value_iterations", counting)
+    monkeypatch.setattr(solvers, "solve_value_iterations", counting)
     return calls
 
 
@@ -782,7 +792,7 @@ def test_fig5_region_end_solves_nothing(four_state, fig5_rows, solve_calls, syst
         (a, b) for a, b in zip(fig5_rows, fig5_rows[1:]) if a.parameter < 8.0 <= b.parameter
     )
     assert outside.policy != inside.policy
-    region = optimal_region(four_state, fig5_rows)
+    region = optimal_region(fig5_rows)
     assert _brackets(fig5_rows) == [(inside, outside)]
     assert region.intervals[0].lo == 7.999999618530273
     assert not region.intervals[0].lo_closed
@@ -793,27 +803,28 @@ def test_fig5_region_end_solves_nothing(four_state, fig5_rows, solve_calls, syst
 
 
 def _refuse_solvers(monkeypatch):
-    """Make the contracts layer's solvers raise from here on."""
+    """Make every solver that production calls raise from here on."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a solver was called")
 
     monkeypatch.setattr(contracts, "solve", refuse)
-    monkeypatch.setattr(contracts, "solve_value_iterations", refuse)
+    monkeypatch.setattr(solvers, "solve_value_iterations", refuse)
+    monkeypatch.setattr(solvers, "_walk_pieces", refuse)
 
 
 def test_region_ends_call_no_solver(two_state, four_state, fig5_rows, monkeypatch):
     # Linear ends are roots of lines computed from the sweep's streams, and
     # threshold ends are decided by the class rule.
     sweeps = [
-        (two_state, sweep_linear(two_state)),
-        (four_state, sweep_linear(four_state)),
-        (four_state, fig5_rows),
-        (four_state, sweep_threshold(four_state, 0.0, 0.9, [0.0, 20.0])),
+        sweep_linear(two_state),
+        sweep_linear(four_state),
+        fig5_rows,
+        sweep_threshold(four_state, 0.0, 0.9, [0.0, 20.0]),
     ]
     _refuse_solvers(monkeypatch)
-    for model, sweep in sweeps:
-        region = optimal_region(model, sweep)
+    for sweep in sweeps:
+        region = optimal_region(sweep)
         assert _open_ends(region) and len(_open_ends(region)) == len(_brackets(sweep))
 
 
@@ -827,7 +838,7 @@ def test_a_threshold_end_between_distant_rows_evaluates_the_uninsured_policy(
     assert sweep[0].profit < 0.0 == sweep[1].profit
     systems.clear()
     _refuse_solvers(monkeypatch)
-    [interval] = optimal_region(four_state, sweep).intervals
+    [interval] = optimal_region(sweep).intervals
     assert (interval.lo, interval.lo_closed) == (7.999999821186066, False)
     assert systems == [1, 1]
 
@@ -843,6 +854,23 @@ def test_linear_studies_solve_only_their_sweep(study, tmp_path, solve_calls):
     assert len(policies) == {"fig3": 3, "fig4": 5}[study]
 
 
+# Solver internals: the tie rule and the walk, then what contracts used to bind.
+POLICY_FINDING = ("TIE_REL", "_greedy_actions", "_improve", "_walk_pieces")
+NOT_IN_CONTRACTS = (*POLICY_FINDING, "_stacked_action_values", "_first_rows", "_policy_streams", "_lines")
+
+
+def test_only_solvers_finds_policies():
+    # The tie rule, Howard improvement and every production policy
+    # evaluation sit in one module; contracts certifies and prices what the
+    # solvers hand it, so a patch of a solver internal reaches production
+    # only through solvers.
+    names = [info.name for info in pkgutil.iter_modules(cyins.__path__) if info.name != "__main__"]
+    for module in [cyins, *(importlib.import_module(f"cyins.{name}") for name in names)]:
+        if module is not solvers:
+            assert not set(POLICY_FINDING) & set(vars(module)), module.__name__
+    assert not set(NOT_IN_CONTRACTS) & set(vars(contracts))
+
+
 @pytest.fixture
 def systems(monkeypatch):
     """Number of N x N policy systems in each dense policy solve."""
@@ -854,7 +882,7 @@ def systems(monkeypatch):
         return streams(model, actions, *losses)
 
     # Every module that binds it, so a call however spelled is counted.
-    for module in (model_module, solvers, contracts):
+    for module in (model_module, solvers):
         monkeypatch.setattr(module, "_policy_streams", counting)
     return counts
 
@@ -901,7 +929,7 @@ def test_a_large_linear_sweep_solves_per_policy_not_per_row(systems):
 
 def test_optimal_region_reference(two_state):
     rows = sweep_linear(two_state)
-    region = optimal_region(two_state, rows)
+    region = optimal_region(rows)
     assert len(region.intervals) == 1
     interval = region.intervals[0]
     assert interval.lo == 0.0 and interval.lo_closed
@@ -922,7 +950,7 @@ def test_optimal_region_covers_everything_when_policy_never_switches(two_state):
     raw["actions"][1]["cost"] = 100.0
     model = validate_model(raw)
     rows = sweep_linear(model)
-    region = optimal_region(model, rows)
+    region = optimal_region(rows)
     assert len(region.intervals) == 1
     interval = region.intervals[0]
     assert (interval.lo, interval.hi) == (0.0, 1.0)
@@ -932,7 +960,7 @@ def test_optimal_region_covers_everything_when_policy_never_switches(two_state):
 
 def test_optimal_region_degenerate_grid(two_state):
     rows = sweep_linear(two_state, [0.0])
-    region = optimal_region(two_state, rows)
+    region = optimal_region(rows)
     assert len(region.intervals) == 1
     interval = region.intervals[0]
     assert (interval.lo, interval.hi) == (0.0, 0.0)
@@ -942,7 +970,7 @@ def test_optimal_region_degenerate_grid(two_state):
 
 def test_optimal_region_threshold_staircase(four_state):
     rows = sweep_threshold(four_state, 0.0, 0.9, list(np.linspace(0.0, 20.0, 201)))
-    region = optimal_region(four_state, rows)
+    region = optimal_region(rows)
     # all intervals sit at zero profit; steps carry constant premiums
     assert region.max_profit == pytest.approx(0.0, abs=1e-7)
     for interval in region.intervals:
@@ -961,7 +989,7 @@ def test_optimal_region_requires_rows(two_state):
     for empty in (sweep_linear(two_state, []), sweep_threshold(two_state, 0.0, 0.9, [])):
         assert len(empty) == 0 and list(empty) == []
         with pytest.raises(ValueError, match="at least one sweep row"):
-            optimal_region(two_state, empty)
+            optimal_region(empty)
 
 
 def test_zero_profit_principle_random_models():
@@ -974,9 +1002,9 @@ def test_zero_profit_principle_random_models():
         assert best.policy == rows[0].policy  # attained where the policy is unchanged
 
 
-def _report_or_error(region, model, rows):
+def _report_or_error(region, *args):
     try:
-        return repr(region(model, rows))
+        return repr(region(*args))
     except ValueError:
         return "ValueError"
 
@@ -993,7 +1021,7 @@ def test_region_columns_match_the_row_walk(sweep):
         sweep_threshold(model, low, high, cutoffs),
         sweep_threshold(model, low, high, sorted([*cutoffs, *np.linspace(0.0, top, 21)])),
     ):
-        assert _report_or_error(optimal_region, model, table) == _report_or_error(
+        assert _report_or_error(optimal_region, table) == _report_or_error(
             region_by_row_walk, model, list(table)
         )
 
@@ -1017,7 +1045,7 @@ def test_threshold_ends_by_the_class_rule_match_the_solving_oracle(sweep):
     # certified solve does, down to the bits of every end.
     model, grid, low, high = sweep
     table = sweep_threshold(model, low, high, grid)
-    assert _report_or_error(optimal_region, model, table) == _report_or_error(
+    assert _report_or_error(optimal_region, table) == _report_or_error(
         region_by_row_walk, model, list(table)
     )
 
@@ -1052,11 +1080,11 @@ def test_exact_linear_ends_match_the_bisection_oracle(seed):
     model = random_model(np.random.default_rng(seed), max_states=4, max_actions=3)
     rows = sweep_linear(model, list(np.linspace(0.0, 1.0, 41)))
     brackets = _brackets(rows)
-    ends = _open_ends(optimal_region(model, rows))
+    ends = _open_ends(optimal_region(rows))
     assert len(ends) == len(brackets)
     for (inside, outside), end in zip(brackets, ends):
         assert end == pytest.approx(
-            _bisected(model, inside, outside), abs=contracts.BISECTION_WIDTH
+            _bisected(model, inside, outside), abs=solvers.BISECTION_WIDTH
         )
 
 
@@ -1083,9 +1111,9 @@ def test_exact_linear_end_ignores_the_rounding_noise_of_a_twin_action():
     for grid in ([0.0, 0.5, 1.0], list(np.linspace(0.0, 1.0, 41))):
         rows = sweep_linear(model, grid)
         [(inside, outside)] = _brackets(rows)
-        [end] = _open_ends(optimal_region(model, rows))
+        [end] = _open_ends(optimal_region(rows))
         assert end == pytest.approx(
-            _bisected(model, inside, outside), abs=contracts.BISECTION_WIDTH
+            _bisected(model, inside, outside), abs=solvers.BISECTION_WIDTH
         )
 
 
@@ -1111,7 +1139,7 @@ def _stress_raw(kind, discount):
 def test_degenerate_models_give_certified_regions(kind, discount):
     model = validate_model(_stress_raw(kind, discount))
     for rows in (sweep_linear(model), sweep_threshold(model, 0.0, 0.9)):
-        region = optimal_region(model, rows)
+        region = optimal_region(rows)
         assert abs(region.max_profit) <= 1e-7
         brackets = _brackets(rows)
         ends = _open_ends(region)

@@ -82,7 +82,7 @@ def assert_open_linear_ends_are_exact(model, sweep):
     for the exact level R and the exact slope A of its gap; 4 ulps of R
     when that is smaller.
     """
-    report = contracts.optimal_region(model, sweep)
+    report = contracts.optimal_region(sweep)
     inside = sweep.figures[sweep.problem_of, 2] == 0.0
     parameters = sweep.parameters.tolist()
     # Each end's (inside row, outside row), in parameter order.

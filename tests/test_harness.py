@@ -148,7 +148,7 @@ def test_policy_label_round_trip(two_state):
 def test_sweep_csv_format(tmp_path, two_state):
     rows = contracts.sweep_linear(two_state, [0.0, 0.05, 1.0])
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(two_state, rows, path)
+    write_sweep_csv(rows, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == SWEEP_CSV_HEADER
     assert len(lines) == 4
@@ -179,7 +179,7 @@ def test_sweep_csv_renders_every_row_and_the_sign_of_zero(tmp_path, two_state):
         ]),
     )
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(two_state, sweep, path)
+    write_sweep_csv(sweep, path)
     fields = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
     assert [f[0] for f in fields] == ["0.5", "0.6", "0.7", "0.8"]
     assert fields[0][1:] == fields[1][1:]
@@ -189,8 +189,8 @@ def test_sweep_csv_renders_every_row_and_the_sign_of_zero(tmp_path, two_state):
 def test_sweep_csv_deterministic(tmp_path, two_state):
     rows = contracts.sweep_linear(two_state, [0.0, 0.3, 0.9])
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_sweep_csv(two_state, rows, a)
-    write_sweep_csv(two_state, contracts.sweep_linear(two_state, [0.0, 0.3, 0.9]), b)
+    write_sweep_csv(rows, a)
+    write_sweep_csv(contracts.sweep_linear(two_state, [0.0, 0.3, 0.9]), b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -323,7 +323,7 @@ def test_cli_threshold_sweep_keeps_the_default_of_an_omitted_level(tmp_path, fou
     argv = ["sweep", "--model", FOUR_STATE_PATH, "--family", "threshold", "--grid", "9", "--out", str(out)]
     for flags, levels in ((["--high-level", "0.5"], (0.0, 0.5)), (["--low-level", "0.2"], (0.2, 0.9))):
         assert main(argv + flags) == 0
-        write_sweep_csv(four_state, contracts.sweep_threshold(four_state, *levels, grid), expected)
+        write_sweep_csv(contracts.sweep_threshold(four_state, *levels, grid), expected)
         assert out.read_bytes() == expected.read_bytes()
     capsys.readouterr()
 
@@ -344,7 +344,7 @@ def test_readme_quick_tour_runs(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     tour = readme[readme.index("## Library quick tour") :]
     code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
-    assert "cyins.optimal_region(model, cyins.sweep_linear(model))" in code
+    assert "cyins.optimal_region(cyins.sweep_linear(model))" in code
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out
 
@@ -420,7 +420,7 @@ def test_cli_threshold_sweep_uses_the_default_grid_span(tmp_path, four_state, ca
     assert main(args + ["--low-level", "0", "--high-level", "0.9", "--out", str(out)]) == 0
     grid = contracts.default_threshold_grid(four_state, 9)
     expected = tmp_path / "expected.csv"
-    write_sweep_csv(four_state, contracts.sweep_threshold(four_state, 0.0, 0.9, grid), expected)
+    write_sweep_csv(contracts.sweep_threshold(four_state, 0.0, 0.9, grid), expected)
     assert out.read_bytes() == expected.read_bytes()
     capsys.readouterr()
 
@@ -439,7 +439,7 @@ def test_cli_sweep_grid_defaults_to_the_family_grid(tmp_path, capsys):
             rows = contracts.sweep_linear(model)
         else:
             rows = contracts.sweep_threshold(model, 0.0, 0.9)
-        write_sweep_csv(model, rows, expected)
+        write_sweep_csv(rows, expected)
         assert out.read_bytes() == expected.read_bytes()
 
 

@@ -230,26 +230,42 @@ def test_twenty_seed_consistency_band(two_state):
 
 
 def reference_next_states(p_pi, states, draws):
-    """The comparison-sum inversion the binary search must reproduce exactly."""
+    """The comparison-sum inversion the sampler's step must reproduce exactly."""
     cum = np.cumsum(p_pi, axis=1)
     cum[:, -1] = 1.0
     return (draws[:, None] >= cum[states]).sum(axis=1)
 
 
+def philox_step(guide, table, states, draws):
+    """Each draw rounded down to a multiple of 2**-53, as a Philox word gives
+    it, and the state ``_next_rows`` steps ``states`` to on that word."""
+    # A raw word whose low 11 bits, which the draw drops, are all set.
+    words = (np.asarray(draws, dtype=float) * 2.0**53).astype(np.uint64)
+    raw = (words << np.uint64(11)) | np.uint64(0x7FF)
+    rows = np.asarray(states, dtype=np.intp) << mc.GUIDE_BITS
+    size = len(rows)
+    mc._next_rows(guide, table, rows, raw, np.empty(size, np.intp), np.empty(size, bool))
+    return words * 2.0**-53, rows >> mc.GUIDE_BITS
+
+
 def assert_inversion_matches_reference(p_pi, states, draws):
+    # The step with the guide table, and with every bucket ambiguous, so
+    # that every draw takes the exact fallback.
     p_pi = np.asarray(p_pi, dtype=float)
     states = np.asarray(states, dtype=np.intp)
-    draws = np.asarray(draws, dtype=float)
-    table, width = mc._inversion_table(p_pi)
-    got = mc._next_states(table, width, states, draws)
-    np.testing.assert_array_equal(got, reference_next_states(p_pi, states, draws))
+    table = mc._inversion_table(p_pi)
+    for guide in (mc._guide_table(table), np.full(len(p_pi) << mc.GUIDE_BITS, -1)):
+        philox_draws, got = philox_step(guide, table, states, draws)
+        np.testing.assert_array_equal(got, reference_next_states(p_pi, states, philox_draws))
 
 
 def edge_draws(p_pi):
-    """Every cumulative entry below 1, its float neighbours, 0 and the largest draw."""
+    """Every cumulative entry below 1, its float neighbours and the first
+    Philox draw at or above it, 0 and the largest draw."""
     cum = np.cumsum(p_pi, axis=1).ravel()
     cum = cum[cum < 1.0]
-    near = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+    above = np.ceil(cum * 2.0**53) * 2.0**-53
+    near = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), above])
     return np.concatenate([near[near < 1.0], [0.0, np.nextafter(1.0, 0.0)]])
 
 
@@ -316,11 +332,13 @@ def test_inversion_table_rows_never_decrease():
         "transitions": [[[0.5, -5e-10, 0.5 + 5e-10]] * 3],
     }
     p_pi = validate_model(raw).transitions[0]
-    table, width = mc._inversion_table(p_pi)
-    assert width == 4
-    assert (np.diff(table.reshape(3, width), axis=1) >= 0.0).all()
+    table = mc._inversion_table(p_pi)
+    assert table.shape == (3, 3)
+    assert (np.diff(table, axis=1) >= 0.0).all()
     dip = np.array([np.nextafter(0.5, 0.0), 0.5 - 2.5e-10])
-    assert mc._next_states(table, width, np.zeros(2, dtype=np.intp), dip).tolist() == [0, 0]
+    ambiguous = np.full(3 << mc.GUIDE_BITS, -1)
+    _, got = philox_step(ambiguous, table, np.zeros(2, dtype=np.intp), dip)
+    assert got.tolist() == [0, 0]
 
 
 BUCKETS = 1 << mc.GUIDE_BITS
@@ -342,21 +360,14 @@ def guide_next_states(p_pi, states, draws):
     p_pi = np.asarray(p_pi, dtype=float)
     states = np.asarray(states, dtype=np.intp)
     draws = np.asarray(draws, dtype=float)
-    table, width = mc._inversion_table(p_pi)
-    guide = mc._guide_table(table, width)
+    table = mc._inversion_table(p_pi)
+    guide = mc._guide_table(table)
     n = len(p_pi)
     assert ((guide.reshape(n, BUCKETS) < 0).sum(axis=1) <= n - 1).all()
     # Scaling by a power of two is exact, so this is the bucket of each draw.
     entries = guide[states * BUCKETS + (draws * BUCKETS).astype(np.intp)]
     entries[entries >= 0] >>= mc.GUIDE_BITS
-
-    # A raw word whose low 11 bits, which the draw drops, are all set.
-    words = (draws * 2.0**53).astype(np.uint64)
-    raw = (words << np.uint64(11)) | np.uint64(0x7FF)
-    rows = states * BUCKETS
-    size = len(states)
-    mc._next_rows(guide, table, width, rows, raw, np.empty(size, np.intp), np.empty(size, bool))
-    return entries, words * 2.0**-53, rows >> mc.GUIDE_BITS
+    return (entries, *philox_step(guide, table, states, draws))
 
 
 def assert_guide_matches_reference(p_pi, states, draws):
@@ -396,8 +407,7 @@ def test_guide_matches_reference_on_bucket_edges(row):
 def test_guide_matches_reference_on_quarter_rows():
     # Three interior entries, each exactly on an edge: no bucket is ambiguous.
     p_pi = np.full((4, 4), 0.25)
-    table, width = mc._inversion_table(p_pi)
-    assert (mc._guide_table(table, width) >= 0).all()
+    assert (mc._guide_table(mc._inversion_table(p_pi)) >= 0).all()
     assert_guide_matches_reference(p_pi, np.zeros(len(BUCKET_EDGE_DRAWS), np.intp), BUCKET_EDGE_DRAWS)
 
 
@@ -414,7 +424,7 @@ def test_guide_gives_a_tolerated_negative_entry_no_draws():
     states = np.zeros(len(draws), np.intp)
     entries, philox_draws, got = guide_next_states(p_pi, states, draws)
     # In the dip the comparison sum counts the entry that went below the one
-    # before it; the running maximum, like the binary search, does not.
+    # before it; the running maximum, which the step counts over, does not.
     for at, picked in ((draws, entries), (philox_draws, got)):
         in_dip = (at >= 0.5 - 5e-10) & (at < 0.5)
         assert in_dip.sum() >= 2 and (picked[in_dip] <= 0).all()
