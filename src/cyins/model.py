@@ -9,7 +9,7 @@ loss, so the per-stage "effective loss" is
     loss(state) - coverage(loss(state)) + cost(action).
 
 Everything in this module is immutable after construction and safe to share
-across threads.  Policy evaluation is one exact dense linear solve,
+across threads.  Policy evaluation is one factorisation per policy,
 :func:`_policy_streams`, which doubles as an oracle for the iterative solvers.
 """
 
@@ -433,18 +433,16 @@ def stage_loss_matrix(model: MdpModel, coverage: Coverage) -> np.ndarray:
     return retained[:, None] + model.costs[None, :]
 
 
-def _policy_streams(model: MdpModel, actions: np.ndarray, *losses: np.ndarray) -> np.ndarray:
-    """Streams of K policies, shape (K, N, L + 1): one per stage-loss array, then the cost's.
+def _policy_streams(model: MdpModel, actions: np.ndarray, *stages: np.ndarray) -> np.ndarray:
+    """Streams of the policy ``actions`` (N,), shape (N, L + 1): one per stage vector, then the cost's.
 
-    Policy k, ``actions[k]`` (N,), bears ``losses[l][k]`` ((K, N) arrays, or
-    (N,) for all) in stream l.  All its streams solve ``(I - discount *
-    P_policy) V = stage``, nonsingular for any discount < 1, in one
-    factorisation; its value is its retained-loss plus its cost stream.
+    Every stream solves ``(I - discount * P_policy) V = stage``, nonsingular
+    for any discount < 1, and all of them are the right-hand sides of one
+    factorisation; a value is its retained-loss plus its cost stream.
     """
     n = model.n_states
     system = np.eye(n) - model.discount * model.transitions[actions, np.arange(n)]
-    stages = np.broadcast_arrays(*losses, model.costs[actions])
-    return np.linalg.solve(system, np.stack(stages, axis=-1))
+    return np.linalg.solve(system, np.stack((*stages, model.costs[actions]), axis=-1))
 
 
 def evaluate_policy(
@@ -457,7 +455,7 @@ def evaluate_policy(
     """
     model.check_policy(policy)
     retained = model.losses - coverage_paid(model, coverage)
-    return _policy_streams(model, np.array([policy.actions]), retained)[0].sum(axis=1)
+    return _policy_streams(model, np.array(policy.actions), retained).sum(axis=1)
 
 
 def decompose_value(
@@ -471,4 +469,4 @@ def decompose_value(
     exposure, which is what rises when insurance induces weaker protection.
     """
     model.check_policy(policy)
-    return tuple(_policy_streams(model, np.array([policy.actions]), model.losses)[0].T)
+    return tuple(_policy_streams(model, np.array(policy.actions), model.losses).T)

@@ -25,9 +25,10 @@ while any problem's change exceeds the threshold, so every problem reports
 the stack's iteration count (from discount 0.999 the threshold lies below
 one ulp of ||V||, so only the certificate of :mod:`cyins.contracts`
 decides).  The final iterates are finished together into one
-:class:`SolveTable`: one greedy extraction, one stacked exact evaluation
-(:func:`cyins.model._policy_streams`) giving each problem's value and its
-two streams from one factorisation, and one stacked Bellman residual.
+:class:`SolveTable`: one greedy extraction, one exact evaluation per
+distinct policy (:func:`cyins.model._policy_streams`), whose one
+factorisation gives its two streams and its problems' values, and one
+stacked Bellman residual.
 :func:`solve_value_iteration` is its one-problem call.
 
 The walk runs no value iteration: under linear coverage every action value
@@ -35,9 +36,9 @@ is affine in the level R, so the user's optimal policy is piecewise
 constant in R (parametric policy iteration, Puterman 1994, section 6.4).
 It walks the pieces up the grid from level 0, the baseline, with one greedy
 extraction over the remaining rows per piece and a few Howard improvement
-steps at each switch.  Each policy the walk evaluates is solved once, and
-every row is read off its piece's affine values and action values, so the
-rows solve nothing.
+steps at each switch.  Each policy the walk evaluates is solved, and its
+action-value lines built, once, and every row is read off its piece's
+affine values and action values, so the rows solve nothing.
 
 A region end is found from the two rows that bracket it, with no solver
 call.  Between linear rows it is an exact root: under the inside row's
@@ -336,19 +337,19 @@ def solve_value_iterations(
 def _finish(model, retained, values, iterations, stopped) -> SolveTable:
     """The :class:`SolveTable` of K problems from their ``retained`` losses, final iterates
     ``values`` (K, N), ``iterations`` and ``stopped`` flags: one greedy extraction, one
-    stacked exact evaluation, whose factorisations solve the retained losses, the full
+    factorisation per distinct policy, solving its problems' retained losses, the full
     losses and the costs (values and both streams), and one stacked Bellman residual."""
     actions = _greedy_actions(_stacked_action_values(model, retained, values), model.costs)
-    streams = _policy_streams(model, actions, retained, model.losses)
-    # A value sums its retained-loss and cost streams, as a linear walk's rows do.
-    exact = streams[..., ::2].sum(axis=2)
+    first, policy_of = _first_rows(actions)
+    exact, streams = np.empty(values.shape), np.empty((len(first), model.n_states, 2))
+    for p, policy in enumerate(actions[first]):
+        members = np.flatnonzero(policy_of == p)
+        solved = _policy_streams(model, policy, *retained[members], model.losses)
+        # A value sums its retained-loss and cost streams, as a linear walk's rows do.
+        exact[members], streams[p] = (solved[:, :-2] + solved[:, -1:]).T, solved[:, -2:]
     residual = np.abs(exact - _stacked_action_values(model, retained, exact).min(axis=0)).max(axis=1)
     bound, converged = residual / (1.0 - model.discount), stopped & np.isfinite(exact).all(axis=1)
-    # Problems on one policy share its streams, those of its first problem.
-    first, policy_of = _first_rows(actions)
-    return SolveTable(
-        actions[first], streams[first, :, 1:], policy_of, exact, iterations, residual, bound, converged
-    )
+    return SolveTable(actions[first], streams, policy_of, exact, iterations, residual, bound, converged)
 
 
 def _solve_many(model: MdpModel, paid: np.ndarray, tol: float) -> tuple[SolveTable, np.ndarray]:
@@ -375,10 +376,14 @@ def _lines(model: MdpModel, direct: np.ndarray, cost: np.ndarray) -> tuple[np.nd
     return q_loss, q_cost
 
 
-def _improve(
-    model: MdpModel, actions: np.ndarray, streams: np.ndarray, level: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Howard policy iteration at one linear ``level``, from ``actions`` and their ``streams``.
+def _evaluated(model: MdpModel, actions: np.ndarray) -> tuple:
+    """The walk's piece of policy ``actions``: ``(actions, streams (N, 2), lines)`` (:func:`_lines`)."""
+    streams = _policy_streams(model, actions, model.losses)
+    return actions, streams, _lines(model, *streams.T)
+
+
+def _improve(model: MdpModel, piece: tuple, level: float) -> tuple[tuple, int]:
+    """Howard policy iteration at one linear ``level``, from a policy's ``piece`` (:func:`_evaluated`).
 
     A step moves each state whose greedy action beats the policy's own by
     more than the tie window, so the values strictly fall and no policy
@@ -386,13 +391,13 @@ def _improve(
     ends the loop, so it ends on every input.  Then the greedy policy under
     the tie rule is taken from the final exact values; when it differs
     (only within tie windows) it costs one more evaluation and is accepted.
-    Returns the policy, its streams and the number of steps.
+    Returns the final policy's piece and the number of steps.
     """
     states = np.arange(model.n_states)
-    seen = {actions.tobytes()}
+    seen = {piece[0].tobytes()}
     steps = 0
     while True:
-        q_loss, q_cost = _lines(model, *streams.T)
+        actions, _, (q_loss, q_cost) = piece
         q = (1.0 - level) * q_loss + q_cost
         greedy = _greedy_actions(q, model.costs)
         own = q[actions, states]
@@ -400,13 +405,12 @@ def _improve(
         switched = np.where(better, greedy, actions)
         if not better.any() or switched.tobytes() in seen:
             break
-        actions = switched
-        seen.add(actions.tobytes())
-        streams = _policy_streams(model, actions[None], model.losses)[0]
+        seen.add(switched.tobytes())
+        piece = _evaluated(model, switched)
         steps += 1
     if (greedy != actions).any():
-        actions, streams = greedy, _policy_streams(model, greedy[None], model.losses)[0]
-    return actions, streams, steps
+        piece = _evaluated(model, greedy)
+    return piece, steps
 
 
 def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -418,25 +422,24 @@ def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
     one greedy extraction over the later levels finds the run of rows on
     which pi is its own greedy policy: pi's piece.  At the first row off it,
     :func:`_improve` gives the next policy, and so on.  Returns the pieces'
-    policies (P, N) and streams (P, N, 2), and each level's piece and
-    Howard steps.
+    policies (P, N), streams (P, N, 2) and lines (2, M, P, N), and each
+    level's piece and Howard steps.
     """
     count = len(levels)
     piece_of, steps = np.empty(count, dtype=np.intp), np.empty(count, dtype=int)
-    current = np.full(model.n_states, _greedy_actions(model.costs, model.costs))
-    streams = _policy_streams(model, current[None], model.losses)[0]
+    piece = _evaluated(model, np.full(model.n_states, _greedy_actions(model.costs, model.costs)))
     pieces, start = [], 0
     while start < count:
-        current, streams, taken = _improve(model, current, streams, float(levels[start]))
-        pieces.append((current, streams))
-        q_loss, q_cost = _lines(model, *streams.T)
+        piece, taken = _improve(model, piece, float(levels[start]))
+        pieces.append(piece)
+        current, _, (q_loss, q_cost) = piece
         q = (1.0 - levels[start + 1:, None]) * q_loss[:, None] + q_cost[:, None]
         off = (_greedy_actions(q, model.costs) != current).any(axis=1)
         stop = start + 1 + int(off.argmax()) if off.any() else count
         piece_of[start:stop], steps[start:stop] = len(pieces) - 1, taken
         start = stop
-    policies, streams = zip(*pieces)
-    return np.array(policies), np.array(streams), piece_of, steps
+    policies, streams, lines = zip(*pieces)
+    return np.array(policies), np.array(streams), np.stack(lines, axis=2), piece_of, steps
 
 
 def _solve_linear(model: MdpModel, levels: np.ndarray) -> tuple[SolveTable, np.ndarray]:
@@ -444,15 +447,13 @@ def _solve_linear(model: MdpModel, levels: np.ndarray) -> tuple[SolveTable, np.n
 
     The baseline is level 0, the walk's first row, and a repeated level
     shares its problem.  Level R is read off its piece's streams and
-    :func:`_lines`: values V = (1 - R) * direct + cost, residual
+    lines: values V = (1 - R) * direct + cost, residual
     max |V - min_a Q| with Q = (1 - R) * q_loss + q_cost, its iterations the
     Howard steps to its piece.  ``index`` names the baseline's problem, then
     each level's.
     """
     distinct, index = np.unique(np.append(0.0, levels), return_inverse=True)
-    policies, streams, piece_of, steps = _walk_pieces(model, distinct)
-    lines = [_lines(model, *piece.T) for piece in streams]
-    q_loss, q_cost = (np.stack(part, axis=-2) for part in zip(*lines))
+    policies, streams, (q_loss, q_cost), piece_of, steps = _walk_pieces(model, distinct)
     direct, cost = streams[..., 0], streams[..., 1]
     scale = 1.0 - distinct[:, None]
     values = scale * direct[piece_of] + cost[piece_of]
@@ -508,22 +509,22 @@ def _threshold_switch(
     acts only through its class, the states whose loss lies above it, and
     pi0 stays while it is the tie-rule greedy policy of its own exact values
     under the class's paid vector.  The two rows' classes are decided, and
-    any other is decided once, by one evaluation of pi0.
+    any other is decided once, by one evaluation of pi0.  Between two
+    neighbouring floats more than BISECTION_WIDTH apart it returns the outside one.
     """
     losses, lo, hi = model.losses, inside.cutoff, stop
     stays = {(losses > lo).tobytes(): True, (losses > hi).tobytes(): False}
     while abs(hi - lo) > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
         key = (losses > mid).tobytes()
         if key not in stays:
             retained = losses - _tiers_paid(model, mid, inside.low_level, inside.high_level)
-            values = _policy_streams(model, actions[None], retained)[0].sum(axis=1)
+            values = _policy_streams(model, actions, retained).sum(axis=1)
             q = _stacked_action_values(model, retained[None], values[None])
             stays[key] = bool((_greedy_actions(q, model.costs) == actions).all())
-        if stays[key]:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if stays[key] else (lo, mid)
     return 0.5 * (lo + hi)
 
 

@@ -211,6 +211,8 @@ def _bisect_switch(model: MdpModel, coverage_at, inside, outside, policies: dict
     lo, hi = inside.parameter, outside.parameter
     while abs(hi - lo) > solvers.BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
         coverage = coverage_at(mid)
         key = coverage_paid(model, coverage).tobytes()
         if key not in policies:

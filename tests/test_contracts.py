@@ -3,6 +3,8 @@ import dataclasses
 import importlib
 import pkgutil
 import re
+import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from cyins.solvers import (
 )
 
 from helpers import (
+    FOUR_STATE_RAW,
     TWO_STATE_RAW,
     _bisect_switch,
     priced_problems,
@@ -327,12 +330,14 @@ def test_linear_sweep_certifies_every_walked_row(two_state, monkeypatch):
 
     def flipping(row):
         def flipped(model, levels):
-            policies, streams, piece_of, steps = walk(model, levels)
+            policies, streams, lines, piece_of, steps = walk(model, levels)
             actions = 1 - policies[piece_of[row]]
             own = np.stack(decompose_value(model, ProtectionPolicy(actions)), axis=-1)
+            lines = np.concatenate((lines, np.stack(solvers._lines(model, *own.T))[:, :, None]), axis=2)
             piece_of = piece_of.copy()
             piece_of[row] = len(policies)
-            return np.vstack((policies, actions)), np.concatenate((streams, own[None])), piece_of, steps
+            stacked = np.vstack((policies, actions)), np.concatenate((streams, own[None]))
+            return *stacked, lines, piece_of, steps
 
         return flipped
 
@@ -731,7 +736,7 @@ def test_study_decompositions_per_round(study, calls, tmp_path, monkeypatch):
     def walked(model, actions, *losses):
         # The finish also solves the retained losses, and a threshold end only them.
         if len(losses) == 1 and losses[0] is model.losses:
-            decomposed.extend(actions)
+            decomposed.append(actions)
         return streams(model, actions, *losses)
 
     def iterated(model, paid, tol):
@@ -843,6 +848,32 @@ def test_a_threshold_end_between_distant_rows_evaluates_the_uninsured_policy(
     assert systems == [1, 1]
 
 
+def test_a_threshold_end_where_floats_are_wider_than_the_bisection_stops():
+    # With losses and costs scaled by 2e9 the switch below the loss 8 moves
+    # to 1.6e10, where neighbouring floats lie 1.9e-6 apart, more than
+    # BISECTION_WIDTH: the midpoint of two neighbours is one of them.  Both
+    # bisections stop there at the outside neighbour; the timer makes a
+    # bisection that never stops fail instead of hanging the suite.
+    raw = copy.deepcopy(FOUR_STATE_RAW)
+    for entry in (*raw["states"], *raw["actions"]):
+        entry.update({k: 2e9 * v for k, v in entry.items() if k in ("loss", "cost")})
+    model = validate_model(raw)
+    sweep = sweep_threshold(model, 0.0, 0.9)
+
+    def expire(signum, frame):
+        raise TimeoutError("the bisection did not stop")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        region, oracle = optimal_region(sweep), region_by_row_walk(model, sweep)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert region == oracle
+    assert (region.intervals[0].lo, region.intervals[0].lo_closed) == (np.nextafter(1.6e10, 0.0), False)
+
+
 @pytest.mark.parametrize("study", ["fig3", "fig4"])
 def test_linear_studies_solve_only_their_sweep(study, tmp_path, solve_calls):
     # A linear sweep walks its baseline and rows, and a linear region end
@@ -873,12 +904,12 @@ def test_only_solvers_finds_policies():
 
 @pytest.fixture
 def systems(monkeypatch):
-    """Number of N x N policy systems in each dense policy solve."""
+    """One entry per dense policy solve, each of which factorises one N x N system."""
     counts = []
     streams = model_module._policy_streams
 
     def counting(model, actions, *losses):
-        counts.append(len(actions))
+        counts.append(1)
         return streams(model, actions, *losses)
 
     # Every module that binds it, so a call however spelled is counted.
@@ -887,30 +918,32 @@ def systems(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("study, solved", [("fig3", 5), ("fig4", 7), ("fig5", 4)])
+@pytest.mark.parametrize("study, solved", [("fig3", 5), ("fig4", 7), ("fig5", 3)])
 def test_a_sweep_solves_one_system_per_policy_it_evaluates(study, solved, systems, tmp_path):
     # A linear sweep solves one system per policy its walk evaluates (its
     # cheapest-action start, pieces, Howard steps and tie-rule
     # re-evaluations) and reads its 201 rows off the pieces, each policy
-    # held once.  fig5's value iteration evaluates its four
-    # distinct problems together, and the same factorisations give the
-    # streams its three policies are priced from.  The study's round
+    # held once.  fig5's value iteration evaluates each of its three
+    # policies once, with all of that policy's problems, and the same
+    # factorisations give the streams they are priced from.  The study's round
     # solves nothing more: its region ends read the sweep, and nothing
     # decomposes a policy again.
     spec = STUDIES[study]
     sweep = spec.sweep(bundled_model(spec.model))
     assert sum(systems) == solved
-    assert len(sweep.policies) < solved < len(sweep)
+    # A walk evaluates more policies than it keeps, value iteration exactly those it keeps.
+    kept = len(sweep.policies)
+    assert (kept == solved) if study == "fig5" else (kept < solved < len(sweep))
     _assert_each_policy_is_used_once(sweep)
     reproduce(study, tmp_path)
     assert sum(systems) == 2 * solved
 
 
 def test_a_one_row_threshold_quote_solves_two_systems(four_state, systems):
-    # The baseline and the row, in one value-iteration finish.
+    # The baseline and the row, in one value-iteration finish, on two policies.
     (row,) = sweep_threshold(four_state, 0.0, 0.9, [5.0])
     assert row.profit < 0.0
-    assert systems == [2]
+    assert systems == [1, 1]
 
 
 def test_a_large_linear_sweep_solves_per_policy_not_per_row(systems):
@@ -923,6 +956,36 @@ def test_a_large_linear_sweep_solves_per_policy_not_per_row(systems):
     sweep = sweep_linear(model)
     assert len(sweep) == contracts.LINEAR_GRID_POINTS and len(sweep.policies) == 24
     assert sum(systems) == 26
+
+
+def test_a_large_threshold_sweep_factorises_once_per_policy(systems):
+    # 200 states, 401 cutoffs: 155 distinct problems, all on one policy,
+    # whose factorisation solves all their retained losses at once.
+    model = random_model(np.random.default_rng(18), max_states=200, min_states=200, d_lo=0.95, d_hi=0.95)
+    tracemalloc.start()
+    try:
+        sweep = sweep_threshold(model, 0.0, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sweep) == contracts.THRESHOLD_GRID_POINTS and len(np.unique(sweep.problem_of)) == 155
+    assert sum(systems) == len(sweep.policies) == 1
+    # One system per problem, stacked, peaked at 103 MB.
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("study, evaluated", [("fig3", 5), ("fig4", 7)])
+def test_a_walk_builds_each_evaluated_policys_lines_once(study, evaluated, systems, monkeypatch):
+    built, lines = [], solvers._lines
+
+    def counting(model, direct, cost):
+        built.append(1)
+        return lines(model, direct, cost)
+
+    monkeypatch.setattr(solvers, "_lines", counting)
+    spec = STUDIES[study]
+    spec.sweep(bundled_model(spec.model))
+    assert len(built) == sum(systems) == evaluated
 
 
 # ------------------------------------------------------------ region report

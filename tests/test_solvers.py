@@ -16,6 +16,7 @@ from cyins.model import (
     ModelValidationError,
     ProtectionPolicy,
     State,
+    ThresholdCoverage,
     ZeroCoverage,
     coverages_paid,
     evaluate_policy,
@@ -227,6 +228,37 @@ def value_iteration_stacks(draw):
 def test_block_loop_matches_the_per_iteration_loop(stack):
     model, paid, kwargs = stack
     _assert_block_loop_is_the_per_iteration_loop(model, paid, **kwargs)
+
+
+@st.composite
+def two_tier_stacks(draw):
+    """A random model of at most 12 states and the paid vectors of 1 to 39 two-tier coverages."""
+    discount = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_model(rng, max_states=12, max_actions=4, d_lo=discount, d_hi=discount)
+    levels = st.sampled_from([0.0, 0.3, 0.7]), st.sampled_from([0.5, 0.9, 1.0])
+    tiers = st.tuples(st.floats(0.0, 25.0), *levels)
+    rows = draw(st.lists(tiers, min_size=1, max_size=39))
+    return model, coverages_paid(model, [ThresholdCoverage(*row) for row in rows])
+
+
+@settings(deadline=None, max_examples=100)
+@given(two_tier_stacks())
+def test_grouped_solves_are_the_per_problem_solves(stack):
+    # The finish solves all the problems on one policy with one
+    # factorisation.  Each problem's values and its policy's streams are,
+    # bit for bit, those of solving the problem's own system alone for its
+    # retained losses, the full losses and the costs.
+    model, paid = stack
+    table = solve_value_iterations(model, paid)
+    n = model.n_states
+    for k, retained in enumerate(model.losses - paid):
+        p = table.policy_of[k]
+        system = np.eye(n) - model.discount * model.transitions[table.policies[p], np.arange(n)]
+        stages = np.stack((retained, model.losses, model.costs[table.policies[p]]), axis=-1)
+        alone = np.linalg.solve(system, stages)
+        assert np.array_equal(table.values[k], alone[:, 0] + alone[:, 2])
+        assert np.array_equal(table.streams[p], alone[:, 1:])
 
 
 def _first_block_end(iteration, blocks):
