@@ -6,8 +6,7 @@ The package has five layers:
   evaluation;
 - :mod:`cyins.solvers`: every policy production finds, uncertified (a
   policy walk for linear coverage, value iteration for two-tier, and the
-  region ends at a policy switch), and the oracles: linear programming
-  (self-contained simplex) and brute-force enumeration;
+  region ends at a policy switch);
 - :mod:`cyins.contracts`: the certificate gate and pricing: the certified
   optimal response to a coverage (:func:`solve`), contract sweeps as
   tables (:class:`Sweep`: premium, insurer profit and coverage paid per
@@ -16,6 +15,10 @@ The package has five layers:
   case under linear coverage;
 - :mod:`cyins.montecarlo` / :mod:`cyins.harness`: a statistical oracle,
   model/CSV serialization, bundled studies and the CLI.
+
+Only the production path ships here.  The paper's other solution methods,
+the MDP linear program and brute-force policy enumeration, are the test
+suite's independent oracles (``tests/oracles.py``).
 """
 
 from .analytic import (
@@ -48,20 +51,11 @@ from .model import (
     State,
     ThresholdCoverage,
     ZeroCoverage,
-    decompose_value,
     evaluate_policy,
     validate_model,
 )
 from .montecarlo import SimulationConfig, config_for, simulate_coverage_paid, simulate_value
-from .solvers import (
-    LpProblem,
-    SolveResult,
-    build_lp,
-    policy_from_values,
-    solve_lp_dual,
-    solve_policy_enumeration,
-    solve_value_iteration,
-)
+from .solvers import SolveResult, solve_value_iteration
 
 __version__ = "0.1.0"
 
@@ -71,7 +65,6 @@ __all__ = [
     "CertificateError",
     "ContractSweepRow",
     "LinearCoverage",
-    "LpProblem",
     "MdpModel",
     "ModelValidationError",
     "OptimalContract",
@@ -84,27 +77,22 @@ __all__ = [
     "ThresholdCoverage",
     "TwoStateModel",
     "ZeroCoverage",
-    "build_lp",
     "bundled_model",
     "classify_case",
     "closed_form_policy",
     "closed_form_value",
     "config_for",
-    "decompose_value",
     "evaluate_policy",
     "load_model",
     "optimal_contract",
     "optimal_region",
     "peltzman_regions",
-    "policy_from_values",
     "policy_label",
     "reproduce",
     "save_model",
     "simulate_coverage_paid",
     "simulate_value",
     "solve",
-    "solve_lp_dual",
-    "solve_policy_enumeration",
     "solve_value_iteration",
     "sweep_linear",
     "sweep_threshold",

@@ -157,7 +157,7 @@ class Sweep(Sequence):
 
     The sweep is a read-only sequence of rows: ``sweep[k]`` (negative ``k``
     too) and iteration build :class:`ContractSweepRow` views on demand, and
-    a slice is a sweep of the sliced rows.
+    a slice with a positive step is a sweep of the sliced rows.
     """
 
     model: MdpModel
@@ -180,6 +180,9 @@ class Sweep(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
+            # A reversed slice would descend, which no sweep builder accepts.
+            if k.step is not None and k.step < 0:
+                raise ValueError("sweep grid must be sorted ascending")
             return replace(self, parameters=self.parameters[k], problem_of=self.problem_of[k])
         # A bool is an index to operator.index, but not a row number.
         if isinstance(k, bool):

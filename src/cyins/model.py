@@ -33,9 +33,7 @@ __all__ = [
     "ZeroCoverage",
     "coverage_paid",
     "coverages_paid",
-    "decompose_value",
     "evaluate_policy",
-    "stage_loss_matrix",
     "validate_model",
 ]
 
@@ -427,12 +425,6 @@ def _tiers(coverage: Coverage) -> tuple[float, float, float]:
     raise TypeError(f"not a coverage policy: {coverage!r}")
 
 
-def stage_loss_matrix(model: MdpModel, coverage: Coverage) -> np.ndarray:
-    """Effective losses for every (state, action) pair, shape (n_states, n_actions)."""
-    retained = model.losses - coverage_paid(model, coverage)
-    return retained[:, None] + model.costs[None, :]
-
-
 def _policy_streams(model: MdpModel, actions: np.ndarray, *stages: np.ndarray) -> np.ndarray:
     """Streams of the policy ``actions`` (N,), shape (N, L + 1): one per stage vector, then the cost's.
 
@@ -457,16 +449,3 @@ def evaluate_policy(
     retained = model.losses - coverage_paid(model, coverage)
     return _policy_streams(model, np.array(policy.actions), retained).sum(axis=1)
 
-
-def decompose_value(
-    model: MdpModel, policy: ProtectionPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split the uninsured value into direct-loss and protection-cost streams.
-
-    Returns ``(direct, cost)`` where each is the policy value computed with
-    only that stage term; their sum is ``evaluate_policy`` under zero
-    coverage, bit for bit.  The direct part is the user's cyber-risk
-    exposure, which is what rises when insurance induces weaker protection.
-    """
-    model.check_policy(policy)
-    return tuple(_policy_streams(model, np.array(policy.actions), model.losses).T)

@@ -41,7 +41,6 @@ from .model import (
     ProtectionPolicy,
     _check_real,
     coverage_paid,
-    stage_loss_matrix,
 )
 
 __all__ = [
@@ -265,7 +264,7 @@ def simulate_value(
     Returns (mean, standard error).  Deterministic given the seed.
     """
     model.check_policy(policy)
-    stage = stage_loss_matrix(model, coverage)[np.arange(model.n_states), policy.actions]
+    stage = model.losses - coverage_paid(model, coverage) + model.costs[list(policy.actions)]
     return _simulate_discounted_sum(model, policy, stage, config)
 
 

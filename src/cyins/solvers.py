@@ -1,26 +1,24 @@
-"""Optimal protection policies: every policy production finds, and the oracles.
+"""Optimal protection policies: every policy production finds.
 
-Value iteration, a dense-simplex linear program, and exhaustive policy
-enumeration all solve the same discounted minimization and act as mutual
-oracles in the test suite.  All three report the *exact* policy evaluation of
-whatever policy they select, so agreement checks compare solver choices, not
-iteration noise.  Production finds its policies here too and certifies none
-of them: :mod:`cyins.contracts` gates every table it reads by its
-certificate and prices it.  Two-tier coverage is solved by value iteration
-(:func:`_solve_many`), no insurance and linear coverage by a walk
-(:func:`_solve_linear`), and a zero-profit region's ends against a policy
-switch by :func:`_linear_switch` and :func:`_threshold_switch`.
+Production finds its policies here and certifies none of them:
+:mod:`cyins.contracts` gates every table it reads by its certificate and
+prices it.  Every policy comes with the *exact* evaluation of its values.
+Two-tier coverage is solved by value iteration (:func:`_solve_many`), no
+insurance and linear coverage by a walk (:func:`_solve_linear`), and a
+zero-profit region's ends against a policy switch by :func:`_linear_switch`
+and :func:`_threshold_switch`.  The paper's other two methods, the MDP
+linear program and policy enumeration, are the test suite's oracles and
+ship in ``tests/oracles.py``, not here.
 
 Value iteration has one loop, :func:`solve_value_iterations`, which applies
 the Bellman operator to a stack of coverage problems of one model at once,
 each given by its paid vector (a coverage enters only through what it pays
 per state).  Action values are action-major, (M*N, K) in the loop, one column
 per problem, so each iteration is one matrix product, one sum and one min over
-the leading axis; a stack's are (M, K, N) and one problem's (M, N).  Only the
-public :func:`action_values` and :func:`cyins.model.stage_loss_matrix` keep
-(N, M).  The loop keeps two iterates of the stack, which swap roles each
-step.  The stack stops together: its stopping rule is tested once per block
-of up to ``BLOCK`` iterates, on the block's last step, and holds the stack
+the leading axis; a stack's are (M, K, N) and one problem's (M, N).  The loop
+keeps two iterates of the stack, which swap roles each step.  The stack
+stops together: its stopping rule is tested once per block of up to
+``BLOCK`` iterates, on the block's last step, and holds the stack
 while any problem's change exceeds the threshold, so every problem reports
 the stack's iteration count (from discount 0.999 the threshold lies below
 one ulp of ||V||, so only the certificate of :mod:`cyins.contracts`
@@ -52,15 +50,13 @@ pi0.
 
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
-index.  One greedy extraction implements the rule for a stack of problems;
-:func:`policy_from_values` is its one-problem call, and a Howard step
-switches an action only beyond the same window.  Repeated solves of the
-same instance return byte-identical policies.
+index.  One greedy extraction implements the rule for any stack of action
+values, and a Howard step switches an action only beyond the same window.
+Repeated solves of the same instance return byte-identical policies.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -76,24 +72,12 @@ from .model import (
     _check_real,
     _policy_streams,
     _tiers_paid,
-    coverage_paid,
     coverages_paid,
-    evaluate_policy,
-    stage_loss_matrix,
 )
 
 __all__ = [
-    "EnumerationTooLarge",
-    "LpError",
-    "LpProblem",
     "SolveResult",
     "SolveTable",
-    "action_values",
-    "bellman_update",
-    "build_lp",
-    "policy_from_values",
-    "solve_lp_dual",
-    "solve_policy_enumeration",
     "solve_value_iteration",
     "solve_value_iterations",
 ]
@@ -105,21 +89,11 @@ __all__ = [
 # agreement tolerances.
 TIE_REL = 1e-12
 
-ENUMERATION_LIMIT = 10**6
-
 BISECTION_WIDTH = 1e-6
 
 # Value iterates computed between two tests of the stopping rule, which the
 # whole stack of problems passes or fails together.
 BLOCK = 16
-
-
-class LpError(RuntimeError):
-    """Internal linear-programming failure (must not occur for valid models)."""
-
-
-class EnumerationTooLarge(ValueError):
-    """The policy space exceeds the brute-force guard."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,41 +161,10 @@ def _first_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], np.argsort(order)[inverse.ravel()]
 
 
-@dataclass(frozen=True, eq=False)
-class LpProblem:
-    """Standard-form program min cost.eta, constraints @ eta = rhs, eta >= 0.
-
-    Columns are grouped state-major: column (s * n_actions + a) belongs to the
-    (state s, action a) pair.  The dual maximizes rhs.theta subject to
-    cost - constraints.T @ theta >= 0, and the optimal dual variables are the
-    per-state optimal values.
-    """
-
-    cost: np.ndarray
-    rhs: np.ndarray
-    constraints: np.ndarray
-
-
-def action_values(model: MdpModel, coverage: Coverage, values: np.ndarray) -> np.ndarray:
-    """One-step lookahead Q(s, a) = stage loss + discount * E[values], shape (N, M)."""
-    return _action_values(model, coverage, values).T
-
-
-def _action_values(model: MdpModel, coverage: Coverage, values: np.ndarray) -> np.ndarray:
-    """:func:`action_values` action-major, shape (M, N)."""
-    retained = model.losses - coverage_paid(model, coverage)
-    return _stacked_action_values(model, retained[None], np.asarray(values, dtype=float)[None])[:, 0]
-
-
 def _stacked_action_values(model: MdpModel, retained: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Action values of K problems, shape (M, K, N), from retained losses and values of shape (K, N)."""
     future = (model.transitions @ values[:, None, :, None])[..., 0]  # (K, M, N)
     return model.costs[:, None, None] + retained + model.discount * future.transpose(1, 0, 2)
-
-
-def bellman_update(model: MdpModel, coverage: Coverage, values: np.ndarray) -> np.ndarray:
-    """One application of the optimal (min over actions) dynamic-programming operator."""
-    return _action_values(model, coverage, values).min(axis=0)
 
 
 def _greedy_actions(q: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -235,14 +178,6 @@ def _greedy_actions(q: np.ndarray, costs: np.ndarray) -> np.ndarray:
     candidates = q <= best + TIE_REL * (1.0 + np.abs(best))
     order = np.lexsort((np.arange(costs.size), costs))
     return order[candidates[order].argmax(axis=0)]
-
-
-def policy_from_values(
-    model: MdpModel, coverage: Coverage, values: np.ndarray
-) -> ProtectionPolicy:
-    """Greedy policy extraction from a value vector."""
-    actions = _greedy_actions(_action_values(model, coverage, values), model.costs)
-    return ProtectionPolicy(tuple(int(a) for a in actions))
 
 
 def solve_value_iteration(
@@ -526,154 +461,3 @@ def _threshold_switch(
             stays[key] = bool((_greedy_actions(q, model.costs) == actions).all())
         lo, hi = (mid, hi) if stays[key] else (lo, mid)
     return 0.5 * (lo + hi)
-
-
-def solve_policy_enumeration(model: MdpModel, coverage: Coverage) -> SolveResult:
-    """Brute force over every stationary policy (the slow, trusted oracle).
-
-    Minimizes the value at the initial state; ties are resolved by comparing
-    the full value vectors state by state (so a globally optimal policy wins
-    over one that is only optimal where reachable), then by per-state action
-    cost, then by action index.
-    """
-    n, m = model.n_states, model.n_actions
-    if m**n > ENUMERATION_LIMIT:
-        raise EnumerationTooLarge(f"{m}**{n} policies exceed the enumeration guard")
-
-    costs = model.costs
-    s0 = model.initial_state
-    best_policy = None
-    best_values = None
-    best_key = None
-    count = 0
-    for assignment in itertools.product(range(m), repeat=n):
-        count += 1
-        policy = ProtectionPolicy(assignment)
-        values = evaluate_policy(model, policy, coverage)
-        key = (costs[list(assignment)].tolist(), list(assignment))
-        if best_values is None:
-            best_policy, best_values, best_key = policy, values, key
-            continue
-        window = TIE_REL * (1.0 + abs(best_values[s0]))
-        if values[s0] < best_values[s0] - window:
-            best_policy, best_values, best_key = policy, values, key
-            continue
-        if values[s0] > best_values[s0] + window:
-            continue
-        # tie at the initial state: prefer smaller values elsewhere, then the tie rule
-        replace = False
-        for v_new, v_old in zip(values, best_values):
-            w = TIE_REL * (1.0 + abs(v_old))
-            if v_new < v_old - w:
-                replace = True
-                break
-            if v_new > v_old + w:
-                break
-        else:
-            replace = key < best_key
-        if replace:
-            best_policy, best_values, best_key = policy, values, key
-
-    residual = float(np.abs(best_values - bellman_update(model, coverage, best_values)).max())
-    return SolveResult(
-        policy=best_policy,
-        values=best_values,
-        iterations=count,
-        residual=residual,
-        certificate_bound=residual / (1.0 - model.discount),
-    )
-
-
-def build_lp(model: MdpModel, coverage: Coverage) -> LpProblem:
-    """Assemble the standard-form program whose dual variables are the optimal values.
-
-    The constraint matrix is E - discount * P where E marks which state each
-    column belongs to and P stacks the transition rows column by column; the
-    cost vector holds the per-(state, action) effective losses and the right
-    hand side is all ones.
-    """
-    n, m = model.n_states, model.n_actions
-    cost = stage_loss_matrix(model, coverage).reshape(n * m)
-    marker = np.zeros((n, n * m))
-    trans = np.zeros((n, n * m))
-    for s in range(n):
-        for a in range(m):
-            col = s * m + a
-            marker[s, col] = 1.0
-            trans[:, col] = model.transitions[a, s]
-    return LpProblem(
-        cost=cost,
-        rhs=np.ones(n),
-        constraints=marker - model.discount * trans,
-    )
-
-
-def solve_lp_dual(problem: LpProblem, max_iter: int = 10_000) -> np.ndarray:
-    """Optimal dual variables (per-state values) via a self-contained dense simplex.
-
-    Two-phase primal simplex with Bland's smallest-index rule on both the
-    entering and leaving choices, so it cannot cycle and is bit-reproducible.
-    Problems here are tiny, so each iteration just re-solves the basis
-    factorization.
-    """
-    a_mat = np.array(problem.constraints, dtype=float)
-    rhs = np.array(problem.rhs, dtype=float)
-    cost = np.array(problem.cost, dtype=float)
-    n_rows, n_cols = a_mat.shape
-    if cost.shape != (n_cols,) or rhs.shape != (n_rows,):
-        raise LpError("inconsistent problem dimensions")
-
-    flip = rhs < 0.0
-    a_mat[flip] *= -1.0
-    rhs[flip] *= -1.0
-
-    # Phase 1: artificial identity columns, minimize their total.
-    full = np.hstack([a_mat, np.eye(n_rows)])
-    phase1_cost = np.concatenate([np.zeros(n_cols), np.ones(n_rows)])
-    basis = list(range(n_cols, n_cols + n_rows))
-    basis = _simplex_iterate(full, rhs, phase1_cost, basis, allowed=full.shape[1], max_iter=max_iter)
-    x_basic = np.linalg.solve(full[:, basis], rhs)
-    if float(phase1_cost[basis] @ x_basic) > 1e-8:
-        raise LpError("infeasible program")
-
-    # Pivot any leftover artificial variables out of the (degenerate) basis.
-    for row, var in enumerate(basis):
-        if var < n_cols:
-            continue
-        direction = np.linalg.solve(full[:, basis], full[:, :n_cols])
-        pivots = np.flatnonzero(np.abs(direction[row]) > 1e-9)
-        if pivots.size == 0:
-            raise LpError("redundant constraint row")
-        basis[row] = int(pivots[0])
-
-    # Phase 2 on the original columns only.
-    basis = _simplex_iterate(a_mat, rhs, cost, basis, allowed=n_cols, max_iter=max_iter)
-    return np.linalg.solve(a_mat[:, basis].T, cost[basis])
-
-
-def _simplex_iterate(a_mat, rhs, cost, basis, allowed, max_iter):
-    """Run primal simplex pivots (Bland's rule) until optimal; returns the basis."""
-    basis = list(basis)
-    for _ in range(max_iter):
-        b_mat = a_mat[:, basis]
-        x_basic = np.linalg.solve(b_mat, rhs)
-        duals = np.linalg.solve(b_mat.T, cost[basis])
-        reduced = cost[:allowed] - duals @ a_mat[:, :allowed]
-        entering = -1
-        for j in range(allowed):
-            if j not in basis and reduced[j] < -1e-9:
-                entering = j
-                break
-        if entering < 0:
-            return basis
-        direction = np.linalg.solve(b_mat, a_mat[:, entering])
-        positive = np.flatnonzero(direction > 1e-12)
-        if positive.size == 0:
-            raise LpError("unbounded program")
-        ratios = x_basic[positive] / direction[positive]
-        best = float(ratios.min())
-        # Bland: among minimum-ratio rows, drop the basic variable of lowest index.
-        leaving_rows = positive[np.flatnonzero(ratios <= best + 1e-12)]
-        leaving = min(leaving_rows, key=lambda r: basis[r])
-        basis[int(leaving)] = entering
-    raise LpError("simplex iteration limit reached")

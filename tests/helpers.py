@@ -2,7 +2,10 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 two-state oracle solves the 2x2 fixed point by Cramer's rule, and the
-brute-force oracle rebuilds the policy linear system from raw arrays.
+brute-force oracle rebuilds the policy linear system from raw arrays.  The
+paper's textbook solvers (the MDP linear program, policy enumeration and
+the one-problem Bellman helpers) live in :mod:`oracles`, and the exact
+rational evaluation in :mod:`exact`.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from cyins.model import (
     ThresholdCoverage,
     ZeroCoverage,
     coverage_paid,
-    decompose_value,
     validate_model,
 )
 from cyins.solvers import SolveResult, SolveTable
+
+from oracles import decompose_value
 
 TWO_STATE_RAW = {
     "discount": 0.9,

@@ -28,19 +28,13 @@ from cyins.model import (
     LinearCoverage,
     ProtectionPolicy,
     ZeroCoverage,
-    decompose_value,
     evaluate_policy,
     validate_model,
 )
-from cyins.solvers import (
-    build_lp,
-    policy_from_values,
-    solve_lp_dual,
-    solve_policy_enumeration,
-    solve_value_iteration,
-)
+from cyins.solvers import solve_value_iteration
 
 from helpers import random_coverage, random_model, random_two_state_raw
+from oracles import build_lp, decompose_value, policy_from_values, solve_lp_dual, solve_policy_enumeration
 
 GOOD, BAD = 0, 1
 WEAK, STRONG = 0, 1

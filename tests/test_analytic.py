@@ -23,13 +23,13 @@ from cyins.model import (
     LinearCoverage,
     ProtectionPolicy,
     ZeroCoverage,
-    decompose_value,
     evaluate_policy,
     validate_model,
 )
 from cyins.solvers import solve_value_iteration
 
 from helpers import TWO_STATE_RAW, random_two_state_raw
+from oracles import decompose_value, policy_from_values
 
 GOOD, BAD = 0, 1
 WEAK, STRONG = 0, 1
@@ -464,8 +464,6 @@ def test_optimum_unique_up_to_exact_ties_random():
         model = validate_model(random_two_state_raw(rng))
         level = float(rng.uniform(0.0, 1.0))
         coverage = LinearCoverage(level)
-        from cyins.solvers import policy_from_values
-
         fixed_points = []
         for action_good in (WEAK, STRONG):
             for action_bad in (WEAK, STRONG):

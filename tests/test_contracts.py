@@ -30,17 +30,10 @@ from cyins.model import (
     ThresholdCoverage,
     ZeroCoverage,
     coverages_paid,
-    decompose_value,
     evaluate_policy,
     validate_model,
 )
-from cyins.solvers import (
-    SolveResult,
-    bellman_update,
-    solve_policy_enumeration,
-    solve_value_iteration,
-    solve_value_iterations,
-)
+from cyins.solvers import SolveResult, solve_value_iteration, solve_value_iterations
 
 from helpers import (
     FOUR_STATE_RAW,
@@ -52,6 +45,7 @@ from helpers import (
     region_by_row_walk,
     results,
 )
+from oracles import bellman_update, decompose_value, solve_policy_enumeration
 
 EXACT_SWITCH_BAD = 1.0 - 0.82 / 0.9
 EXACT_PREMIUM_RATE = 1.8 / 0.082
@@ -673,9 +667,12 @@ def test_a_sweep_is_a_read_only_sequence_of_row_views(four_state):
     for k in range(-len(grid), len(grid)):
         assert sweep[k] == rows[k]
     assert sweep[np.int64(2)] == rows[2]
-    for part in (slice(1, 4), slice(None, None, -2), slice(3, 3)):
+    for part in (slice(1, 4), slice(None, None, 2), slice(3, 3)):
         assert isinstance(sweep[part], Sweep)
         assert list(sweep[part]) == rows[part]
+    # A reversed slice would be a descending grid, which no sweep builder accepts.
+    with pytest.raises(ValueError, match="sorted ascending"):
+        sweep[::-2]
     for k in (len(grid), -len(grid) - 1):
         with pytest.raises(IndexError):
             sweep[k]
@@ -693,6 +690,18 @@ def test_a_sweep_is_a_read_only_sequence_of_row_views(four_state):
     cutoffs = sweep_threshold(four_state, 0.0, 0.9, [8.0])
     assert cutoffs[-1] == cutoffs[0]
     assert cutoffs[0].coverage == ThresholdCoverage(8.0, 0.0, 0.9)
+
+
+@pytest.mark.parametrize("build", [sweep_linear, lambda model: sweep_threshold(model, 0.0, 0.9)])
+def test_a_reversed_sweep_slice_is_refused(four_state, build):
+    # Reversed, the four-state sweeps' regions came out with lo > hi.
+    sweep = build(four_state)
+    for step in (-1, -2):
+        with pytest.raises(ValueError, match="sweep grid must be sorted ascending"):
+            sweep[::step]
+    region = optimal_region(sweep[::2])
+    assert region.intervals
+    assert all(iv.lo <= iv.hi for iv in region.intervals)
 
 
 def test_a_study_round_builds_rows_only_around_region_ends(tmp_path, monkeypatch):
@@ -729,7 +738,9 @@ def test_study_decompositions_per_round(study, calls, tmp_path, monkeypatch):
     # streams once per evaluation: a linear walk each policy it evaluates,
     # solving the full losses alone, and value iteration each of its distinct
     # policies, in the finish that evaluated it.  Pricing and the region ends read
-    # those streams, so nothing decomposes a policy again.
+    # those streams, so nothing decomposes a policy again: the one-policy
+    # split ``decompose_value`` is a test oracle that cyins does not ship
+    # (test_cyins_ships_only_the_production_path).
     decomposed = []
     streams, iterate = model_module._policy_streams, solvers.solve_value_iterations
 
@@ -744,12 +755,8 @@ def test_study_decompositions_per_round(study, calls, tmp_path, monkeypatch):
         decomposed.extend(solved.policies)
         return solved
 
-    def again(model, policy):
-        raise AssertionError(f"{policy!r} decomposed again")
-
     monkeypatch.setattr(solvers, "_policy_streams", walked)
     monkeypatch.setattr(solvers, "solve_value_iterations", iterated)
-    monkeypatch.setattr(model_module, "decompose_value", again)
     reproduce(study, tmp_path)
     assert len(decomposed) == calls
 
@@ -900,6 +907,34 @@ def test_only_solvers_finds_policies():
         if module is not solvers:
             assert not set(POLICY_FINDING) & set(vars(module)), module.__name__
     assert not set(NOT_IN_CONTRACTS) & set(vars(contracts))
+
+
+# The oracles of tests/oracles.py, which production never calls.
+ORACLES = (
+    "ENUMERATION_LIMIT", "EnumerationTooLarge", "LpError", "LpProblem", "_action_values",
+    "_simplex_iterate", "action_values", "bellman_update", "build_lp", "decompose_value",
+    "policy_from_values", "solve_lp_dual", "solve_policy_enumeration", "stage_loss_matrix",
+)
+PUBLIC = [
+    "Action", "CaseClassification", "CertificateError", "ContractSweepRow", "LinearCoverage",
+    "MdpModel", "ModelValidationError", "OptimalContract", "ProtectionPolicy", "RegionReport",
+    "SimulationConfig", "SolveResult", "State", "Sweep", "ThresholdCoverage", "TwoStateModel",
+    "ZeroCoverage", "bundled_model", "classify_case", "closed_form_policy", "closed_form_value",
+    "config_for", "evaluate_policy", "load_model", "optimal_contract", "optimal_region",
+    "peltzman_regions", "policy_label", "reproduce", "save_model", "simulate_coverage_paid",
+    "simulate_value", "solve", "solve_value_iteration", "sweep_linear", "sweep_threshold",
+    "validate_model",
+]
+
+
+def test_cyins_ships_only_the_production_path():
+    # The MDP linear program, enumeration and the one-problem Bellman helpers
+    # are test oracles: no cyins module defines or binds one, so production
+    # cannot call them, and the public names are pinned.
+    names = [info.name for info in pkgutil.iter_modules(cyins.__path__) if info.name != "__main__"]
+    for module in [cyins, *(importlib.import_module(f"cyins.{name}") for name in names)]:
+        assert sorted(set(ORACLES) & set(vars(module))) == [], module.__name__
+    assert sorted(cyins.__all__) == PUBLIC
 
 
 @pytest.fixture

@@ -19,10 +19,10 @@ import pytest
 from cyins import contracts
 from cyins.harness import STUDIES, bundled_model
 from cyins.model import LinearCoverage, ThresholdCoverage, ZeroCoverage, validate_model
-from cyins.solvers import solve_policy_enumeration
 
 import exact
 from helpers import priced_problems, random_model
+from oracles import solve_policy_enumeration
 
 EPS = np.finfo(float).eps
 

@@ -13,9 +13,7 @@ from cyins.model import (
     ZeroCoverage,
     coverage_paid,
     coverages_paid,
-    decompose_value,
     evaluate_policy,
-    stage_loss_matrix,
     validate_model,
 )
 
@@ -26,6 +24,7 @@ from helpers import (
     reimbursement,
     two_state_policy_value,
 )
+from oracles import decompose_value, stage_loss_matrix
 
 PI_HH = ProtectionPolicy((1, 1))
 PI_LL = ProtectionPolicy((0, 0))

@@ -18,10 +18,11 @@ from cyins.model import (
     ThresholdCoverage,
     ZeroCoverage,
     evaluate_policy,
-    stage_loss_matrix,
     validate_model,
 )
 from cyins.montecarlo import SimulationConfig, config_for, simulate_coverage_paid, simulate_value
+
+from oracles import stage_loss_matrix
 
 PI_HH = ProtectionPolicy((1, 1))
 PI_LL = ProtectionPolicy((0, 0))

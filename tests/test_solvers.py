@@ -22,17 +22,7 @@ from cyins.model import (
     evaluate_policy,
     validate_model,
 )
-from cyins.solvers import (
-    EnumerationTooLarge,
-    action_values,
-    bellman_update,
-    build_lp,
-    policy_from_values,
-    solve_lp_dual,
-    solve_policy_enumeration,
-    solve_value_iteration,
-    solve_value_iterations,
-)
+from cyins.solvers import solve_value_iteration, solve_value_iterations
 
 from helpers import (
     TWO_STATE_RAW,
@@ -41,6 +31,17 @@ from helpers import (
     random_coverage,
     random_model,
     results,
+)
+from oracles import (
+    EnumerationTooLarge,
+    LpError,
+    LpProblem,
+    action_values,
+    bellman_update,
+    build_lp,
+    policy_from_values,
+    solve_lp_dual,
+    solve_policy_enumeration,
 )
 
 PI_HH = ProtectionPolicy((1, 1))
@@ -429,8 +430,6 @@ def test_lp_dual_matches_value_iteration_on_grid(four_state):
 # ---------------------------------------------------------- greedy extraction
 
 def test_lp_error_on_infeasible_program():
-    from cyins.solvers import LpError, LpProblem
-
     problem = LpProblem(
         cost=np.array([0.0]),
         rhs=np.array([1.0, 2.0]),
@@ -441,8 +440,6 @@ def test_lp_error_on_infeasible_program():
 
 
 def test_lp_error_on_unbounded_program():
-    from cyins.solvers import LpError, LpProblem
-
     # min -x1 subject to x0 = 1: x1 can grow without bound
     problem = LpProblem(
         cost=np.array([0.0, -1.0]),
