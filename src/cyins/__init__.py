@@ -5,8 +5,8 @@ The package has five layers:
 - :mod:`cyins.model`: the risk process, coverage functions and exact policy
   evaluation;
 - :mod:`cyins.solvers`: every policy production finds, uncertified (a
-  policy walk for linear coverage, value iteration for two-tier, and the
-  region ends at a policy switch);
+  policy walk for linear coverage, value iteration over a stack of
+  two-tier problems, and the region ends at a policy switch);
 - :mod:`cyins.contracts`: the certificate gate and pricing: the certified
   optimal response to a coverage (:func:`solve`), contract sweeps as
   tables (:class:`Sweep`: premium, insurer profit and coverage paid per
@@ -16,9 +16,11 @@ The package has five layers:
 - :mod:`cyins.montecarlo` / :mod:`cyins.harness`: a statistical oracle,
   model/CSV serialization, bundled studies and the CLI.
 
-Only the production path ships here.  The paper's other solution methods,
-the MDP linear program and brute-force policy enumeration, are the test
-suite's independent oracles (``tests/oracles.py``).
+Only the production path ships here, and :func:`solve` is its one solve, so
+every result it returns is certified.  The test suite's independent oracles
+live in ``tests/oracles.py``: the paper's other solution methods (the MDP
+linear program and brute-force policy enumeration), the uncertified
+one-problem value iteration, and the closed forms' identity self-check.
 """
 
 from .analytic import (
@@ -55,7 +57,7 @@ from .model import (
     validate_model,
 )
 from .montecarlo import SimulationConfig, config_for, simulate_coverage_paid, simulate_value
-from .solvers import SolveResult, solve_value_iteration
+from .solvers import SolveResult
 
 __version__ = "0.1.0"
 
@@ -93,7 +95,6 @@ __all__ = [
     "simulate_coverage_paid",
     "simulate_value",
     "solve",
-    "solve_value_iteration",
     "sweep_linear",
     "sweep_threshold",
     "validate_model",

@@ -10,7 +10,9 @@ contract, and the coverage intervals on which insurance strictly raises the
 user's cyber-risk exposure (the Peltzman effect).
 
 Every quantity here is independently checkable against the numeric solvers;
-the test suite does so systematically.
+the test suite does so systematically.  Its check of the algebraic
+identities that tie the gaps, the transition shift and the value formulas
+together is a test oracle, in ``tests/oracles.py``.
 
 Conventions: the *good* state is the one with the strictly smaller direct
 loss, the *strong* action the one with the strictly larger cost.  A gap value
@@ -29,7 +31,6 @@ from .model import MdpModel, ProtectionPolicy
 
 __all__ = [
     "CaseClassification",
-    "IdentityReport",
     "OptimalContract",
     "PolicySegment",
     "TwoStateModel",
@@ -38,7 +39,6 @@ __all__ = [
     "closed_form_policy",
     "closed_form_value",
     "cost_coefficient",
-    "identity_residuals",
     "loss_coefficient",
     "optimal_contract",
     "peltzman_regions",
@@ -177,17 +177,6 @@ class OptimalContract:
 
     def premium(self, level: float) -> float:
         return self.premium_rate * level
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Residuals of the algebraic identities tying gaps, shifts and value formulas."""
-
-    residuals: dict[str, float]
-
-    @property
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.residuals.values())
 
 
 def _hat(ts: TwoStateModel, state: int, action: int, target: int) -> float:
@@ -433,62 +422,3 @@ def peltzman_regions(ts: TwoStateModel) -> tuple[tuple[float, float], ...]:
     if len(classification.segments) == 1:
         return ()
     return ((classification.segments[1].lo, 1.0),)
-
-
-def identity_residuals(ts: TwoStateModel, level: float) -> IdentityReport:
-    """Check the algebraic identities linking gaps, the transition shift and values.
-
-    The four pairwise gap differences collapse to multiples of the transition
-    shift, and each strong-minus-weak value difference factors into a positive
-    coefficient times the corresponding gap.  All residuals should sit at
-    rounding level for any valid model.
-    """
-    g, b = ts.good, ts.bad
-    w, s = ts.weak, ts.strong
-    d = ts.discount
-    rho = transition_shift(ts)
-    d_cost = ts.cost_strong - ts.cost_weak
-    d_loss = ts.loss_bad - ts.loss_good
-
-    def gap(state, other_action):
-        return action_value_gap(ts, state, other_action, level)
-
-    res: dict[str, float] = {
-        "gap_action_diff_good": (gap(g, s) - gap(g, w)) - rho * d * d_cost,
-        "gap_action_diff_bad": (gap(b, s) - gap(b, w)) - rho * d * d_cost,
-        "gap_state_diff_strong": (gap(g, s) - gap(b, s)) - rho * d * (1.0 - level) * d_loss,
-        "gap_state_diff_weak": (gap(g, w) - gap(b, w)) - rho * d * (1.0 - level) * d_loss,
-        "gap_cross_strong_weak": (gap(g, s) - gap(b, w))
-        - rho * d * (d_cost + (1.0 - level) * d_loss),
-        "gap_cross_weak_strong": (gap(b, s) - gap(g, w))
-        - rho * d * (d_cost - (1.0 - level) * d_loss),
-    }
-
-    for other_action, tag in ((s, "strong"), (w, "weak")):
-        diff_good = closed_form_value(ts, g, s, other_action, level) - closed_form_value(
-            ts, g, w, other_action, level
-        )
-        coef_good = (
-            (1.0 - d)
-            * _hat(ts, b, other_action, b)
-            / (
-                transition_determinant(ts, s, other_action)
-                * transition_determinant(ts, w, other_action)
-            )
-        )
-        res[f"value_gap_factorization_good_{tag}"] = diff_good - coef_good * gap(g, other_action)
-
-        diff_bad = closed_form_value(ts, b, s, other_action, level) - closed_form_value(
-            ts, b, w, other_action, level
-        )
-        coef_bad = (
-            (1.0 - d)
-            * _hat(ts, g, other_action, g)
-            / (
-                transition_determinant(ts, other_action, s)
-                * transition_determinant(ts, other_action, w)
-            )
-        )
-        res[f"value_gap_factorization_bad_{tag}"] = diff_bad - coef_bad * gap(b, other_action)
-
-    return IdentityReport(residuals=res)

@@ -75,7 +75,7 @@ from .model import (
     ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
-    _check_real,
+    _check_tiers,
     _tiers,
     _tiers_paid,
     coverage_paid,
@@ -366,11 +366,14 @@ def sweep_threshold(
     high_level: float,
     grid: Sequence[float] | None = None,
 ) -> Sweep:
-    """Evaluate two-tier coverage contracts over a grid of loss cutoffs."""
-    _check_real("low_level", low_level)
-    _check_real("high_level", high_level)
-    if not 0.0 <= low_level <= high_level <= 1.0:
-        raise ValueError("need 0 <= low_level <= high_level <= 1")
+    """Evaluate two-tier coverage contracts over a grid of loss cutoffs.
+
+    The tiers follow :class:`~cyins.model.ThresholdCoverage`'s rule: each
+    level in [0, 1], in either order.
+    """
+    _check_tiers(low_level, high_level)
+    # Any real level passes, a Fraction too, and the paid vectors are floats.
+    low_level, high_level = float(low_level), float(high_level)
     cutoffs = _grid(default_threshold_grid(model) if grid is None else grid, "cutoff")
     valid = np.isfinite(cutoffs) & (cutoffs >= 0.0)
     if not valid.all():

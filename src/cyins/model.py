@@ -32,7 +32,6 @@ __all__ = [
     "ThresholdCoverage",
     "ZeroCoverage",
     "coverage_paid",
-    "coverages_paid",
     "evaluate_policy",
     "validate_model",
 ]
@@ -70,6 +69,19 @@ def _check_real(name: str, value) -> None:
         raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
+def _check_tiers(low_level, high_level) -> None:
+    """Raise unless both tier levels are real numbers in [0, 1], in either order.
+
+    The one rule for two-tier coverage, of a :class:`ThresholdCoverage` and
+    of a threshold sweep alike: a low tier above the high one is a valid
+    contract.
+    """
+    for label, level in (("low_level", low_level), ("high_level", high_level)):
+        _check_real(label, level)
+        if not 0.0 <= level <= 1.0:
+            raise ValueError(f"{label} must be in [0, 1], got {level}")
+
+
 @dataclass(frozen=True)
 class ZeroCoverage:
     """No insurance: every loss is borne in full."""
@@ -101,13 +113,10 @@ class ThresholdCoverage:
     high_level: float
 
     def __post_init__(self):
-        for name in ("cutoff", "low_level", "high_level"):
-            _check_real(name, getattr(self, name))
+        _check_real("cutoff", self.cutoff)
         if not math.isfinite(self.cutoff) or self.cutoff < 0.0:
             raise ValueError(f"cutoff must be finite and non-negative, got {self.cutoff}")
-        for label, level in (("low_level", self.low_level), ("high_level", self.high_level)):
-            if not 0.0 <= level <= 1.0:
-                raise ValueError(f"{label} must be in [0, 1], got {level}")
+        _check_tiers(self.low_level, self.high_level)
 
 
 Coverage = Union[ZeroCoverage, LinearCoverage, ThresholdCoverage]
@@ -387,20 +396,12 @@ def _validate_transitions(raw_trans, states, actions, errors) -> np.ndarray | No
 
 
 def coverage_paid(model: MdpModel, coverage: Coverage) -> np.ndarray:
-    """Reimbursement paid in each state, shape (n_states,)."""
-    return coverages_paid(model, [coverage])[0]
+    """Reimbursement paid in each state, shape (n_states,).
 
-
-def coverages_paid(model: MdpModel, coverages: Sequence[Coverage]) -> np.ndarray:
-    """Reimbursements of a stack of coverages, shape (len(coverages), n_states).
-
-    Row k is the paid vector of ``coverages[k]``, and the whole stack is one
-    array expression: each state's loss times its tier level (low at or
-    below the cutoff, high above it).  A linear level is a low tier without
-    a cutoff, no insurance a zero level.
+    Each state's loss times its tier level: low at or below the cutoff,
+    high above it.
     """
-    tiers = np.array([_tiers(c) for c in coverages], dtype=float).reshape(-1, 3)
-    return _tiers_paid(model, *tiers.T[:, :, None])
+    return _tiers_paid(model, *np.array(_tiers(coverage), dtype=float))
 
 
 def _tiers_paid(model: MdpModel, cutoff, low, high) -> np.ndarray:

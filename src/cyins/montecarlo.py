@@ -64,7 +64,9 @@ class SimulationConfig:
 
     ``truncation_tol`` is the absolute bound on the discarded discounted tail,
     i.e. the horizon must satisfy
-    discount**horizon * max_stage_loss / (1 - discount) <= truncation_tol.
+    discount**horizon * (max loss + max cost) / (1 - discount) <= truncation_tol
+    on the model it runs on; :func:`simulate_value` and
+    :func:`simulate_coverage_paid` raise ``ValueError`` when it does not.
     Use :func:`config_for` to derive a compliant horizon from a model.
     """
 
@@ -110,8 +112,7 @@ def config_for(
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     delta = model.discount
-    max_stage = float(model.losses.max() + model.costs.max())
-    scale = max_stage / (1.0 - delta) if max_stage > 0.0 else 1.0
+    scale = _value_scale(model) or 1.0
     if delta <= 0.0:
         horizon = 1
     else:
@@ -122,6 +123,27 @@ def config_for(
         seed=seed,
         truncation_tol=rel_tol * scale,
     )
+
+
+def _value_scale(model: MdpModel) -> float:
+    """The value scale (max loss + max cost) / (1 - discount), which bounds every value."""
+    return float(model.losses.max() + model.costs.max()) / (1.0 - model.discount)
+
+
+def _check_tail(model: MdpModel, config: SimulationConfig) -> None:
+    """Raise ``ValueError`` when ``config``'s horizon leaves more tail on ``model`` than it states.
+
+    The tail bound is discount**horizon times :func:`_value_scale`, the
+    scale :func:`config_for` truncates.  Its horizon is the ceiling of a
+    float quotient, which can leave a tail above its ``truncation_tol`` by
+    a relative 1e-12 at most, so a relative 1e-9 passes as rounding.
+    """
+    tail = model.discount**config.horizon * _value_scale(model)
+    if tail > config.truncation_tol * (1.0 + 1e-9):
+        raise ValueError(
+            f"horizon {config.horizon} leaves a discounted tail of up to {tail!r} on this model, "
+            f"above truncation_tol {config.truncation_tol!r}; config_for derives a horizon that does not"
+        )
 
 
 def _inversion_table(p_pi: np.ndarray) -> np.ndarray:
@@ -216,8 +238,10 @@ def _simulate_discounted_sum(
 ) -> tuple[float, float]:
     """Mean and standard error of sum_t discount^t * stage_values[s_t].
 
-    The caller has checked ``policy`` against ``model``.
+    The caller has checked ``policy`` against ``model``; the horizon is
+    checked here (:func:`_check_tail`).
     """
+    _check_tail(model, config)
     n = model.n_states
     p_pi = model.transitions[np.asarray(policy.actions), np.arange(n)]
     table = _inversion_table(p_pi)

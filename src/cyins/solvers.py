@@ -26,8 +26,8 @@ decides).  The final iterates are finished together into one
 :class:`SolveTable`: one greedy extraction, one exact evaluation per
 distinct policy (:func:`cyins.model._policy_streams`), whose one
 factorisation gives its two streams and its problems' values, and one
-stacked Bellman residual.
-:func:`solve_value_iteration` is its one-problem call.
+stacked Bellman residual.  Production always solves a stack; the
+one-problem call is a test oracle in ``tests/oracles.py``.
 
 The walk runs no value iteration: under linear coverage every action value
 is affine in the level R, so the user's optimal policy is piecewise
@@ -65,20 +65,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    Coverage,
     MdpModel,
     ProtectionPolicy,
     ThresholdCoverage,
     _check_real,
     _policy_streams,
     _tiers_paid,
-    coverages_paid,
 )
 
 __all__ = [
     "SolveResult",
     "SolveTable",
-    "solve_value_iteration",
     "solve_value_iterations",
 ]
 
@@ -180,16 +177,6 @@ def _greedy_actions(q: np.ndarray, costs: np.ndarray) -> np.ndarray:
     return order[candidates[order].argmax(axis=0)]
 
 
-def solve_value_iteration(
-    model: MdpModel,
-    coverage: Coverage,
-    tol: float = 1e-9,
-    max_iter: int = 200_000,
-) -> SolveResult:
-    """Value iteration for one coverage: the one-problem :func:`solve_value_iterations`."""
-    return solve_value_iterations(model, coverages_paid(model, [coverage]), tol, max_iter).result(0)
-
-
 def solve_value_iterations(
     model: MdpModel,
     paid: np.ndarray,
@@ -200,9 +187,8 @@ def solve_value_iterations(
 
     A coverage enters the stage losses only through the reimbursement it
     pays in each state, so the K problems are given by their paid vectors,
-    ``paid`` of shape (K, n_states), as :func:`cyins.model.coverages_paid`
-    builds them.  Every problem iterates the same Bellman operator on its
-    own stage losses, all in one loop.  The stack is problem-minor: values
+    ``paid`` of shape (K, n_states).  Every problem iterates the same
+    Bellman operator on its own stage losses, all in one loop.  The stack is problem-minor: values
     are (N, K) and stage losses (M*N, K), so the min over actions and the
     max over states reduce across contiguous problems.  The loop holds two
     iterates, which swap roles each step, and one step's action values.

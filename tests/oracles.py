@@ -12,9 +12,17 @@ production against them:
   (:func:`solve_policy_enumeration`);
 - the one-problem Bellman helpers (:func:`action_values`,
   :func:`bellman_update`, :func:`policy_from_values`) and the per-policy
-  stream split (:func:`decompose_value`).
+  stream split (:func:`decompose_value`);
+- value iteration for one coverage (:func:`solve_value_iteration`), the
+  one-problem call of production's stacked loop, with the paid vectors of
+  a stack of coverages (:func:`coverages_paid`).  Unlike
+  :func:`cyins.solve` it certifies nothing: it returns whatever policy
+  ``max_iter`` sweeps reach, and the tests read its diagnostics;
+- the algebraic identities that tie the two-state closed forms of
+  :mod:`cyins.analytic` together (:func:`identity_residuals`), a
+  self-check of those forms.
 
-All of them share production's tie rule (``TIE_REL`` and
+All the solvers share production's tie rule (``TIE_REL`` and
 ``_greedy_actions``), its stacked action values and its exact evaluation,
 so every solver agrees on ties.  Action values are (M, N) action-major here
 as in production; only :func:`action_values` and :func:`stage_loss_matrix`
@@ -24,19 +32,36 @@ give (N, M), state-major.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from cyins.analytic import (
+    TwoStateModel,
+    _hat,
+    action_value_gap,
+    closed_form_value,
+    transition_determinant,
+    transition_shift,
+)
 from cyins.model import (
     Coverage,
     MdpModel,
     ProtectionPolicy,
     _policy_streams,
+    _tiers,
+    _tiers_paid,
     coverage_paid,
     evaluate_policy,
 )
-from cyins.solvers import TIE_REL, SolveResult, _greedy_actions, _stacked_action_values
+from cyins.solvers import (
+    TIE_REL,
+    SolveResult,
+    _greedy_actions,
+    _stacked_action_values,
+    solve_value_iterations,
+)
 
 ENUMERATION_LIMIT = 10**6
 
@@ -62,6 +87,28 @@ class LpProblem:
     cost: np.ndarray
     rhs: np.ndarray
     constraints: np.ndarray
+
+
+def coverages_paid(model: MdpModel, coverages: Sequence[Coverage]) -> np.ndarray:
+    """Reimbursements of a stack of coverages, shape (len(coverages), n_states).
+
+    Row k is the paid vector of ``coverages[k]``, and the whole stack is one
+    array expression: each state's loss times its tier level (low at or
+    below the cutoff, high above it).  A linear level is a low tier without
+    a cutoff, no insurance a zero level.
+    """
+    tiers = np.array([_tiers(c) for c in coverages], dtype=float).reshape(-1, 3)
+    return _tiers_paid(model, *tiers.T[:, :, None])
+
+
+def solve_value_iteration(
+    model: MdpModel,
+    coverage: Coverage,
+    tol: float = 1e-9,
+    max_iter: int = 200_000,
+) -> SolveResult:
+    """Value iteration for one coverage: the one-problem :func:`solve_value_iterations`."""
+    return solve_value_iterations(model, coverages_paid(model, [coverage]), tol, max_iter).result(0)
 
 
 def stage_loss_matrix(model: MdpModel, coverage: Coverage) -> np.ndarray:
@@ -257,3 +304,73 @@ def _simplex_iterate(a_mat, rhs, cost, basis, allowed, max_iter):
         leaving = min(leaving_rows, key=lambda r: basis[r])
         basis[int(leaving)] = entering
     raise LpError("simplex iteration limit reached")
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Residuals of the algebraic identities tying gaps, shifts and value formulas."""
+
+    residuals: dict[str, float]
+
+    @property
+    def max_abs(self) -> float:
+        return max(abs(v) for v in self.residuals.values())
+
+
+def identity_residuals(ts: TwoStateModel, level: float) -> IdentityReport:
+    """Check the algebraic identities linking gaps, the transition shift and values.
+
+    The four pairwise gap differences collapse to multiples of the transition
+    shift, and each strong-minus-weak value difference factors into a positive
+    coefficient times the corresponding gap.  All residuals should sit at
+    rounding level for any valid model.
+    """
+    g, b = ts.good, ts.bad
+    w, s = ts.weak, ts.strong
+    d = ts.discount
+    rho = transition_shift(ts)
+    d_cost = ts.cost_strong - ts.cost_weak
+    d_loss = ts.loss_bad - ts.loss_good
+
+    def gap(state, other_action):
+        return action_value_gap(ts, state, other_action, level)
+
+    res: dict[str, float] = {
+        "gap_action_diff_good": (gap(g, s) - gap(g, w)) - rho * d * d_cost,
+        "gap_action_diff_bad": (gap(b, s) - gap(b, w)) - rho * d * d_cost,
+        "gap_state_diff_strong": (gap(g, s) - gap(b, s)) - rho * d * (1.0 - level) * d_loss,
+        "gap_state_diff_weak": (gap(g, w) - gap(b, w)) - rho * d * (1.0 - level) * d_loss,
+        "gap_cross_strong_weak": (gap(g, s) - gap(b, w))
+        - rho * d * (d_cost + (1.0 - level) * d_loss),
+        "gap_cross_weak_strong": (gap(b, s) - gap(g, w))
+        - rho * d * (d_cost - (1.0 - level) * d_loss),
+    }
+
+    for other_action, tag in ((s, "strong"), (w, "weak")):
+        diff_good = closed_form_value(ts, g, s, other_action, level) - closed_form_value(
+            ts, g, w, other_action, level
+        )
+        coef_good = (
+            (1.0 - d)
+            * _hat(ts, b, other_action, b)
+            / (
+                transition_determinant(ts, s, other_action)
+                * transition_determinant(ts, w, other_action)
+            )
+        )
+        res[f"value_gap_factorization_good_{tag}"] = diff_good - coef_good * gap(g, other_action)
+
+        diff_bad = closed_form_value(ts, b, s, other_action, level) - closed_form_value(
+            ts, b, w, other_action, level
+        )
+        coef_bad = (
+            (1.0 - d)
+            * _hat(ts, g, other_action, g)
+            / (
+                transition_determinant(ts, other_action, s)
+                * transition_determinant(ts, other_action, w)
+            )
+        )
+        res[f"value_gap_factorization_bad_{tag}"] = diff_bad - coef_bad * gap(b, other_action)
+
+    return IdentityReport(residuals=res)

@@ -18,7 +18,6 @@ from cyins.analytic import (
     TwoStateModel,
     action_value_gap,
     classify_case,
-    identity_residuals,
     closed_form_policy,
     closed_form_value,
     loss_coefficient,
@@ -31,10 +30,17 @@ from cyins.model import (
     evaluate_policy,
     validate_model,
 )
-from cyins.solvers import solve_value_iteration
 
 from helpers import random_coverage, random_model, random_two_state_raw
-from oracles import build_lp, decompose_value, policy_from_values, solve_lp_dual, solve_policy_enumeration
+from oracles import (
+    build_lp,
+    decompose_value,
+    identity_residuals,
+    policy_from_values,
+    solve_lp_dual,
+    solve_policy_enumeration,
+    solve_value_iteration,
+)
 
 GOOD, BAD = 0, 1
 WEAK, STRONG = 0, 1

@@ -12,7 +12,6 @@ from cyins.analytic import (
     closed_form_policy,
     closed_form_value,
     cost_coefficient,
-    identity_residuals,
     loss_coefficient,
     optimal_contract,
     peltzman_regions,
@@ -26,10 +25,9 @@ from cyins.model import (
     evaluate_policy,
     validate_model,
 )
-from cyins.solvers import solve_value_iteration
 
 from helpers import TWO_STATE_RAW, random_two_state_raw
-from oracles import decompose_value, policy_from_values
+from oracles import decompose_value, identity_residuals, policy_from_values, solve_value_iteration
 
 GOOD, BAD = 0, 1
 WEAK, STRONG = 0, 1

@@ -5,6 +5,7 @@ import pkgutil
 import re
 import signal
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyins
-from cyins import contracts, solvers
+from cyins import cli, contracts, solvers
 from cyins import model as model_module
 from cyins.contracts import (
     CertificateError,
@@ -23,17 +24,16 @@ from cyins.contracts import (
     sweep_linear,
     sweep_threshold,
 )
-from cyins.harness import STUDIES, bundled_model, reproduce
+from cyins.harness import STUDIES, bundled_model, bundled_model_path, reproduce
 from cyins.model import (
     LinearCoverage,
     ProtectionPolicy,
     ThresholdCoverage,
     ZeroCoverage,
-    coverages_paid,
     evaluate_policy,
     validate_model,
 )
-from cyins.solvers import SolveResult, solve_value_iteration, solve_value_iterations
+from cyins.solvers import SolveResult, solve_value_iterations
 
 from helpers import (
     FOUR_STATE_RAW,
@@ -45,7 +45,13 @@ from helpers import (
     region_by_row_walk,
     results,
 )
-from oracles import bellman_update, decompose_value, solve_policy_enumeration
+from oracles import (
+    bellman_update,
+    coverages_paid,
+    decompose_value,
+    solve_policy_enumeration,
+    solve_value_iteration,
+)
 
 EXACT_SWITCH_BAD = 1.0 - 0.82 / 0.9
 EXACT_PREMIUM_RATE = 1.8 / 0.082
@@ -158,8 +164,57 @@ def test_sweep_grid_validation(two_state):
         sweep_linear(two_state, [0.2, 0.1])
     with pytest.raises(ValueError):
         sweep_linear(two_state, [0.0, 1.5])
-    with pytest.raises(ValueError):
-        sweep_threshold(two_state, 0.9, 0.2)
+    # A low tier above the high one is a valid contract, as ThresholdCoverage has it.
+    rows = sweep_threshold(two_state, 0.9, 0.2)
+    cutoffs = [row.parameter for row in rows]
+    coverages = [ThresholdCoverage(cutoff, 0.9, 0.2) for cutoff in cutoffs]
+    expected = _priced_one_by_one(two_state, cutoffs, coverages)
+    assert [_bits(row) for row in rows] == [_bits(row) for row in expected]
+
+
+@pytest.mark.parametrize(
+    "low, high, error",
+    [
+        (0.0, 0.9, None),
+        (0.9, 0.1, None),
+        (1.0, 0.0, None),
+        (-0.1, 0.5, "low_level must be in [0, 1], got -0.1"),
+        (0.5, 1.5, "high_level must be in [0, 1], got 1.5"),
+        (float("nan"), 0.5, "low_level must be in [0, 1], got nan"),
+    ],
+)
+def test_solve_and_sweep_take_the_same_tiers(four_state, tmp_path, capsys, low, high, error):
+    # One rule, the coverage class's, for the library's solve and threshold
+    # sweep and for both commands: each level in [0, 1], in either order.
+    model = str(bundled_model_path("four_state.model"))
+    commands = [
+        ["solve", "--model", model, "--coverage", f"threshold:5,{low},{high}"],
+        ["sweep", "--model", model, "--family", "threshold", "--grid", "5",
+         "--low-level", str(low), "--high-level", str(high), "--out", str(tmp_path / "x.csv")],
+    ]
+    if error is None:
+        solved = solve(four_state, ThresholdCoverage(5.0, low, high))
+        (row,) = sweep_threshold(four_state, low, high, [5.0])
+        assert row.policy == solved.policy
+        assert [cli.main(argv) for argv in commands] == [0, 0]
+        return
+    with pytest.raises(ValueError, match=re.escape(error)):
+        solve(four_state, ThresholdCoverage(5.0, low, high))
+    with pytest.raises(ValueError, match=re.escape(error)):
+        sweep_threshold(four_state, low, high, [5.0])
+    for argv in commands:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_a_sweep_takes_any_real_tier_that_solve_takes(four_state):
+    # A Fraction is a real number, so the class takes it; the sweep used to
+    # fail on it with "Cannot change data-type for array of references".
+    low, high = Fraction(1, 10), Fraction(9, 10)
+    (row,) = sweep_threshold(four_state, low, high, [5.0])
+    solved = solve(four_state, ThresholdCoverage(5.0, low, high))
+    assert row.policy == solved.policy
+    assert row.user_value == solved.values[four_state.initial_state]
 
 
 @pytest.mark.parametrize("grid", [[-0.1], [0.0, 1.5], [0.5, np.nan], [np.inf], np.array([-np.inf, 0.5])])
@@ -911,9 +966,10 @@ def test_only_solvers_finds_policies():
 
 # The oracles of tests/oracles.py, which production never calls.
 ORACLES = (
-    "ENUMERATION_LIMIT", "EnumerationTooLarge", "LpError", "LpProblem", "_action_values",
-    "_simplex_iterate", "action_values", "bellman_update", "build_lp", "decompose_value",
-    "policy_from_values", "solve_lp_dual", "solve_policy_enumeration", "stage_loss_matrix",
+    "ENUMERATION_LIMIT", "EnumerationTooLarge", "IdentityReport", "LpError", "LpProblem",
+    "_action_values", "_simplex_iterate", "action_values", "bellman_update", "build_lp",
+    "coverages_paid", "decompose_value", "identity_residuals", "policy_from_values",
+    "solve_lp_dual", "solve_policy_enumeration", "solve_value_iteration", "stage_loss_matrix",
 )
 PUBLIC = [
     "Action", "CaseClassification", "CertificateError", "ContractSweepRow", "LinearCoverage",
@@ -922,18 +978,20 @@ PUBLIC = [
     "ZeroCoverage", "bundled_model", "classify_case", "closed_form_policy", "closed_form_value",
     "config_for", "evaluate_policy", "load_model", "optimal_contract", "optimal_region",
     "peltzman_regions", "policy_label", "reproduce", "save_model", "simulate_coverage_paid",
-    "simulate_value", "solve", "solve_value_iteration", "sweep_linear", "sweep_threshold",
-    "validate_model",
+    "simulate_value", "solve", "sweep_linear", "sweep_threshold", "validate_model",
 ]
 
 
 def test_cyins_ships_only_the_production_path():
-    # The MDP linear program, enumeration and the one-problem Bellman helpers
+    # The MDP linear program, enumeration, the one-problem Bellman helpers,
+    # the one-problem value iteration and the closed forms' identity check
     # are test oracles: no cyins module defines or binds one, so production
-    # cannot call them, and the public names are pinned.
+    # cannot call them, and the public names are pinned.  Value iteration's
+    # stacked loop is production and stays public in solvers.
     names = [info.name for info in pkgutil.iter_modules(cyins.__path__) if info.name != "__main__"]
     for module in [cyins, *(importlib.import_module(f"cyins.{name}") for name in names)]:
         assert sorted(set(ORACLES) & set(vars(module))) == [], module.__name__
+    assert "solve_value_iterations" in solvers.__all__
     assert sorted(cyins.__all__) == PUBLIC
 
 

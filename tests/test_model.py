@@ -12,7 +12,6 @@ from cyins.model import (
     ThresholdCoverage,
     ZeroCoverage,
     coverage_paid,
-    coverages_paid,
     evaluate_policy,
     validate_model,
 )
@@ -24,7 +23,7 @@ from helpers import (
     reimbursement,
     two_state_policy_value,
 )
-from oracles import decompose_value, stage_loss_matrix
+from oracles import coverages_paid, decompose_value, stage_loss_matrix
 
 PI_HH = ProtectionPolicy((1, 1))
 PI_LL = ProtectionPolicy((0, 0))

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 import random
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +24,7 @@ from cyins.model import (
 )
 from cyins.montecarlo import SimulationConfig, config_for, simulate_coverage_paid, simulate_value
 
+from helpers import random_model
 from oracles import stage_loss_matrix
 
 PI_HH = ProtectionPolicy((1, 1))
@@ -34,6 +37,45 @@ def test_config_horizon_satisfies_tail_bound(two_state):
     max_stage = float(two_state.losses.max() + two_state.costs.max())
     tail = delta**config.horizon * max_stage / (1.0 - delta)
     assert tail <= config.truncation_tol
+
+
+@pytest.mark.parametrize("estimator", [simulate_value, simulate_coverage_paid])
+def test_a_horizon_short_of_its_stated_tail_is_refused(four_state, estimator):
+    # config_for's horizon truncates the four-state model at discount 0.9;
+    # at 0.99 the tail it leaves is up to 0.99**132 * 16.6 / 0.01 = 440.5,
+    # and the estimate would be off by about that much (507.1 for an exact 693.0).
+    config = config_for(four_state, samples=20_000, seed=1)
+    assert config.horizon == 132
+    patient = dataclasses.replace(four_state, discount=0.99)
+    stated = re.escape(repr(config.truncation_tol))
+    message = rf"horizon 132 leaves a discounted tail of up to 440\.5\d* .* truncation_tol {stated}"
+    with pytest.raises(ValueError, match=message):
+        estimator(patient, ProtectionPolicy((0, 0, 0, 0)), ZeroCoverage(), config)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    discount=st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(1.0 - 1e-3, 1.0, exclude_max=True),
+    ),
+    rel_tol=st.one_of(st.just(1e-6), st.floats(1e-300, 1.0)),
+)
+@example(seed=0, discount=0.1, rel_tol=1e-6)
+def test_every_config_for_horizon_passes_on_its_own_model(seed, discount, rel_tol):
+    # The check reads config_for's own bound, so it refuses none of its
+    # configs, down to discount 0 and up to discounts next to 1.  At 0.1 and
+    # 1e-6 the rounded horizon is 6, and 0.1**6 is 1.0000000000000004e-06:
+    # the check allows that rounding.  Batches are not run: near discount 1
+    # the horizon is astronomical.
+    model = dataclasses.replace(random_model(np.random.default_rng(seed)), discount=discount)
+    config = config_for(model, samples=2, seed=0, rel_tol=rel_tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_simulate_batch", lambda *args: args[-1].fill(0.0))
+        for estimator in (simulate_value, simulate_coverage_paid):
+            estimator(model, ProtectionPolicy((0,) * model.n_states), ZeroCoverage(), config)
 
 
 def test_config_undiscounted_model_single_step():
@@ -88,9 +130,10 @@ def test_config_truncation_tol_must_be_finite_and_non_negative(value, error):
 
 
 def test_config_accepts_numpy_scalars_as_they_are(two_state):
-    plain = SimulationConfig(horizon=30, samples=500, seed=4, truncation_tol=0.0)
+    # The tail after 30 steps is at most 0.9**30 * 110 = 4.66.
+    plain = SimulationConfig(horizon=30, samples=500, seed=4, truncation_tol=5.0)
     scalars = SimulationConfig(
-        horizon=np.int64(30), samples=np.int32(500), seed=np.uint64(4), truncation_tol=np.float64(0.0)
+        horizon=np.int64(30), samples=np.int32(500), seed=np.uint64(4), truncation_tol=np.float64(5.0)
     )
     got = simulate_value(two_state, PI_HH, ZeroCoverage(), scalars)
     assert got == simulate_value(two_state, PI_HH, ZeroCoverage(), plain)
@@ -127,12 +170,13 @@ def test_batches_are_order_independent(two_state, monkeypatch):
     # Shrinking the batch size changes the partition, but the combined result
     # must equal recomputing the same batches independently in any order.
     monkeypatch.setattr(mc, "BATCH_SIZE", 1000)
-    config = SimulationConfig(horizon=40, samples=3000, seed=9, truncation_tol=1.0)
+    # The tail after 40 steps is at most 0.9**40 * 110 = 1.63.
+    config = SimulationConfig(horizon=40, samples=3000, seed=9, truncation_tol=2.0)
     mean, _ = simulate_value(two_state, PI_HH, ZeroCoverage(), config)
 
     totals = []
     for batch in reversed(range(3)):
-        part = SimulationConfig(horizon=40, samples=1000, seed=9, truncation_tol=1.0)
+        part = SimulationConfig(horizon=40, samples=1000, seed=9, truncation_tol=2.0)
         # emulate batch `batch` by keying its stream directly
         rng = np.random.Generator(np.random.Philox(key=np.array([9, batch], dtype=np.uint64)))
         states = np.zeros(1000, dtype=np.intp)
@@ -174,7 +218,8 @@ def test_deterministic_chain_is_exact():
         "transitions": [[[0.0, 1.0], [0.0, 1.0]]],
     }
     model = validate_model(raw)
-    config = SimulationConfig(horizon=25, samples=64, seed=5, truncation_tol=1.0)
+    # The tail after 25 steps is at most 0.9**25 * 7 / 0.1 = 5.03.
+    config = SimulationConfig(horizon=25, samples=64, seed=5, truncation_tol=6.0)
     mean, stderr = simulate_value(model, ProtectionPolicy((0, 0)), ZeroCoverage(), config)
     expected = 0.0
     weight = 1.0
@@ -596,7 +641,8 @@ def test_no_worker_outlives_an_estimate(two_state, monkeypatch):
     monkeypatch.setattr(mc, "BATCH_SIZE", 500)
     threads = on_cpus(monkeypatch, 4, meet=True)
     before = threading.active_count()
-    config = SimulationConfig(horizon=20, samples=4000, seed=2, truncation_tol=1.0)
+    # The tail after 20 steps is at most 0.9**20 * 110 = 13.4.
+    config = SimulationConfig(horizon=20, samples=4000, seed=2, truncation_tol=14.0)
     simulate_value(two_state, PI_HH, ZeroCoverage(), config)
     assert len(threads) == 4
     assert threading.active_count() == before
@@ -616,7 +662,7 @@ def test_a_failing_worker_batch_fails_the_estimate(two_state, monkeypatch, capsy
 
     monkeypatch.setattr(mc, "_simulate_batch", second_batch_fails)
     before = threading.active_count()
-    config = SimulationConfig(horizon=20, samples=1000, seed=2, truncation_tol=1.0)
+    config = SimulationConfig(horizon=20, samples=1000, seed=2, truncation_tol=14.0)
     with pytest.raises(MemoryError, match="second batch"):
         simulate_value(two_state, PI_HH, ZeroCoverage(), config)
     assert failed_on and failed_on[0] is not threading.main_thread()

@@ -18,11 +18,10 @@ from cyins.model import (
     State,
     ThresholdCoverage,
     ZeroCoverage,
-    coverages_paid,
     evaluate_policy,
     validate_model,
 )
-from cyins.solvers import solve_value_iteration, solve_value_iterations
+from cyins.solvers import solve_value_iterations
 
 from helpers import (
     TWO_STATE_RAW,
@@ -39,9 +38,11 @@ from oracles import (
     action_values,
     bellman_update,
     build_lp,
+    coverages_paid,
     policy_from_values,
     solve_lp_dual,
     solve_policy_enumeration,
+    solve_value_iteration,
 )
 
 PI_HH = ProtectionPolicy((1, 1))
