@@ -8,9 +8,7 @@ Because the insurer can never profit from a policy change he induces, his
 best achievable profit is zero, attained exactly on the contracts that leave
 the user's no-insurance policy unchanged.  ``optimal_region`` reads that
 zero-profit set off a sweep's columns: a row on the baseline policy is priced
-with the baseline's own arithmetic, so its profit is exactly zero, and its
-premium line is exact (level x the baseline's direct losses for linear
-coverage, constant between tier changes for two-tier coverage).
+with the baseline's own arithmetic, so its profit is exactly zero.
 
 A sweep is the one place premium, profit and coverage paid are computed;
 a one-off quote is a one-row sweep (``sweep_linear(model, [level])`` or
@@ -21,40 +19,22 @@ a one-off quote is a one-row sweep (``sweep_linear(model, [level])`` or
 linear walk of :mod:`cyins.solvers` for no insurance and linear coverage,
 value iteration for two-tier coverage.  The certificate is the exact Bellman
 residual eps of the returned policy's values, ||V_pi - V*|| <= eps /
-(1 - discount) (Puterman 1994, section 6), carried as
-``certificate_bound``.  Both solvers give one
-:class:`~cyins.solvers.SolveTable` of problems and each row's problem, the
-baseline's first, and certify nothing: the gate sits with the table's two
-readers, :func:`solve` and a sweep's pricing, which pass every problem of
-it through the same gate before reading a number.  The certificate alone is
-the gate: a problem whose exact values are not all finite or whose bound
-exceeds ``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so no
-uncertified policy reaches a caller, a sweep row or a region end.  The
-error names the first grid row that prices the problem, or the coverage
-given to :func:`solve`, and ``ZeroCoverage()`` for a baseline no row
-shares.  Value iteration's own stop flag only enters the message: from
-discount 0.999 its threshold tol * (1 - discount) / (2 * discount) lies
-below one ulp of ||V||, so only the certificate decides.
+(1 - discount) (Puterman 1994, section 6), carried as ``certificate_bound``.
+Both solvers give one :class:`~cyins.solvers.SolveTable` and certify
+nothing: its two readers, :func:`solve` and a sweep's pricing, pass every
+problem of it through one gate, :func:`_certify`, before reading a number.
+A problem whose exact values are not all finite or whose bound exceeds
+``CERT_TOL * (1 + ||V||)`` raises :class:`CertificateError`, so no
+uncertified policy reaches a caller, a sweep row or a region end.
 
-A coverage enters a solve only through the reimbursement it pays in each
-state.  A threshold sweep solves each distinct paid vector once, the
-baseline and every row in one batched value-iteration loop, and a linear
-sweep walks the baseline and its rows; this module finds no policy itself.
-
-A sweep is a table, a :class:`Sweep`: its model, the grid's parameters,
-each row's distinct problem, and per problem its policy and its five
-figures (user value, premium, profit, direct losses and protection cost),
-each figure one array expression over the problems.  Pricing solves
-nothing: a policy's streams come from the factorisation that evaluated it.
-Neither pricing nor :func:`optimal_region` builds an object per row: a
-:class:`ContractSweepRow`, with its coverage, is a view that indexing or
-iteration builds on demand.
-
-:func:`optimal_region` reads the region off the columns, and hands each
-region end against a policy switch, with the inside row's policy and its
-streams from the sweep, to the end finders of :mod:`cyins.solvers`, which
-call no solver: an exact root between linear rows, a bisection of the
-cutoff between threshold rows.
+A sweep is a table, a :class:`Sweep`: its model and coverage family, the
+grid's parameters, each row's problem, and per problem its policy and five
+figures, each one array expression over the problems.  A linear sweep
+walks its affine family, u = 0 and w = the losses; a threshold sweep
+solves each distinct paid vector once by value iteration.  The family
+gives :func:`optimal_region` each row's premium line and its ends against
+a policy switch, with no solver call.  A :class:`ContractSweepRow` is a
+view built on demand.
 """
 
 from __future__ import annotations
@@ -62,8 +42,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -147,13 +126,13 @@ class ContractSweepRow:
 class Sweep(Sequence):
     """A priced contract sweep of ``model``: K rows over its D distinct problems, as columns.
 
-    Row k prices ``coverage_at(parameters[k])`` and reads the numbers of
-    problem ``problem_of[k]``.  Problem d is on the shared policy
-    ``policies[policy_of[d]]``, and ``figures[d]`` holds its user value,
-    max premium, profit, direct losses and protection cost, the number
-    fields of :class:`ContractSweepRow` in order.  ``streams[p]`` (N, 2)
-    holds policy p's direct-loss and protection-cost streams in every
-    state, from which :func:`optimal_region` finds its ends.
+    Row k prices ``coverage_at(parameters[k])``, the sweep's family at its
+    parameter, and reads the numbers of problem ``problem_of[k]``.  Problem
+    d is on the shared policy ``policies[policy_of[d]]``, and ``figures[d]``
+    holds its user value, max premium, profit, direct losses and protection
+    cost, the number fields of :class:`ContractSweepRow` in order.
+    ``streams[p]`` (N, 2) holds policy p's direct-loss and protection-cost
+    streams in every state, from which the family finds a region's ends.
 
     The sweep is a read-only sequence of rows: ``sweep[k]`` (negative ``k``
     too) and iteration build :class:`ContractSweepRow` views on demand, and
@@ -235,6 +214,46 @@ class RegionReport:
     note: str = BOUNDARY_NOTE
 
 
+class _Affine(NamedTuple):
+    """A family retaining u + (1 - R) * w at parameter R, walked by :mod:`cyins.solvers`: called
+    with R, it gives R's coverage.  On the baseline policy, R = 0's, a row's premium is R x its
+    w stream (its direct losses), and a region ends at an affine gap's root."""
+
+    coverage: Callable[[float], Coverage]
+    u: np.ndarray
+    w: np.ndarray
+
+    def __call__(self, parameter: float) -> Coverage:
+        return self.coverage(parameter)
+
+    def premium_line(self, figures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(len(figures)), figures[:, 3]
+
+    def end(self, model: MdpModel, start: float, stop: float, actions, streams) -> float:
+        return _linear_switch(model, self, start, stop, actions, streams)
+
+
+def _linear(model: MdpModel) -> _Affine:
+    """Linear coverage, the affine family u = 0 and w = the losses."""
+    return _Affine(LinearCoverage, np.zeros(model.n_states), model.losses)
+
+
+class _TwoTier(NamedTuple):
+    """Two-tier coverage at fixed tiers, by cutoff: a premium constant per class, bisected ends."""
+
+    low_level: float
+    high_level: float
+
+    def __call__(self, cutoff: float) -> ThresholdCoverage:
+        return ThresholdCoverage(cutoff, self.low_level, self.high_level)
+
+    def premium_line(self, figures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return figures[:, 1], np.zeros(len(figures))
+
+    def end(self, model: MdpModel, start: float, stop: float, actions, streams) -> float:
+        return _threshold_switch(model, self(start), stop, actions)
+
+
 def _certify(model: MdpModel, coverage_of: Callable[[int], Coverage], solved: SolveTable) -> None:
     """Raise :class:`CertificateError` for the first uncertified of the ``solved`` problems.
 
@@ -267,7 +286,7 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
         solved, index = _solve_many(model, coverage_paid(model, coverage)[None], CERT_TOL)
     else:
         # The low tier is a linear level, and no insurance's zero.
-        solved, index = _solve_linear(model, np.array([_tiers(coverage)[1]], dtype=float))
+        solved, index = _solve_linear(model, _linear(model), np.array([_tiers(coverage)[1]], float))
     _certify(model, lambda d: coverage, solved)
     # The coverage's problem is named last: a linear solve names the baseline first.
     return solved.result(index[-1])
@@ -357,7 +376,8 @@ def sweep_linear(model: MdpModel, grid: Sequence[float] | None = None) -> Sweep:
     if not ((0.0 <= levels) & (levels <= 1.0)).all():
         raise ValueError("linear sweep grid must lie within [0, 1]")
     _check_ascending(levels)
-    return _price(model, LinearCoverage, levels, *_solve_linear(model, levels))
+    family = _linear(model)
+    return _price(model, family, levels, *_solve_linear(model, family, levels))
 
 
 def sweep_threshold(
@@ -380,23 +400,22 @@ def sweep_threshold(
         bad = cutoffs[valid.argmin()].item()
         raise ValueError(f"cutoff must be finite and non-negative, got {bad}")
     _check_ascending(cutoffs)
-    coverage_at = partial(ThresholdCoverage, low_level=low_level, high_level=high_level)
     # The baseline first: no cutoff, so it pays its zero low tier everywhere.
     column = np.append(np.inf, cutoffs)[:, None]
     paid = _tiers_paid(model, column, np.where(column < np.inf, low_level, 0.0), high_level)
-    return _price(model, coverage_at, cutoffs, *_solve_many(model, paid, CERT_TOL))
+    return _price(model, _TwoTier(low_level, high_level), cutoffs, *_solve_many(model, paid, CERT_TOL))
 
 
 def optimal_region(sweep: Sweep) -> RegionReport:
     """Extract the zero-profit parameter set from a sweep.
 
     A row belongs to the region when its profit is exactly zero: the rows of
-    a sweep on the baseline policy share its arithmetic.  An end against a
-    policy switch is reported open, at the exact gap root for linear rows
-    and bisected for threshold rows, with no solver call; an end at the grid
-    edge stays closed.  One pass over the maximal runs of rows with the same
-    membership and premium line makes each interval, so a threshold
-    staircase splits at its steps.  No row object is built.
+    a sweep on the baseline policy share its arithmetic.  The sweep's family
+    gives each row's premium line and an end against a policy switch, which
+    is open, with no solver call; an end at the grid edge stays closed.  One
+    pass over the maximal runs of rows with the same membership and premium
+    line makes each interval, so a threshold staircase splits at its steps.
+    No row object is built.
     """
     count = len(sweep)
     if not count:
@@ -409,25 +428,13 @@ def optimal_region(sweep: Sweep) -> RegionReport:
             "no zero-profit rows found: every contract on the grid changes the "
             "user's no-insurance policy"
         )
-    parameters = sweep.parameters.tolist()
-    linear = sweep.coverage_at is LinearCoverage
-    if linear:
-        # On the baseline policy a linear contract's premium is level x the
-        # baseline's direct losses.
-        intercept, slope = np.zeros(count), figures[:, 3]
-    else:
-        # A threshold contract's premium stays constant while the states
-        # paid at each tier stay the same.
-        intercept, slope = figures[:, 1], np.zeros(count)
+    parameters, family = sweep.parameters.tolist(), sweep.coverage_at
+    intercept, slope = family.premium_line(figures)
 
     def end(inside: int, outside: int) -> float:
         policy = sweep.policy_of[sweep.problem_of[inside]]
-        actions = np.array(sweep.policies[policy].actions)
-        if linear:
-            streams = sweep.streams[policy]
-            return _linear_switch(sweep.model, parameters[inside], parameters[outside], actions, streams)
-        inside_coverage = sweep.coverage_at(parameters[inside])
-        return _threshold_switch(sweep.model, inside_coverage, parameters[outside], actions)
+        actions, streams = np.array(sweep.policies[policy].actions), sweep.streams[policy]
+        return family.end(sweep.model, parameters[inside], parameters[outside], actions, streams)
 
     # A run ends where membership or the premium line changes; only a run's
     # end against a row outside the region is a policy switch.

@@ -3,8 +3,8 @@
 Production finds its policies here and certifies none of them:
 :mod:`cyins.contracts` gates every table it reads by its certificate and
 prices it.  Every policy comes with the *exact* evaluation of its values.
-Two-tier coverage is solved by value iteration (:func:`_solve_many`), no
-insurance and linear coverage by a walk (:func:`_solve_linear`), and a
+Two-tier coverage is solved by value iteration (:func:`_solve_many`), an
+affine family such as linear coverage by a walk (:func:`_solve_linear`), and a
 zero-profit region's ends against a policy switch by :func:`_linear_switch`
 and :func:`_threshold_switch`.  The paper's other two methods, the MDP
 linear program and policy enumeration, are the test suite's oracles and
@@ -29,24 +29,18 @@ factorisation gives its two streams and its problems' values, and one
 stacked Bellman residual.  Production always solves a stack; the
 one-problem call is a test oracle in ``tests/oracles.py``.
 
-The walk runs no value iteration: under linear coverage every action value
-is affine in the level R, so the user's optimal policy is piecewise
-constant in R (parametric policy iteration, Puterman 1994, section 6.4).
-It walks the pieces up the grid from level 0, the baseline, with one greedy
-extraction over the remaining rows per piece and a few Howard improvement
-steps at each switch.  Each policy the walk evaluates is solved, and its
-action-value lines built, once, and every row is read off its piece's
-affine values and action values, so the rows solve nothing.
+The walk (:func:`_walk_pieces`) runs no value iteration.  A family whose
+parameter R retains u + (1 - R) * w, for two stage vectors u and w, has
+action values affine in R, so its optimal policy is piecewise constant in R
+(parametric policy iteration, Puterman 1994, section 6.4).  Linear coverage
+is u = 0 and w the losses; two-tier coverage at a fixed class of high-tier
+states is affine in its high tier.  Each policy the walk evaluates is solved
+once, and every row is read off its piece's lines.
 
 A region end is found from the two rows that bracket it, with no solver
-call.  Between linear rows it is an exact root: under the inside row's
-policy every gap between action values is affine in the coverage level,
-with lines computed from the policy's streams.  Between threshold rows it
-bisects the cutoff.  The inside row's policy pi0 stays at a cutoff while it
-is the tie-rule greedy policy of its own exact values under that cutoff's
-class, the states whose loss lies above it: the two bracketing rows'
-classes are already decided, and any other class costs one evaluation of
-pi0.
+call: the root of an affine gap between a family's rows
+(:func:`_linear_switch`), a bisection of the cutoff between threshold rows
+(:func:`_threshold_switch`).
 
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
@@ -284,27 +278,28 @@ def _solve_many(model: MdpModel, paid: np.ndarray, tol: float) -> tuple[SolveTab
     return solve_value_iterations(model, paid[first], tol=tol), index
 
 
-def _lines(model: MdpModel, direct: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(q_loss, q_cost)``, each (M, N), of a policy with streams ``direct`` and ``cost`` (N,).
+def _lines(model: MdpModel, family, streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(q_w, q_fixed)``, each (M, N), of a policy with streams ``streams`` (N, 2) in ``family``.
 
-    At level R the policy's values are (1 - R) * direct + cost, so the
-    action values on them are Q(a, s; R) = (1 - R) * q_loss[a, s] +
-    q_cost[a, s] at every level.
+    At parameter R the family retains ``family.u + (1 - R) * family.w``, and
+    the policy's values are (1 - R) * W + F, for its w stream W and its
+    fixed stream F = C + U, so Q(a, s; R) = (1 - R) * q_w[a, s] + q_fixed[a, s].
     """
-    delta = model.discount
-    q_loss = model.losses + delta * (model.transitions @ direct)
-    q_cost = model.costs[:, None] + delta * (model.transitions @ cost)
-    return q_loss, q_cost
+    delta, (w_stream, fixed) = model.discount, streams.T
+    q_w = family.w + delta * (model.transitions @ w_stream)
+    q_fixed = (model.costs[:, None] + family.u) + delta * (model.transitions @ fixed)
+    return q_w, q_fixed
 
 
-def _evaluated(model: MdpModel, actions: np.ndarray) -> tuple:
-    """The walk's piece of policy ``actions``: ``(actions, streams (N, 2), lines)`` (:func:`_lines`)."""
-    streams = _policy_streams(model, actions, model.losses)
-    return actions, streams, _lines(model, *streams.T)
+def _evaluated(model: MdpModel, family, actions: np.ndarray) -> tuple:
+    """``(actions, streams, lines)``: the walk's piece of ``actions`` in ``family``, one solve."""
+    w_stream, u_stream, cost = _policy_streams(model, actions, family.w, family.u).T
+    streams = np.stack((w_stream, cost + u_stream), axis=1)
+    return actions, streams, _lines(model, family, streams)
 
 
-def _improve(model: MdpModel, piece: tuple, level: float) -> tuple[tuple, int]:
-    """Howard policy iteration at one linear ``level``, from a policy's ``piece`` (:func:`_evaluated`).
+def _improve(model: MdpModel, family, piece: tuple, level: float) -> tuple[tuple, int]:
+    """Howard policy iteration at ``level`` of ``family`` from a ``piece`` (:func:`_evaluated`).
 
     A step moves each state whose greedy action beats the policy's own by
     more than the tie window, so the values strictly fall and no policy
@@ -318,8 +313,8 @@ def _improve(model: MdpModel, piece: tuple, level: float) -> tuple[tuple, int]:
     seen = {piece[0].tobytes()}
     steps = 0
     while True:
-        actions, _, (q_loss, q_cost) = piece
-        q = (1.0 - level) * q_loss + q_cost
+        actions, _, (q_w, q_fixed) = piece
+        q = (1.0 - level) * q_w + q_fixed
         greedy = _greedy_actions(q, model.costs)
         own = q[actions, states]
         better = own - q[greedy, states] > TIE_REL * (1.0 + np.abs(own))
@@ -327,34 +322,34 @@ def _improve(model: MdpModel, piece: tuple, level: float) -> tuple[tuple, int]:
         if not better.any() or switched.tobytes() in seen:
             break
         seen.add(switched.tobytes())
-        piece = _evaluated(model, switched)
+        piece = _evaluated(model, family, switched)
         steps += 1
     if (greedy != actions).any():
-        piece = _evaluated(model, greedy)
+        piece = _evaluated(model, family, greedy)
     return piece, steps
 
 
-def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The optimal policies along the ascending linear ``levels``, as pieces.
+def _walk_pieces(model: MdpModel, family, levels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The optimal policies of ``family`` along the ascending ``levels``, as pieces.
 
-    From the cheapest action in every state, the tie-rule greedy policy of
-    V = 0, :func:`_improve` at the first level gives the first policy pi.
-    Under pi every action value is affine in the level (:func:`_lines`), so
-    one greedy extraction over the later levels finds the run of rows on
-    which pi is its own greedy policy: pi's piece.  At the first row off it,
+    From the cheapest action in every state (the greedy policy of V = 0),
+    :func:`_improve` at the first level gives the first policy pi.  Under pi
+    every action value is affine in the level (:func:`_lines`), so one
+    greedy extraction over the later levels finds the run of rows on which
+    pi is its own greedy policy: pi's piece.  At the first row off it,
     :func:`_improve` gives the next policy, and so on.  Returns the pieces'
     policies (P, N), streams (P, N, 2) and lines (2, M, P, N), and each
     level's piece and Howard steps.
     """
     count = len(levels)
     piece_of, steps = np.empty(count, dtype=np.intp), np.empty(count, dtype=int)
-    piece = _evaluated(model, np.full(model.n_states, _greedy_actions(model.costs, model.costs)))
+    piece = _evaluated(model, family, np.full(model.n_states, _greedy_actions(model.costs, model.costs)))
     pieces, start = [], 0
     while start < count:
-        piece, taken = _improve(model, piece, float(levels[start]))
+        piece, taken = _improve(model, family, piece, float(levels[start]))
         pieces.append(piece)
-        current, _, (q_loss, q_cost) = piece
-        q = (1.0 - levels[start + 1:, None]) * q_loss[:, None] + q_cost[:, None]
+        current, _, (q_w, q_fixed) = piece
+        q = (1.0 - levels[start + 1:, None]) * q_w[:, None] + q_fixed[:, None]
         off = (_greedy_actions(q, model.costs) != current).any(axis=1)
         stop = start + 1 + int(off.argmax()) if off.any() else count
         piece_of[start:stop], steps[start:stop] = len(pieces) - 1, taken
@@ -363,22 +358,21 @@ def _walk_pieces(model: MdpModel, levels: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.array(policies), np.array(streams), np.stack(lines, axis=2), piece_of, steps
 
 
-def _solve_linear(model: MdpModel, levels: np.ndarray) -> tuple[SolveTable, np.ndarray]:
-    """Problems for the baseline and each of the ascending linear ``levels``, uncertified.
+def _solve_linear(model: MdpModel, family, levels: np.ndarray) -> tuple[SolveTable, np.ndarray]:
+    """Problems of ``family`` at level 0 and at each of the ascending ``levels``, uncertified.
 
-    The baseline is level 0, the walk's first row, and a repeated level
-    shares its problem.  Level R is read off its piece's streams and
-    lines: values V = (1 - R) * direct + cost, residual
-    max |V - min_a Q| with Q = (1 - R) * q_loss + q_cost, its iterations the
-    Howard steps to its piece.  ``index`` names the baseline's problem, then
-    each level's.
+    Level 0 is the walk's first row (linear coverage's baseline), and a
+    repeated level shares its problem.  Level R is read off its piece:
+    values V = (1 - R) * W + F, residual max |V - min_a Q| with Q =
+    (1 - R) * q_w + q_fixed, and the Howard steps to its piece.  The table's
+    streams are W and F, for linear coverage the direct-loss and
+    protection-cost streams.  ``index`` names level 0's problem, then each level's.
     """
     distinct, index = np.unique(np.append(0.0, levels), return_inverse=True)
-    policies, streams, (q_loss, q_cost), piece_of, steps = _walk_pieces(model, distinct)
-    direct, cost = streams[..., 0], streams[..., 1]
+    policies, streams, (q_w, q_fixed), piece_of, steps = _walk_pieces(model, family, distinct)
     scale = 1.0 - distinct[:, None]
-    values = scale * direct[piece_of] + cost[piece_of]
-    bellman = (scale * q_loss.take(piece_of, axis=1) + q_cost.take(piece_of, axis=1)).min(axis=0)
+    values = scale * streams[piece_of, :, 0] + streams[piece_of, :, 1]
+    bellman = (scale * q_w.take(piece_of, axis=1) + q_fixed.take(piece_of, axis=1)).min(axis=0)
     residual = np.abs(values - bellman).max(axis=1)
     bounds = residual / (1.0 - model.discount)
     # The walk itself always ends; only non-finite values leave a problem unconverged.
@@ -387,30 +381,29 @@ def _solve_linear(model: MdpModel, levels: np.ndarray) -> tuple[SolveTable, np.n
 
 
 def _linear_switch(
-    model: MdpModel, start: float, stop: float, actions: Sequence[int], streams: np.ndarray
+    model: MdpModel, family, start: float, stop: float, actions: Sequence[int], streams: np.ndarray
 ) -> float:
-    """The exact level between ``start`` and ``stop`` where the user leaves pi.
+    """The exact level of ``family`` between ``start`` and ``stop`` where the user leaves pi.
 
-    pi, given by its ``actions`` and its direct-loss and protection-cost
-    ``streams`` (N, 2), is the policy at level ``start``, inside the
-    region, and ``stop`` is its neighbour outside.  Under pi every action's
-    gap to pi, G(a, s; R) = Q(a, s; R) - Q(pi(s), s; R) = (1 - R) * A + B,
-    is affine in the level R (see :func:`_lines`), and pi stays optimal
+    pi, given by its ``actions`` and ``streams`` (N, 2), is the policy at
+    level ``start``, inside the region, and ``stop`` is its neighbour
+    outside.  Every gap G(a, s; R) = Q(a, s; R) - Q(pi(s), s; R) =
+    (1 - R) * A + B is affine in R (:func:`_lines`), and pi stays optimal
     exactly while no gap is negative.  The switch is the root nearest
     ``start`` of a gap that turns negative between the two levels (beyond
     the tie window at ``stop``), clamped to the bracket; ``stop`` when none
     does, since the two levels' policies then tie.  It solves nothing.
     """
-    q_loss, q_cost = _lines(model, *streams.T)
+    q_w, q_fixed = _lines(model, family, streams)
     own = (np.asarray(actions), np.arange(model.n_states))
     # Gaps are taken against pi's own action values, so an action identical
     # to pi's has a gap of exactly zero.
-    slope = q_loss - q_loss[own]
-    offset = q_cost - q_cost[own]
+    slope = q_w - q_w[own]
+    offset = q_fixed - q_fixed[own]
     at_stop = (1.0 - stop) * slope + offset
     # A gap that rounding alone makes negative (an action equivalent to pi's
     # but computed along another path) has a root anywhere.
-    window = TIE_REL * (1.0 + np.abs((1.0 - stop) * q_loss + q_cost))
+    window = TIE_REL * (1.0 + np.abs((1.0 - stop) * q_w + q_fixed))
     turning = (at_stop < -window) & (slope * (stop - start) > 0.0)
     if not turning.any():
         return stop

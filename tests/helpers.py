@@ -248,9 +248,8 @@ def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
         coverage = inside.coverage
         if isinstance(coverage, LinearCoverage):
             streams = np.stack(decompose_value(model, inside.policy), axis=-1)
-            return solvers._linear_switch(
-                model, inside.parameter, outside.parameter, inside.policy.actions, streams
-            )
+            family, ends = contracts._linear(model), (inside.parameter, outside.parameter)
+            return solvers._linear_switch(model, family, *ends, inside.policy.actions, streams)
         for row in (inside, outside):
             policies.setdefault(coverage_paid(model, row.coverage).tobytes(), row.policy)
         return _bisect_switch(

@@ -2,13 +2,14 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cyins import solvers
+from cyins import contracts, solvers
 from cyins.contracts import CertificateError, sweep_linear
 from cyins.model import (
     LinearCoverage,
@@ -23,6 +24,7 @@ from cyins.model import (
 )
 from cyins.solvers import solve_value_iterations
 
+import exact
 from helpers import (
     TWO_STATE_RAW,
     brute_force_optimal,
@@ -524,6 +526,43 @@ def test_greedy_actions_follow_the_tie_rule_state_by_state(values):
     for column in np.ndindex(expected.shape):
         expected[column] = _greedy_action(q[(slice(None), *column)].tolist(), costs.tolist())
     assert np.array_equal(solvers._greedy_actions(q, costs), expected)
+
+
+# ------------------------------------------------------------- affine walk
+
+def test_the_walk_takes_a_family_with_a_fixed_stage():
+    # Two-tier coverage at a fixed class H of high-tier states is affine in
+    # its high tier h: it retains u + (1 - h) * w, with u = (1 - low) x the
+    # losses off H and w the losses on H.  Linear coverage has u = 0, so
+    # only this family exercises the walk's u terms: at each level the
+    # policy is enumeration's and certified, and its values are the exact
+    # ones within the rounding floor of a float evaluation,
+    # eps * ||V|| / (1 - discount).
+    rng = np.random.default_rng(20261021)
+    switched = 0
+    for _ in range(40):
+        model = random_model(rng)
+        cutoff, low = float(rng.uniform(0.0, 20.0)), float(rng.uniform(0.0, 1.0))
+        high_tier = model.losses > cutoff
+        family = contracts._Affine(
+            lambda high: ThresholdCoverage(cutoff, low, high),
+            np.where(high_tier, 0.0, (1.0 - low) * model.losses),
+            np.where(high_tier, model.losses, 0.0),
+        )
+        levels = np.sort(rng.uniform(0.0, 1.0, 6))
+        solved, index = solvers._solve_linear(model, family, levels)
+        switched += len(set(solved.policy_of[index[1:]].tolist())) > 1
+        for level, k in zip(levels.tolist(), index[1:]):
+            coverage, result = family(level), solved.result(k)
+            assert result.policy == solve_policy_enumeration(model, coverage).policy
+            # u is the same in every action of a state, so only the residual shows its q term.
+            assert result.certificate_bound <= contracts.CERT_TOL * (1.0 + np.abs(result.values).max())
+            retained = exact.retained_losses(model, coverage)
+            values = exact.policy_values(model, result.policy.actions, retained)
+            floor = np.finfo(float).eps * np.abs(result.values).max() / (1.0 - model.discount)
+            assert max(abs(Fraction(v) - e) for v, e in zip(result.values.tolist(), values)) <= floor
+    # The levels cross policy switches, so Howard steps run on the u lines too.
+    assert switched >= 5
 
 
 # ------------------------------------------------------- three-way agreement
