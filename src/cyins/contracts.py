@@ -181,7 +181,9 @@ class RegionInterval:
 
     The maximum premium on the interval is premium_intercept +
     premium_slope * parameter.  Boundary flags record whether the endpoints
-    belong to the region (policy switch points do not).
+    belong to the region.  An open end is at a policy switch: a two-tier one
+    is the float next to the region at which the user has already left the
+    no-insurance policy.
     """
 
     lo: float
@@ -239,7 +241,7 @@ def _linear(model: MdpModel) -> _Affine:
 
 
 class _TwoTier(NamedTuple):
-    """Two-tier coverage at fixed tiers, by cutoff: a premium constant per class, bisected ends."""
+    """Two-tier coverage at fixed tiers, by cutoff: a premium constant per class, exact ends."""
 
     low_level: float
     high_level: float

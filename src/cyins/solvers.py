@@ -37,10 +37,10 @@ is u = 0 and w the losses; two-tier coverage at a fixed class of high-tier
 states is affine in its high tier.  Each policy the walk evaluates is solved
 once, and every row is read off its piece's lines.
 
-A region end is found from the two rows that bracket it, with no solver
-call: the root of an affine gap between a family's rows
-(:func:`_linear_switch`), a bisection of the cutoff between threshold rows
-(:func:`_threshold_switch`).
+A region end is found exactly from the two rows that bracket it, with no
+solver call: the root of an affine gap between a family's rows
+(:func:`_linear_switch`), the first change of a cutoff's class between
+threshold rows that the policy does not survive (:func:`_threshold_switch`).
 
 Tie-breaking is deterministic everywhere: among actions whose action-values
 agree within a small relative window, the cheaper action wins, then the lower
@@ -80,8 +80,6 @@ __all__ = [
 # agreement tolerances.
 TIE_REL = 1e-12
 
-BISECTION_WIDTH = 1e-6
-
 # Value iterates computed between two tests of the stopping rule, which the
 # whole stack of problems passes or fails together.
 BLOCK = 16
@@ -100,7 +98,7 @@ class SolveResult:
     machine-eps * ||V|| / (1 - discount), so the bound can read 0 for
     values a few ulps from the optimum.  ``iterations`` counts
     value-iteration sweeps (those of the whole stack the problem was solved
-    in), Howard steps of a linear walk, or policies.  ``converged`` is value
+    in) or Howard steps of a linear walk.  ``converged`` is value
     iteration's own stop flag: the problem's last change passed the stopping
     rule and its exact values are finite.  It is a diagnostic, not a
     certificate: a contract result is gated by its finite values and
@@ -416,27 +414,27 @@ def _linear_switch(
 def _threshold_switch(
     model: MdpModel, inside: ThresholdCoverage, stop: float, actions: np.ndarray
 ) -> float:
-    """Bisect the cutoff to within BISECTION_WIDTH of where the user leaves pi0.
+    """The first cutoff from the ``inside`` coverage toward ``stop`` at which the user leaves pi0.
 
     pi0, given by its ``actions``, is the policy at the ``inside`` coverage,
     in the region, and ``stop`` is its neighbour's cutoff outside.  A cutoff
-    acts only through its class, the states whose loss lies above it, and
-    pi0 stays while it is the tie-rule greedy policy of its own exact values
-    under the class's paid vector.  The two rows' classes are decided, and
-    any other is decided once, by one evaluation of pi0.  Between two
-    neighbouring floats more than BISECTION_WIDTH apart it returns the outside one.
+    acts only through its class, the states whose loss lies above it, which
+    changes only at the state losses between the two: going up at the loss,
+    as a tie pays the low tier, and going down at the float below it.  The
+    last change gives the outside row's class.  pi0 survives a class while
+    it is the tie-rule greedy policy of its own exact values under the
+    class's paid vector; the earlier classes are the right-hand sides of one
+    evaluation of pi0.  The end is the first change pi0 does not survive.
     """
-    losses, lo, hi = model.losses, inside.cutoff, stop
-    stays = {(losses > lo).tobytes(): True, (losses > hi).tobytes(): False}
-    while abs(hi - lo) > BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi
-        key = (losses > mid).tobytes()
-        if key not in stays:
-            retained = losses - _tiers_paid(model, mid, inside.low_level, inside.high_level)
-            values = _policy_streams(model, actions, retained).sum(axis=1)
-            q = _stacked_action_values(model, retained[None], values[None])
-            stays[key] = bool((_greedy_actions(q, model.costs) == actions).all())
-        lo, hi = (mid, hi) if stays[key] else (lo, mid)
-    return 0.5 * (lo + hi)
+    losses, start = model.losses, inside.cutoff
+    if stop > start:
+        ends = np.unique(losses[(start < losses) & (losses <= stop)])
+    else:
+        ends = np.nextafter(np.unique(losses[(stop < losses) & (losses <= start)])[::-1], -np.inf)
+    if len(ends) > 1:
+        retained = losses - _tiers_paid(model, ends[:-1, None], inside.low_level, inside.high_level)
+        solved = _policy_streams(model, actions, *retained)
+        q = _stacked_action_values(model, retained, (solved[:, :-1] + solved[:, -1:]).T)
+        stays = np.append((_greedy_actions(q, model.costs) == actions).all(axis=1), False)
+        ends = ends[stays.argmin():]
+    return ends[0].item()

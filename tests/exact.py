@@ -5,7 +5,9 @@ Every float of a stored model is an exact binary rational, so
 all.  A policy's values solve (I - discount * P_policy) V = stage, here by
 Gaussian elimination on Fractions; its gap at (s, a) is Q(s, a) - V(s), the
 one-step lookahead on those values minus the value.  A policy is optimal
-exactly when no gap is negative (the policy-iteration optimality condition).
+exactly when no gap is negative (the policy-iteration optimality condition),
+and it is the tie rule's choice when, besides, no action before its own in
+the tie order (the cheaper, then the lower index) has a zero gap.
 
 Under linear coverage at level R a policy's values are (1 - R) * D + C, for
 its direct-loss and cost streams D and C, so each of its gaps is the affine
@@ -66,6 +68,17 @@ def gaps(model: MdpModel, actions, retained) -> tuple[list[Fraction], np.ndarray
             future = sum(Fraction(p) * v for p, v in zip(row, values))
             gap[s, a] = retained[s] + costs[a] + delta * future - values[s]
     return values, gap
+
+
+def tie_rule_optimal(model: MdpModel, actions, retained) -> bool:
+    """Whether the policy ``actions`` bearing ``retained`` is exactly the tie rule's optimal policy."""
+    _, gap = gaps(model, actions, retained)
+    costs = model.costs.tolist()
+    return all(
+        gap[s, a] > 0 or (gap[s, a] == 0 and (costs[a], a) >= (costs[own], own))
+        for s, own in enumerate(actions)
+        for a in range(model.n_actions)
+    )
 
 
 def linear_lines(model: MdpModel, actions) -> tuple[np.ndarray, np.ndarray, list, list]:

@@ -203,9 +203,13 @@ def random_two_state_raw(rng) -> dict:
     }
 
 
+# Width to which the oracle bisects a region end.
+BISECTION_WIDTH = 1e-6
+
+
 def _bisect_switch(model: MdpModel, coverage_at, inside, outside, policies: dict) -> float:
     """Bisect the parameter of ``coverage_at`` to within ``BISECTION_WIDTH`` of
-    where the user leaves ``inside``'s policy toward ``outside``: the oracle
+    where the user leaves ``inside``'s policy toward ``outside``: an oracle
     of ``optimal_region``'s ends, by certified solves.
 
     ``policies`` maps each paid vector solved so far to its policy: steps
@@ -213,7 +217,7 @@ def _bisect_switch(model: MdpModel, coverage_at, inside, outside, policies: dict
     losses), so a caller that shares it solves each vector once.
     """
     lo, hi = inside.parameter, outside.parameter
-    while abs(hi - lo) > solvers.BISECTION_WIDTH:
+    while abs(hi - lo) > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return hi
@@ -228,14 +232,44 @@ def _bisect_switch(model: MdpModel, coverage_at, inside, outside, policies: dict
     return 0.5 * (lo + hi)
 
 
-def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
+def _class_changes(model: MdpModel, start: float, stop: float) -> list[float]:
+    """The cutoffs from ``start`` toward ``stop`` where the class of states
+    paid the high tier changes, in order.
+
+    A cutoff pays the high tier strictly above it, so going up the class
+    loses a state at its loss, and going down gains it at the float just
+    below its loss.
+    """
+    losses = sorted(set(model.losses.tolist()))
+    if stop > start:
+        return [loss for loss in losses if start < loss <= stop]
+    return [float(np.nextafter(loss, -np.inf)) for loss in reversed(losses) if stop < loss <= start]
+
+
+def _stepped_switch(model: MdpModel, coverage_at, inside, outside, policies: dict) -> float:
+    """The first class change from ``inside`` toward ``outside`` at which a
+    certified solve leaves ``inside``'s policy: the exact oracle of
+    ``optimal_region``'s threshold ends.  ``policies`` is shared as in
+    :func:`_bisect_switch`."""
+    for cutoff in _class_changes(model, inside.parameter, outside.parameter):
+        coverage = coverage_at(cutoff)
+        key = coverage_paid(model, coverage).tobytes()
+        if key not in policies:
+            policies[key] = contracts.solve(model, coverage).policy
+        if policies[key] != inside.policy:
+            return cutoff
+    return outside.parameter
+
+
+def region_by_row_walk(model: MdpModel, rows, bisect: bool = False) -> contracts.RegionReport:
     """``optimal_region`` as a walk over row objects: the oracle of its column walk.
 
     The rows are grouped by exact zero profit and each run by its premium
     line with ``itertools.groupby``.  A linear end decomposes the inside
-    row's policy afresh for its streams; a threshold end is
-    bisected by :func:`_bisect_switch`, which solves each paid vector the
-    two rows do not carry once per walk.
+    row's policy afresh for its streams; a threshold end is stepped over its
+    class changes by :func:`_stepped_switch`, or bisected by
+    :func:`_bisect_switch` when ``bisect``, each of which solves each paid
+    vector the two rows do not carry once per walk.
     """
     rows = list(rows)
     if not rows:
@@ -252,7 +286,8 @@ def region_by_row_walk(model: MdpModel, rows) -> contracts.RegionReport:
             return solvers._linear_switch(model, family, *ends, inside.policy.actions, streams)
         for row in (inside, outside):
             policies.setdefault(coverage_paid(model, row.coverage).tobytes(), row.policy)
-        return _bisect_switch(
+        threshold_end = _bisect_switch if bisect else _stepped_switch
+        return threshold_end(
             model, lambda cutoff: replace(coverage, cutoff=cutoff), inside, outside, policies
         )
 

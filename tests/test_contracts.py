@@ -36,6 +36,7 @@ from cyins.model import (
 from cyins.solvers import SolveResult, solve_value_iterations
 
 from helpers import (
+    BISECTION_WIDTH,
     FOUR_STATE_RAW,
     TWO_STATE_RAW,
     _bisect_switch,
@@ -853,17 +854,17 @@ def fig5_rows(four_state):
 
 
 def test_fig5_region_end_solves_nothing(four_state, fig5_rows, solve_calls, systems):
-    # The fig5 rows around the switch below the loss 8: every bisection step
-    # between them falls in the class of the outside row (the cutoff band
-    # [4, 8)) or, at 8 itself, of the inside row, and both classes are
-    # decided by the rows, so the end evaluates no policy.
+    # The fig5 rows around the switch below the loss 8: the only state loss
+    # between them is 8, so the class changes once, at the float just below
+    # 8, into the outside row's class (the cutoff band [4, 8)), which the
+    # row decides, so the end evaluates no policy.
     outside, inside = next(
         (a, b) for a, b in zip(fig5_rows, fig5_rows[1:]) if a.parameter < 8.0 <= b.parameter
     )
     assert outside.policy != inside.policy
     region = optimal_region(fig5_rows)
     assert _brackets(fig5_rows) == [(inside, outside)]
-    assert region.intervals[0].lo == 7.999999618530273
+    assert region.intervals[0].lo == np.nextafter(8.0, -np.inf)
     assert not region.intervals[0].lo_closed
     assert systems == [] and solve_calls == []
     # The solving oracle, seeded with the rows' policies, solves nothing either.
@@ -900,24 +901,26 @@ def test_region_ends_call_no_solver(two_state, four_state, fig5_rows, monkeypatc
 def test_a_threshold_end_between_distant_rows_evaluates_the_uninsured_policy(
     four_state, systems, monkeypatch
 ):
-    # The losses 4, 8 and 16 lie between the cutoffs 0 and 20.  The
-    # bisection meets two classes the rows do not decide, {16} at 10 and
-    # {8, 16} at 5, and evaluates the uninsured policy once for each.
+    # The losses 4, 8 and 16 lie between the cutoffs 0 and 20.  Going down,
+    # the class changes just below each: to {16} and {8, 16}, which the rows
+    # do not decide, then to the outside row's {4, 8, 16}.  One evaluation
+    # of the uninsured policy decides both undecided classes.
     sweep = sweep_threshold(four_state, 0.0, 0.9, [0.0, 20.0])
     assert sweep[0].profit < 0.0 == sweep[1].profit
     systems.clear()
     _refuse_solvers(monkeypatch)
     [interval] = optimal_region(sweep).intervals
-    assert (interval.lo, interval.lo_closed) == (7.999999821186066, False)
-    assert systems == [1, 1]
+    assert (interval.lo, interval.lo_closed) == (np.nextafter(8.0, -np.inf), False)
+    assert systems == [1]
 
 
 def test_a_threshold_end_where_floats_are_wider_than_the_bisection_stops():
     # With losses and costs scaled by 2e9 the switch below the loss 8 moves
-    # to 1.6e10, where neighbouring floats lie 1.9e-6 apart, more than
-    # BISECTION_WIDTH: the midpoint of two neighbours is one of them.  Both
-    # bisections stop there at the outside neighbour; the timer makes a
-    # bisection that never stops fail instead of hanging the suite.
+    # to 1.6e10, where neighbouring floats lie 1.9e-6 apart, more than the
+    # oracle's BISECTION_WIDTH: a bisection there meets a midpoint that is
+    # one of its ends, and stops at the outside one.  The end is the float
+    # just below the loss; the timer makes a search that never stops fail
+    # instead of hanging the suite.
     raw = copy.deepcopy(FOUR_STATE_RAW)
     for entry in (*raw["states"], *raw["actions"]):
         entry.update({k: 2e9 * v for k, v in entry.items() if k in ("loss", "cost")})
@@ -925,16 +928,17 @@ def test_a_threshold_end_where_floats_are_wider_than_the_bisection_stops():
     sweep = sweep_threshold(model, 0.0, 0.9)
 
     def expire(signum, frame):
-        raise TimeoutError("the bisection did not stop")
+        raise TimeoutError("the region end search did not stop")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 2.0)
     try:
         region, oracle = optimal_region(sweep), region_by_row_walk(model, sweep)
+        bisected = region_by_row_walk(model, sweep, bisect=True)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-    assert region == oracle
+    assert region == oracle == bisected
     assert (region.intervals[0].lo, region.intervals[0].lo_closed) == (np.nextafter(1.6e10, 0.0), False)
 
 
@@ -1201,14 +1205,41 @@ def coarse_threshold_sweeps(draw):
 @given(coarse_threshold_sweeps())
 def test_threshold_ends_by_the_class_rule_match_the_solving_oracle(sweep):
     # Coarse grids leave several state losses between the rows around an
-    # end, so the bisection meets classes the rows do not decide: the class
-    # rule's one evaluation of the uninsured policy must decide each as a
-    # certified solve does, down to the bits of every end.
+    # end, so its class changes step through classes the rows do not
+    # decide: the class rule's one evaluation of the uninsured policy must
+    # decide each as a certified solve does, down to the bits of every end.
     model, grid, low, high = sweep
     table = sweep_threshold(model, low, high, grid)
     assert _report_or_error(optimal_region, table) == _report_or_error(
         region_by_row_walk, model, list(table)
     )
+
+
+@settings(deadline=None, max_examples=100)
+@given(coarse_threshold_sweeps())
+def test_threshold_ends_by_the_class_rule_agree_with_the_bisection_oracle(sweep):
+    # The bisection by certified solves knows nothing of classes: every
+    # exact end lies within its width of the bisected one, with the same
+    # intervals, closed flags and premium lines.
+    model, grid, low, high = sweep
+    table = sweep_threshold(model, low, high, grid)
+    try:
+        region = optimal_region(table)
+    except ValueError:
+        with pytest.raises(ValueError):
+            region_by_row_walk(model, list(table), bisect=True)
+        return
+    oracle = region_by_row_walk(model, list(table), bisect=True)
+    assert len(region.intervals) == len(oracle.intervals)
+    same = ("lo_closed", "hi_closed", "premium_intercept", "premium_slope")
+    for interval, bisected in zip(region.intervals, oracle.intervals):
+        assert interval.lo == pytest.approx(bisected.lo, abs=BISECTION_WIDTH)
+        assert interval.hi == pytest.approx(bisected.hi, abs=BISECTION_WIDTH)
+        assert [getattr(interval, f) for f in same] == [getattr(bisected, f) for f in same]
+    assert region.representative_parameter == pytest.approx(
+        oracle.representative_parameter, abs=BISECTION_WIDTH
+    )
+    assert region.representative_attained == oracle.representative_attained
 
 
 def _brackets(rows):
@@ -1244,9 +1275,7 @@ def test_exact_linear_ends_match_the_bisection_oracle(seed):
     ends = _open_ends(optimal_region(rows))
     assert len(ends) == len(brackets)
     for (inside, outside), end in zip(brackets, ends):
-        assert end == pytest.approx(
-            _bisected(model, inside, outside), abs=solvers.BISECTION_WIDTH
-        )
+        assert end == pytest.approx(_bisected(model, inside, outside), abs=BISECTION_WIDTH)
 
 
 def _bad_split(good, split):
@@ -1273,9 +1302,7 @@ def test_exact_linear_end_ignores_the_rounding_noise_of_a_twin_action():
         rows = sweep_linear(model, grid)
         [(inside, outside)] = _brackets(rows)
         [end] = _open_ends(optimal_region(rows))
-        assert end == pytest.approx(
-            _bisected(model, inside, outside), abs=solvers.BISECTION_WIDTH
-        )
+        assert end == pytest.approx(_bisected(model, inside, outside), abs=BISECTION_WIDTH)
 
 
 def _stress_raw(kind, discount):

@@ -7,8 +7,9 @@ a float evaluation, eps * ||V|| / (1 - discount): the bound is itself
 computed in floats and is often exactly 0.
 
 An open linear region end lies near the exact level where its policy stops
-being optimal, and where two actions tie exactly every solver takes the
-cheaper, then the lower index.
+being optimal, and an open threshold end is exactly the first cutoff where
+it does.  Where two actions tie exactly every solver takes the cheaper,
+then the lower index.
 """
 
 from fractions import Fraction
@@ -127,6 +128,49 @@ def test_random_linear_ends_lie_at_the_exact_switch_levels():
         model = random_model(rng, max_states=6, max_actions=3, d_lo=discount, d_hi=discount)
         ends += assert_open_linear_ends_are_exact(model, contracts.sweep_linear(model))
     assert ends >= 10
+
+
+def assert_open_threshold_ends_are_exact(model, sweep):
+    """Check each open end of a threshold sweep's region in exact arithmetic;
+    return their count.
+
+    The uninsured policy must be exactly the tie rule's optimal policy at
+    the float next to the end on the region's side, and not at the end.
+    """
+    report = contracts.optimal_region(sweep)
+    baseline = contracts.solve(model, ZeroCoverage()).policy.actions
+    ends = 0
+    for interval in report.intervals:
+        sides = ((interval.lo, interval.lo_closed, np.inf), (interval.hi, interval.hi_closed, -np.inf))
+        for end, closed, inward in sides:
+            if closed:
+                continue
+            for cutoff, stays in ((float(np.nextafter(end, inward)), True), (end, False)):
+                retained = exact.retained_losses(model, sweep.coverage_at(cutoff))
+                assert exact.tie_rule_optimal(model, baseline, retained) == stays, (end, cutoff)
+            ends += 1
+    return ends
+
+
+def test_fig5_threshold_end_is_exact():
+    spec = STUDIES["fig5"]
+    model = bundled_model(spec.model)
+    assert assert_open_threshold_ends_are_exact(model, spec.sweep(model)) == 1
+
+
+def test_random_threshold_ends_are_exact():
+    # Coarse grids leave several state losses between the rows around an
+    # end; a sweep whose every row leaves the uninsured policy has no region.
+    ends = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, max_states=6, max_actions=3)
+        grid = contracts.default_threshold_grid(model, int(rng.integers(3, 34)))
+        low, high = np.sort(rng.uniform(0.0, 1.0, 2)).tolist()
+        sweep = contracts.sweep_threshold(model, low, high, grid)
+        if (sweep.figures[sweep.problem_of, 2] == 0.0).any():
+            ends += assert_open_threshold_ends_are_exact(model, sweep)
+    assert ends >= 20, ends
 
 
 def test_an_exact_tie_goes_to_the_cheaper_action_then_the_lower_index():
