@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,6 +60,7 @@ from .model import (
     coverage_paid,
 )
 from .solvers import (
+    CERT_TOL,
     SolveResult,
     SolveTable,
     _linear_switch,
@@ -79,9 +80,6 @@ __all__ = [
     "sweep_linear",
     "sweep_threshold",
 ]
-
-# Value-iteration stopping tolerance and relative certificate limit of every result.
-CERT_TOL = 1e-9
 
 LINEAR_GRID_POINTS = 201
 THRESHOLD_GRID_POINTS = 401
@@ -135,8 +133,8 @@ class Sweep(Sequence):
     streams in every state, from which the family finds a region's ends.
 
     The sweep is a read-only sequence of rows: ``sweep[k]`` (negative ``k``
-    too) and iteration build :class:`ContractSweepRow` views on demand, and
-    a slice with a positive step is a sweep of the sliced rows.
+    too) and iteration build :class:`ContractSweepRow` views on demand.  A
+    sweep takes no slice; a coarser one is swept from the coarser grid.
     """
 
     model: MdpModel
@@ -158,11 +156,6 @@ class Sweep(Sequence):
         return len(self.parameters)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            # A reversed slice would descend, which no sweep builder accepts.
-            if k.step is not None and k.step < 0:
-                raise ValueError("sweep grid must be sorted ascending")
-            return replace(self, parameters=self.parameters[k], problem_of=self.problem_of[k])
         # A bool is an index to operator.index, but not a row number.
         if isinstance(k, bool):
             raise TypeError(f"a sweep row index must be an integer, got {k!r}")
@@ -285,7 +278,7 @@ def solve(model: MdpModel, coverage: Coverage) -> SolveResult:
     ``certificate_bound`` within the limit (see the module docstring).
     """
     if isinstance(coverage, ThresholdCoverage):
-        solved, index = _solve_many(model, coverage_paid(model, coverage)[None], CERT_TOL)
+        solved, index = _solve_many(model, coverage_paid(model, coverage)[None])
     else:
         # The low tier is a linear level, and no insurance's zero.
         solved, index = _solve_linear(model, _linear(model), np.array([_tiers(coverage)[1]], float))
@@ -405,7 +398,7 @@ def sweep_threshold(
     # The baseline first: no cutoff, so it pays its zero low tier everywhere.
     column = np.append(np.inf, cutoffs)[:, None]
     paid = _tiers_paid(model, column, np.where(column < np.inf, low_level, 0.0), high_level)
-    return _price(model, _TwoTier(low_level, high_level), cutoffs, *_solve_many(model, paid, CERT_TOL))
+    return _price(model, _TwoTier(low_level, high_level), cutoffs, *_solve_many(model, paid))
 
 
 def optimal_region(sweep: Sweep) -> RegionReport:

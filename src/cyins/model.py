@@ -69,6 +69,13 @@ def _check_real(name: str, value) -> None:
         raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise a TypeError that names ``name`` unless ``value`` is an integer."""
+    # A bool is an Integral, but True is not a count, a seed or an action.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_tiers(low_level, high_level) -> None:
     """Raise unless both tier levels are real numbers in [0, 1], in either order.
 
@@ -124,12 +131,18 @@ Coverage = Union[ZeroCoverage, LinearCoverage, ThresholdCoverage]
 
 @dataclass(frozen=True)
 class ProtectionPolicy:
-    """Stationary policy: one action index per state, in state order."""
+    """Stationary policy: one action index per state, in state order.
+
+    Each action is an integer, a Python or a numpy one, and is kept as an int.
+    """
 
     actions: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(int(a) for a in self.actions))
+        actions = tuple(self.actions)
+        for s, a in enumerate(actions):
+            _check_integer(f"policy action at state {s}", a)
+        object.__setattr__(self, "actions", tuple(int(a) for a in actions))
 
 
 @dataclass(frozen=True, eq=False)

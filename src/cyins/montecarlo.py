@@ -29,7 +29,6 @@ it cannot be set.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -39,6 +38,7 @@ from .model import (
     Coverage,
     MdpModel,
     ProtectionPolicy,
+    _check_integer,
     _check_real,
     coverage_paid,
 )
@@ -56,6 +56,9 @@ BATCH_SIZE = 65536
 
 # Guide buckets per cumulative row, as a power of two: 2**GUIDE_BITS.
 GUIDE_BITS = 10
+
+# Tail left by a config_for horizon, relative to the model's value scale.
+REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -91,37 +94,24 @@ class SimulationConfig:
             raise ValueError(f"truncation_tol must be finite and >= 0, got {self.truncation_tol!r}")
 
 
-def _check_integer(name: str, value) -> None:
-    # A bool is an Integral, but True is not a count or a seed.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-def config_for(
-    model: MdpModel,
-    samples: int,
-    seed: int,
-    rel_tol: float = 1e-6,
-) -> SimulationConfig:
-    """Build a config whose horizon truncates at ``rel_tol`` of the value scale.
+def config_for(model: MdpModel, samples: int, seed: int) -> SimulationConfig:
+    """Build a config whose horizon truncates at ``REL_TOL`` of the value scale.
 
     The value scale is the worst uninsured stage loss over 1 - discount; the
-    geometric tail bound then gives horizon = ceil(log rel_tol / log discount).
+    geometric tail bound then gives horizon = ceil(log REL_TOL / log discount).
+    Another truncation is a :class:`SimulationConfig` built directly.
     """
-    _check_real("rel_tol", rel_tol)
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     delta = model.discount
     scale = _value_scale(model) or 1.0
     if delta <= 0.0:
         horizon = 1
     else:
-        horizon = max(1, math.ceil(math.log(rel_tol) / math.log(delta)))
+        horizon = max(1, math.ceil(math.log(REL_TOL) / math.log(delta)))
     return SimulationConfig(
         horizon=horizon,
         samples=samples,
         seed=seed,
-        truncation_tol=rel_tol * scale,
+        truncation_tol=REL_TOL * scale,
     )
 
 

@@ -17,16 +17,16 @@ per state).  Action values are action-major, (M*N, K) in the loop, one column
 per problem, so each iteration is one matrix product, one sum and one min over
 the leading axis; a stack's are (M, K, N) and one problem's (M, N).  The loop
 keeps two iterates of the stack, which swap roles each step.  The stack
-stops together: its stopping rule is tested once per block of up to
-``BLOCK`` iterates, on the block's last step, and holds the stack
-while any problem's change exceeds the threshold, so every problem reports
-the stack's iteration count (from discount 0.999 the threshold lies below
-one ulp of ||V||, so only the certificate of :mod:`cyins.contracts`
-decides).  The final iterates are finished together into one
-:class:`SolveTable`: one greedy extraction, one exact evaluation per
-distinct policy (:func:`cyins.model._policy_streams`), whose one
-factorisation gives its two streams and its problems' values, and one
-stacked Bellman residual.  Production always solves a stack; the
+stops together: its stopping rule, set by ``CERT_TOL``, is tested once per
+block of ``BLOCK`` iterates, on the block's last step, and holds the stack
+while any problem's change exceeds the threshold, for at most
+``MAX_BLOCKS`` blocks, so every problem reports the stack's iteration count
+(from discount 0.999 the threshold lies below one ulp of ||V||, so only the
+certificate of :mod:`cyins.contracts` decides).  The final iterates are
+finished together into one :class:`SolveTable`: one greedy extraction, one
+exact evaluation per distinct policy (:func:`cyins.model._policy_streams`),
+whose one factorisation gives its two streams and its problems' values, and
+one stacked Bellman residual.  Production always solves a stack; the
 one-problem call is a test oracle in ``tests/oracles.py``.
 
 The walk (:func:`_walk_pieces`) runs no value iteration.  A family whose
@@ -51,7 +51,6 @@ Repeated solves of the same instance return byte-identical policies.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,7 +61,6 @@ from .model import (
     MdpModel,
     ProtectionPolicy,
     ThresholdCoverage,
-    _check_real,
     _policy_streams,
     _tiers_paid,
 )
@@ -80,9 +78,15 @@ __all__ = [
 # agreement tolerances.
 TIE_REL = 1e-12
 
+# Value-iteration stopping tolerance and relative certificate limit of every result.
+CERT_TOL = 1e-9
+
 # Value iterates computed between two tests of the stopping rule, which the
 # whole stack of problems passes or fails together.
 BLOCK = 16
+
+# Blocks after which value iteration stops unconverged: 200,000 iterates.
+MAX_BLOCKS = 12_500
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +107,8 @@ class SolveResult:
     rule and its exact values are finite.  It is a diagnostic, not a
     certificate: a contract result is gated by its finite values and
     ``certificate_bound`` alone (see :mod:`cyins.contracts`), and near
-    discount 1 value iteration stops at ``max_iter`` with a policy the
-    certificate proves optimal.
+    discount 1 value iteration stops after ``MAX_BLOCKS`` blocks with a
+    policy the certificate proves optimal.
     """
 
     policy: ProtectionPolicy
@@ -169,12 +173,7 @@ def _greedy_actions(q: np.ndarray, costs: np.ndarray) -> np.ndarray:
     return order[candidates[order].argmax(axis=0)]
 
 
-def solve_value_iterations(
-    model: MdpModel,
-    paid: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 200_000,
-) -> SolveTable:
+def solve_value_iterations(model: MdpModel, paid: np.ndarray) -> SolveTable:
     """Value iteration from V = 0 for a stack of coverage problems of one model.
 
     A coverage enters the stage losses only through the reimbursement it
@@ -186,57 +185,47 @@ def solve_value_iterations(
     iterates, which swap roles each step, and one step's action values.
 
     The stack stops together.  The stopping rule is tested once per block of
-    up to ``BLOCK`` iterates, on the block's last step: the stack stops at
-    the first block end where no problem's sup-norm change exceeds
-    tol * (1 - discount) / (2 * discount), which bounds the value error of a
-    greedy policy by ``tol`` (from discount 0.999 it lies below one ulp of
-    ||V|| and fires only on a fixed point), or at ``max_iter``.  A NaN change
-    passes the test; an inf change holds the stack for one more block, after
-    which it is NaN.  Every problem reports the stack's iteration count and
-    is flagged ``converged`` when its last change is at most the threshold,
-    so a problem still moving at ``max_iter`` or whose iterate stops being
-    finite is flagged ``converged=False``.  An iterate may overflow, so
-    floating-point warnings inside the loop are silenced.  ``tol`` is a
-    positive real number and ``max_iter`` an integer of at least 1.
+    ``BLOCK`` iterates, on the block's last step: the stack stops at the
+    first block end where no problem's sup-norm change exceeds
+    CERT_TOL * (1 - discount) / (2 * discount), which bounds the value error
+    of a greedy policy by ``CERT_TOL`` (from discount 0.999 it lies below
+    one ulp of ||V|| and fires only on a fixed point), or after
+    ``MAX_BLOCKS`` blocks.  A NaN change passes the test; an inf change
+    holds the stack for one more block, after which it is NaN.  Every
+    problem reports the stack's iteration count and is flagged ``converged``
+    when its last change is at most the threshold, so a problem still
+    moving after the last block or whose iterate stops being finite is
+    flagged ``converged=False``.  An iterate may overflow, so floating-point
+    warnings inside the loop are silenced.
 
     The final iterates are then finished together by :func:`_finish` into
     one :class:`SolveTable`, in the order of the rows of ``paid``.
     """
-    _check_real("tol", tol)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-        raise TypeError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n, m = model.n_states, model.n_actions
     paid = np.asarray(paid, dtype=float)
     if paid.ndim != 2 or paid.shape[1] != n:
         raise ValueError(f"paid must have shape (K, {n}), got {paid.shape}")
     delta = model.discount
-    threshold = tol * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf
+    threshold = CERT_TOL * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf
     retained = model.losses - paid
     problems = len(retained)
     # Action-major stage losses, row a * n + s, one column per problem.
     stage = (model.costs[:, None, None] + retained.T[None]).reshape(m * n, problems)
     lookahead = delta * model.transitions.reshape(m * n, n)
-    matmul, add, lowest, highest = np.matmul, np.add, np.minimum.reduce, np.maximum.reduce
+    dot, add, lowest, highest = np.dot, np.add, np.minimum.reduce, np.maximum.reduce
     # Two iterates that swap roles each step, and one step's action values.
     values, previous = np.zeros((n, problems)), np.empty((n, problems))
     sums = np.empty((m * n, problems))
     sums_by_action = sums.reshape(m, n, problems)
-    done = 0
     # A problem's iterates may overflow; its flag and the finish report it.
     with np.errstate(all="ignore"):
-        while done < max_iter:
-            size = min(BLOCK, max_iter - done)
+        for blocks in range(1, MAX_BLOCKS + 1):
             # Outputs go positionally: a keyword makes each call about a third slower.
-            for _ in range(size):
+            for _ in range(BLOCK):
                 previous, values = values, previous
-                matmul(lookahead, previous, sums)
+                dot(lookahead, previous, sums)
                 add(stage, sums, sums)
                 lowest(sums_by_action, 0, None, values)
-            done += size
             # The last step's change, taken in the buffer the next step overwrites.
             change = highest(np.abs(np.subtract(values, previous, previous), previous), 0)
             # A NaN change passes; an inf one holds the stack a block, after which it is NaN.
@@ -244,7 +233,7 @@ def solve_value_iterations(
                 break
     # The loop's buffers go before the finish allocates its own.
     del previous, sums, sums_by_action
-    return _finish(model, retained, values.T, np.full(problems, done), change <= threshold)
+    return _finish(model, retained, values.T, np.full(problems, blocks * BLOCK), change <= threshold)
 
 
 def _finish(model, retained, values, iterations, stopped) -> SolveTable:
@@ -265,7 +254,7 @@ def _finish(model, retained, values, iterations, stopped) -> SolveTable:
     return SolveTable(actions[first], streams, policy_of, exact, iterations, residual, bound, converged)
 
 
-def _solve_many(model: MdpModel, paid: np.ndarray, tol: float) -> tuple[SolveTable, np.ndarray]:
+def _solve_many(model: MdpModel, paid: np.ndarray) -> tuple[SolveTable, np.ndarray]:
     """Value-iteration problems for the distinct rows of ``paid`` (K, N), uncertified.
 
     Each distinct paid vector is solved once, in the order of its first
@@ -273,7 +262,7 @@ def _solve_many(model: MdpModel, paid: np.ndarray, tol: float) -> tuple[SolveTab
     sweep puts the baseline's vector in row 0.
     """
     first, index = _first_rows(paid)
-    return solve_value_iterations(model, paid[first], tol=tol), index
+    return solve_value_iterations(model, paid[first]), index
 
 
 def _lines(model: MdpModel, family, streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

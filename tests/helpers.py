@@ -365,7 +365,10 @@ def per_iteration_value_iterations(
     stack, one fresh array per step, with the stack's stopping rule tested
     after every ``solvers.BLOCK``-th step and at ``max_iter``, and the same
     finish, ``solvers._finish``, so any change in an iterate's arithmetic
-    shows as a difference in its results.
+    shows as a difference in its results.  Its defaults are the solver's
+    ``CERT_TOL`` and ``MAX_BLOCKS * BLOCK`` iterates; unlike the solver it
+    takes any ``tol`` and ``max_iter``, and the one-problem oracle
+    ``oracles.solve_value_iteration`` runs on it.
     """
     delta = model.discount
     threshold = tol * (1.0 - delta) / (2.0 * delta) if delta > 0.0 else np.inf

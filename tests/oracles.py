@@ -13,11 +13,12 @@ production against them:
 - the one-problem Bellman helpers (:func:`action_values`,
   :func:`bellman_update`, :func:`policy_from_values`) and the per-policy
   stream split (:func:`decompose_value`);
-- value iteration for one coverage (:func:`solve_value_iteration`), the
-  one-problem call of production's stacked loop, with the paid vectors of
-  a stack of coverages (:func:`coverages_paid`).  Unlike
-  :func:`cyins.solve` it certifies nothing: it returns whatever policy
-  ``max_iter`` sweeps reach, and the tests read its diagnostics;
+- value iteration for one coverage (:func:`solve_value_iteration`), run by
+  the tests' one-step-at-a-time reference for production's stacked loop
+  (``helpers.per_iteration_value_iterations``), with the paid vectors of a
+  stack of coverages (:func:`coverages_paid`).  Unlike :func:`cyins.solve`
+  it certifies nothing: it returns whatever policy ``max_iter`` sweeps
+  reach, and the tests read its diagnostics;
 - the algebraic identities that tie the two-state closed forms of
   :mod:`cyins.analytic` together (:func:`identity_residuals`), a
   self-check of those forms.
@@ -60,7 +61,6 @@ from cyins.solvers import (
     SolveResult,
     _greedy_actions,
     _stacked_action_values,
-    solve_value_iterations,
 )
 
 ENUMERATION_LIMIT = 10**6
@@ -107,8 +107,11 @@ def solve_value_iteration(
     tol: float = 1e-9,
     max_iter: int = 200_000,
 ) -> SolveResult:
-    """Value iteration for one coverage: the one-problem :func:`solve_value_iterations`."""
-    return solve_value_iterations(model, coverages_paid(model, [coverage]), tol, max_iter).result(0)
+    """Value iteration for one coverage, one Bellman step at a time."""
+    # helpers imports this module, so its reference loop is imported on call.
+    from helpers import per_iteration_value_iterations
+
+    return per_iteration_value_iterations(model, coverages_paid(model, [coverage]), tol, max_iter).result(0)
 
 
 def stage_loss_matrix(model: MdpModel, coverage: Coverage) -> np.ndarray:

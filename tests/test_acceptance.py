@@ -8,6 +8,7 @@ import filecmp
 import hashlib
 import json
 from contextlib import contextmanager
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +166,7 @@ def test_criterion_6_four_state_threshold_behavior(four_state):
     with criterion(6, "four-state threshold sweep: staircase premium, inert above max loss"):
         rows = contracts.sweep_threshold(four_state, 0.0, 0.9)  # 401-point default grid
         assert len(rows) == 401
-        for earlier, later in zip(rows, rows[1:]):
+        for earlier, later in pairwise(rows):
             assert later.max_premium <= earlier.max_premium + 1e-9
         beyond = [r for r in rows if r.parameter > 16.0]
         assert beyond

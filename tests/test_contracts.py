@@ -1,11 +1,13 @@
 import copy
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 import signal
 import tracemalloc
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -258,7 +260,7 @@ def test_sweeps_reject_bools_in_grids_and_tiers(two_state, four_state, flag):
 
 def test_four_state_cost_monotone_and_premium_affine(four_state):
     rows = sweep_linear(four_state, list(np.linspace(0.0, 1.0, 51)))
-    for earlier, later in zip(rows, rows[1:]):
+    for earlier, later in pairwise(rows):
         assert later.protection_cost <= earlier.protection_cost + 1e-9
     assert max(r.profit for r in rows) == pytest.approx(0.0, abs=1e-7)
 
@@ -273,7 +275,7 @@ def test_threshold_sweep_reference(four_state):
             assert row.max_premium == 0.0
             assert row.profit == 0.0
     # premium is a non-increasing staircase
-    for earlier, later in zip(rows, rows[1:]):
+    for earlier, later in pairwise(rows):
         assert later.max_premium <= earlier.max_premium + 1e-9
     assert max(r.profit for r in rows) == pytest.approx(0.0, abs=1e-7)
 
@@ -316,7 +318,7 @@ def test_solve_is_the_certified_value_iteration(two_state, four_state):
 
 def test_sweep_certifies_where_value_iteration_does_not_converge():
     # Two-tier coverage is solved by value iteration, whose stopping rule
-    # does not fire within max_iter at this discount; the certificate alone
+    # does not fire within MAX_BLOCKS blocks at this discount; the certificate alone
     # gates the result, and it proves the returned policy optimal.
     raw = copy.deepcopy(TWO_STATE_RAW)
     raw["discount"] = 0.9999
@@ -345,9 +347,9 @@ def test_solve_raises_when_the_residual_bound_fails(two_state, monkeypatch):
     values = evaluate_policy(two_state, worse, coverage)
     residual = float(np.abs(values - bellman_update(two_state, coverage, values)).max())
 
-    def suboptimal(model, paid, tol):
+    def suboptimal(model, paid):
         # The coverage's problem is put on the worse policy, with its honest diagnostics.
-        solved = solve_value_iterations(model, paid, tol=tol)
+        solved = solve_value_iterations(model, paid)
         faked = (paid == coverages_paid(model, [coverage])).all(axis=1)
         streams = np.stack(decompose_value(model, worse), axis=-1)
         bound = residual / (1.0 - model.discount)
@@ -405,8 +407,8 @@ def test_an_uncertified_baseline_is_named_by_the_first_row_that_prices_it(two_st
     # With a zero low tier, a cutoff at or above the largest loss pays
     # nothing, so that row shares the baseline's zero paid vector and names
     # its problem; with no such row, the baseline is no insurance.
-    def uncertified(model, paid, tol):
-        solved = solve_value_iterations(model, paid, tol=tol)
+    def uncertified(model, paid):
+        solved = solve_value_iterations(model, paid)
         unpaid = (paid == 0.0).all(axis=1)
         return solved._replace(certificate_bound=np.where(unpaid, np.inf, solved.certificate_bound))
 
@@ -460,13 +462,13 @@ def test_batched_solves_match_solving_each_coverage_alone(stack):
     model, coverages, order = stack
     alone = [solve_value_iteration(model, c, tol=contracts.CERT_TOL) for c in coverages]
     paid = coverages_paid(model, coverages)
-    solved = solve_value_iterations(model, paid, tol=contracts.CERT_TOL)
-    shuffled = solve_value_iterations(model, paid[order], tol=contracts.CERT_TOL)
+    solved = solve_value_iterations(model, paid)
+    shuffled = solve_value_iterations(model, paid[order])
     permuted = dict(zip(order, results(shuffled)))
     for batched in (
         results(solved),
         [permuted[k] for k in range(len(order))],
-        _solved_in_order(*solvers._solve_many(model, paid, contracts.CERT_TOL)),
+        _solved_in_order(*solvers._solve_many(model, paid)),
     ):
         assert len(batched) == len(coverages)
         for single, together in zip(alone, batched):
@@ -541,7 +543,7 @@ def test_walked_linear_rows_match_solving_each_row(walk):
     rows = sweep_linear(model, grid)
     paid = coverages_paid(model, [LinearCoverage(level) for level in grid])
     s0 = model.initial_state
-    solved = solve_value_iterations(model, paid, tol=contracts.CERT_TOL)
+    solved = solve_value_iterations(model, paid)
     for row, alone in zip(rows, results(solved)):
         assert row.policy == alone.policy
         limit = contracts.CERT_TOL * (1.0 + np.abs(alone.values).max())
@@ -724,12 +726,11 @@ def test_a_sweep_is_a_read_only_sequence_of_row_views(four_state):
     for k in range(-len(grid), len(grid)):
         assert sweep[k] == rows[k]
     assert sweep[np.int64(2)] == rows[2]
-    for part in (slice(1, 4), slice(None, None, 2), slice(3, 3)):
-        assert isinstance(sweep[part], Sweep)
-        assert list(sweep[part]) == rows[part]
-    # A reversed slice would be a descending grid, which no sweep builder accepts.
-    with pytest.raises(ValueError, match="sorted ascending"):
-        sweep[::-2]
+    # A sweep takes no slice; a coarser sweep is built from the coarser grid.
+    for part in (slice(1, 4), slice(None, None, 2), slice(3, 3), slice(None, None, -2)):
+        with pytest.raises(TypeError):
+            sweep[part]
+    assert list(sweep_linear(four_state, grid[::2])) == rows[::2]
     for k in (len(grid), -len(grid) - 1):
         with pytest.raises(IndexError):
             sweep[k]
@@ -737,9 +738,9 @@ def test_a_sweep_is_a_read_only_sequence_of_row_views(four_state):
     for k in (True, False, np.True_):
         with pytest.raises(TypeError):
             sweep[k]
-    # Rows on one problem share its policy object, and a slice its model.
+    # Rows on one problem share its policy object.
     assert sweep[0].policy is sweep[1].policy
-    assert sweep.model is sweep[1:].model is four_state
+    assert sweep.model is four_state
     with pytest.raises(dataclasses.FrozenInstanceError):
         sweep.parameters = np.zeros(5)
     with pytest.raises(ValueError):
@@ -749,14 +750,17 @@ def test_a_sweep_is_a_read_only_sequence_of_row_views(four_state):
     assert cutoffs[0].coverage == ThresholdCoverage(8.0, 0.0, 0.9)
 
 
-@pytest.mark.parametrize("build", [sweep_linear, lambda model: sweep_threshold(model, 0.0, 0.9)])
+@pytest.mark.parametrize(
+    "build", [sweep_linear, lambda model, grid=None: sweep_threshold(model, 0.0, 0.9, grid)]
+)
 def test_a_reversed_sweep_slice_is_refused(four_state, build):
-    # Reversed, the four-state sweeps' regions came out with lo > hi.
+    # Reversed slices of the four-state sweeps once gave regions with lo > hi.
+    # A sweep takes no slice now; its coarser grid is swept instead.
     sweep = build(four_state)
-    for step in (-1, -2):
-        with pytest.raises(ValueError, match="sweep grid must be sorted ascending"):
+    for step in (-1, -2, 2):
+        with pytest.raises(TypeError):
             sweep[::step]
-    region = optimal_region(sweep[::2])
+    region = optimal_region(build(four_state, sweep.parameters[::2]))
     assert region.intervals
     assert all(iv.lo <= iv.hi for iv in region.intervals)
 
@@ -808,8 +812,8 @@ def test_study_decompositions_per_round(study, calls, tmp_path, monkeypatch):
             decomposed.append(actions)
         return streams(model, actions, *losses)
 
-    def iterated(model, paid, tol):
-        solved = iterate(model, paid, tol=tol)
+    def iterated(model, paid):
+        solved = iterate(model, paid)
         decomposed.extend(solved.policies)
         return solved
 
@@ -824,9 +828,9 @@ def solve_calls(monkeypatch):
     """Number of problems in each value-iteration call the contracts layer makes."""
     calls = []
 
-    def counting(model, paid, tol):
+    def counting(model, paid):
         calls.append(len(paid))
-        return solve_value_iterations(model, paid, tol=tol)
+        return solve_value_iterations(model, paid)
 
     monkeypatch.setattr(solvers, "solve_value_iterations", counting)
     return calls
@@ -859,7 +863,7 @@ def test_fig5_region_end_solves_nothing(four_state, fig5_rows, solve_calls, syst
     # 8, into the outside row's class (the cutoff band [4, 8)), which the
     # row decides, so the end evaluates no policy.
     outside, inside = next(
-        (a, b) for a, b in zip(fig5_rows, fig5_rows[1:]) if a.parameter < 8.0 <= b.parameter
+        (a, b) for a, b in pairwise(fig5_rows) if a.parameter < 8.0 <= b.parameter
     )
     assert outside.policy != inside.policy
     region = optimal_region(fig5_rows)
@@ -1002,6 +1006,20 @@ def test_cyins_ships_only_the_production_path():
     # record, and from there into that workload's peak RSS.
     assert solvers.__all__ == ["SolveResult", "SolveTable", "solve_value_iterations"]
     assert sorted(cyins.__all__) == PUBLIC
+
+
+def test_production_solves_take_no_option_that_only_tests_set():
+    # Value iteration stops by CERT_TOL within MAX_BLOCKS blocks, and
+    # config_for truncates at REL_TOL: production never set another value.
+    pinned = (
+        (solvers.solve_value_iterations, ["model", "paid"]),
+        (solvers._solve_many, ["model", "paid"]),
+        (cyins.config_for, ["model", "samples", "seed"]),
+    )
+    for function, parameters in pinned:
+        assert list(inspect.signature(function).parameters) == parameters, function.__name__
+    assert solvers.MAX_BLOCKS * solvers.BLOCK == 200_000
+    assert contracts.CERT_TOL is solvers.CERT_TOL
 
 
 @pytest.fixture
@@ -1246,7 +1264,7 @@ def _brackets(rows):
     """The (inside, outside) rows around each region end at a policy switch, in order."""
     return [
         (a, b) if a.profit == 0.0 else (b, a)
-        for a, b in zip(rows, rows[1:])
+        for a, b in pairwise(rows)
         if (a.profit == 0.0) != (b.profit == 0.0)
     ]
 

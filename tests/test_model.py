@@ -437,6 +437,32 @@ def test_policy_shape_checked(two_state):
         evaluate_policy(two_state, ProtectionPolicy((0, 5)), ZeroCoverage())
 
 
+@pytest.mark.parametrize(
+    "actions, state, entry",
+    [
+        ((0, 1.9), 1, "1.9"),
+        ((True, "1"), 0, "True"),
+        ((0, "1"), 1, "'1'"),
+        ((0.7, 1.2), 0, "0.7"),
+        ((0, np.float64(1.0)), 1, "1.0"),
+    ],
+)
+def test_a_policy_action_must_be_an_integer(actions, state, entry):
+    # Each of these was once truncated or cast into another policy: (0, 1.9)
+    # gave (0, 1), and (0.7, 1.2) was evaluated and simulated as (0, 1).
+    message = f"policy action at state {state} must be an integer, got .*{entry}"
+    with pytest.raises(TypeError, match=message):
+        ProtectionPolicy(actions)
+
+
+def test_a_policy_keeps_python_and_numpy_integers_as_ints():
+    # A solve table's policies are int64 rows.
+    for actions in ((1, 0), np.array([1, 0]), (np.int32(1), np.uint8(0))):
+        policy = ProtectionPolicy(actions)
+        assert policy == ProtectionPolicy((1, 0))
+        assert all(type(a) is int for a in policy.actions)
+
+
 # ------------------------------------------------------------- decomposition
 
 def test_decompose_cost_part_matches_oracle(two_state):
